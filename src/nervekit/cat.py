@@ -832,7 +832,7 @@ def interval_reindex_functor(f: Sequence[int], a: int, b: int, K) -> SimplicialF
     f = tuple(f)
     S = interval_power_category(a, K)
     T = interval_power_category(b, K)
-    return _interval_transform(S, T, f, K, K, lambda u: u, None)
+    return _interval_transform(S, T, f, K, K, lambda u: u)
 
 
 def simplex_power_transform(f: Sequence[int], a: int, b: int, D: int) -> SimplicialFunctor:
@@ -847,7 +847,7 @@ def simplex_power_transform(f: Sequence[int], a: int, b: int, D: int) -> Simplic
     T = simplex_power_category(b, D)
     Ka = standard_simplex(a, D)
     Kb = standard_simplex(b, D)
-    return _interval_transform(S, T, f, Ka, Kb, lambda u: tuple(f[v] for v in u), None)
+    return _interval_transform(S, T, f, Ka, Kb, lambda u: tuple(f[v] for v in u))
 
 
 def power_base_change(n: int, g_label, K_src, K_tgt) -> SimplicialFunctor:
@@ -859,10 +859,10 @@ def power_base_change(n: int, g_label, K_src, K_tgt) -> SimplicialFunctor:
     S = interval_power_category(n, K_src)
     T = interval_power_category(n, K_tgt)
     ident = tuple(range(n + 1))
-    return _interval_transform(S, T, ident, K_src, K_tgt, g_label, None)
+    return _interval_transform(S, T, ident, K_src, K_tgt, g_label)
 
 
-def _interval_transform(S, T, f, K_src, K_tgt, relabel, _unused) -> SimplicialFunctor:
+def _interval_transform(S, T, f, K_src, K_tgt, relabel) -> SimplicialFunctor:
     n_src = len(S.objects) - 1
     homs = {}
     for i in range(n_src + 1):

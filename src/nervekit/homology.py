@@ -165,10 +165,13 @@ def _mat_vec(A, v):
     return [sum(a * b for a, b in zip(row, v)) for row in A]
 
 
-def _kernel_basis(A: list[list[int]]) -> list[list[int]]:
-    """Basis of the integer kernel lattice, as column vectors."""
+def _kernel_basis(A: list[list[int]], cols: int) -> list[list[int]]:
+    """Basis of the integer kernel lattice, as column vectors.
+
+    ``cols`` is the width of A, passed explicitly because a matrix with
+    no rows does not record it; its kernel is all of Z^cols.
+    """
     rows = len(A)
-    cols = len(A[0]) if rows else 0
     if cols == 0:
         return []
     if rows == 0:
@@ -470,11 +473,11 @@ def _f2_degree_iso(n, bA, bX, dA, dX, fM):
 def _z_degree_iso(n, bA, bX, dA, dX, fM):
     nA, nX = len(bA[n]), len(bX[n])
     KA = (
-        _kernel_basis(_dense(dA[n], len(bA[n - 1]))) if n >= 1 else
+        _kernel_basis(_dense(dA[n], len(bA[n - 1])), nA) if n >= 1 else
         [[int(i == j) for i in range(nA)] for j in range(nA)]
     )
     KX = (
-        _kernel_basis(_dense(dX[n], len(bX[n - 1]))) if n >= 1 else
+        _kernel_basis(_dense(dX[n], len(bX[n - 1])), nX) if n >= 1 else
         [[int(i == j) for i in range(nX)] for j in range(nX)]
     )
     kA, kX = len(KA), len(KX)
@@ -541,7 +544,7 @@ def _z_degree_iso(n, bA, bX, dA, dX, fM):
     width = kA + len(BX)
     paired = [[(Mcols[c][r] if c < kA else -BX[c - kA][r]) for c in range(width)] for r in range(kX)]
     solver_BA = _IntSolver([[col[r] for col in BA] for r in range(kA)] if BA else [[] for _ in range(kA)])
-    for ker_vec in _kernel_basis(paired):
+    for ker_vec in _kernel_basis(paired, width):
         v = ker_vec[:kA]
         if all(c == 0 for c in v):
             continue

@@ -13,8 +13,12 @@ Three nerves of a simplicial category live here:
   maps out of ``p-simplex x q-simplex`` into the coherent nerve whose
   vertex slices stay inside the marked subcategory.
 
-`comparison_map` sends a diagonal chain cell to the functor obtained
-by precomposing its chain functor with `comparison_functor`.
+`comparison_map` sends a diagonal chain cell to the coherent-nerve
+cell given in closed form by `comparison_cell`: on each generator
+chain, every hop acts by the tuple of largest subset elements strictly
+below it, and the hops fold by composition. That is the chain functor
+precomposed with `comparison_functor`, evaluated without building
+either; `theta_cell_value` does the same for `grid_collapse`.
 `classification_comparison` checks that the cell-by-cell map from the
 levelwise nerve into the classification diagram is simplicial in both
 directions and preserves marking; on small bidegrees it materializes
@@ -46,10 +50,9 @@ from .cat import (
     RelativeSimplicialCategory,
     SimplicialCategory,
     SimplicialFunctor,
+    _check_grid_chain,
     coherent_path_category,
-    comparison_functor,
     compose_functors,
-    grid_collapse,
     grid_collapse_signature,
     interval_reindex_functor,
     level_category,
@@ -516,21 +519,92 @@ def chain_functor(SC: SimplicialCategory, label, p: int, q: int) -> SimplicialFu
     return SimplicialFunctor(T, SC, {i: objs[i] for i in range(p + 1)}, homs)
 
 
-def comparison_cell(SC: SimplicialCategory, label, k: int, cf: Optional[SimplicialFunctor] = None) -> HCFunctor:
-    """Comparison image of one diagonal chain cell, as a coherent-nerve cell."""
-    sigma = chain_functor(SC, label, k, k)
-    if cf is None:
-        cf = comparison_functor(k, SC.D)
-    G = compose_functors(sigma, cf)
-    return hc_from_simplicial_functor(G, k, SC)
+@lru_cache(maxsize=None)
+def _comparison_plan(k: int, D: int) -> tuple:
+    """The cell-independent part of `comparison_cell` at level k.
+
+    Returns the object column of each output vertex and, per generator
+    pair (i, j), the first hop's source i and the (level, chain, hop
+    coordinates) entries, one coordinate per hop t in (i, j]. The
+    coordinate of hop t takes, per subset S of the chain, the largest
+    element of S strictly below t.
+    """
+    pairs = []
+    for i in range(k + 1):
+        for j in range(i + 1, k + 1):
+            levels = generator_chains(i, j, D)[: _pair_limit(i, j, D) + 1]
+            entries = tuple(
+                (m, c, tuple(tuple(max(v for v in S if v < t) for S in c) for t in range(i + 1, j + 1)))
+                for m, level in enumerate(levels)
+                for c in level
+            )
+            pairs.append(((i, j), i, entries))
+    return tuple(range(k + 1)), tuple(pairs)
+
+
+def _cell_from_plan(SC: SimplicialCategory, label, q: int, plan, memo: dict) -> HCFunctor:
+    """Evaluate a chain of level-q morphisms on a plan's generator chains.
+
+    Each value acts every hop's coordinate on that hop's cell and folds
+    the results with composition, later hops on the left; an empty fold
+    is an identity cell. ``memo`` caches hop actions under
+    ``(q, source, target, cell, coordinate)``, where the row level q
+    matters because a cell index names different cells at different q,
+    and fold steps under ``(level, objects, operands)``. Both key sets
+    are bounded by the cells of the category, not by the cells
+    evaluated, which keeps a memo owned by a long sweep small.
+    """
+    cols, pairs = plan
+    x0, ms = label
+    objs = (x0,) + tuple(m[1] for m in ms)
+    gcells = tuple(m[2][2] for m in ms)
+    gen = {}
+    for pair, a, entries in pairs:
+        d = {}
+        for m, c, us in entries:
+            acc = None
+            for t, u in enumerate(us, start=a + 1):
+                src, tgt, x = objs[t - 1], objs[t], gcells[t - 1]
+                hop_key = (q, src, tgt, x, u)
+                w = memo.get(hop_key)
+                if w is None:
+                    w = memo[hop_key] = act(SC.hom(src, tgt), q, x, u)
+                if acc is not None:
+                    step_key = (m, objs[a], src, tgt, w, acc)
+                    composite = memo.get(step_key)
+                    if composite is None:
+                        composite = memo[step_key] = SC.compose(objs[a], src, tgt, m, w, acc)
+                    w = composite
+                acc = w
+            d[c] = SC.identity_cell(objs[a], m) if acc is None else acc
+        gen[pair] = d
+    return HCFunctor(len(cols) - 1, SC, tuple(objs[a] for a in cols), gen)
+
+
+def _comparison_cell(SC: SimplicialCategory, label, k: int, memo: dict) -> HCFunctor:
+    return _cell_from_plan(SC, label, k, _comparison_plan(k, SC.D), memo)
+
+
+def comparison_cell(SC: SimplicialCategory, label, k: int) -> HCFunctor:
+    """Comparison image of one diagonal chain cell, as a coherent-nerve cell.
+
+    On a generator chain of pair (i, j), hop t in (i, j] acts by the
+    tuple of largest elements strictly below t of the chain's subsets;
+    this is `chain_functor` after `comparison_functor`, evaluated
+    without building either.
+    """
+    return _comparison_cell(SC, label, k, {})
 
 
 def comparison_map(SC: SimplicialCategory, L: int, hc: Optional[SimplicialSet] = None, B: Optional[SimplicialSet] = None) -> SimplicialMap:
     """The map from the classifying space to the coherent nerve.
 
-    Level k sends a chain of k-cells to its chain functor precomposed
-    with the comparison functor. Pass precomputed ``hc`` or ``B`` to
-    reuse them; they must be at least L-truncated.
+    Level k sends a chain of k-cells to the coherent-nerve cell whose
+    value on a generator chain of pair (i, j) folds, by composition with
+    later hops on the left, the action on each hop t in (i, j] of the
+    tuple of largest elements strictly below t (see `comparison_cell`).
+    Pass precomputed ``hc`` or ``B`` to reuse them; they must be at
+    least L-truncated.
     """
     if B is None:
         B = classifying_space(SC, L)
@@ -539,14 +613,11 @@ def comparison_map(SC: SimplicialCategory, L: int, hc: Optional[SimplicialSet] =
     index = [
         {F.key(): x for x, F in enumerate(level)} for level in hc.functors
     ]
-    vals = []
-    for k in range(L + 1):
-        cf = comparison_functor(k, SC.D)
-        row = []
-        for x in range(B.card(k)):
-            F = comparison_cell(SC, B.label(k, x), k, cf=cf)
-            row.append(index[k][F.key()])
-        vals.append(row)
+    memo: dict = {}
+    vals = [
+        [index[k][_comparison_cell(SC, B.label(k, x), k, memo).key()] for x in range(B.card(k))]
+        for k in range(L + 1)
+    ]
     return SimplicialMap(B, hc, values=vals, L=L)
 
 
@@ -720,26 +791,57 @@ def _nondeg_grid_chains(p: int, q: int) -> list[tuple]:
     return out
 
 
-_COLLAPSE_CACHE: dict = {}
+@lru_cache(maxsize=None)
+def _collapse_plan(tau: tuple, D: int) -> tuple:
+    """The cell-independent part of `theta_cell_value` along ``tau``.
+
+    Same shape as `_comparison_plan`. Output vertex t sits over column
+    tau[t][0]; generator pair (i, j) covers the hops (a, b] between
+    a = tau[i][0] and b = tau[j][0], and the coordinate of hop t takes,
+    per subset S of the chain, the largest second coordinate of tau(S)
+    whose first coordinate is strictly below t.
+    """
+    r = len(tau) - 1
+    pairs = []
+    for i in range(r + 1):
+        for j in range(i + 1, r + 1):
+            a, b = tau[i][0], tau[j][0]
+            levels = generator_chains(i, j, D)[: _pair_limit(i, j, D) + 1]
+            entries = tuple(
+                (
+                    m,
+                    c,
+                    tuple(
+                        tuple(max(tau[s][1] for s in S if tau[s][0] < t) for S in c)
+                        for t in range(a + 1, b + 1)
+                    ),
+                )
+                for m, level in enumerate(levels)
+                for c in level
+            )
+            pairs.append(((i, j), a, entries))
+    return tuple(a for a, _ in tau), tuple(pairs)
 
 
-def _collapse(p: int, q: int, tau, D: int) -> SimplicialFunctor:
-    key = (p, q, tau, D)
-    if key not in _COLLAPSE_CACHE:
-        _COLLAPSE_CACHE[key] = grid_collapse(p, q, tau, D)
-    return _COLLAPSE_CACHE[key]
+def _theta_cell(SC: SimplicialCategory, label, p: int, q: int, tau, memo: dict) -> HCFunctor:
+    plan = _collapse_plan(_check_grid_chain(p, q, tau), SC.D)
+    return _cell_from_plan(SC, label, q, plan, memo)
 
 
 def theta_cell_value(SC: SimplicialCategory, label, p: int, q: int, tau) -> HCFunctor:
     """The coherent-nerve cell a chain assigns to one grid chain.
 
-    Composes the chain functor of the (p, q) chain cell with the grid
-    collapse of ``tau``; the result is a cell at level len(tau) - 1.
+    ``label`` is a p-chain of level-q morphisms and ``tau`` a weakly
+    increasing chain in the (p, q) grid; the result is a cell at level
+    len(tau) - 1 over the objects at the columns tau[t][0]. On a
+    generator chain of pair (i, j), hop t between columns tau[i][0]
+    and tau[j][0] acts by the tuple, per subset S, of the largest second
+    coordinate of tau(S) whose first coordinate is strictly below t;
+    the hops fold by composition, later hops on the left. This is
+    `chain_functor` after `grid_collapse`, evaluated without building
+    either.
     """
-    tau = tuple((a, b) for a, b in tau)
-    sigma = chain_functor(SC, label, p, q)
-    G = compose_functors(sigma, _collapse(p, q, tau, SC.D))
-    return hc_from_simplicial_functor(G, len(tau) - 1, SC)
+    return _theta_cell(SC, label, p, q, tau, {})
 
 
 @lru_cache(maxsize=None)
@@ -838,18 +940,32 @@ def classification_comparison(
     p + q <= ``direct_bidegree`` are additionally materialized cell by
     cell. Also checks that vertex slices collapse to constant cells,
     that marking is preserved, and that every assigned value is a valid
-    coherent-nerve cell on generators.
+    coherent-nerve cell on generators. The counters land in ``bounds``
+    also when the sweep stops at the witness cap.
     """
     SC = R.cat
     if P + Q > SC.D:
         raise TruncationError(f"bidegree ({P},{Q}) needs hom levels {P + Q}, truncation is {SC.D}")
     M = levelwise_nerve_marked(R, P, Q)
-    X = M.space
     check = CheckReport(check="theta", verdict="pass")
     check.bounds.update({"P": P, "Q": Q, "direct_bidegree": direct_bidegree})
-    squares = 0
-    naturality = 0
-    direct = 0
+    counts = {
+        "chain_identities": 0,
+        "naturality_instances": 0,
+        "direct_squares": 0,
+        "slice_checks": 0,
+        "marked_edges_checked": 0,
+    }
+    _theta_sweep(R, M, P, Q, direct_bidegree, check, counts)
+    check.bounds.update(counts)
+    return check
+
+
+def _theta_sweep(R, M, P, Q, direct_bidegree, check, counts) -> None:
+    """The checks of `classification_comparison`; returns at the witness cap."""
+    SC = R.cat
+    X = M.space
+    memo: dict = {}
 
     # collapse naturality, cached per operator and grid chain
     for p in range(P + 1):
@@ -860,7 +976,7 @@ def classification_comparison(
                     lhs = _transformed_signature(p2, q2, tau, vp, vq)
                     moved = tuple((vp[a], vq[b]) for (a, b) in tau)
                     rhs = _collapse_signature(p, q, moved)
-                    naturality += 1
+                    counts["naturality_instances"] += 1
                     if lhs != rhs:
                         check.verdict = "fail"
                         check.witnesses.append(
@@ -872,7 +988,7 @@ def classification_comparison(
                             }
                         )
                         if len(check.witnesses) > 8:
-                            return check
+                            return
 
     # chain identities per cell and operator
     for p in range(P + 1):
@@ -893,7 +1009,7 @@ def classification_comparison(
                             p, lambda u, vq=vq: tuple(vq[v] for v in u), Dq2, Dq
                         )
                     rhs = _functor_chain_tuple(compose_functors(sigma, J), p2, q2)
-                    squares += 1
+                    counts["chain_identities"] += 1
                     if lhs != rhs:
                         check.verdict = "fail"
                         check.witnesses.append(
@@ -905,13 +1021,12 @@ def classification_comparison(
                             }
                         )
                         if len(check.witnesses) > 8:
-                            return check
+                            return
 
     # vertex slices: the collapse of a constant-column chain factors
     # through the one-object gadget, so values are constant cells; the
     # signature check is cell-independent, small bidegrees also compare
     # the cells themselves
-    slices = 0
     for p in range(P + 1):
         for q in range(Q + 1):
             for i in range(p + 1):
@@ -923,7 +1038,7 @@ def classification_comparison(
                         expected.append(
                             ((a, b), ((),) * len(path_poset(a, b).elements))
                         )
-                slices += 1
+                counts["slice_checks"] += 1
                 if sig != tuple(expected):
                     check.verdict = "fail"
                     check.witnesses.append(
@@ -938,8 +1053,8 @@ def classification_comparison(
                 for x in range(X.card(p, q)):
                     label = X.label(p, q, x)
                     objs = [label[0]] + [m[1] for m in label[1]]
-                    F = theta_cell_value(SC, label, p, q, tau)
-                    slices += 1
+                    F = _theta_cell(SC, label, p, q, tau, memo)
+                    counts["slice_checks"] += 1
                     if F.key() != hc_constant(SC, objs[i], q).key():
                         check.verdict = "fail"
                         check.witnesses.append(
@@ -951,18 +1066,17 @@ def classification_comparison(
                             }
                         )
                         if len(check.witnesses) > 8:
-                            return check
+                            return
 
     # marking: marked chains send every strict grid edge to a marked edge
-    marked_checked = 0
     for (q, x) in sorted(M.marked):
         label = X.label(1, q, x)
         for b0 in range(q + 1):
             for b1 in range(b0, q + 1):
                 tau = ((0, b0), (1, b1))
-                F = theta_cell_value(SC, label, 1, q, tau)
+                F = _theta_cell(SC, label, 1, q, tau, memo)
                 v = F.gen[(0, 1)][((0, 1),)]
-                marked_checked += 1
+                counts["marked_edges_checked"] += 1
                 if v not in R.sub_cells(F.objects[0], F.objects[1], 0):
                     check.verdict = "fail"
                     check.witnesses.append(
@@ -974,7 +1088,7 @@ def classification_comparison(
                         }
                     )
                     if len(check.witnesses) > 8:
-                        return check
+                        return
 
     # direct operator squares on small bidegrees
     for p in range(P + 1):
@@ -989,10 +1103,10 @@ def classification_comparison(
                     (p2, q2), vp, vq = _grid_op(p, q, kind, i)
                     moved_label = X.label(p2, q2, op(p, q, i, x))
                     for tau in chains_pq[(p2, q2)]:
-                        lhs = theta_cell_value(SC, moved_label, p2, q2, tau)
+                        lhs = _theta_cell(SC, moved_label, p2, q2, tau, memo)
                         big = tuple((vp[a], vq[b]) for (a, b) in tau)
-                        rhs = theta_cell_value(SC, label, p, q, big)
-                        direct += 1
+                        rhs = _theta_cell(SC, label, p, q, big, memo)
+                        counts["direct_squares"] += 1
                         if lhs.key() != rhs.key():
                             check.verdict = "fail"
                             check.witnesses.append(
@@ -1005,41 +1119,32 @@ def classification_comparison(
                                 }
                             )
                             if len(check.witnesses) > 8:
-                                return check
-
-    check.bounds.update(
-        {
-            "chain_identities": squares,
-            "naturality_instances": naturality,
-            "direct_squares": direct,
-            "slice_checks": slices,
-            "marked_edges_checked": marked_checked,
-        }
-    )
-    return check
+                                return
 
 
 def consistency_check(SC: SimplicialCategory, L: int) -> CheckReport:
     """Agreement of the comparison routes on and around the diagonal.
 
     (a) On every diagonal cell up to level L, the grid-collapse route
-    along the diagonal chain equals `comparison_cell`. (b) Restricting
-    the column coordinate to a vertex collapses each column cell to the
-    constant cell at that object. (c) Acting a row cell vertically by a
-    constant map and comparing lands on the level-0 inclusion of its
-    vertex restriction.
+    along the diagonal chain equals `comparison_cell`; the two routes
+    compute their hop coordinates by separately written rules and share
+    only the fold. (b) Restricting the column coordinate to a vertex
+    collapses each column cell to the constant cell at that object.
+    (c) Acting a row cell vertically by a constant map and comparing
+    lands on the level-0 inclusion of its vertex restriction.
     """
     if L > SC.D:
         raise TruncationError(f"level {L} beyond hom truncation {SC.D}")
     X = levelwise_nerve(SC, L, L)
     check = CheckReport(check="consistency", verdict="pass")
     counts = {"diagonal": 0, "vertex_slices": 0, "row_restrictions": 0}
+    memo: dict = {}
     for k in range(L + 1):
         tau = tuple((t, t) for t in range(k + 1))
         for x in range(X.card(k, k)):
             label = X.label(k, k, x)
-            lhs = theta_cell_value(SC, label, k, k, tau)
-            rhs = comparison_cell(SC, label, k)
+            lhs = _theta_cell(SC, label, k, k, tau, memo)
+            rhs = _comparison_cell(SC, label, k, memo)
             counts["diagonal"] += 1
             if lhs.key() != rhs.key():
                 check.verdict = "fail"
@@ -1051,7 +1156,7 @@ def consistency_check(SC: SimplicialCategory, L: int) -> CheckReport:
                 objs = [label[0]] + [m[1] for m in label[1]]
                 for i in range(p + 1):
                     tau = tuple((i, b) for b in range(q + 1))
-                    F = theta_cell_value(SC, label, p, q, tau)
+                    F = _theta_cell(SC, label, p, q, tau, memo)
                     counts["vertex_slices"] += 1
                     if F.key() != hc_constant(SC, objs[i], q).key():
                         check.verdict = "fail"
@@ -1066,7 +1171,7 @@ def consistency_check(SC: SimplicialCategory, L: int) -> CheckReport:
                 for i in range(n + 1):
                     z = act(col, n, x, (i,) * (m + 1))
                     zlabel = X.label(m, m, z)
-                    lhs = comparison_cell(SC, zlabel, m)
+                    lhs = _comparison_cell(SC, zlabel, m, memo)
                     x0, ms = label
                     level0 = (
                         x0,

@@ -41,6 +41,19 @@ def test_compare_verb(capsys):
     assert rep["results"]["map_simplicial"]["ok"] is True
 
 
+def test_integer_compare_on_bgz2(capsys):
+    # the coherent nerve of bg:z2 has no nondegenerate edge, so its
+    # degree-2 boundary matrix has no rows and every 2-chain is a cycle
+    code, rep = invoke(["compare", "--example", "bg:z2", "--max-dim", "3"], capsys)
+    assert code == 0
+    iso = rep["results"]["chain_iso"]
+    assert iso["verdict"] == "pass"
+    groups = [{"betti": 1, "torsion": []}, {"betti": 0, "torsion": []}, {"betti": 0, "torsion": [2]}]
+    for n, g in enumerate(groups):
+        assert iso["bounds"][f"H{n}"]["source"] == g
+        assert iso["bounds"][f"H{n}"]["target"] == g
+
+
 def test_homology_and_pi0(capsys):
     code, rep = invoke(
         ["homology", "--example", "bg:z2", "--max-dim", "2", "--coeff", "f2"], capsys

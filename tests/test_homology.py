@@ -135,3 +135,26 @@ def test_chain_iso_z_coefficients(z2_rel):
     B = classifying_space(z2_rel.cat, 2)
     rep = induced_chain_iso(identity_map(B), coeff="z", max_deg=1)
     assert rep.ok
+
+
+def test_kernel_of_matrix_without_rows_is_everything():
+    from nervekit.homology import _dense, _kernel_basis
+
+    A = _dense([{}, {}, {}], 0)
+    assert A == []
+    assert _kernel_basis(A, 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert _kernel_basis(A, 0) == []
+
+
+def test_chain_iso_z_detects_cycles_that_die():
+    # collapsing the circle to a point kills H1 = Z; the target has no
+    # 1-cycles at all, so the kernel to check is all of the source cycles
+    from nervekit import SimplicialMap
+
+    circle = boundary_simplex(2, 2)
+    f = SimplicialMap(circle, standard_simplex(0, 2), fn=lambda n, x: 0, L=2)
+    rep = induced_chain_iso(f, coeff="z", max_deg=1)
+    assert not rep.ok
+    assert rep.bounds["H0"]["injective"] is True
+    assert rep.bounds["H1"]["injective"] is False
+    assert rep.bounds["H1"]["source"] == {"betti": 1, "torsion": []}

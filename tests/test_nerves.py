@@ -1,4 +1,6 @@
 """Nerve constructions and the comparison machinery between them."""
+import itertools
+
 import pytest
 
 from nervekit import (
@@ -115,3 +117,146 @@ def test_diagonal_of_binerve_is_classifying_space(z2_rel):
         for x in range(d.card(n)):
             for i in range(n + 1) if n else []:
                 assert d.face(n, i, x) == B.face(n, i, x)
+
+
+# --- the functor route, kept as an oracle for the closed-form cells ---------
+
+
+def _category(name, D):
+    """A named example, S3 with constant homs, or the path category of [2].
+
+    S3 is the only input here whose composition does not commute, so
+    it is the one that sees the order of the hop fold. In the path
+    category a cell index names unrelated chains at different levels,
+    so it is the one that sees the level in a composition memo key.
+    """
+    from nervekit import FiniteCategory, coherent_path_category, discrete_simplicial_category
+
+    if name == "paths[2]":
+        return coherent_path_category(2, D)
+    if name != "discrete:s3":
+        return build_example(name, max_dim=D).cat
+
+    perms = list(itertools.permutations(range(3)))
+    S3 = FiniteCategory(
+        ["x"],
+        {("x", "x"): perms},
+        lambda a, b, c, g, f: tuple(g[f[v]] for v in range(3)),
+        {"x": (0, 1, 2)},
+        name="s3",
+    )
+    return discrete_simplicial_category(S3, D)
+
+
+def _functor_route(SC, label, p, q, gadget, n):
+    from nervekit import compose_functors
+    from nervekit.nerves import chain_functor, hc_from_simplicial_functor
+
+    return hc_from_simplicial_functor(compose_functors(chain_functor(SC, label, p, q), gadget), n, SC)
+
+
+@pytest.mark.parametrize(
+    "name, L",
+    [
+        ("bg:z2", 3),
+        ("bg:z3", 2),
+        ("discrete:poset012", 2),
+        ("two-object-interval", 2),
+        ("discrete:s3", 3),
+        ("paths[2]", 3),
+    ],
+)
+def test_comparison_cells_match_functor_route(name, L):
+    from nervekit import comparison_cell, comparison_functor
+
+    SC = _category(name, L)
+    f = comparison_map(SC, L)
+    for k in range(L + 1):
+        cf = comparison_functor(k, SC.D)
+        index = {F.key(): x for x, F in enumerate(f.target.functors[k])}
+        for x in range(f.source.card(k)):
+            label = f.source.label(k, x)
+            want = _functor_route(SC, label, k, k, cf, k).key()
+            assert comparison_cell(SC, label, k).key() == want
+            assert f.apply(k, x) == index[want]
+
+
+@pytest.mark.parametrize(
+    "name", ["bg:z2", "bg:z3", "discrete:poset012", "two-object-interval", "discrete:s3", "paths[2]"]
+)
+def test_theta_cells_match_functor_route(name):
+    from nervekit import grid_collapse, theta_cell_value
+    from nervekit.nerves import _nondeg_grid_chains, _theta_cell
+
+    SC = _category(name, 3)
+    X = levelwise_nerve(SC, 3, 3)
+    memo = {}  # one memo across bidegrees, as the checks share theirs
+    checked = 0
+    for p in range(4):
+        for q in range(4 - p):
+            chains = _nondeg_grid_chains(p, q)
+            collapses = [grid_collapse(p, q, tau, SC.D) for tau in chains]
+            for x in range(X.card(p, q)):
+                label = X.label(p, q, x)
+                for tau, collapse in zip(chains, collapses):
+                    want = _functor_route(SC, label, p, q, collapse, len(tau) - 1).key()
+                    assert theta_cell_value(SC, label, p, q, tau).key() == want
+                    assert _theta_cell(SC, label, p, q, tau, memo).key() == want
+                    checked += 1
+    assert checked > 0
+
+
+def test_theta_cell_value_rejects_bad_grid_chains(z2_rel_d3):
+    from nervekit import theta_cell_value
+
+    SC = z2_rel_d3.cat
+    label = levelwise_nerve(SC, 1, 1).label(1, 1, 0)
+    for tau in [(), ((0, 0), (2, 1)), ((1, 0), (0, 1))]:
+        with pytest.raises(ValueError):
+            theta_cell_value(SC, label, 1, 1, tau)
+
+
+def test_consistency_check_builds_no_functors(z2_rel_d3, z2_rel, monkeypatch):
+    import nervekit.cat as cat_mod
+    import nervekit.nerves as nerves_mod
+
+    calls = {"comparison_functor": 0, "compose_functors": 0, "grid_collapse": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        for mod in (cat_mod, nerves_mod):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    rep = consistency_check(z2_rel_d3.cat, 3)
+    assert rep.ok
+    assert rep.bounds == {"diagonal": 531, "vertex_slices": 2629, "row_restrictions": 2629}
+    assert calls == {"comparison_functor": 0, "compose_functors": 0, "grid_collapse": 0}
+    # the counters do see calls: the chain identities still compose functors
+    classification_comparison(z2_rel, 1, 1)
+    assert calls["compose_functors"] > 0
+
+
+def test_classification_comparison_keeps_bounds_at_witness_cap(z2_rel, monkeypatch):
+    import nervekit.nerves as nerves_mod
+
+    # every naturality instance now fails, so the sweep stops at the cap
+    monkeypatch.setattr(nerves_mod, "_transformed_signature", lambda *args: None)
+    rep = classification_comparison(z2_rel, 1, 1)
+    assert rep.verdict == "fail"
+    assert len(rep.witnesses) == 9
+    assert rep.bounds == {
+        "P": 1,
+        "Q": 1,
+        "direct_bidegree": 3,
+        "chain_identities": 0,
+        "naturality_instances": 9,
+        "direct_squares": 0,
+        "slice_checks": 0,
+        "marked_edges_checked": 0,
+    }
