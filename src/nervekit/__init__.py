@@ -22,7 +22,6 @@ from .cat import (
     enumerate_simplicial_functors,
     functors_equal,
     grid_collapse,
-    isomorphism_labels,
     level_category,
     nerve_cat,
     path_functor,

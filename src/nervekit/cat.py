@@ -138,20 +138,6 @@ def poset_category(P: FinitePoset, name: str = "") -> FiniteCategory:
     return FiniteCategory(P.elements, homs, lambda a, b, c, g, f: 0, {a: 0 for a in P.elements}, name=name or "poset")
 
 
-def isomorphism_labels(C: FiniteCategory) -> dict:
-    """Per object pair, the labels of invertible morphisms."""
-    out: dict = {}
-    for a, b, f in C.morphisms():
-        for _, _, g in [(b, a, l) for l in C.hom_labels(b, a)]:
-            if (
-                C.compose((b, a, g), (a, b, f)) == C.identity(a)
-                and C.compose((a, b, f), (b, a, g)) == C.identity(b)
-            ):
-                out.setdefault((a, b), []).append(f)
-                break
-    return out
-
-
 def nerve_cat(C: FiniteCategory, D: int) -> SimplicialSet:
     """Nerve of a finite category, truncated at level D.
 
@@ -222,9 +208,6 @@ class SimplicialCategory:
 
     def hom(self, a, b):
         return self.homs.get((a, b)) or _empty(self.D)
-
-    def comp_map(self, a, b, c) -> Optional[SimplicialMap]:
-        return self.comps.get((a, b, c))
 
     def compose(self, a, b, c, n: int, g: int, f: int) -> int:
         m = self.comps[(a, b, c)]
@@ -358,22 +341,6 @@ def discrete_simplicial_category(C: FiniteCategory, D: int) -> SimplicialCategor
                     )
     ids = {a: C.homs[(a, a)].index(C.ids[a]) for a in C.objects}
     return SimplicialCategory(C.objects, homs, comps, ids, D, name=f"discrete({C.name})")
-
-
-def arrow_category(K, D: int, name: str = "arrow") -> SimplicialCategory:
-    """Two objects x, y with hom(x, y) = K and only identities elsewhere."""
-    pt = constant_sset(1, D, labels=["id"])
-    homs = {("x", "x"): pt, ("y", "y"): pt, ("x", "y"): K}
-    comps = {}
-    for a, b, c in [("x", "x", "x"), ("y", "y", "y")]:
-        src = ProductSset(pt, pt)
-        comps[(a, b, c)] = SimplicialMap(src, pt, fn=lambda n, x: 0, L=D)
-    src = ProductSset(K, pt)
-    comps[("x", "x", "y")] = SimplicialMap(src, K, fn=lambda n, x, s=src: s.split(n, x)[0], L=D)
-    src2 = ProductSset(pt, K)
-    comps[("x", "y", "y")] = SimplicialMap(src2, K, fn=lambda n, x, s=src2: s.split(n, x)[1], L=D)
-    ids = {"x": 0, "y": 0}
-    return SimplicialCategory(["x", "y"], homs, comps, ids, D, name=name)
 
 
 class RelativeSimplicialCategory:
@@ -521,9 +488,6 @@ class SimplicialFunctor:
         self.target = target
         self.obj = dict(obj)
         self.homs = dict(homs)
-
-    def apply_obj(self, a):
-        return self.obj[a]
 
     def apply_hom(self, a, b, n: int, x: int) -> int:
         return self.homs[(a, b)].apply(n, x)
@@ -823,18 +787,6 @@ def grid_collapse_signature(p: int, q: int, tau: Sequence):
     return tuple(sig)
 
 
-def interval_reindex_functor(f: Sequence[int], a: int, b: int, K) -> SimplicialFunctor:
-    """Functor [a]_K -> [b]_K over a monotone vertex map, K unchanged.
-
-    The coordinate for a target hop t is the coordinate of the source
-    hop that covers it (the least source hop landing at or above t).
-    """
-    f = tuple(f)
-    S = interval_power_category(a, K)
-    T = interval_power_category(b, K)
-    return _interval_transform(S, T, f, K, K, lambda u: u)
-
-
 def simplex_power_transform(f: Sequence[int], a: int, b: int, D: int) -> SimplicialFunctor:
     """Functor between chain gadgets over a monotone map [a] -> [b].
 
@@ -848,18 +800,6 @@ def simplex_power_transform(f: Sequence[int], a: int, b: int, D: int) -> Simplic
     Ka = standard_simplex(a, D)
     Kb = standard_simplex(b, D)
     return _interval_transform(S, T, f, Ka, Kb, lambda u: tuple(f[v] for v in u))
-
-
-def power_base_change(n: int, g_label, K_src, K_tgt) -> SimplicialFunctor:
-    """Functor [n]_{K_src} -> [n]_{K_tgt} applying a K-map to every coordinate.
-
-    ``g_label`` maps a K_src cell label to a K_tgt cell label of the
-    same level.
-    """
-    S = interval_power_category(n, K_src)
-    T = interval_power_category(n, K_tgt)
-    ident = tuple(range(n + 1))
-    return _interval_transform(S, T, ident, K_src, K_tgt, g_label)
 
 
 def _interval_transform(S, T, f, K_src, K_tgt, relabel) -> SimplicialFunctor:

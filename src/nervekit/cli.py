@@ -14,7 +14,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .bisset import BisimplicialSet, MarkedBisimplicialSet, diagonal, diagonal_marked, validate_bisset
 from .cat import (
@@ -80,7 +79,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--in", dest="infile", default=None, help="input JSON document")
         p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
         p.add_argument("--emit-cells", action="store_true", help="embed the constructed cell tables")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers for independent checks")
         p.add_argument("--example", default=None, help="generator name instead of --in")
         if name == "uniq-check":
             p.add_argument("--max-cosimplicial", type=int, default=2,
@@ -302,21 +300,14 @@ def run(argv: list[str]) -> tuple[dict, int, str | None]:
             targets = [(f"hom({a},{b})", H) for (a, b), H in sorted(SC.homs.items(), key=lambda kv: str(kv[0]))]
         else:
             targets = [("input", _as_sset(value))]
-        tasks = []
+        results["horns"] = []
         for tag, X in targets:
             bound = min(args.max_dim if args.max_dim is not None else 3, X.D)
             for n in range(1, bound + 1):
                 for k in range(n + 1):
-                    tasks.append((tag, X, n, k))
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                reps = list(pool.map(lambda t: horn_check(t[1], t[2], t[3]), tasks))
-        else:
-            reps = [horn_check(X, n, k) for (_, X, n, k) in tasks]
-        results["horns"] = [
-            {"subject": tag, **rep.to_json()} for (tag, _, _, _), rep in zip(tasks, reps)
-        ]
-        failed = any(not rep.ok for rep in reps)
+                    rep = horn_check(X, n, k)
+                    results["horns"].append({"subject": tag, **rep.to_json()})
+                    failed = failed or not rep.ok
 
     elif cmd == "uniq-check":
         rep = uniqueness_report(args.max_cosimplicial)

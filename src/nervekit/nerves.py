@@ -24,9 +24,13 @@ levelwise nerve into the classification diagram is simplicial in both
 directions and preserves marking; on small bidegrees it materializes
 both sides of every operator square, and on all bidegrees it verifies
 the two identities that together imply the squares: the chain identity
-(operators on chains match precomposition with interval transforms)
 and collapse naturality (checked on vertex signatures, independent of
-the cell).
+the cell). The chain identity says an operator with vertex maps
+(vp, vq) sends a chain to the chain whose hop t folds the hops
+s in (vp[t-1], vp[t]], each acted on by vq, by composition with later
+hops on the left, an empty fold being the identity cell; this is
+`chain_functor` precomposed with the interval transform, evaluated in
+closed form by `_reindexed_chain`.
 """
 
 from __future__ import annotations
@@ -51,14 +55,10 @@ from .cat import (
     SimplicialCategory,
     SimplicialFunctor,
     _check_grid_chain,
-    coherent_path_category,
-    compose_functors,
     grid_collapse_signature,
-    interval_reindex_functor,
     level_category,
     nerve_cat,
     path_poset,
-    power_base_change,
     simplex_power_category_target,
 )
 from .bisset import BisimplicialSet, MarkedBisimplicialSet, bisset_from_columns, diagonal
@@ -147,23 +147,6 @@ class HCFunctor:
         g = self.value(t, j, m, right)
         return self.target.compose(
             self.objects[i], self.objects[t], self.objects[j], m, g, f
-        )
-
-    def as_functor(self) -> SimplicialFunctor:
-        src = coherent_path_category(self.n, self.target.D)
-        homs = {}
-        for i in range(self.n + 1):
-            for j in range(i, self.n + 1):
-                H = src.hom(i, j)
-
-                def fn(m, x, i=i, j=j, H=H):
-                    return self.value(i, j, m, H.label(m, x))
-
-                homs[(i, j)] = SimplicialMap(
-                    H, self.target.hom(self.objects[i], self.objects[j]), fn=fn, L=src.D
-                )
-        return SimplicialFunctor(
-            src, self.target, {i: self.objects[i] for i in range(self.n + 1)}, homs
         )
 
     def __repr__(self):
@@ -714,22 +697,8 @@ def classification_diagram(R: RelativeSimplicialCategory, P: int, Q: int, name: 
             rows.append(tuple(row))
         return tuple(rows)
 
-    def hop(p, q, kind, i):
-        # vertex maps of the coface or codegeneracy in one factor
-        if kind == "hface":
-            vp = tuple(t if t < i else t + 1 for t in range(p))
-            return p - 1, q, vp, tuple(range(q + 1))
-        if kind == "hdegen":
-            vp = tuple(t if t <= i else t - 1 for t in range(p + 2))
-            return p + 1, q, vp, tuple(range(q + 1))
-        if kind == "vface":
-            vq = tuple(t if t < i else t + 1 for t in range(q))
-            return p, q - 1, tuple(range(p + 1)), vq
-        vq = tuple(t if t <= i else t - 1 for t in range(q + 2))
-        return p, q + 1, tuple(range(p + 1)), vq
-
     def op_table(p, q, kind, i):
-        p2, q2, vp, vq = hop(p, q, kind, i)
+        (p2, q2), vp, vq = _grid_op(p, q, kind, i)
         out = []
         for f in maps[(p, q)]:
             key = translated_key(p, q, f, vp, vq, p2, q2)
@@ -905,25 +874,32 @@ def _ops_at(X: BisimplicialSet, p: int, q: int):
             yield "vdegen", j, X.vdegen
 
 
-def _chain_tuple(SC: SimplicialCategory, label, p: int, q: int) -> tuple:
+def _chain_tuple(label) -> tuple:
     """Objects and per-hop hom cells: the full data of a chain cell."""
     x0, ms = label
     return (x0,) + tuple((a, b, lab[2]) for (a, b, lab) in ms)
 
 
-def _functor_chain_tuple(F: SimplicialFunctor, p: int, q: int) -> tuple:
-    """The chain a functor out of a power gadget restricts to.
+def _reindexed_chain(SC: SimplicialCategory, label, q: int, q2: int, vp, vq) -> tuple:
+    """The chain a chain cell gives along the vertex maps ``vp``, ``vq``.
 
-    Evaluates consecutive homs at the top grid cell; by freeness this
-    determines the functor.
+    ``label`` is a chain of level-q morphisms; the result has the shape
+    of `_chain_tuple`, with len(vp) - 1 hops of level-q2 cells. Output
+    hop t folds the source hops s in (vp[t-1], vp[t]]: each acts its
+    cell by ``vq``, later hops compose on the left, and an empty fold
+    is the identity cell. This is `chain_functor` after the interval
+    transform of (vp, vq), restricted to the top grid cell.
     """
-    Dq = standard_simplex(q, F.source.D)
-    top = Dq.index_of(q, tuple(range(q + 1)))
-    out = [F.obj[0]]
-    for t in range(1, p + 1):
-        src = F.source.hom(t - 1, t)
-        v = F.homs[(t - 1, t)].apply(q, src.index(q, (top,)))
-        out.append((F.obj[t - 1], F.obj[t], v))
+    x0, ms = label
+    objs = (x0,) + tuple(m[1] for m in ms)
+    out = [objs[vp[0]]]
+    for t in range(1, len(vp)):
+        a, b = objs[vp[t - 1]], objs[vp[t]]
+        acc = None
+        for s in range(vp[t - 1] + 1, vp[t] + 1):
+            w = act(SC.hom(objs[s - 1], objs[s]), q, ms[s - 1][2][2], vq)
+            acc = w if acc is None else SC.compose(a, objs[s - 1], objs[s], q2, w, acc)
+        out.append((a, b, SC.identity_cell(a, q2) if acc is None else acc))
     return tuple(out)
 
 
@@ -932,11 +908,14 @@ def classification_comparison(
 ) -> CheckReport:
     """Check the comparison from chain cells to classification cells.
 
-    Per cell it verifies the chain identities (each bisimplicial
-    operator on chains equals precomposition with the matching interval
-    transform), and per operator the collapse naturality on every
-    nondegenerate grid chain (cell-independent, so cached); together
-    these force every operator square. Squares at bidegrees with
+    Per cell it verifies the chain identities: each bisimplicial
+    operator, with vertex maps (vp, vq) on the grid factors, sends the
+    chain to the one whose hop t folds the source hops s in
+    (vp[t-1], vp[t]], each acted on by vq, by composition with later
+    hops on the left, an empty fold being the identity cell (see
+    `_reindexed_chain`). Per operator it checks the collapse naturality
+    on every nondegenerate grid chain (cell-independent, so cached);
+    together these force every operator square. Squares at bidegrees with
     p + q <= ``direct_bidegree`` are additionally materialized cell by
     cell. Also checks that vertex slices collapse to constant cells,
     that marking is preserved, and that every assigned value is a valid
@@ -995,20 +974,10 @@ def _theta_sweep(R, M, P, Q, direct_bidegree, check, counts) -> None:
         for q in range(Q + 1):
             for x in range(X.card(p, q)):
                 label = X.label(p, q, x)
-                sigma = chain_functor(SC, label, p, q)
                 for kind, i, op in _ops_at(X, p, q):
                     (p2, q2), vp, vq = _grid_op(p, q, kind, i)
-                    moved = X.label(p2, q2, op(p, q, i, x))
-                    lhs = _chain_tuple(SC, moved, p2, q2)
-                    if kind in ("hface", "hdegen"):
-                        J = interval_reindex_functor(vp, p2, p, standard_simplex(q, SC.D))
-                    else:
-                        Dq2 = standard_simplex(q2, SC.D)
-                        Dq = standard_simplex(q, SC.D)
-                        J = power_base_change(
-                            p, lambda u, vq=vq: tuple(vq[v] for v in u), Dq2, Dq
-                        )
-                    rhs = _functor_chain_tuple(compose_functors(sigma, J), p2, q2)
+                    lhs = _chain_tuple(X.label(p2, q2, op(p, q, i, x)))
+                    rhs = _reindexed_chain(SC, label, q, q2, vp, vq)
                     counts["chain_identities"] += 1
                     if lhs != rhs:
                         check.verdict = "fail"

@@ -55,10 +55,6 @@ class ValidationReport:
     def add(self, identity: str, location: tuple, detail: str = "") -> None:
         self.violations.append(Violation(identity, location, detail))
 
-    def merge(self, other: "ValidationReport") -> None:
-        self.violations.extend(other.violations)
-        self.checked += other.checked
-
     def to_json(self) -> dict:
         return {
             "subject": self.subject,

@@ -7,7 +7,8 @@ Three document kinds, distinguished by their top-level keys:
   at n = 0) and ``degen[n][i][x]`` (empty at n = dim);
 * simplicial category, ``{"objects", "hom", "comp", "id"}``: homs keyed
   by "a,b" as nested simplicial-set documents, composition as
-  level-indexed tables over pair indices ``g * hom(a,b).card(n) + f``,
+  level-indexed tables over pair indices ``g * hom(a,b).card(n) + f``
+  (one per composable pair of nonempty homs, keyed "a,b,c"),
   identity vertices keyed by object; a relative category adds
   ``{"sub": {"a,b": [[level, cell], ...]}}``;
 * bisimplicial set, ``{"dims", "cells", "hface", "hdegen", "vface",
@@ -212,6 +213,10 @@ def cat_from_json(data, name: str = "", _validate: bool = True) -> SimplicialCat
             _require(len(tab[n]) == src.card(n), f"comp[{key!r}] level {n} size mismatch")
             _require(all(0 <= v < tgt.card(n) for v in tab[n]), f"comp[{key!r}] has an out-of-range cell")
         comps[(a, b, c)] = SimplicialMap(src, tgt, values=tab)
+    for (a, b), F in homs.items():
+        for (b2, c), G in homs.items():
+            if b2 == b and F.card(0) and G.card(0):
+                _require((a, b, c) in comps, f"comp lacks a table for the composable triple {_okey(a, b, c)!r}")
     SC = SimplicialCategory(objects, homs, comps, ids, D, name=name)
     if _validate:
         validate_simplicial_category(SC, subject=name or "loaded category").raise_if_failed()

@@ -33,7 +33,18 @@ class TruncationError(Exception):
     """An operation needed simplicial data beyond the stored truncation."""
 
 
-class SimplicialSet:
+class _DegeneracyTest:
+    """Degeneracy queries for any class with ``card``, ``face`` and ``degen``."""
+
+    def is_degenerate(self, n: int, x: int) -> bool:
+        # x is degenerate iff s_i(d_{i+1} x) == x for some i
+        return any(self.degen(n - 1, i, self.face(n, i + 1, x)) == x for i in range(n))
+
+    def nondegenerate_cells(self, n: int) -> list[int]:
+        return [x for x in range(self.card(n)) if not self.is_degenerate(n, x)]
+
+
+class SimplicialSet(_DegeneracyTest):
     """A simplicial set truncated at level ``D``.
 
     Parameters
@@ -109,23 +120,11 @@ class SimplicialSet:
         return self._label_idx[n][label]
 
     def is_degenerate(self, n: int, x: int) -> bool:
-        if n == 0:
-            return False
         flags = self._nondeg[n]
         if flags is None:
-            flags = [self._degenerate(n, x) for x in range(self.cards[n])]
-            self._nondeg[n] = flags
+            test = super().is_degenerate
+            flags = self._nondeg[n] = [test(n, y) for y in range(self.cards[n])]
         return flags[x]
-
-    def _degenerate(self, n: int, x: int) -> bool:
-        # x is degenerate iff s_i(d_{i+1} x) == x for some i
-        for i in range(n):
-            if self.degens[n - 1][i][self.faces[n][i + 1][x]] == x:
-                return True
-        return False
-
-    def nondegenerate_cells(self, n: int) -> list[int]:
-        return [x for x in range(self.card(n)) if not self.is_degenerate(n, x)]
 
     def counts(self) -> tuple[int, ...]:
         return tuple(self.cards)
@@ -195,7 +194,7 @@ def materialize(V, name: str = "") -> SimplicialSet:
     return SimplicialSet(D, cards, faces, degens, labels=labels, name=name or getattr(V, "name", ""))
 
 
-class ProductSset:
+class ProductSset(_DegeneracyTest):
     """Lazy levelwise product of two cell-table interfaces.
 
     The pair (a, b) at level n is the single index a * B.card(n) + b,
@@ -234,19 +233,8 @@ class ProductSset:
             return None
         return (la, lb)
 
-    def is_degenerate(self, n: int, x: int) -> bool:
-        if n == 0:
-            return False
-        for i in range(n):
-            if self.degen(n - 1, i, self.face(n, i + 1, x)) == x:
-                return True
-        return False
 
-    def nondegenerate_cells(self, n: int) -> list[int]:
-        return [x for x in range(self.card(n)) if not self.is_degenerate(n, x)]
-
-
-class PowerSset:
+class PowerSset(_DegeneracyTest):
     """Lazy m-fold power K^m of a cell-table interface.
 
     A cell is an m-tuple of K-cells of the same level, encoded as one
@@ -303,30 +291,10 @@ class PowerSset:
             return ()
         return tuple(self.K.label(n, u) for u in self.coords(n, x))
 
-    def is_degenerate(self, n: int, x: int) -> bool:
-        if n == 0:
-            return False
-        for i in range(n):
-            if self.degen(n - 1, i, self.face(n, i + 1, x)) == x:
-                return True
-        return False
-
-    def nondegenerate_cells(self, n: int) -> list[int]:
-        return [x for x in range(self.card(n)) if not self.is_degenerate(n, x)]
-
 
 def product(X, Y, name: str = "") -> SimplicialSet:
     """Materialized levelwise product."""
     return materialize(ProductSset(X, Y), name=name)
-
-
-def product_with_projections(X, Y, name: str = ""):
-    """Product together with its two projection maps."""
-    P = product(X, Y, name=name)
-    D = P.D
-    p1 = [[x // Y.card(n) for x in range(P.card(n))] for n in range(D + 1)]
-    p2 = [[x % Y.card(n) for x in range(P.card(n))] for n in range(D + 1)]
-    return P, SimplicialMap(P, X, values=p1), SimplicialMap(P, Y, values=p2)
 
 
 def act(X, n: int, x: int, f: Sequence[int]) -> int:
@@ -598,10 +566,6 @@ def compose_maps(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
     return SimplicialMap(f.source, g.target, values=vals, L=L)
 
 
-def maps_equal(f: SimplicialMap, g: SimplicialMap) -> bool:
-    return f.L == g.L and f.key() == g.key()
-
-
 def validate_map(f: SimplicialMap, subject: str = "map", max_level: Optional[int] = None) -> ValidationReport:
     """Check that a map commutes with every face and degeneracy in range.
 
@@ -654,7 +618,7 @@ def yoneda_map(X, n: int, x: int, L: Optional[int] = None) -> SimplicialMap:
     return SimplicialMap(Delta, X, values=vals)
 
 
-def enumerate_maps(A, X, _first_filter=None) -> list[SimplicialMap]:
+def enumerate_maps(A, X) -> list[SimplicialMap]:
     """All simplicial maps A -> X, in canonical order, by backtracking.
 
     Nondegenerate cells of A are assigned level by level in index
@@ -663,9 +627,6 @@ def enumerate_maps(A, X, _first_filter=None) -> list[SimplicialMap]:
     level down through a degeneracy witness, so the search space is
     exactly the nondegenerate cells. The output order is lexicographic
     in the full value tables (level-major, then cell index).
-
-    ``_first_filter`` optionally restricts the candidate values of the
-    first assigned cell; it exists for the chunked variant.
     """
     if X.D < A.D:
         raise TruncationError("target truncated below source")
@@ -682,7 +643,6 @@ def enumerate_maps(A, X, _first_filter=None) -> list[SimplicialMap]:
                         break
     values = [[-1] * A.card(n) for n in range(D + 1)]
     out: list[list[list[int]]] = []
-    first_cell = next(((n, cells[0]) for n, cells in enumerate(nd) if cells), None)
 
     def faces_ok(n: int, x: int, v: int) -> bool:
         for i in range(n + 1):
@@ -701,35 +661,13 @@ def enumerate_maps(A, X, _first_filter=None) -> list[SimplicialMap]:
             rec(n + 1, 0)
             return
         x = cells[pos]
-        cands = range(X.card(n))
-        if _first_filter is not None and (n, x) == first_cell:
-            cands = [v for v in cands if _first_filter(v)]
-        for v in cands:
+        for v in range(X.card(n)):
             if n == 0 or faces_ok(n, x, v):
                 values[n][x] = v
                 rec(n, pos + 1)
 
     rec(0, 0)
     return [SimplicialMap(A, X, values=tab) for tab in out]
-
-
-def enumerate_maps_chunked(A, X, jobs: int) -> list[SimplicialMap]:
-    """Split `enumerate_maps` into independent chunks and merge canonically.
-
-    The candidate values of the first assigned cell are dealt
-    round-robin to the chunks; each chunk enumerates independently and
-    the results are merged by sorting on the full value tables, which
-    reproduces the sequential order whatever the schedule.
-    """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if jobs == 1:
-        return enumerate_maps(A, X)
-    found: list[SimplicialMap] = []
-    for c in range(jobs):
-        found.extend(enumerate_maps(A, X, _first_filter=lambda v, c=c: v % jobs == c))
-    found.sort(key=lambda f: f.key())
-    return found
 
 
 @dataclass

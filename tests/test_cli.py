@@ -5,7 +5,8 @@ import json
 import pytest
 
 from nervekit.cli import main, run
-from nervekit.serialize import canonical_json, from_json
+from nervekit import build_example
+from nervekit.serialize import canonical_json, from_json, to_json
 
 
 def invoke(argv, capsys):
@@ -77,7 +78,7 @@ def test_uniq_check(capsys):
 
 def test_horncheck_sweeps_category(capsys):
     code, rep = invoke(
-        ["horncheck", "--example", "bg:z2", "--max-dim", "2", "--jobs", "2"], capsys
+        ["horncheck", "--example", "bg:z2", "--max-dim", "2"], capsys
     )
     assert code == 0
     assert all(r["verdict"] == "pass" for r in rep["results"]["horns"])
@@ -103,6 +104,15 @@ def test_malformed_file_is_usage_error(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text('{"dim": 0}')
     assert invoke(["validate", "--in", str(p)], capsys)[0] == 2
+
+
+def test_missing_composition_table_is_usage_error(tmp_path, capsys):
+    doc = to_json(build_example("discrete:poset012"))
+    del doc["comp"][next(iter(doc["comp"]))]
+    p = tmp_path / "no_comp.json"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", "--in", str(p)]) == 2
+    assert "composable triple '0,0,0'" in capsys.readouterr().err
 
 
 def test_planted_fixture_fails_validation(fixtures_dir, capsys):

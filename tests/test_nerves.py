@@ -149,7 +149,7 @@ def _category(name, D):
 
 
 def _functor_route(SC, label, p, q, gadget, n):
-    from nervekit import compose_functors
+    from nervekit.cat import compose_functors
     from nervekit.nerves import chain_functor, hc_from_simplicial_functor
 
     return hc_from_simplicial_functor(compose_functors(chain_functor(SC, label, p, q), gadget), n, SC)
@@ -206,6 +206,90 @@ def test_theta_cells_match_functor_route(name):
     assert checked > 0
 
 
+def _interval_functor(D, p, q, p2, q2, vp, vq):
+    """The interval transform [p2] over the q2-simplex -> [p] over the q-simplex."""
+    from nervekit import standard_simplex
+    from nervekit.cat import _interval_transform, interval_power_category
+
+    Kq, Kq2 = standard_simplex(q, D), standard_simplex(q2, D)
+    return _interval_transform(
+        interval_power_category(p2, Kq2),
+        interval_power_category(p, Kq),
+        vp,
+        Kq2,
+        Kq,
+        lambda u: tuple(vq[v] for v in u),
+    )
+
+
+def _reindexed_functor_route(SC, label, p, q, q2, J):
+    """`chain_functor` after the interval transform ``J``, on the top grid cell."""
+    from nervekit.cat import compose_functors
+    from nervekit.nerves import chain_functor
+
+    F = compose_functors(chain_functor(SC, label, p, q), J)
+    out = [F.obj[0]]
+    for t in range(1, len(F.obj)):
+        H = F.source.hom(t - 1, t)
+        top = H.K.index_of(q2, tuple(range(q2 + 1)))
+        out.append((F.obj[t - 1], F.obj[t], F.homs[(t - 1, t)].apply(q2, H.index(q2, (top,)))))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", ["bg:z2", "discrete:s3", "paths[2]"])
+def test_reindexed_chains_match_functor_route(name):
+    from nervekit.nerves import _grid_op, _ops_at, _reindexed_chain
+
+    SC = _category(name, 4)
+    gadgets = {}
+    checked = 0
+    # the rectangles with P + Q = 4 cover every bidegree with p + q <= 4
+    for P in range(5):
+        X = levelwise_nerve(SC, P, 4 - P)
+        for p in range(P + 1):
+            for q in range(4 - P + 1):
+                for x in range(X.card(p, q)):
+                    label = X.label(p, q, x)
+                    for kind, i, _ in _ops_at(X, p, q):
+                        (p2, q2), vp, vq = _grid_op(p, q, kind, i)
+                        key = (p, q, kind, i)
+                        if key not in gadgets:
+                            gadgets[key] = _interval_functor(SC.D, p, q, p2, q2, vp, vq)
+                        want = _reindexed_functor_route(SC, label, p, q, q2, gadgets[key])
+                        assert _reindexed_chain(SC, label, q, q2, vp, vq) == want
+                        checked += 1
+    assert checked > 0
+
+
+def _swap_first_differing(rows):
+    """Swap the first two differing entries of the first row that has them."""
+    for row in rows:
+        for x in range(1, len(row)):
+            if row[x] != row[0]:
+                row[0], row[x] = row[x], row[0]
+                return
+    raise AssertionError("no row with two different entries")
+
+
+# with one object, faces into column 0 or row 0 are constant, hence the bidegrees
+@pytest.mark.parametrize("family, P, Q", [("hfaces", 2, 1), ("vfaces", 1, 2)])
+def test_chain_identity_catches_a_swapped_face(z2_rel_d3, monkeypatch, family, P, Q):
+    import nervekit.nerves as nerves_mod
+
+    build = nerves_mod.levelwise_nerve_marked
+
+    def mutated(*args):
+        M = build(*args)
+        tables = getattr(M.space, family)
+        _swap_first_differing([row for col in tables for per_q in col for row in per_q])
+        return M
+
+    monkeypatch.setattr(nerves_mod, "levelwise_nerve_marked", mutated)
+    rep = classification_comparison(z2_rel_d3, P, Q)
+    assert rep.verdict == "fail"
+    assert any(w["reason"] == "chain identity" for w in rep.witnesses)
+
+
 def test_theta_cell_value_rejects_bad_grid_chains(z2_rel_d3):
     from nervekit import theta_cell_value
 
@@ -220,7 +304,7 @@ def test_consistency_check_builds_no_functors(z2_rel_d3, z2_rel, monkeypatch):
     import nervekit.cat as cat_mod
     import nervekit.nerves as nerves_mod
 
-    calls = {"comparison_functor": 0, "compose_functors": 0, "grid_collapse": 0}
+    calls = {"comparison_functor": 0, "compose_functors": 0, "grid_collapse": 0, "chain_functor": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -236,10 +320,13 @@ def test_consistency_check_builds_no_functors(z2_rel_d3, z2_rel, monkeypatch):
     rep = consistency_check(z2_rel_d3.cat, 3)
     assert rep.ok
     assert rep.bounds == {"diagonal": 531, "vertex_slices": 2629, "row_restrictions": 2629}
-    assert calls == {"comparison_functor": 0, "compose_functors": 0, "grid_collapse": 0}
-    # the counters do see calls: the chain identities still compose functors
-    classification_comparison(z2_rel, 1, 1)
-    assert calls["compose_functors"] > 0
+    assert calls == {"comparison_functor": 0, "compose_functors": 0, "grid_collapse": 0, "chain_functor": 0}
+    assert classification_comparison(z2_rel, 1, 1).ok
+    assert calls == {"comparison_functor": 0, "compose_functors": 0, "grid_collapse": 0, "chain_functor": 0}
+    # the counters do see calls made through the functor route
+    label = levelwise_nerve(z2_rel.cat, 1, 1).label(1, 1, 0)
+    _functor_route(z2_rel.cat, label, 1, 1, cat_mod.comparison_functor(1, z2_rel.cat.D), 1)
+    assert calls == {"comparison_functor": 1, "compose_functors": 1, "grid_collapse": 0, "chain_functor": 1}
 
 
 def test_classification_comparison_keeps_bounds_at_witness_cap(z2_rel, monkeypatch):

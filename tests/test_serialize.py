@@ -82,6 +82,15 @@ def test_category_round_trip(z2_rel):
     assert coherent_nerve(SC2, 2).counts() == coherent_nerve(SC, 2).counts()
 
 
+def test_missing_composition_table_rejected(poset012):
+    doc = relative_to_json(poset012)
+    for key in list(doc["comp"]):
+        broken = json.loads(json.dumps(doc))
+        del broken["comp"][key]
+        with pytest.raises(SchemaError, match=f"composable triple '{key}'"):
+            relative_from_json(broken)
+
+
 def test_relative_round_trip(poset01):
     doc = relative_to_json(poset01)
     R2 = relative_from_json(doc)
