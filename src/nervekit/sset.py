@@ -621,53 +621,115 @@ def yoneda_map(X, n: int, x: int, L: Optional[int] = None) -> SimplicialMap:
 def enumerate_maps(A, X) -> list[SimplicialMap]:
     """All simplicial maps A -> X, in canonical order, by backtracking.
 
-    Nondegenerate cells of A are assigned level by level in index
-    order, candidate values ascending; each candidate is pruned against
-    the already-assigned faces. Degenerate cells are forced from one
-    level down through a degeneracy witness, so the search space is
-    exactly the nondegenerate cells. The output order is lexicographic
-    in the full value tables (level-major, then cell index).
+    The search follows one plan that lists every cell of A after its
+    faces. It is built depth-first from the nondegenerate cells, top
+    level first, so each simplex is checked as soon as its faces are
+    set; degenerate cells no face of a nondegenerate cell needs come
+    last. A nondegenerate cell is a branch step: its candidates are
+    read from a face index of X, a per-level dict from face tuples to
+    the cells with those faces in ascending order, keyed by the values
+    already given to its faces. A degenerate cell is a forced step, the
+    degeneracy of its witness's value, so the search space is exactly
+    the nondegenerate cells. The search runs on an explicit stack, so
+    its depth is not bounded by Python's recursion limit.
+
+    The output order is lexicographic in the full value tables
+    (level-major, then cell index); the finished tables are sorted into
+    it, since the plan assigns cells in another order.
     """
     if X.D < A.D:
         raise TruncationError("target truncated below source")
     D = A.D
-    nd = [A.nondegenerate_cells(n) for n in range(D + 1)]
-    wit: list[dict[int, tuple[int, int]]] = [{} for _ in range(D + 1)]
-    for n in range(1, D + 1):
-        for x in range(A.card(n)):
-            if A.is_degenerate(n, x):
-                for i in range(n):
-                    y = A.face(n, i + 1, x)
-                    if A.degen(n - 1, i, y) == x:
-                        wit[n][x] = (i, y)
-                        break
-    values = [[-1] * A.card(n) for n in range(D + 1)]
-    out: list[list[list[int]]] = []
+    # cell (n, x) of A is slot base[n] + x of one flat value vector, so
+    # the vectors sort in the order of their level-major tables
+    base = [0] * (D + 2)
+    for n in range(D + 1):
+        base[n + 1] = base[n] + A.card(n)
 
-    def faces_ok(n: int, x: int, v: int) -> bool:
+    # every degenerate cell is x = s_i(y) for some y at level n; its
+    # witness (n, i, y) has the smallest such i, and the search forces x
+    # from y
+    witness: dict[int, tuple[int, int, int]] = {}
+    for n in range(D):
         for i in range(n + 1):
-            if X.face(n, i, v) != values[n - 1][A.face(n, i, x)]:
-                return False
-        return True
+            for y in range(A.card(n)):
+                witness.setdefault(base[n + 1] + A.degen(n, i, y), (n, i, y))
 
-    def rec(n: int, pos: int) -> None:
-        if n > D:
-            out.append([row[:] for row in values])
+    placed = [False] * base[D + 1]
+    branches: list[tuple[int, int, tuple[int, ...]]] = []
+    # forced[b] holds the forced steps taken right after branch step b;
+    # none can come first, since every witness chain ends at a branch
+    forced: list[list[tuple[int, int, int, int]]] = []
+
+    def place(n: int, x: int) -> None:
+        # recursion one level down per call, so at most D + 1 frames deep
+        s = base[n] + x
+        if placed[s]:
             return
-        cells = nd[n]
-        if pos == len(cells):
-            for x, (i, y) in wit[n].items():
-                values[n][x] = X.degen(n - 1, i, values[n - 1][y])
-            rec(n + 1, 0)
+        placed[s] = True
+        if s in witness:
+            m, i, y = witness[s]
+            place(m, y)
+            forced[-1].append((s, m, i, base[m] + y))
             return
-        x = cells[pos]
+        faces = [A.face(n, i, x) for i in range(n + 1)] if n else []
+        for y in faces:
+            place(n - 1, y)
+        branches.append((s, n, tuple(base[n - 1] + y for y in faces)))
+        forced.append([])
+
+    for n in range(D, -1, -1):
+        for x in range(A.card(n)):
+            if base[n] + x not in witness:
+                place(n, x)
+    # the rest are degenerate cells no branch step reads; each one's
+    # witness is one level down, so placed or met earlier in this loop
+    for s, (m, i, y) in witness.items():
+        if not placed[s]:
+            forced[-1].append((s, m, i, base[m] + y))
+
+    index: dict[int, dict[tuple[int, ...], list[int]]] = {}
+    for n in {n for _, n, _ in branches if n}:
+        lvl = index[n] = {}
         for v in range(X.card(n)):
-            if n == 0 or faces_ok(n, x, v):
-                values[n][x] = v
-                rec(n, pos + 1)
+            lvl.setdefault(tuple(X.face(n, i, v) for i in range(n + 1)), []).append(v)
+    points = list(range(X.card(0)))
+    vals = [0] * base[D + 1]
 
-    rec(0, 0)
-    return [SimplicialMap(A, X, values=tab) for tab in out]
+    def candidates(b: int) -> Sequence[int]:
+        _, n, faces = branches[b]
+        if n == 0:
+            return points
+        return index[n].get(tuple(vals[s] for s in faces), ())
+
+    out: list[list[int]] = []
+    B = len(branches)
+    if B == 0:
+        out.append(vals[:])
+    else:
+        cands: list[Sequence[int]] = [()] * B
+        pos = [0] * B
+        cands[0] = candidates(0)
+        b = 0
+        while b >= 0:
+            j = pos[b]
+            if j == len(cands[b]):
+                b -= 1
+                continue
+            pos[b] = j + 1
+            vals[branches[b][0]] = cands[b][j]
+            for s, m, i, w in forced[b]:
+                vals[s] = X.degen(m, i, vals[w])
+            if b + 1 == B:
+                out.append(vals[:])
+                continue
+            b += 1
+            cands[b] = candidates(b)
+            pos[b] = 0
+    out.sort()
+    return [
+        SimplicialMap(A, X, values=[vec[base[n] : base[n + 1]] for n in range(D + 1)]) for vec in out
+    ]
 
 
 @dataclass

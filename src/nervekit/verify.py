@@ -73,25 +73,26 @@ def _lab(X, n: int, x: int):
 def horn_check(X, n: int, k: int, max_witnesses: int = 8) -> CheckReport:
     """Does every map from the (n, k)-horn into X extend to an n-cell?
 
-    All horn maps are enumerated; a filler for h is an n-cell z whose
-    operator action reproduces h on every nondegenerate horn cell
-    (agreement there forces agreement everywhere). Failures are
-    reported as labelled assignments.
+    All horn maps are enumerated by `enumerate_maps`. A filler for h is
+    an n-cell z whose operator action reproduces h on every
+    nondegenerate horn cell (agreement there forces agreement
+    everywhere). So the horn restrictions of the n-cells of X, each the
+    tuple of `act` over those horn cells, are built once as a set, and h
+    is fillable iff its value tuple on the same cells is in that set.
+    The report gives fillability only, not the number of fillers.
+    Failures are reported as labelled assignments.
     """
     if not 1 <= n <= X.D:
         raise TruncationError(f"horn extension at level {n} needs truncation >= {n}, have {X.D}")
     H = horn(n, k)
     nd = [(m, c) for m in range(H.D + 1) for c in H.nondegenerate_cells(m)]
+    ops = [H.label(m, c) for m, c in nd]
+    restrictions = {tuple(act(X, n, z, f) for f in ops) for z in range(X.card(n))}
     maps = enumerate_maps(H, X)
     witnesses = []
     unfillable = 0
     for h in maps:
-        fillers = [
-            z
-            for z in range(X.card(n))
-            if all(act(X, n, z, H.label(m, c)) == h.apply(m, c) for m, c in nd)
-        ]
-        if not fillers:
+        if tuple(h.apply(m, c) for m, c in nd) not in restrictions:
             unfillable += 1
             if len(witnesses) < max_witnesses:
                 witnesses.append(

@@ -126,6 +126,17 @@ def test_planted_fixture_fails_validation(fixtures_dir, capsys):
     assert code == 0
 
 
+def test_horncheck_reaches_dimension_five(capsys):
+    code, rep = invoke(["horncheck", "--example", "bg:z3", "--max-dim", "5"], capsys)
+    assert code == 0
+    horns = rep["results"]["horns"]
+    assert len(horns) == 20
+    assert all(r["verdict"] == "pass" for r in horns)
+    for r in horns:
+        n = r["bounds"]["n"]
+        assert r["bounds"]["horn_maps"] == (3**n if n >= 2 else 1)
+
+
 def test_horncheck_failure_exit_code(fixtures_dir, capsys):
     # the walking arrow nerve misses an outer horn filler
     code, rep = invoke(

@@ -8,10 +8,14 @@ from nervekit import (
     FinitePoset,
     ProductSset,
     SimplicialMap,
+    SimplicialSet,
     TruncationError,
     act,
     boundary_simplex,
+    build_example,
+    coherent_nerve,
     compose_maps,
+    cyclic_group_category,
     enumerate_maps,
     horn,
     identity_map,
@@ -27,6 +31,7 @@ from nervekit import (
     vertices,
     yoneda_map,
 )
+from nervekit.nerves import _product_pair
 from nervekit.sset import PowerSset, sset_data_equal
 
 
@@ -122,6 +127,96 @@ def test_yoneda_map_validates():
         f = yoneda_map(X, 1, x)
         assert validate_map(f).ok
         assert f.apply(1, standard_simplex(1, X.D).index_of(1, (0, 1))) == x
+
+
+def _enumerate_maps_by_scan(A, X):
+    """All maps A -> X by the slow route: level-major backtracking that
+    tries every cell of X against the faces already assigned."""
+    D = A.D
+    nd = [A.nondegenerate_cells(n) for n in range(D + 1)]
+    wit = [{} for _ in range(D + 1)]
+    for n in range(1, D + 1):
+        for x in range(A.card(n)):
+            if A.is_degenerate(n, x):
+                for i in range(n):
+                    y = A.face(n, i + 1, x)
+                    if A.degen(n - 1, i, y) == x:
+                        wit[n][x] = (i, y)
+                        break
+    values = [[-1] * A.card(n) for n in range(D + 1)]
+    out = []
+
+    def faces_ok(n, x, v):
+        for i in range(n + 1):
+            if X.face(n, i, v) != values[n - 1][A.face(n, i, x)]:
+                return False
+        return True
+
+    def rec(n, pos):
+        if n > D:
+            out.append([row[:] for row in values])
+            return
+        cells = nd[n]
+        if pos == len(cells):
+            for x, (i, y) in wit[n].items():
+                values[n][x] = X.degen(n - 1, i, values[n - 1][y])
+            rec(n + 1, 0)
+            return
+        x = cells[pos]
+        for v in range(X.card(n)):
+            if n == 0 or faces_ok(n, x, v):
+                values[n][x] = v
+                rec(n, pos + 1)
+
+    rec(0, 0)
+    return [SimplicialMap(A, X, values=tab) for tab in out]
+
+
+def _scan_cases():
+    group_nerves = [nerve_cat(cyclic_group_category(m), 3) for m in (2, 3)]
+    for X in group_nerves + [walk_nerve(3)]:
+        for n in range(1, 5):
+            for k in range(n + 1):
+                yield f"horn({n},{k})->{X.name}", horn(n, k), X
+    chain = poset_nerve(FinitePoset([0, 1, 2], [(0, 1), (1, 2)]), 3)
+    vee = poset_nerve(FinitePoset(["a", "b", "c"], [("a", "b"), ("a", "c")]), 3)
+    for n in (2, 3):
+        for X in (chain, vee):
+            yield f"boundary({n})->{X.name}", boundary_simplex(n), X
+    hc = coherent_nerve(build_example("bg:z2", max_dim=2).cat, 2)
+    for p in range(3):
+        for q in range(3 - p):
+            yield f"grid({p},{q})->hc", _product_pair(p, q, p + q)[0], hc
+    # nondegenerate 2-cells (g, g^-1) have a degenerate face, so forced
+    # steps run between branch steps
+    z3 = nerve_cat(cyclic_group_category(3), 2)
+    yield "z3->z3", z3, z3
+    yield "empty->z3", SimplicialSet.empty(2), z3
+    yield "z3->empty", z3, SimplicialSet.empty(2)
+    yield "empty->empty", SimplicialSet.empty(2), SimplicialSet.empty(2)
+
+
+def test_enumerate_maps_matches_scan():
+    for name, A, X in _scan_cases():
+        got = [f.key() for f in enumerate_maps(A, X)]
+        assert got == [f.key() for f in _enumerate_maps_by_scan(A, X)], name
+
+
+def test_enumerate_maps_counts_endomorphisms_and_empty_cases():
+    z3 = nerve_cat(cyclic_group_category(3), 2)
+    assert len(enumerate_maps(z3, z3)) == 3
+    assert len(enumerate_maps(SimplicialSet.empty(2), z3)) == 1
+    assert enumerate_maps(z3, SimplicialSet.empty(2)) == []
+
+
+def test_enumerate_maps_has_no_recursion_limit():
+    # 1500 points and their identity edges, into a point
+    m = 1500
+    ids = list(range(m))
+    A = SimplicialSet(1, [m, m], [[], [ids, ids]], [[ids], []])
+    maps = enumerate_maps(A, standard_simplex(0, 1))
+    assert len(maps) == 1
+    assert maps[0].key() == ((0,) * m, (0,) * m)
 
 
 def test_enumerate_maps_requires_deep_target():

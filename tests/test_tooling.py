@@ -14,3 +14,29 @@ def test_traced_names_resolve():
     for qual in trace_child.TRACED:
         mod, name = qual.split(".")
         assert callable(getattr(importlib.import_module(f"nervekit.{mod}"), name, None)), qual
+
+
+def test_horn_check_enumerates_once_through_module_global(monkeypatch):
+    # the traced run pairs each horn_check span with the one enumerate_maps
+    # call inside it, looked up through verify's module global
+    from nervekit import cyclic_group_category, horn, nerve_cat, verify
+
+    calls = []
+    original = verify.enumerate_maps
+
+    def counting(A, X):
+        result = original(A, X)
+        calls.append((A, X))
+        return result[1:]
+
+    monkeypatch.setattr(verify, "enumerate_maps", counting)
+    X = nerve_cat(cyclic_group_category(2), 3)
+    for n in (2, 3):
+        for k in range(n + 1):
+            calls.clear()
+            rep = verify.horn_check(X, n, k)
+            assert len(calls) == 1
+            A, target = calls[0]
+            assert A == horn(n, k) and target is X
+            # the dropped first map shows in the report
+            assert rep.bounds["horn_maps"] == 2 ** n - 1

@@ -13,8 +13,10 @@ from nervekit import (
     build_example,
     comparison_functor,
     cyclic_group_category,
+    enumerate_maps,
     fiber_check,
     functors_equal,
+    horn,
     horn_check,
     nerve_cat,
     pi0,
@@ -25,6 +27,8 @@ from nervekit import (
     uniqueness_report,
     uniqueness_search,
 )
+from nervekit.sset import act
+from nervekit.verify import _lab
 
 
 def walk_nerve(D=2):
@@ -61,6 +65,44 @@ def test_group_nerve_horns_fill(z2_rel):
     for n in (1, 2, 3):
         for k in range(n + 1):
             assert horn_check(N, n, k).ok
+
+
+def _horn_check_by_scan(X, n, k, max_witnesses=8):
+    """Verdict, unfillable count and witnesses by the slow route: scan
+    every n-cell of X for a filler of each horn map."""
+    H = horn(n, k)
+    nd = [(m, c) for m in range(H.D + 1) for c in H.nondegenerate_cells(m)]
+    witnesses = []
+    unfillable = 0
+    for h in enumerate_maps(H, X):
+        fillers = [
+            z
+            for z in range(X.card(n))
+            if all(act(X, n, z, H.label(m, c)) == h.apply(m, c) for m, c in nd)
+        ]
+        if not fillers:
+            unfillable += 1
+            if len(witnesses) < max_witnesses:
+                witnesses.append(
+                    {"assignment": [(H.label(m, c), _lab(X, m, h.apply(m, c))) for m, c in nd]}
+                )
+    return ("pass" if unfillable == 0 else "fail"), unfillable, witnesses
+
+
+def test_horn_check_matches_filler_scan():
+    chain = poset_nerve(FinitePoset([0, 1, 2], [(0, 1), (1, 2)]), 3)
+    z3 = nerve_cat(cyclic_group_category(3), 4)
+    cases = [(walk_nerve(), 2, 0)]
+    cases += [(boundary_simplex(2, 2), n, k) for n in (1, 2) for k in range(n + 1)]
+    cases += [(chain, n, k) for n in (1, 2, 3) for k in range(n + 1)]
+    cases += [(z3, n, k) for n in range(1, 5) for k in range(n + 1)]
+    verdicts = set()
+    for X, n, k in cases:
+        rep = horn_check(X, n, k, max_witnesses=3)
+        got = (rep.verdict, rep.bounds["unfillable"], rep.witnesses)
+        assert got == _horn_check_by_scan(X, n, k, max_witnesses=3), (X.name, n, k)
+        verdicts.add(rep.verdict)
+    assert verdicts == {"pass", "fail"}
 
 
 def test_horn_check_bounds():
