@@ -63,14 +63,17 @@ def _cyclic_group_example(m: int, D: int) -> SimplicialCategory:
     N = nerve_cat(C, D)
     PS = ProductSset(N, N)
 
-    def comp_fn(n, z, N=N, PS=PS, m=m):
+    def comp_fn(n, z):
         g, f = PS.split(n, z)
         _, msg = N.label(n, g)
         _, msf = N.label(n, f)
         ms = tuple(("x", "x", (a[2] + b[2]) % m) for a, b in zip(msg, msf))
         return N.index_of(n, ("x", ms))
 
-    comp = SimplicialMap(PS, N, fn=comp_fn, L=D)
+    # one table per level: composition is then a lookup, and serializing
+    # the input reads every entry anyway
+    vals = [[comp_fn(n, z) for z in range(PS.card(n))] for n in range(D + 1)]
+    comp = SimplicialMap(PS, N, values=vals, L=D)
     return SimplicialCategory(
         ["x"], {("x", "x"): N}, {("x", "x", "x"): comp}, {"x": 0}, D, name=f"bg:z{m}"
     )

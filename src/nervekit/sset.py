@@ -493,8 +493,12 @@ def boundary_simplex(n: int, D: Optional[int] = None) -> SimplicialSet:
     return S
 
 
+@lru_cache(maxsize=None)
 def horn(n: int, k: int, D: Optional[int] = None) -> SimplicialSet:
-    """The (n, k)-horn: cells whose vertices miss some value other than k."""
+    """The (n, k)-horn: cells whose vertices miss some value other than k.
+
+    The result is cached and must be treated as immutable.
+    """
     if not 0 <= k <= n:
         raise ValueError("horn index out of range")
     if D is None:

@@ -50,3 +50,17 @@ def test_poset_parser_shapes():
     assert lone.cat.objects == ["a"]
     with pytest.raises(ValueError):
         build_example("poset:", max_dim=1)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_group_composition_table_is_labelwise_sum(m):
+    SC = build_example(f"bg:z{m}", max_dim=3).cat
+    N = SC.hom("x", "x")
+    assert SC.comps[("x", "x", "x")].fn is None  # a table, not a lazy map
+    for n in range(SC.D + 1):
+        for g in range(N.card(n)):
+            _, msg = N.label(n, g)
+            for f in range(N.card(n)):
+                _, msf = N.label(n, f)
+                _, ms = N.label(n, SC.compose("x", "x", "x", n, g, f))
+                assert [c for _, _, c in ms] == [(a[2] + b[2]) % m for a, b in zip(msg, msf)]

@@ -329,6 +329,160 @@ def test_consistency_check_builds_no_functors(z2_rel_d3, z2_rel, monkeypatch):
     assert calls == {"comparison_functor": 1, "compose_functors": 1, "grid_collapse": 0, "chain_functor": 1}
 
 
+def _consistency_check_by_instance(SC, L):
+    """Verdict, bounds and witnesses of `consistency_check` by the slow
+    route: both sides of every instance are built and compared. Every
+    helper is looked up through the module, so planted faults reach it."""
+    import nervekit.nerves as nerves_mod
+    from nervekit import act
+
+    X = nerves_mod.levelwise_nerve(SC, L, L)
+    witnesses = []
+    counts = {"diagonal": 0, "vertex_slices": 0, "row_restrictions": 0}
+    memo = {}
+    for k in range(L + 1):
+        tau = tuple((t, t) for t in range(k + 1))
+        for x in range(X.card(k, k)):
+            label = X.label(k, k, x)
+            lhs = nerves_mod._theta_cell(SC, label, k, k, tau, memo)
+            rhs = nerves_mod._comparison_cell(SC, label, k, memo)
+            counts["diagonal"] += 1
+            if lhs.key() != rhs.key():
+                witnesses.append({"reason": "diagonal route", "level": k, "cell": x})
+    for p in range(L + 1):
+        for q in range(L + 1):
+            for x in range(X.card(p, q)):
+                label = X.label(p, q, x)
+                objs = [label[0]] + [m[1] for m in label[1]]
+                for i in range(p + 1):
+                    tau = tuple((i, b) for b in range(q + 1))
+                    F = nerves_mod._theta_cell(SC, label, p, q, tau, memo)
+                    counts["vertex_slices"] += 1
+                    if F.key() != nerves_mod.hc_constant(SC, objs[i], q).key():
+                        witnesses.append(
+                            {"reason": "vertex slice", "bidegree": [p, q], "cell": x, "vertex": i}
+                        )
+    for m in range(L + 1):
+        for n in range(L + 1):
+            col = X.column(m)
+            for x in range(X.card(m, n)):
+                x0, ms = X.label(m, n, x)
+                for i in range(n + 1):
+                    z = act(col, n, x, (i,) * (m + 1))
+                    lhs = nerves_mod._comparison_cell(SC, X.label(m, m, z), m, memo)
+                    level0 = (
+                        x0,
+                        tuple((a, b, (a, b, act(SC.hom(a, b), n, lab[2], (i,)))) for (a, b, lab) in ms),
+                    )
+                    rhs = nerves_mod.hc_from_level0_chain(SC, level0, m)
+                    counts["row_restrictions"] += 1
+                    if lhs.key() != rhs.key():
+                        witnesses.append(
+                            {"reason": "row restriction", "bidegree": [m, n], "cell": x, "vertex": i}
+                        )
+    return ("fail" if witnesses else "pass"), counts, witnesses
+
+
+def _assert_matches_instance_route(SC, L):
+    rep = consistency_check(SC, L)
+    verdict, bounds, witnesses = _consistency_check_by_instance(SC, L)
+    assert (rep.verdict, rep.bounds, rep.witnesses) == (verdict, bounds, witnesses)
+    return rep
+
+
+@pytest.mark.parametrize(
+    "name, L", [("bg:z2", 3), ("bg:z3", 2), ("discrete:poset012", 3), ("two-object-interval", 2)]
+)
+def test_consistency_check_matches_instance_route(name, L):
+    rep = _assert_matches_instance_route(build_example(name, max_dim=L).cat, L)
+    assert rep.ok
+
+
+def test_consistency_check_catches_a_swapped_column_entry(poset012, monkeypatch):
+    # a swapped vertical face (d_0 on objects 0 and 1 at row 1) moves the
+    # restricted cell z of check (c), but not the level-0 restriction,
+    # which reads the homs directly; on bg:z<m> every constant operator
+    # passes through the single cell of row 0, so no swap there moves z
+    # for some instances and not others
+    import nervekit.nerves as nerves_mod
+
+    build = nerves_mod.levelwise_nerve
+
+    def mutated(*args):
+        X = build(*args)
+        _swap_first_differing([row for col in X.vfaces for per_q in col for row in per_q])
+        return X
+
+    monkeypatch.setattr(nerves_mod, "levelwise_nerve", mutated)
+    rep = _assert_matches_instance_route(poset012.cat, 2)
+    assert rep.verdict == "fail"
+    assert {w["reason"] for w in rep.witnesses} == {"row restriction"}
+
+
+def test_consistency_check_catches_a_wrong_constant_cell(monkeypatch):
+    # the constant 1-cell at object 1 sits at object 0: only vertex slices
+    # over object 1 fail, so a verdict must not be shared across objects
+    import nervekit.nerves as nerves_mod
+
+    constant = nerves_mod.hc_constant
+
+    def mutated(target, obj, n):
+        return constant(target, 0 if (obj, n) == (1, 1) else obj, n)
+
+    monkeypatch.setattr(nerves_mod, "hc_constant", mutated)
+    rep = _assert_matches_instance_route(build_example("two-object-interval", max_dim=2).cat, 2)
+    assert rep.verdict == "fail"
+    assert {w["reason"] for w in rep.witnesses} == {"vertex slice"}
+
+
+def test_consistency_check_catches_a_wrong_slice_at_one_column(z2_rel_d3, monkeypatch):
+    # the collapse along the vertex chain at column 1, row 2, changes one
+    # generator value; column 0 reads the same objects and no hop, so a
+    # verdict must not be shared across columns
+    import nervekit.nerves as nerves_mod
+    from nervekit.nerves import HCFunctor
+
+    theta = nerves_mod._theta_cell
+
+    def mutated(SC, label, p, q, tau, memo):
+        F = theta(SC, label, p, q, tau, memo)
+        if tau != ((1, 0), (1, 1), (1, 2)):
+            return F
+        gen = {pair: dict(d) for pair, d in F.gen.items()}
+        d = gen[(0, 2)]
+        c = list(d)[-1]
+        lvl = len(c) - 1
+        d[c] = (d[c] + 1) % SC.hom(F.objects[0], F.objects[2]).card(lvl)
+        return HCFunctor(F.n, F.target, F.objects, gen)
+
+    monkeypatch.setattr(nerves_mod, "_theta_cell", mutated)
+    rep = _assert_matches_instance_route(z2_rel_d3.cat, 3)
+    assert rep.verdict == "fail"
+    assert {(w["reason"], w["vertex"]) for w in rep.witnesses} == {("vertex slice", 1)}
+
+
+def test_consistency_check_evaluates_each_distinct_input_once(z2_rel_d3, monkeypatch):
+    import nervekit.nerves as nerves_mod
+
+    calls = {"hc_from_level0_chain": 0, "hc_constant": 0, "_comparison_cell": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(nerves_mod, name, counted(name, getattr(nerves_mod, name)))
+    rep = consistency_check(z2_rel_d3.cat, 3)
+    assert rep.ok
+    assert rep.bounds == {"diagonal": 531, "vertex_slices": 2629, "row_restrictions": 2629}
+    # (a) builds both sides of its 531 distinct cells; (b) meets 40
+    # distinct (p, q, i) and (c) 4 distinct (m, z, level0)
+    assert calls == {"hc_from_level0_chain": 4, "hc_constant": 40, "_comparison_cell": 535}
+
+
 def test_classification_comparison_keeps_bounds_at_witness_cap(z2_rel, monkeypatch):
     import nervekit.nerves as nerves_mod
 

@@ -103,6 +103,17 @@ def test_boundary_and_horn_counts():
         horn(2, 5)
 
 
+def test_horn_is_built_once_and_left_intact():
+    from nervekit.cli import run
+
+    assert horn(3, 1) is horn(3, 1)
+    _, code, _ = run(["horncheck", "--example", "bg:z2", "--max-dim", "3"])
+    assert code == 0
+    fresh = horn.__wrapped__(3, 1)
+    assert horn(3, 1).data_key() == fresh.data_key()
+    assert (horn(3, 1).labels, horn(3, 1).name) == (fresh.labels, fresh.name)
+
+
 def test_subcomplex_inclusion_validates():
     X = standard_simplex(2, 2)
     e01 = X.index_of(1, (0, 1))
