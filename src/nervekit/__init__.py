@@ -37,7 +37,6 @@ from .cat import (
 from .generators import ExampleSpec, build_example, example_names
 from .homology import HomologyReport, homology, induced_chain_iso, smith_normal_form
 from .nerves import (
-    HCFunctor,
     classification_comparison,
     classification_diagram,
     classifying_space,

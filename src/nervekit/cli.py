@@ -140,9 +140,12 @@ def _level_bound(args, D: int, ceiling: int | None = None) -> int:
     return L
 
 
-def _bidegrees(args, D: int) -> tuple[int, int]:
-    P = args.cols if args.cols is not None else D // 2
-    Q = args.rows if args.rows is not None else D - D // 2
+def _bidegrees(args, P: int, Q: int) -> tuple[int, int]:
+    """The bounds (P, Q) from --cols and --rows, defaulting to the given ones."""
+    P = args.cols if args.cols is not None else P
+    Q = args.rows if args.rows is not None else Q
+    if P < 0 or Q < 0:
+        raise TruncationError(f"bidegree bound ({P},{Q}) is negative")
     return P, Q
 
 
@@ -189,8 +192,7 @@ def run(argv: list[str]) -> tuple[dict, int, str | None]:
     elif cmd == "binerve":
         value, inputs = _load_input(args)
         SC = _as_cat(value)
-        P = args.cols if args.cols is not None else SC.D
-        Q = args.rows if args.rows is not None else SC.D
+        P, Q = _bidegrees(args, SC.D, SC.D)
         if isinstance(value, RelativeSimplicialCategory):
             M = levelwise_nerve_marked(value, P, Q)
             results["cells"] = [list(r) for r in M.space.counts()]
@@ -255,7 +257,7 @@ def run(argv: list[str]) -> tuple[dict, int, str | None]:
     elif cmd == "cls":
         value, inputs = _load_input(args)
         R = _as_relative(value)
-        P, Q = _bidegrees(args, R.cat.D)
+        P, Q = _bidegrees(args, R.cat.D // 2, R.cat.D - R.cat.D // 2)
         M = classification_diagram(R, P, Q)
         results["cells"] = [list(r) for r in M.space.counts()]
         results["marked"] = [sum(1 for (q, _) in M.marked if q == qq) for qq in range(Q + 1)]
@@ -264,7 +266,7 @@ def run(argv: list[str]) -> tuple[dict, int, str | None]:
     elif cmd == "theta":
         value, inputs = _load_input(args)
         R = _as_relative(value)
-        P, Q = _bidegrees(args, R.cat.D)
+        P, Q = _bidegrees(args, R.cat.D // 2, R.cat.D - R.cat.D // 2)
         rep = classification_comparison(R, P, Q)
         results["theta"] = rep.to_json()
         failed = not rep.ok
@@ -310,6 +312,8 @@ def run(argv: list[str]) -> tuple[dict, int, str | None]:
                     failed = failed or not rep.ok
 
     elif cmd == "uniq-check":
+        if args.max_cosimplicial < 1:
+            raise UsageError(f"--max-cosimplicial {args.max_cosimplicial} must be at least 1")
         rep = uniqueness_report(args.max_cosimplicial)
         results["uniqueness"] = rep.to_json()
         failed = not rep.ok

@@ -3,9 +3,12 @@
 Three nerves of a simplicial category live here:
 
 * `coherent_nerve`: level n cells are simplicial functors out of
-  `coherent_path_category(n, D)`, stored compactly as `HCFunctor`
-  values on generator chains (chains whose first subset is the
-  two-point one); everything else folds out by composition.
+  `coherent_path_category(n, D)`, stored as the tuple (objects,
+  values): one value per generator chain (chain whose first subset is
+  the two-point one) of the pair's unforced levels, in the order of
+  `_generator_slots`. Identity pairs and higher levels are forced
+  (`_cell_value`), and a value on any other hom chain folds out of
+  these by composition. That tuple is also the cell's label.
 * `levelwise_nerve`: the bisimplicial set whose column p at row q is
   the set of p-chains of level-q morphisms; `classifying_space` is its
   diagonal.
@@ -18,7 +21,9 @@ cell given in closed form by `comparison_cell`: on each generator
 chain, every hop acts by the tuple of largest subset elements strictly
 below it, and the hops fold by composition. That is the chain functor
 precomposed with `comparison_functor`, evaluated without building
-either; `theta_cell_value` does the same for `grid_collapse`.
+either; `theta_cell_value` does the same for `grid_collapse`. The
+functor route (`chain_functor` and `hc_from_simplicial_functor`) is
+kept in ``tests/test_nerves.py`` as the oracle for these closed forms.
 `classification_comparison` checks that the cell-by-cell map from the
 levelwise nerve into the classification diagram is simplicial in both
 directions and preserves marking; on small bidegrees it materializes
@@ -37,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Optional
 
 from .reporting import CheckReport
 from .sset import (
@@ -53,13 +57,11 @@ from .sset import (
 from .cat import (
     RelativeSimplicialCategory,
     SimplicialCategory,
-    SimplicialFunctor,
     _check_grid_chain,
     grid_collapse_signature,
     level_category,
     nerve_cat,
     path_poset,
-    simplex_power_category_target,
 )
 from .bisset import BisimplicialSet, MarkedBisimplicialSet, bisset_from_columns, diagonal
 
@@ -90,165 +92,104 @@ def _pair_limit(i: int, j: int, D: int) -> int:
     return min(D, j - i - 1)
 
 
-class HCFunctor:
-    """A coherent-nerve cell: target objects plus generator-chain values.
+@lru_cache(maxsize=None)
+def _generator_slots(n: int, D: int) -> tuple:
+    """The stored generator chains of an n-cell and their positions.
 
-    Stored values cover pairs of positive span at levels up to span - 1;
-    identity pairs and higher levels are forced, and the value on an
-    arbitrary hom chain splits at the smallest interior point of its
-    first subset and folds through target composition. Associativity of
-    the target makes the fold independent of the split.
+    Returns the (i, j, m, chain) slots, pair (i, j) with i < j first,
+    then level m <= `_pair_limit`, then chain, and a lookup from
+    (i, j, chain) to the slot's position. A coherent-nerve n-cell is the
+    tuple (objects, values) with one value per slot; identity pairs and
+    higher levels are forced (see `_cell_value`).
     """
-
-    __slots__ = ("n", "target", "objects", "gen", "_key")
-
-    def __init__(self, n: int, target: SimplicialCategory, objects, gen):
-        self.n = n
-        self.target = target
-        self.objects = tuple(objects)
-        self.gen = gen
-        self._key = None
-
-    def key(self):
-        if self._key is None:
-            D = self.target.D
-            parts = []
-            for i in range(self.n + 1):
-                for j in range(i + 1, self.n + 1):
-                    d = self.gen[(i, j)]
-                    levels = generator_chains(i, j, D)[: _pair_limit(i, j, D) + 1]
-                    parts.append(tuple(tuple(d[c] for c in lvl) for lvl in levels))
-            self._key = (self.n, self.objects, tuple(parts))
-        return self._key
-
-    def __eq__(self, other):
-        return isinstance(other, HCFunctor) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def generator_value(self, i: int, j: int, m: int, chain) -> int:
-        if i == j:
-            return self.target.identity_cell(self.objects[i], m)
-        if m <= _pair_limit(i, j, self.target.D):
-            return self.gen[(i, j)][chain]
-        t = next(t for t in range(m) if chain[t] == chain[t + 1])
-        lower = self.generator_value(i, j, m - 1, chain[:t] + chain[t + 1 :])
-        return self.target.hom(self.objects[i], self.objects[j]).degen(m - 1, t, lower)
-
-    def value(self, i: int, j: int, m: int, chain) -> int:
-        bottom = chain[0]
-        if bottom == ((i,) if i == j else (i, j)):
-            return self.generator_value(i, j, m, chain)
-        t = bottom[1]
-        left = tuple(tuple(v for v in S if v <= t) for S in chain)
-        right = tuple(tuple(v for v in S if v >= t) for S in chain)
-        f = self.value(i, t, m, left)
-        g = self.value(t, j, m, right)
-        return self.target.compose(
-            self.objects[i], self.objects[t], self.objects[j], m, g, f
-        )
-
-    def __repr__(self):
-        return f"<HCFunctor n={self.n} objects={self.objects}>"
+    slots = tuple(
+        (i, j, m, c)
+        for i in range(n + 1)
+        for j in range(i + 1, n + 1)
+        for m, level in enumerate(generator_chains(i, j, D)[: _pair_limit(i, j, D) + 1])
+        for c in level
+    )
+    return slots, {(i, j, c): s for s, (i, j, _, c) in enumerate(slots)}
 
 
-def hc_from_simplicial_functor(F: SimplicialFunctor, n: int, target: SimplicialCategory) -> HCFunctor:
-    """Extract the generator-value record of a functor out of the path gadget."""
-    D = target.D
-    src = F.source
-    gen = {}
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            H = src.hom(i, j)
-            d = {}
-            levels = generator_chains(i, j, D)[: _pair_limit(i, j, D) + 1]
-            for m, level in enumerate(levels):
-                for c in level:
-                    d[c] = F.homs[(i, j)].apply(m, H.index_of(m, c))
-            gen[(i, j)] = d
-    return HCFunctor(n, target, tuple(F.obj[i] for i in range(n + 1)), gen)
+def _cell_value(SC: SimplicialCategory, cell, i: int, j: int, m: int, chain) -> int:
+    """A cell's value on a generator chain of pair (i, j) at level m.
+
+    Identity pairs take identity cells, stored levels are looked up, and
+    above the pair's stored levels the chain is degenerate, so the value
+    extends a lower one by degeneracy. Generator chains are all that
+    precomposition by a monotone vertex map f asks for: a chain whose
+    first subset is {a, b} goes to one whose first subset is
+    {f(a), f(b)}.
+    """
+    objects, values = cell
+    if i == j:
+        return SC.identity_cell(objects[i], m)
+    if m <= _pair_limit(i, j, SC.D):
+        return values[_generator_slots(len(objects) - 1, SC.D)[1][(i, j, chain)]]
+    t = next(t for t in range(m) if chain[t] == chain[t + 1])
+    lower = _cell_value(SC, cell, i, j, m - 1, chain[:t] + chain[t + 1 :])
+    return SC.hom(objects[i], objects[j]).degen(m - 1, t, lower)
 
 
-def _precompose_vertex_map(F: HCFunctor, f: tuple) -> HCFunctor:
-    """F composed with the path functor of a monotone vertex map."""
-    new_n = len(f) - 1
-    D = F.target.D
-    gen = {}
-    for a in range(new_n + 1):
-        for b in range(a + 1, new_n + 1):
-            d = {}
-            levels = generator_chains(a, b, D)[: _pair_limit(a, b, D) + 1]
-            for m, level in enumerate(levels):
-                for c in level:
-                    image = tuple(tuple(sorted({f[v] for v in S})) for S in c)
-                    d[c] = F.value(f[a], f[b], m, image)
-            gen[(a, b)] = d
-    return HCFunctor(new_n, F.target, tuple(F.objects[f[a]] for a in range(new_n + 1)), gen)
+def _precompose_vertex_map(SC: SimplicialCategory, cell, f: tuple) -> tuple:
+    """A cell composed with the path functor of a monotone vertex map."""
+    objects, _ = cell
+    slots, _ = _generator_slots(len(f) - 1, SC.D)
+    return (
+        tuple(objects[v] for v in f),
+        tuple(
+            _cell_value(SC, cell, f[a], f[b], m, tuple(tuple(sorted({f[v] for v in S})) for S in c))
+            for a, b, m, c in slots
+        ),
+    )
 
 
-def hc_face(F: HCFunctor, i: int) -> HCFunctor:
-    delta = tuple(t if t < i else t + 1 for t in range(F.n))
-    return _precompose_vertex_map(F, delta)
+def hc_face(SC: SimplicialCategory, cell, i: int) -> tuple:
+    n = len(cell[0]) - 1
+    return _precompose_vertex_map(SC, cell, tuple(t if t < i else t + 1 for t in range(n)))
 
 
-def hc_degen(F: HCFunctor, i: int) -> HCFunctor:
-    sigma = tuple(t if t <= i else t - 1 for t in range(F.n + 2))
-    return _precompose_vertex_map(F, sigma)
+def hc_degen(SC: SimplicialCategory, cell, i: int) -> tuple:
+    n = len(cell[0]) - 1
+    return _precompose_vertex_map(SC, cell, tuple(t if t <= i else t - 1 for t in range(n + 2)))
 
 
-def hc_constant(target: SimplicialCategory, obj, n: int) -> HCFunctor:
+def hc_constant(target: SimplicialCategory, obj, n: int) -> tuple:
     """The totally degenerate n-cell at one object."""
-    D = target.D
-    gen = {}
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            d = {}
-            levels = generator_chains(i, j, D)[: _pair_limit(i, j, D) + 1]
-            for m, level in enumerate(levels):
-                for c in level:
-                    d[c] = target.identity_cell(obj, m)
-            gen[(i, j)] = d
-    return HCFunctor(n, target, (obj,) * (n + 1), gen)
+    slots, _ = _generator_slots(n, target.D)
+    return (obj,) * (n + 1), tuple(target.identity_cell(obj, m) for _, _, m, _ in slots)
 
 
-def hc_from_level0_chain(SC: SimplicialCategory, label, n: int) -> HCFunctor:
+def hc_from_level0_chain(SC: SimplicialCategory, label, n: int) -> tuple:
     """Include a chain of level-0 morphisms as a coherent-nerve cell.
 
     Every hom chain at level m goes to the m-fold degeneracy of the
     composite vertex over its pair.
     """
     x0, ms = label
-    objs = [x0] + [m[1] for m in ms]
-    comp_vertex = {}
+    objs = (x0,) + tuple(m[1] for m in ms)
+    per_level = {}
     for i in range(n + 1):
         acc = SC.identity_cell(objs[i], 0)
-        comp_vertex[(i, i)] = acc
         for j in range(i + 1, n + 1):
             a, b, lab = ms[j - 1]
             acc = SC.compose(objs[i], a, b, 0, lab[2], acc)
-            comp_vertex[(i, j)] = acc
-    gen = {}
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
             H = SC.hom(objs[i], objs[j])
-            d = {}
-            cell = comp_vertex[(i, j)]
-            levels = generator_chains(i, j, SC.D)[: _pair_limit(i, j, SC.D) + 1]
-            for m, level in enumerate(levels):
-                for c in level:
-                    d[c] = cell
-                if m + 1 < len(levels):
-                    cell = H.degen(m, 0, cell)
-            gen[(i, j)] = d
-    return HCFunctor(n, SC, tuple(objs), gen)
+            cells = [acc]
+            for m in range(_pair_limit(i, j, SC.D)):
+                cells.append(H.degen(m, 0, cells[-1]))
+            per_level[(i, j)] = cells
+    slots, _ = _generator_slots(n, SC.D)
+    return objs, tuple(per_level[(i, j)][m] for i, j, m, _ in slots)
 
 
 # --- coherent nerve enumeration ---------------------------------------------
 
 
-def _hc_level(SC: SimplicialCategory, n: int) -> list[HCFunctor]:
+def _hc_level(SC: SimplicialCategory, n: int) -> list[tuple]:
     D = SC.D
+    slots, _ = _generator_slots(n, D)
     pairs = [(i, j) for s in range(1, n + 1) for i in range(n + 1 - s) for j in [i + s]]
     segments = []
     for (i, j) in pairs:
@@ -256,7 +197,7 @@ def _hc_level(SC: SimplicialCategory, n: int) -> list[HCFunctor]:
         for m in range(D + 1):
             nondeg = [c for c in per_level[m] if not _chain_is_degenerate(c)]
             segments.append((i, j, m, nondeg))
-    results: list[HCFunctor] = []
+    results: list[tuple] = []
     for objs in itertools.product(SC.objects, repeat=n + 1):
         if any(SC.hom(objs[i], objs[j]).card(0) == 0 for (i, j) in pairs):
             continue
@@ -298,12 +239,7 @@ def _hc_level(SC: SimplicialCategory, n: int) -> list[HCFunctor]:
 
         def rec(k: int):
             if k == len(segments):
-                snapshot = {}
-                for (i, j) in pairs:
-                    keep = generator_chains(i, j, D)[: _pair_limit(i, j, D) + 1]
-                    d = values[(i, j)]
-                    snapshot[(i, j)] = {c: d[c] for lvl in keep for c in lvl}
-                results.append(HCFunctor(n, SC, objs, snapshot))
+                results.append((objs, tuple(values[(i, j)][c] for i, j, _, c in slots)))
                 return
             i, j, m, chains = segments[k]
             H = SC.hom(objs[i], objs[j])
@@ -335,43 +271,27 @@ def coherent_nerve(SC: SimplicialCategory, L: int, name: str = "") -> Simplicial
     """The coherent nerve up to level L, as an explicit simplicial set.
 
     Needs L <= D + 1: an L-cell's generator chains live at levels up to
-    L - 1, which must fit inside the hom truncation. The returned set
-    carries the cell functors in ``.functors``.
+    L - 1, which must fit inside the hom truncation. Each cell's label
+    is the cell itself, the tuple (objects, values) of `_generator_slots`.
     """
     if L > SC.D + 1:
         raise TruncationError(f"level {L} cells need hom level {L - 1}, truncation is {SC.D}")
     levels = [_hc_level(SC, n) for n in range(L + 1)]
-    index = [{F.key(): x for x, F in enumerate(lvl)} for lvl in levels]
-    cards = [len(lvl) for lvl in levels]
+    index = [{cell: x for x, cell in enumerate(lvl)} for lvl in levels]
     faces: list[list[list[int]]] = [[]]
     for nl in range(1, L + 1):
         faces.append(
-            [
-                [index[nl - 1][hc_face(F, i).key()] for F in levels[nl]]
-                for i in range(nl + 1)
-            ]
+            [[index[nl - 1][hc_face(SC, cell, i)] for cell in levels[nl]] for i in range(nl + 1)]
         )
-    degens = []
-    for nl in range(L + 1):
-        if nl == L:
-            degens.append([])
-        else:
-            degens.append(
-                [
-                    [index[nl + 1][hc_degen(F, i).key()] for F in levels[nl]]
-                    for i in range(nl + 1)
-                ]
-            )
-    out = SimplicialSet(
-        L,
-        cards,
-        faces,
-        degens,
-        labels=[[F.key() for F in lvl] for lvl in levels],
-        name=name or f"hc({SC.name})",
+    degens = [
+        [[index[nl + 1][hc_degen(SC, cell, i)] for cell in levels[nl]] for i in range(nl + 1)]
+        if nl < L
+        else []
+        for nl in range(L + 1)
+    ]
+    return SimplicialSet(
+        L, [len(lvl) for lvl in levels], faces, degens, labels=levels, name=name or f"hc({SC.name})"
     )
-    out.functors = levels
-    return out
 
 
 # --- levelwise nerve and classifying space ----------------------------------
@@ -445,7 +365,12 @@ def levelwise_nerve(SC: SimplicialCategory, P: int, Q: int, name: str = "") -> B
 
 
 def levelwise_nerve_marked(R: RelativeSimplicialCategory, P: int, Q: int, name: str = "") -> MarkedBisimplicialSet:
-    """`levelwise_nerve` with single-morphism chains marked by the subcategory."""
+    """`levelwise_nerve` with single-morphism chains marked by the subcategory.
+
+    The marking lives in column 1, so P must be at least 1.
+    """
+    if P < 1:
+        raise TruncationError(f"marking lives in column 1, column bound is {P}")
     space = levelwise_nerve(R.cat, P, Q, name=name or f"chains({R.name})")
     marked = set()
     for q in range(Q + 1):
@@ -464,42 +389,7 @@ def classifying_space(SC: SimplicialCategory, L: int, name: str = "") -> Simplic
     return diagonal(levelwise_nerve(SC, L, L), name=name or f"bspace({SC.name})")
 
 
-# --- chain functors and the comparison map ----------------------------------
-
-
-def chain_functor(SC: SimplicialCategory, label, p: int, q: int) -> SimplicialFunctor:
-    """The functor out of the interval power gadget classifying a chain.
-
-    ``label`` is a p-chain of level-q morphisms. A power cell evaluates
-    by acting each hop's coordinate on that hop's morphism and folding
-    with composition, later hops composed on the left.
-    """
-    x0, ms = label
-    objs = [x0] + [m[1] for m in ms]
-    gcells = [m[2][2] for m in ms]
-    T = simplex_power_category_target(p, q, SC.D)
-    Dq = standard_simplex(q, SC.D)
-    homs = {}
-    for i in range(p + 1):
-        for j in range(i, p + 1):
-            src = T.hom(i, j)
-
-            def fn(m, x, i=i, j=j, src=src):
-                cs = src.coords(m, x)
-                acc = None
-                for t in range(i + 1, j + 1):
-                    u = Dq.label(m, cs[j - t])
-                    w = act(SC.hom(objs[t - 1], objs[t]), q, gcells[t - 1], u)
-                    if acc is None:
-                        acc = w
-                    else:
-                        acc = SC.compose(objs[i], objs[t - 1], objs[t], m, w, acc)
-                if acc is None:
-                    return SC.identity_cell(objs[i], m)
-                return acc
-
-            homs[(i, j)] = SimplicialMap(src, SC.hom(objs[i], objs[j]), fn=fn, L=SC.D)
-    return SimplicialFunctor(T, SC, {i: objs[i] for i in range(p + 1)}, homs)
+# --- the comparison map ------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -507,27 +397,21 @@ def _comparison_plan(k: int, D: int) -> tuple:
     """The cell-independent part of `comparison_cell` at level k.
 
     Returns the object column of each output vertex, the sorted hops
-    the pairs read (every hop in (0, k]) and, per generator pair (i, j),
-    the first hop's source i and the (level, chain, hop coordinates)
-    entries, one coordinate per hop t in (i, j]. The coordinate of hop t
-    takes, per subset S of the chain, the largest element of S strictly
-    below t.
+    the slots read (every hop in (0, k]) and, per slot (i, j, m, chain)
+    of `_generator_slots`, the entry (m, i, hop coordinates): the first
+    hop's source and one coordinate per hop t in (i, j]. The coordinate
+    of hop t takes, per subset S of the chain, the largest element of S
+    strictly below t.
     """
-    pairs = []
-    for i in range(k + 1):
-        for j in range(i + 1, k + 1):
-            levels = generator_chains(i, j, D)[: _pair_limit(i, j, D) + 1]
-            entries = tuple(
-                (m, c, tuple(tuple(max(v for v in S if v < t) for S in c) for t in range(i + 1, j + 1)))
-                for m, level in enumerate(levels)
-                for c in level
-            )
-            pairs.append(((i, j), i, entries))
-    return tuple(range(k + 1)), tuple(range(1, k + 1)), tuple(pairs)
+    entries = tuple(
+        (m, i, tuple(tuple(max(v for v in S if v < t) for S in c) for t in range(i + 1, j + 1)))
+        for i, j, m, c in _generator_slots(k, D)[0]
+    )
+    return tuple(range(k + 1)), tuple(range(1, k + 1)), entries
 
 
-def _cell_from_plan(SC: SimplicialCategory, label, q: int, plan, memo: dict) -> HCFunctor:
-    """Evaluate a chain of level-q morphisms on a plan's generator chains.
+def _cell_from_plan(SC: SimplicialCategory, label, q: int, plan, memo: dict) -> tuple:
+    """Evaluate a chain of level-q morphisms on a plan's generator slots.
 
     Each value acts every hop's coordinate on that hop's cell and folds
     the results with composition, later hops on the left; an empty fold
@@ -538,68 +422,59 @@ def _cell_from_plan(SC: SimplicialCategory, label, q: int, plan, memo: dict) -> 
     are bounded by the cells of the category, not by the cells
     evaluated, which keeps a memo owned by a long sweep small.
     """
-    cols, _, pairs = plan
+    cols, _, entries = plan
     x0, ms = label
     objs = (x0,) + tuple(m[1] for m in ms)
     gcells = tuple(m[2][2] for m in ms)
-    gen = {}
-    for pair, a, entries in pairs:
-        d = {}
-        for m, c, us in entries:
-            acc = None
-            for t, u in enumerate(us, start=a + 1):
-                src, tgt, x = objs[t - 1], objs[t], gcells[t - 1]
-                hop_key = (q, src, tgt, x, u)
-                w = memo.get(hop_key)
-                if w is None:
-                    w = memo[hop_key] = act(SC.hom(src, tgt), q, x, u)
-                if acc is not None:
-                    step_key = (m, objs[a], src, tgt, w, acc)
-                    composite = memo.get(step_key)
-                    if composite is None:
-                        composite = memo[step_key] = SC.compose(objs[a], src, tgt, m, w, acc)
-                    w = composite
-                acc = w
-            d[c] = SC.identity_cell(objs[a], m) if acc is None else acc
-        gen[pair] = d
-    return HCFunctor(len(cols) - 1, SC, tuple(objs[a] for a in cols), gen)
+    values = []
+    for m, a, us in entries:
+        acc = None
+        for t, u in enumerate(us, start=a + 1):
+            src, tgt, x = objs[t - 1], objs[t], gcells[t - 1]
+            hop_key = (q, src, tgt, x, u)
+            w = memo.get(hop_key)
+            if w is None:
+                w = memo[hop_key] = act(SC.hom(src, tgt), q, x, u)
+            if acc is not None:
+                step_key = (m, objs[a], src, tgt, w, acc)
+                composite = memo.get(step_key)
+                if composite is None:
+                    composite = memo[step_key] = SC.compose(objs[a], src, tgt, m, w, acc)
+                w = composite
+            acc = w
+        values.append(SC.identity_cell(objs[a], m) if acc is None else acc)
+    return tuple(objs[a] for a in cols), tuple(values)
 
 
-def _comparison_cell(SC: SimplicialCategory, label, k: int, memo: dict) -> HCFunctor:
+def _comparison_cell(SC: SimplicialCategory, label, k: int, memo: dict) -> tuple:
     return _cell_from_plan(SC, label, k, _comparison_plan(k, SC.D), memo)
 
 
-def comparison_cell(SC: SimplicialCategory, label, k: int) -> HCFunctor:
+def comparison_cell(SC: SimplicialCategory, label, k: int) -> tuple:
     """Comparison image of one diagonal chain cell, as a coherent-nerve cell.
 
     On a generator chain of pair (i, j), hop t in (i, j] acts by the
     tuple of largest elements strictly below t of the chain's subsets;
-    this is `chain_functor` after `comparison_functor`, evaluated
+    this is the chain functor (the test oracle `chain_functor` in
+    ``tests/test_nerves.py``) after `comparison_functor`, evaluated
     without building either.
     """
     return _comparison_cell(SC, label, k, {})
 
 
-def comparison_map(SC: SimplicialCategory, L: int, hc: Optional[SimplicialSet] = None, B: Optional[SimplicialSet] = None) -> SimplicialMap:
+def comparison_map(SC: SimplicialCategory, L: int) -> SimplicialMap:
     """The map from the classifying space to the coherent nerve.
 
     Level k sends a chain of k-cells to the coherent-nerve cell whose
     value on a generator chain of pair (i, j) folds, by composition with
     later hops on the left, the action on each hop t in (i, j] of the
     tuple of largest elements strictly below t (see `comparison_cell`).
-    Pass precomputed ``hc`` or ``B`` to reuse them; they must be at
-    least L-truncated.
     """
-    if B is None:
-        B = classifying_space(SC, L)
-    if hc is None:
-        hc = coherent_nerve(SC, L)
-    index = [
-        {F.key(): x for x, F in enumerate(level)} for level in hc.functors
-    ]
+    B = classifying_space(SC, L)
+    hc = coherent_nerve(SC, L)
     memo: dict = {}
     vals = [
-        [index[k][_comparison_cell(SC, B.label(k, x), k, memo).key()] for x in range(B.card(k))]
+        [hc.index_of(k, _comparison_cell(SC, B.label(k, x), k, memo)) for x in range(B.card(k))]
         for k in range(L + 1)
     ]
     return SimplicialMap(B, hc, values=vals, L=L)
@@ -609,10 +484,11 @@ def comparison_map(SC: SimplicialCategory, L: int, hc: Optional[SimplicialSet] =
 
 
 def _marked_hc_edges(R: RelativeSimplicialCategory, hc: SimplicialSet) -> frozenset:
+    # an edge's only slot is its value on the generator chain ((0, 1),)
     out = set()
-    for x, F in enumerate(hc.functors[1]):
-        v = F.gen[(0, 1)][((0, 1),)]
-        if v in R.sub_cells(F.objects[0], F.objects[1], 0):
+    for x in range(hc.card(1)):
+        objects, values = hc.label(1, x)
+        if values[0] in R.sub_cells(objects[0], objects[1], 0):
             out.add(x)
     return frozenset(out)
 
@@ -630,9 +506,12 @@ def classification_diagram(R: RelativeSimplicialCategory, P: int, Q: int, name: 
     coherent nerve whose vertex slices {i} x q-simplex carry every edge
     into the marked edges; marked cells at column 1 carry every edge of
     the whole grid into the marked edges. Operators precompose grid
-    cofaces and codegeneracies. Feasible for small inputs only.
+    cofaces and codegeneracies. Needs P >= 1 for the marking. Feasible
+    for small inputs only.
     """
     SC = R.cat
+    if P < 1:
+        raise TruncationError(f"marking lives in column 1, column bound is {P}")
     if P + Q > SC.D:
         raise TruncationError(f"bidegree ({P},{Q}) needs hom levels {P + Q}, truncation is {SC.D}")
     hc = coherent_nerve(SC, P + Q)
@@ -731,11 +610,10 @@ def classification_diagram(R: RelativeSimplicialCategory, P: int, Q: int, name: 
         name=name or f"cls({R.name})",
     )
     marked = set()
-    if P >= 1:
-        for q in range(Q + 1):
-            for x, f in enumerate(maps[(1, q)]):
-                if fully_marked(1, q, f):
-                    marked.add((q, x))
+    for q in range(Q + 1):
+        for x, f in enumerate(maps[(1, q)]):
+            if fully_marked(1, q, f):
+                marked.add((q, x))
     return MarkedBisimplicialSet(space, frozenset(marked))
 
 
@@ -772,36 +650,30 @@ def _collapse_plan(tau: tuple, D: int) -> tuple:
     whose first coordinate is strictly below t. The hops read are the
     union of those ranges, empty when tau stays in one column.
     """
-    r = len(tau) - 1
-    pairs = []
+    entries = []
     hops = set()
-    for i in range(r + 1):
-        for j in range(i + 1, r + 1):
-            a, b = tau[i][0], tau[j][0]
-            hops.update(range(a + 1, b + 1))
-            levels = generator_chains(i, j, D)[: _pair_limit(i, j, D) + 1]
-            entries = tuple(
-                (
-                    m,
-                    c,
-                    tuple(
-                        tuple(max(tau[s][1] for s in S if tau[s][0] < t) for S in c)
-                        for t in range(a + 1, b + 1)
-                    ),
-                )
-                for m, level in enumerate(levels)
-                for c in level
+    for i, j, m, c in _generator_slots(len(tau) - 1, D)[0]:
+        a, b = tau[i][0], tau[j][0]
+        hops.update(range(a + 1, b + 1))
+        entries.append(
+            (
+                m,
+                a,
+                tuple(
+                    tuple(max(tau[s][1] for s in S if tau[s][0] < t) for S in c)
+                    for t in range(a + 1, b + 1)
+                ),
             )
-            pairs.append(((i, j), a, entries))
-    return tuple(a for a, _ in tau), tuple(sorted(hops)), tuple(pairs)
+        )
+    return tuple(a for a, _ in tau), tuple(sorted(hops)), tuple(entries)
 
 
-def _theta_cell(SC: SimplicialCategory, label, p: int, q: int, tau, memo: dict) -> HCFunctor:
+def _theta_cell(SC: SimplicialCategory, label, p: int, q: int, tau, memo: dict) -> tuple:
     plan = _collapse_plan(_check_grid_chain(p, q, tau), SC.D)
     return _cell_from_plan(SC, label, q, plan, memo)
 
 
-def theta_cell_value(SC: SimplicialCategory, label, p: int, q: int, tau) -> HCFunctor:
+def theta_cell_value(SC: SimplicialCategory, label, p: int, q: int, tau) -> tuple:
     """The coherent-nerve cell a chain assigns to one grid chain.
 
     ``label`` is a p-chain of level-q morphisms and ``tau`` a weakly
@@ -810,9 +682,10 @@ def theta_cell_value(SC: SimplicialCategory, label, p: int, q: int, tau) -> HCFu
     generator chain of pair (i, j), hop t between columns tau[i][0]
     and tau[j][0] acts by the tuple, per subset S, of the largest second
     coordinate of tau(S) whose first coordinate is strictly below t;
-    the hops fold by composition, later hops on the left. This is
-    `chain_functor` after `grid_collapse`, evaluated without building
-    either.
+    the hops fold by composition, later hops on the left. This is the
+    chain functor (the test oracle `chain_functor` in
+    ``tests/test_nerves.py``) after `grid_collapse`, evaluated without
+    building either.
     """
     return _theta_cell(SC, label, p, q, tau, {})
 
@@ -891,8 +764,9 @@ def _reindexed_chain(SC: SimplicialCategory, label, q: int, q2: int, vp, vq) -> 
     of `_chain_tuple`, with len(vp) - 1 hops of level-q2 cells. Output
     hop t folds the source hops s in (vp[t-1], vp[t]]: each acts its
     cell by ``vq``, later hops compose on the left, and an empty fold
-    is the identity cell. This is `chain_functor` after the interval
-    transform of (vp, vq), restricted to the top grid cell.
+    is the identity cell. This is `chain_functor` (the test oracle in
+    ``tests/test_nerves.py``) after the interval transform of (vp, vq),
+    restricted to the top grid cell.
     """
     x0, ms = label
     objs = (x0,) + tuple(m[1] for m in ms)
@@ -1026,9 +900,8 @@ def _theta_sweep(R, M, P, Q, direct_bidegree, check, counts) -> None:
                 for x in range(X.card(p, q)):
                     label = X.label(p, q, x)
                     objs = [label[0]] + [m[1] for m in label[1]]
-                    F = _theta_cell(SC, label, p, q, tau, memo)
                     counts["slice_checks"] += 1
-                    if F.key() != hc_constant(SC, objs[i], q).key():
+                    if _theta_cell(SC, label, p, q, tau, memo) != hc_constant(SC, objs[i], q):
                         check.verdict = "fail"
                         check.witnesses.append(
                             {
@@ -1047,10 +920,9 @@ def _theta_sweep(R, M, P, Q, direct_bidegree, check, counts) -> None:
         for b0 in range(q + 1):
             for b1 in range(b0, q + 1):
                 tau = ((0, b0), (1, b1))
-                F = _theta_cell(SC, label, 1, q, tau, memo)
-                v = F.gen[(0, 1)][((0, 1),)]
+                objects, values = _theta_cell(SC, label, 1, q, tau, memo)
                 counts["marked_edges_checked"] += 1
-                if v not in R.sub_cells(F.objects[0], F.objects[1], 0):
+                if values[0] not in R.sub_cells(objects[0], objects[1], 0):
                     check.verdict = "fail"
                     check.witnesses.append(
                         {
@@ -1080,7 +952,7 @@ def _theta_sweep(R, M, P, Q, direct_bidegree, check, counts) -> None:
                         big = tuple((vp[a], vq[b]) for (a, b) in tau)
                         rhs = _theta_cell(SC, label, p, q, big, memo)
                         counts["direct_squares"] += 1
-                        if lhs.key() != rhs.key():
+                        if lhs != rhs:
                             check.verdict = "fail"
                             check.witnesses.append(
                                 {
@@ -1130,7 +1002,7 @@ def consistency_check(SC: SimplicialCategory, L: int) -> CheckReport:
             lhs = _theta_cell(SC, label, k, k, tau, memo)
             rhs = _comparison_cell(SC, label, k, memo)
             counts["diagonal"] += 1
-            if lhs.key() != rhs.key():
+            if lhs != rhs:
                 check.verdict = "fail"
                 check.witnesses.append({"reason": "diagonal route", "level": k, "cell": x})
     slice_verdicts: dict = {}
@@ -1156,7 +1028,7 @@ def consistency_check(SC: SimplicialCategory, L: int) -> CheckReport:
                     ok = slice_verdicts.get(key)
                     if ok is None:
                         F = _theta_cell(SC, label, p, q, tau, memo)
-                        ok = slice_verdicts[key] = F.key() == hc_constant(SC, objs[i], q).key()
+                        ok = slice_verdicts[key] = F == hc_constant(SC, objs[i], q)
                     counts["vertex_slices"] += 1
                     if not ok:
                         check.verdict = "fail"
@@ -1183,7 +1055,7 @@ def consistency_check(SC: SimplicialCategory, L: int) -> CheckReport:
                     if ok is None:
                         lhs = _comparison_cell(SC, X.label(m, m, z), m, memo)
                         rhs = hc_from_level0_chain(SC, level0, m)
-                        ok = row_verdicts[key] = lhs.key() == rhs.key()
+                        ok = row_verdicts[key] = lhs == rhs
                     counts["row_restrictions"] += 1
                     if not ok:
                         check.verdict = "fail"

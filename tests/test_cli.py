@@ -91,6 +91,29 @@ def test_usage_errors(capsys):
     assert invoke(["frobnicate"], capsys)[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the marking lives in column 1, so marked constructions need P >= 1
+        ["binerve", "--example", "bg:z2", "-d", "2", "--cols", "0"],
+        ["theta", "--example", "bg:z2", "-d", "2", "--cols", "0", "--rows", "2"],
+        ["cls", "--example", "bg:z2", "-d", "2", "--cols", "0", "--rows", "0"],
+        ["cls", "--example", "bg:z2", "-d", "2", "--cols", "0", "--rows", "1"],
+        # the default bidegree at truncation 1 is (0, 1)
+        ["theta", "--example", "bg:z2", "-d", "1"],
+        # negative bidegree bounds
+        ["theta", "--example", "bg:z2", "-d", "2", "--cols", "-1"],
+        ["binerve", "--example", "bg:z2", "-d", "2", "--rows", "-1"],
+        ["uniq-check", "--max-cosimplicial", "0"],
+    ],
+)
+def test_out_of_range_bounds_are_usage_errors(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("nervekit: ")
+
+
 def test_example_and_in_are_exclusive(tmp_path, capsys):
     p = tmp_path / "x.json"
     p.write_text("{}")

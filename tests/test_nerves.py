@@ -148,9 +148,65 @@ def _category(name, D):
     return discrete_simplicial_category(S3, D)
 
 
+def chain_functor(SC, label, p, q):
+    """The functor out of the interval power gadget classifying a chain.
+
+    ``label`` is a p-chain of level-q morphisms. A power cell evaluates
+    by acting each hop's coordinate on that hop's morphism and folding
+    with composition, later hops composed on the left.
+    """
+    from nervekit import SimplicialFunctor, SimplicialMap, act, standard_simplex
+    from nervekit.cat import simplex_power_category_target
+
+    x0, ms = label
+    objs = [x0] + [m[1] for m in ms]
+    gcells = [m[2][2] for m in ms]
+    T = simplex_power_category_target(p, q, SC.D)
+    Dq = standard_simplex(q, SC.D)
+    homs = {}
+    for i in range(p + 1):
+        for j in range(i, p + 1):
+            src = T.hom(i, j)
+
+            def fn(m, x, i=i, j=j, src=src):
+                cs = src.coords(m, x)
+                acc = None
+                for t in range(i + 1, j + 1):
+                    u = Dq.label(m, cs[j - t])
+                    w = act(SC.hom(objs[t - 1], objs[t]), q, gcells[t - 1], u)
+                    if acc is None:
+                        acc = w
+                    else:
+                        acc = SC.compose(objs[i], objs[t - 1], objs[t], m, w, acc)
+                if acc is None:
+                    return SC.identity_cell(objs[i], m)
+                return acc
+
+            homs[(i, j)] = SimplicialMap(src, SC.hom(objs[i], objs[j]), fn=fn, L=SC.D)
+    return SimplicialFunctor(T, SC, {i: objs[i] for i in range(p + 1)}, homs)
+
+
+def hc_from_simplicial_functor(F, n, target):
+    """The coherent-nerve cell (objects, values) of a functor out of the path gadget.
+
+    Walks pairs i < j, the pair's unforced levels and their generator
+    chains in that order, so it also pins the slot order of the cells.
+    """
+    from nervekit.nerves import _pair_limit, generator_chains
+
+    D = target.D
+    values = []
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            H = F.source.hom(i, j)
+            for m, level in enumerate(generator_chains(i, j, D)[: _pair_limit(i, j, D) + 1]):
+                for c in level:
+                    values.append(F.homs[(i, j)].apply(m, H.index_of(m, c)))
+    return tuple(F.obj[i] for i in range(n + 1)), tuple(values)
+
+
 def _functor_route(SC, label, p, q, gadget, n):
     from nervekit.cat import compose_functors
-    from nervekit.nerves import chain_functor, hc_from_simplicial_functor
 
     return hc_from_simplicial_functor(compose_functors(chain_functor(SC, label, p, q), gadget), n, SC)
 
@@ -173,12 +229,11 @@ def test_comparison_cells_match_functor_route(name, L):
     f = comparison_map(SC, L)
     for k in range(L + 1):
         cf = comparison_functor(k, SC.D)
-        index = {F.key(): x for x, F in enumerate(f.target.functors[k])}
         for x in range(f.source.card(k)):
             label = f.source.label(k, x)
-            want = _functor_route(SC, label, k, k, cf, k).key()
-            assert comparison_cell(SC, label, k).key() == want
-            assert f.apply(k, x) == index[want]
+            want = _functor_route(SC, label, k, k, cf, k)
+            assert comparison_cell(SC, label, k) == want
+            assert f.target.label(k, f.apply(k, x)) == want
 
 
 @pytest.mark.parametrize(
@@ -199,9 +254,9 @@ def test_theta_cells_match_functor_route(name):
             for x in range(X.card(p, q)):
                 label = X.label(p, q, x)
                 for tau, collapse in zip(chains, collapses):
-                    want = _functor_route(SC, label, p, q, collapse, len(tau) - 1).key()
-                    assert theta_cell_value(SC, label, p, q, tau).key() == want
-                    assert _theta_cell(SC, label, p, q, tau, memo).key() == want
+                    want = _functor_route(SC, label, p, q, collapse, len(tau) - 1)
+                    assert theta_cell_value(SC, label, p, q, tau) == want
+                    assert _theta_cell(SC, label, p, q, tau, memo) == want
                     checked += 1
     assert checked > 0
 
@@ -225,7 +280,6 @@ def _interval_functor(D, p, q, p2, q2, vp, vq):
 def _reindexed_functor_route(SC, label, p, q, q2, J):
     """`chain_functor` after the interval transform ``J``, on the top grid cell."""
     from nervekit.cat import compose_functors
-    from nervekit.nerves import chain_functor
 
     F = compose_functors(chain_functor(SC, label, p, q), J)
     out = [F.obj[0]]
@@ -301,6 +355,8 @@ def test_theta_cell_value_rejects_bad_grid_chains(z2_rel_d3):
 
 
 def test_consistency_check_builds_no_functors(z2_rel_d3, z2_rel, monkeypatch):
+    import sys
+
     import nervekit.cat as cat_mod
     import nervekit.nerves as nerves_mod
 
@@ -314,7 +370,7 @@ def test_consistency_check_builds_no_functors(z2_rel_d3, z2_rel, monkeypatch):
         return wrapper
 
     for name in calls:
-        for mod in (cat_mod, nerves_mod):
+        for mod in (cat_mod, nerves_mod, sys.modules[__name__]):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
     rep = consistency_check(z2_rel_d3.cat, 3)
@@ -347,7 +403,7 @@ def _consistency_check_by_instance(SC, L):
             lhs = nerves_mod._theta_cell(SC, label, k, k, tau, memo)
             rhs = nerves_mod._comparison_cell(SC, label, k, memo)
             counts["diagonal"] += 1
-            if lhs.key() != rhs.key():
+            if lhs != rhs:
                 witnesses.append({"reason": "diagonal route", "level": k, "cell": x})
     for p in range(L + 1):
         for q in range(L + 1):
@@ -358,7 +414,7 @@ def _consistency_check_by_instance(SC, L):
                     tau = tuple((i, b) for b in range(q + 1))
                     F = nerves_mod._theta_cell(SC, label, p, q, tau, memo)
                     counts["vertex_slices"] += 1
-                    if F.key() != nerves_mod.hc_constant(SC, objs[i], q).key():
+                    if F != nerves_mod.hc_constant(SC, objs[i], q):
                         witnesses.append(
                             {"reason": "vertex slice", "bidegree": [p, q], "cell": x, "vertex": i}
                         )
@@ -376,7 +432,7 @@ def _consistency_check_by_instance(SC, L):
                     )
                     rhs = nerves_mod.hc_from_level0_chain(SC, level0, m)
                     counts["row_restrictions"] += 1
-                    if lhs.key() != rhs.key():
+                    if lhs != rhs:
                         witnesses.append(
                             {"reason": "row restriction", "bidegree": [m, n], "cell": x, "vertex": i}
                         )
@@ -440,20 +496,18 @@ def test_consistency_check_catches_a_wrong_slice_at_one_column(z2_rel_d3, monkey
     # generator value; column 0 reads the same objects and no hop, so a
     # verdict must not be shared across columns
     import nervekit.nerves as nerves_mod
-    from nervekit.nerves import HCFunctor
 
     theta = nerves_mod._theta_cell
 
     def mutated(SC, label, p, q, tau, memo):
-        F = theta(SC, label, p, q, tau, memo)
+        objects, values = theta(SC, label, p, q, tau, memo)
         if tau != ((1, 0), (1, 1), (1, 2)):
-            return F
-        gen = {pair: dict(d) for pair, d in F.gen.items()}
-        d = gen[(0, 2)]
-        c = list(d)[-1]
-        lvl = len(c) - 1
-        d[c] = (d[c] + 1) % SC.hom(F.objects[0], F.objects[2]).card(lvl)
-        return HCFunctor(F.n, F.target, F.objects, gen)
+            return objects, values
+        slots, _ = nerves_mod._generator_slots(2, SC.D)
+        s = max(s for s, (i, j, _, _) in enumerate(slots) if (i, j) == (0, 2))
+        values = list(values)
+        values[s] = (values[s] + 1) % SC.hom(objects[0], objects[2]).card(slots[s][2])
+        return objects, tuple(values)
 
     monkeypatch.setattr(nerves_mod, "_theta_cell", mutated)
     rep = _assert_matches_instance_route(z2_rel_d3.cat, 3)

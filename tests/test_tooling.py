@@ -1,9 +1,12 @@
-"""The traced benchmark run names only functions the package still has."""
+"""Repository tooling: the traced benchmark run and the package's dependencies."""
+import ast
 import importlib
 import importlib.util
 import pathlib
+import sys
 
-TRACE_CHILD = pathlib.Path(__file__).resolve().parent.parent / "bench" / "trace_child.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TRACE_CHILD = ROOT / "bench" / "trace_child.py"
 
 
 def test_traced_names_resolve():
@@ -40,3 +43,18 @@ def test_horn_check_enumerates_once_through_module_global(monkeypatch):
             assert A == horn(n, k) and target is X
             # the dropped first map shows in the report
             assert rep.bounds["horn_maps"] == 2 ** n - 1
+
+
+def test_runtime_imports_only_the_standard_library():
+    sources = sorted((ROOT / "src" / "nervekit").glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] in sys.stdlib_module_names, (path.name, module)
