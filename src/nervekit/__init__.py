@@ -58,6 +58,7 @@ from .sset import (
     SimplicialSet,
     TruncationError,
     act,
+    act_table,
     boundary_simplex,
     compose_maps,
     enumerate_maps,

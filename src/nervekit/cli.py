@@ -149,6 +149,13 @@ def _bidegrees(args, P: int, Q: int) -> tuple[int, int]:
     return P, Q
 
 
+def _marked_bidegrees(args, D: int) -> tuple[int, int]:
+    """`_bidegrees` for the marked verbs: marked constructions need a
+    column, so the default is P = max(D // 2, 1) and Q = D - P."""
+    P = max(D // 2, 1)
+    return _bidegrees(args, P, D - P)
+
+
 def _maybe_artifact(args, results: dict, value) -> None:
     if args.emit_cells:
         results["artifact"] = to_json(value)
@@ -248,7 +255,7 @@ def run(argv: list[str]) -> tuple[dict, int, str | None]:
         f = comparison_map(SC, L)
         vrep = validate_map(f, subject="comparison map")
         iso = induced_chain_iso(f, coeff=args.coeff)
-        cons = consistency_check(SC, L)
+        cons = consistency_check(SC, f)
         results["map_simplicial"] = vrep.to_json()
         results["chain_iso"] = iso.to_json()
         results["consistency"] = cons.to_json()
@@ -257,7 +264,7 @@ def run(argv: list[str]) -> tuple[dict, int, str | None]:
     elif cmd == "cls":
         value, inputs = _load_input(args)
         R = _as_relative(value)
-        P, Q = _bidegrees(args, R.cat.D // 2, R.cat.D - R.cat.D // 2)
+        P, Q = _marked_bidegrees(args, R.cat.D)
         M = classification_diagram(R, P, Q)
         results["cells"] = [list(r) for r in M.space.counts()]
         results["marked"] = [sum(1 for (q, _) in M.marked if q == qq) for qq in range(Q + 1)]
@@ -266,7 +273,7 @@ def run(argv: list[str]) -> tuple[dict, int, str | None]:
     elif cmd == "theta":
         value, inputs = _load_input(args)
         R = _as_relative(value)
-        P, Q = _bidegrees(args, R.cat.D // 2, R.cat.D - R.cat.D // 2)
+        P, Q = _marked_bidegrees(args, R.cat.D)
         rep = classification_comparison(R, P, Q)
         results["theta"] = rep.to_json()
         failed = not rep.ok

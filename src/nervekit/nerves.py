@@ -50,6 +50,7 @@ from .sset import (
     SimplicialSet,
     TruncationError,
     act,
+    act_table,
     enumerate_maps,
     materialize,
     standard_simplex,
@@ -967,13 +968,15 @@ def _theta_sweep(R, M, P, Q, direct_bidegree, check, counts) -> None:
                                 return
 
 
-def consistency_check(SC: SimplicialCategory, L: int) -> CheckReport:
+def consistency_check(SC: SimplicialCategory, f: SimplicialMap) -> CheckReport:
     """Agreement of the comparison routes on and around the diagonal.
 
-    (a) On every diagonal cell up to level L, the grid-collapse route
-    along the diagonal chain equals `comparison_cell`; the two routes
-    compute their hop coordinates by separately written rules and share
-    only the fold. (b) Restricting the column coordinate to a vertex
+    ``f`` is the comparison map built by `comparison_map`, checked up to
+    its level L = ``f.L``. (a) On every diagonal cell, the cell ``f``
+    stores equals the grid-collapse route along the diagonal chain; the
+    map's cells come from `comparison_cell`, and the two routes compute
+    their hop coordinates by separately written rules and share only
+    the fold. (b) Restricting the column coordinate to a vertex
     collapses each column cell to the constant cell at that object.
     (c) Acting a row cell vertically by a constant map and comparing
     lands on the level-0 inclusion of its vertex restriction.
@@ -987,20 +990,23 @@ def consistency_check(SC: SimplicialCategory, L: int) -> CheckReport:
     hop and its columns are all i, so the objects include the one
     `hc_constant` reads. In (c) the key is (m, z, level0): the left side
     reads only the restricted cell z at (m, m), the right side only the
-    level-0 restriction of the chain. The memos hold booleans.
+    level-0 restriction of the chain. The memos hold booleans. In (c)
+    the restricted cells come from one `act_table` per (m, n, i), and
+    each hop's level-0 restriction is built once per (a, b, cell, n, i).
     """
+    L = f.L
     if L > SC.D:
         raise TruncationError(f"level {L} beyond hom truncation {SC.D}")
     X = levelwise_nerve(SC, L, L)
     check = CheckReport(check="consistency", verdict="pass")
     counts = {"diagonal": 0, "vertex_slices": 0, "row_restrictions": 0}
     memo: dict = {}
+    B, hc = f.source, f.target
     for k in range(L + 1):
         tau = tuple((t, t) for t in range(k + 1))
-        for x in range(X.card(k, k)):
-            label = X.label(k, k, x)
-            lhs = _theta_cell(SC, label, k, k, tau, memo)
-            rhs = _comparison_cell(SC, label, k, memo)
+        for x in range(B.card(k)):
+            lhs = _theta_cell(SC, B.label(k, x), k, k, tau, memo)
+            rhs = hc.label(k, f.apply(k, x))
             counts["diagonal"] += 1
             if lhs != rhs:
                 check.verdict = "fail"
@@ -1036,20 +1042,23 @@ def consistency_check(SC: SimplicialCategory, L: int) -> CheckReport:
                             {"reason": "vertex slice", "bidegree": [p, q], "cell": x, "vertex": i}
                         )
     row_verdicts: dict = {}
+    restricted_hops: dict = {}
     for m in range(L + 1):
+        col = X.column(m)
         for n in range(L + 1):
-            col = X.column(m)
+            restrictions = [act_table(col, n, (i,) * (m + 1)) for i in range(n + 1)]
             for x in range(X.card(m, n)):
                 x0, ms = X.label(m, n, x)
                 for i in range(n + 1):
-                    z = act(col, n, x, (i,) * (m + 1))
-                    level0 = (
-                        x0,
-                        tuple(
-                            (a, b, (a, b, act(SC.hom(a, b), n, lab[2], (i,))))
-                            for (a, b, lab) in ms
-                        ),
-                    )
+                    z = restrictions[i][x]
+                    hops = []
+                    for a, b, lab in ms:
+                        hop_key = (a, b, lab[2], n, i)
+                        c = restricted_hops.get(hop_key)
+                        if c is None:
+                            c = restricted_hops[hop_key] = act(SC.hom(a, b), n, lab[2], (i,))
+                        hops.append((a, b, (a, b, c)))
+                    level0 = (x0, tuple(hops))
                     key = (m, z, level0)
                     ok = row_verdicts.get(key)
                     if ok is None:

@@ -338,6 +338,64 @@ def _act_surjective(X, k: int, y: int, g: list[int]) -> int:
     return X.degen(m - 1, t, z)
 
 
+@lru_cache(maxsize=None)
+def _factored(n: int, f: tuple) -> tuple:
+    """The steps `act` takes for ``f`` into [n], validated as `act` does.
+
+    Returns the faces and then the degeneracies, each a (level, index)
+    pair in the order they apply; the degeneracies are the ones
+    `_act_surjective` finds outermost first, so they apply innermost
+    first.
+    """
+    m = len(f) - 1
+    if m < 0:
+        raise ValueError("operator must be nonempty")
+    if any(f[t] > f[t + 1] for t in range(m)) or f[0] < 0 or f[-1] > n:
+        raise ValueError(f"not a monotone map into [{n}]: {f}")
+    image = set(f)
+    g = list(f)
+    faces = []
+    k = n
+    for j in range(n, -1, -1):
+        if j in image:
+            continue
+        faces.append((k, j))
+        k -= 1
+        g = [v - 1 if v > j else v for v in g]
+    degens = []
+    while len(g) - 1 > k:
+        t = next(t for t in range(len(g) - 1) if g[t] == g[t + 1])
+        degens.append((len(g) - 2, t))
+        del g[t + 1]
+    return tuple(faces), tuple(reversed(degens))
+
+
+def act_table(X, n: int, f: Sequence[int]) -> list[int]:
+    """`act` of one operator on every n-cell, in cell order.
+
+    Equals ``[act(X, n, x, f) for x in range(X.card(n))]`` and raises
+    what `act` raises, but validates and factors ``f`` once, exactly as
+    `act` does (faces first, then degeneracies), and then applies the
+    steps to each cell in turn. The factoring is cached per (n, f), so
+    a sweep that applies the same operators to many targets, as
+    `horn_check` does, factors each once. `act` keeps its own factoring
+    and is the reference the tests compare this against.
+    """
+    f = tuple(f)
+    faces, degens = _factored(n, f)
+    if len(f) - 1 > X.D:
+        raise TruncationError(f"operator lands in level {len(f) - 1} beyond truncation {X.D}")
+    face, degen = X.face, X.degen
+    out = []
+    for x in range(X.card(n)):
+        for k, j in faces:
+            x = face(k, j, x)
+        for k, t in degens:
+            x = degen(k, t, x)
+        out.append(x)
+    return out
+
+
 def vertices(X, n: int, x: int) -> tuple[int, ...]:
     """Vertex tuple of a cell, via the operators picking out each value."""
     return tuple(act(X, n, x, (t,)) for t in range(n + 1))

@@ -37,7 +37,7 @@ from .cat import (
 from .homology import HomologyReport, homology, induced_chain_iso
 from .nerves import consistency_check, levelwise_nerve
 from .reporting import CheckReport
-from .sset import TruncationError, act, enumerate_maps, horn
+from .sset import TruncationError, act_table, enumerate_maps, horn
 
 __all__ = [
     "HomologyReport",
@@ -77,8 +77,9 @@ def horn_check(X, n: int, k: int, max_witnesses: int = 8) -> CheckReport:
     an n-cell z whose operator action reproduces h on every
     nondegenerate horn cell (agreement there forces agreement
     everywhere). So the horn restrictions of the n-cells of X, each the
-    tuple of `act` over those horn cells, are built once as a set, and h
-    is fillable iff its value tuple on the same cells is in that set.
+    tuple of `act` over those horn cells, are built once as a set (one
+    `act_table` per horn cell), and h is fillable iff its value tuple on
+    the same cells is in that set.
     The report gives fillability only, not the number of fillers.
     Failures are reported as labelled assignments.
     """
@@ -87,7 +88,7 @@ def horn_check(X, n: int, k: int, max_witnesses: int = 8) -> CheckReport:
     H = horn(n, k)
     nd = [(m, c) for m in range(H.D + 1) for c in H.nondegenerate_cells(m)]
     ops = [H.label(m, c) for m, c in nd]
-    restrictions = {tuple(act(X, n, z, f) for f in ops) for z in range(X.card(n))}
+    restrictions = set(zip(*(act_table(X, n, f) for f in ops)))
     maps = enumerate_maps(H, X)
     witnesses = []
     unfillable = 0

@@ -160,7 +160,7 @@ def test_criterion_07_theta_well_formed(z2_d6, poset01_d6):
     assert rep.bounds["marked_edges_checked"] > 0
     rep2 = classification_comparison(poset01_d6, 3, 3)
     assert rep2.ok, rep2.witnesses[:1]
-    cons = consistency_check(z2_d6.cat, 3)
+    cons = consistency_check(z2_d6.cat, comparison_map(z2_d6.cat, 3))
     assert cons.ok, cons.witnesses[:1]
     assert cons.bounds["diagonal"] == 531
     emit(7, "theta is a valid marked map at (3,3) and both diagonal routes agree")

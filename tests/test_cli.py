@@ -99,8 +99,8 @@ def test_usage_errors(capsys):
         ["theta", "--example", "bg:z2", "-d", "2", "--cols", "0", "--rows", "2"],
         ["cls", "--example", "bg:z2", "-d", "2", "--cols", "0", "--rows", "0"],
         ["cls", "--example", "bg:z2", "-d", "2", "--cols", "0", "--rows", "1"],
-        # the default bidegree at truncation 1 is (0, 1)
-        ["theta", "--example", "bg:z2", "-d", "1"],
+        # the default bidegree at truncation 1 is (1, 0), which leaves no row
+        ["theta", "--example", "bg:z2", "-d", "1", "--rows", "1"],
         # negative bidegree bounds
         ["theta", "--example", "bg:z2", "-d", "2", "--cols", "-1"],
         ["binerve", "--example", "bg:z2", "-d", "2", "--rows", "-1"],
@@ -112,6 +112,64 @@ def test_out_of_range_bounds_are_usage_errors(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("nervekit: ")
+
+
+def test_marked_verbs_run_at_truncation_one(capsys):
+    # marked constructions need a column, so the default bidegree is (1, 0)
+    code, rep = invoke(["theta", "--example", "bg:z2", "--max-dim", "1"], capsys)
+    assert code == 0
+    bounds = rep["results"]["theta"]["bounds"]
+    assert (bounds["P"], bounds["Q"]) == (1, 0)
+    code, rep = invoke(["cls", "--example", "bg:z2", "--max-dim", "1"], capsys)
+    assert code == 0
+    assert rep["results"]["cells"] == [[1], [1]]
+
+
+# report digests are the behaviour oracle: a refactor keeps each one
+# byte-identical (values computed before `consistency_check` read the
+# comparison map's cells)
+DIGEST_PINS = [
+    ("compare --example bg:z2 --max-dim 3 --coeff f2", "2d0bcd5c0308c6738f3b7c0e5291c7a33101183d717d86adc5f3fae643c30eab"),
+    ("compare --example bg:z2 --max-dim 3", "a04862a7efd985e5e160086d4066bcf7de576c37418322a66a2d0daf0c6f8a59"),
+    ("compare --example bg:z3 --max-dim 2 --coeff f2", "52e009ad064ee8cb8e5c18694ddf1b6cec72fb505bc50690b777e15b9486579c"),
+    ("compare --example discrete:poset012 --max-dim 3", "d536c0ec3091b6b01e3fd5dd46d6bba6201709c6e888696ce94b66bae67673b3"),
+    ("compare --example two-object-interval --max-dim 2", "269fbff00c72824318fd281d87729759dcccd01fbf3e45b73912e57bd7660538"),
+    ("theta --example bg:z2 --max-dim 4", "df24687e8f32d8bac7d5fae482802541565e8d26d1431d5f9f1125d6436bf548"),
+    ("theta --example two-object-interval --max-dim 3", "52552f912a0d331768cdf886c527de73ffd2523f5c7efb69eef935368d97fec3"),
+    ("cls --example bg:z2 --max-dim 2 --emit-cells", "c11705718a3430627f2727c39d916ed2f958a44a0ba08e0864e21d79b9554403"),
+    ("hcnerve --example bg:z3 --max-dim 3 --emit-cells", "49d0b16961fdda7ad19cc2f2a1699693b308fefa6880a4892226e2947771bd39"),
+    ("binerve --example bg:z2 --max-dim 2 --emit-cells", "789263b3654c83e0ad64393f193a92b7601b45904b5ebe5712049a3f71e73c20"),
+    ("horncheck --example bg:z3 --max-dim 4", "c17d8e1963ef3cb58ac2a8f069c6d85ea01d7347ff75eaecaee667e6131f9986"),
+    ("horncheck --example discrete:poset012 --max-dim 4", "05f6c743f0cfb167ba34b3a29c5a245d9dc67aa1ec568bfa85769a7b7a4bbc63"),
+    ("homology --example bg:z2 --max-dim 3", "6c234f58e639e1ceaa1f4524808d15f1438cba556a7418806f7a65ba249693de"),
+    ("bspace --example bg:z3 --max-dim 3", "1236c2f583a26bbafa8dc8205e904b6ec12aeaa8a938d2252fc8c3039610729e"),
+    ("uniq-check --max-cosimplicial 2", "9f09c4d589200c9d7db17642c6c3fa896fd59a09d83d489a5441e93d4ccb0a0b"),
+]
+
+
+@pytest.mark.parametrize("command, want", DIGEST_PINS)
+def test_report_digest_is_pinned(command, want):
+    rep, code, _ = run(command.split())
+    assert code == 0
+    assert rep["digest"] == want
+
+
+def test_compare_builds_each_comparison_cell_once(monkeypatch):
+    import nervekit.nerves as nerves_mod
+
+    cell = nerves_mod._comparison_cell
+    calls = []
+
+    def counted(SC, label, k, memo):
+        calls.append(k)
+        return cell(SC, label, k, memo)
+
+    monkeypatch.setattr(nerves_mod, "_comparison_cell", counted)
+    rep, code, _ = run(["compare", "--example", "bg:z2", "--max-dim", "3", "--coeff", "f2"])
+    assert code == 0
+    # 531 map cells; the consistency check reads them back and builds
+    # only its 4 distinct row restrictions
+    assert len(calls) == 531 + 4
 
 
 def test_example_and_in_are_exclusive(tmp_path, capsys):

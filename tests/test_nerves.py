@@ -69,7 +69,7 @@ def test_comparison_map_bijective_on_discrete(poset01, poset012):
 
 
 def test_consistency_of_comparison_routes(z2_rel_d3):
-    rep = consistency_check(z2_rel_d3.cat, 2)
+    rep = consistency_check(z2_rel_d3.cat, comparison_map(z2_rel_d3.cat, 2))
     assert rep.ok
     assert rep.bounds["diagonal"] == 19
 
@@ -373,7 +373,7 @@ def test_consistency_check_builds_no_functors(z2_rel_d3, z2_rel, monkeypatch):
         for mod in (cat_mod, nerves_mod, sys.modules[__name__]):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
-    rep = consistency_check(z2_rel_d3.cat, 3)
+    rep = consistency_check(z2_rel_d3.cat, comparison_map(z2_rel_d3.cat, 3))
     assert rep.ok
     assert rep.bounds == {"diagonal": 531, "vertex_slices": 2629, "row_restrictions": 2629}
     assert calls == {"comparison_functor": 0, "compose_functors": 0, "grid_collapse": 0, "chain_functor": 0}
@@ -385,13 +385,15 @@ def test_consistency_check_builds_no_functors(z2_rel_d3, z2_rel, monkeypatch):
     assert calls == {"comparison_functor": 1, "compose_functors": 1, "grid_collapse": 0, "chain_functor": 1}
 
 
-def _consistency_check_by_instance(SC, L):
+def _consistency_check_by_instance(SC, f):
     """Verdict, bounds and witnesses of `consistency_check` by the slow
-    route: both sides of every instance are built and compared. Every
-    helper is looked up through the module, so planted faults reach it."""
+    route: both sides of every instance are built and compared, (a)
+    reading the cell the map f stores. Every helper is looked up through
+    the module, so planted faults reach it."""
     import nervekit.nerves as nerves_mod
     from nervekit import act
 
+    L = f.L
     X = nerves_mod.levelwise_nerve(SC, L, L)
     witnesses = []
     counts = {"diagonal": 0, "vertex_slices": 0, "row_restrictions": 0}
@@ -401,7 +403,7 @@ def _consistency_check_by_instance(SC, L):
         for x in range(X.card(k, k)):
             label = X.label(k, k, x)
             lhs = nerves_mod._theta_cell(SC, label, k, k, tau, memo)
-            rhs = nerves_mod._comparison_cell(SC, label, k, memo)
+            rhs = f.target.label(k, f.apply(k, x))
             counts["diagonal"] += 1
             if lhs != rhs:
                 witnesses.append({"reason": "diagonal route", "level": k, "cell": x})
@@ -439,9 +441,9 @@ def _consistency_check_by_instance(SC, L):
     return ("fail" if witnesses else "pass"), counts, witnesses
 
 
-def _assert_matches_instance_route(SC, L):
-    rep = consistency_check(SC, L)
-    verdict, bounds, witnesses = _consistency_check_by_instance(SC, L)
+def _assert_matches_instance_route(SC, f):
+    rep = consistency_check(SC, f)
+    verdict, bounds, witnesses = _consistency_check_by_instance(SC, f)
     assert (rep.verdict, rep.bounds, rep.witnesses) == (verdict, bounds, witnesses)
     return rep
 
@@ -450,8 +452,49 @@ def _assert_matches_instance_route(SC, L):
     "name, L", [("bg:z2", 3), ("bg:z3", 2), ("discrete:poset012", 3), ("two-object-interval", 2)]
 )
 def test_consistency_check_matches_instance_route(name, L):
-    rep = _assert_matches_instance_route(build_example(name, max_dim=L).cat, L)
+    SC = build_example(name, max_dim=L).cat
+    rep = _assert_matches_instance_route(SC, comparison_map(SC, L))
     assert rep.ok
+
+
+def _max_monoid(D):
+    # one object whose hom is the nerve of 0 < 1, composed by levelwise
+    # max with unit 0; unlike every generator, its hom has two vertices,
+    # so the level-0 restriction of a hop depends on the vertex
+    from nervekit import ProductSset, SimplicialMap, standard_simplex
+    from nervekit.cat import SimplicialCategory
+
+    H = standard_simplex(1, D)
+    PS = ProductSset(H, H)
+    vals = [
+        [H.index_of(n, tuple(map(max, *(H.label(n, c) for c in PS.split(n, z))))) for z in range(PS.card(n))]
+        for n in range(D + 1)
+    ]
+    comp = SimplicialMap(PS, H, values=vals, L=D)
+    return SimplicialCategory(
+        ["x"], {("x", "x"): H}, {("x", "x", "x"): comp}, {"x": H.index_of(0, (0,))}, D, name="max-monoid"
+    )
+
+
+def test_consistency_check_matches_instance_route_on_a_two_vertex_hom():
+    from nervekit.cat import validate_simplicial_category
+
+    SC = _max_monoid(3)
+    assert validate_simplicial_category(SC).ok
+    rep = _assert_matches_instance_route(SC, comparison_map(SC, 3))
+    assert rep.ok
+    assert rep.bounds == {"diagonal": 145, "vertex_slices": 1090, "row_restrictions": 974}
+
+
+def test_consistency_check_catches_a_wrong_map_cell(z2_rel_d3):
+    # check (a) reads the cells the map stores: one level-2 value moved
+    # to the other coherent-nerve 2-cell fails exactly that diagonal cell
+    SC = z2_rel_d3.cat
+    f = comparison_map(SC, 3)
+    f.values[2][5] = 1 - f.values[2][5]
+    rep = _assert_matches_instance_route(SC, f)
+    assert rep.verdict == "fail"
+    assert rep.witnesses == [{"reason": "diagonal route", "level": 2, "cell": 5}]
 
 
 def test_consistency_check_catches_a_swapped_column_entry(poset012, monkeypatch):
@@ -470,7 +513,7 @@ def test_consistency_check_catches_a_swapped_column_entry(poset012, monkeypatch)
         return X
 
     monkeypatch.setattr(nerves_mod, "levelwise_nerve", mutated)
-    rep = _assert_matches_instance_route(poset012.cat, 2)
+    rep = _assert_matches_instance_route(poset012.cat, comparison_map(poset012.cat, 2))
     assert rep.verdict == "fail"
     assert {w["reason"] for w in rep.witnesses} == {"row restriction"}
 
@@ -486,7 +529,8 @@ def test_consistency_check_catches_a_wrong_constant_cell(monkeypatch):
         return constant(target, 0 if (obj, n) == (1, 1) else obj, n)
 
     monkeypatch.setattr(nerves_mod, "hc_constant", mutated)
-    rep = _assert_matches_instance_route(build_example("two-object-interval", max_dim=2).cat, 2)
+    SC = build_example("two-object-interval", max_dim=2).cat
+    rep = _assert_matches_instance_route(SC, comparison_map(SC, 2))
     assert rep.verdict == "fail"
     assert {w["reason"] for w in rep.witnesses} == {"vertex slice"}
 
@@ -510,7 +554,7 @@ def test_consistency_check_catches_a_wrong_slice_at_one_column(z2_rel_d3, monkey
         return objects, tuple(values)
 
     monkeypatch.setattr(nerves_mod, "_theta_cell", mutated)
-    rep = _assert_matches_instance_route(z2_rel_d3.cat, 3)
+    rep = _assert_matches_instance_route(z2_rel_d3.cat, comparison_map(z2_rel_d3.cat, 3))
     assert rep.verdict == "fail"
     assert {(w["reason"], w["vertex"]) for w in rep.witnesses} == {("vertex slice", 1)}
 
@@ -529,11 +573,11 @@ def test_consistency_check_evaluates_each_distinct_input_once(z2_rel_d3, monkeyp
 
     for name in calls:
         monkeypatch.setattr(nerves_mod, name, counted(name, getattr(nerves_mod, name)))
-    rep = consistency_check(z2_rel_d3.cat, 3)
+    rep = consistency_check(z2_rel_d3.cat, comparison_map(z2_rel_d3.cat, 3))
     assert rep.ok
     assert rep.bounds == {"diagonal": 531, "vertex_slices": 2629, "row_restrictions": 2629}
-    # (a) builds both sides of its 531 distinct cells; (b) meets 40
-    # distinct (p, q, i) and (c) 4 distinct (m, z, level0)
+    # the map builds its 531 cells once and (a) reads them back; (b)
+    # meets 40 distinct (p, q, i) and (c) 4 distinct (m, z, level0)
     assert calls == {"hc_from_level0_chain": 4, "hc_constant": 40, "_comparison_cell": 535}
 
 

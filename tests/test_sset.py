@@ -11,6 +11,7 @@ from nervekit import (
     SimplicialSet,
     TruncationError,
     act,
+    act_table,
     boundary_simplex,
     build_example,
     coherent_nerve,
@@ -19,6 +20,7 @@ from nervekit import (
     enumerate_maps,
     horn,
     identity_map,
+    levelwise_nerve,
     materialize,
     nerve_cat,
     poset_category,
@@ -90,6 +92,39 @@ def test_act_identity_and_vertices():
     top = X.index_of(2, (0, 1, 2))
     assert act(X, 2, top, (0, 1, 2)) == top
     assert vertices(X, 2, top) == (X.index_of(0, (0,)), X.index_of(0, (1,)), X.index_of(0, (2,)))
+
+
+@pytest.fixture(scope="module")
+def act_table_targets():
+    # materialized, lazy, a group nerve and a levelwise-nerve column, all truncated at 4
+    bgz2 = build_example("bg:z2", max_dim=4).cat
+    return [
+        standard_simplex(3, 4),
+        ProductSset(standard_simplex(1, 4), walk_nerve(4)),
+        nerve_cat(cyclic_group_category(3), 4),
+        levelwise_nerve(bgz2, 2, 4).column(2),
+    ]
+
+
+def test_act_table_is_act_on_every_cell(act_table_targets):
+    for X in act_table_targets:
+        for n in range(5):
+            for m in range(5):
+                for f in monotone_maps(m, n):
+                    assert act_table(X, n, f) == [act(X, n, x, f) for x in range(X.card(n))], (X, n, f)
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def test_act_table_raises_what_act_raises(act_table_targets):
+    for X in act_table_targets:
+        # empty, decreasing, negative, past the top of [2], and landing at level 5 > D
+        for f in [(), (1, 0), (-1, 0), (0, 3), (0,) * 6]:
+            assert _raised(act_table, X, 2, f) == _raised(act, X, 2, 0, f), (X, f)
 
 
 def test_boundary_and_horn_counts():
