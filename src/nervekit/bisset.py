@@ -9,10 +9,9 @@ within the truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .reporting import ValidationReport
+from .reporting import FrozenRecord, ValidationReport
 from .sset import MarkedSimplicialSet, SimplicialSet, validate_sset
 
 
@@ -231,8 +230,7 @@ def validate_bisset(X: BisimplicialSet, subject: str = "") -> ValidationReport:
     return rep
 
 
-@dataclass(frozen=True)
-class MarkedBisimplicialSet:
+class MarkedBisimplicialSet(FrozenRecord):
     """A bisimplicial set with marked column-1 cells.
 
     ``marked`` holds (q, x) pairs with x a cell at bidegree (1, q). The
@@ -240,8 +238,10 @@ class MarkedBisimplicialSet:
     horizontal degeneracy of column 0; `validate` checks that.
     """
 
-    space: BisimplicialSet
-    marked: frozenset
+    _fields = ("space", "marked")
+
+    def __init__(self, space: BisimplicialSet, marked: frozenset):
+        super().__init__(space=space, marked=marked)
 
     def is_marked(self, q: int, x: int) -> bool:
         return (q, x) in self.marked

@@ -207,7 +207,17 @@ class SimplicialCategory:
         self.name = name
 
     def hom(self, a, b):
-        return self.homs.get((a, b)) or _empty(self.D)
+        """The hom from a to b; empty when the objects have none.
+
+        A name that is not an object raises `KeyError`.
+        """
+        H = self.homs.get((a, b))
+        if H is None:
+            for x in (a, b):
+                if x not in self.objects:
+                    raise KeyError(f"{x!r} is not an object of {self.name or 'the category'}")
+            return _empty(self.D)
+        return H
 
     def compose(self, a, b, c, n: int, g: int, f: int) -> int:
         m = self.comps[(a, b, c)]

@@ -66,11 +66,19 @@ class CheckFailure(Exception):
     pass
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser for a command line whose first word is ``verb``.
+
+    One run parses one verb, so when ``verb`` is a verb only its subparser
+    gets options. Otherwise (``-h``, or an unknown verb) every subparser
+    gets them, so the help and the errors are those of the full parser.
+    """
     top = argparse.ArgumentParser(prog="nervekit", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
+        if verb in COMMANDS and name != verb:
+            continue
         p.add_argument("--max-dim", "-d", type=int, default=None,
                        help="truncation: build dimension for --example, level bound for constructions")
         p.add_argument("--rows", type=int, default=None, help="vertical bidegree bound")
@@ -163,7 +171,7 @@ def _maybe_artifact(args, results: dict, value) -> None:
 
 def run(argv: list[str]) -> tuple[dict, int, str | None]:
     """Execute one command line; return (report, exit code, --out path)."""
-    args = _parser().parse_args(argv)
+    args = _parser(argv[0] if argv else None).parse_args(argv)
     t0 = time.perf_counter()
     results: dict = {}
     inputs: dict = {}

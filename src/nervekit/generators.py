@@ -18,8 +18,6 @@ nerve constructions and the verification engine:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cat import (
     FiniteCategory,
     RelativeSimplicialCategory,
@@ -29,6 +27,7 @@ from .cat import (
     nerve_cat,
     poset_category,
 )
+from .reporting import FrozenRecord
 from .sset import FinitePoset, ProductSset, SimplicialMap
 
 __all__ = ["ExampleSpec", "build_example", "example_names"]
@@ -47,33 +46,32 @@ def example_names() -> tuple:
     return EXAMPLE_NAMES
 
 
-@dataclass(frozen=True)
-class ExampleSpec:
+class ExampleSpec(FrozenRecord):
     """A generator name plus the truncation to build it at."""
 
-    name: str
-    max_dim: int = 2
+    _fields = ("name", "max_dim")
+
+    def __init__(self, name: str, max_dim: int = 2):
+        super().__init__(name=name, max_dim=max_dim)
 
     def build(self) -> RelativeSimplicialCategory:
         return build_example(self.name, self.max_dim)
 
 
 def _cyclic_group_example(m: int, D: int) -> SimplicialCategory:
-    C = cyclic_group_category(m)
-    N = nerve_cat(C, D)
-    PS = ProductSset(N, N)
-
-    def comp_fn(n, z):
-        g, f = PS.split(n, z)
-        _, msg = N.label(n, g)
-        _, msf = N.label(n, f)
-        ms = tuple(("x", "x", (a[2] + b[2]) % m) for a, b in zip(msg, msf))
-        return N.index_of(n, ("x", ms))
-
-    # one table per level: composition is then a lookup, and serializing
-    # the input reads every entry anyway
-    vals = [[comp_fn(n, z) for z in range(PS.card(n))] for n in range(D + 1)]
-    comp = SimplicialMap(PS, N, values=vals, L=D)
+    N = nerve_cat(cyclic_group_category(m), D)
+    # nerve_cat orders the level-n cells of nerve(Z/m) as base-m numbers of
+    # their n labels, first label most significant, and composition adds
+    # labels digit by digit: the pair (g, f) at g * m^n + f composes the
+    # leading n - 1 digits one level down and adds the last digits mod m.
+    # One table per level makes composition a lookup; serializing the
+    # input reads every entry anyway.
+    vals = [[0]]
+    for n in range(1, D + 1):
+        prev, c = vals[-1], m ** (n - 1)
+        vals.append([prev[(g // m) * c + f // m] * m + (g % m + f % m) % m
+                     for g in range(m * c) for f in range(m * c)])
+    comp = SimplicialMap(ProductSset(N, N), N, values=vals, L=D)
     return SimplicialCategory(
         ["x"], {("x", "x"): N}, {("x", "x", "x"): comp}, {"x": 0}, D, name=f"bg:z{m}"
     )

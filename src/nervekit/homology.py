@@ -12,10 +12,9 @@ n homology needs n <= D - 1; higher degrees raise `TruncationError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
-from .reporting import CheckReport
+from .reporting import CheckReport, Record
 from .sset import SimplicialMap, TruncationError
 
 
@@ -291,14 +290,16 @@ def _f2_kernel_basis(masks: list[int], ncols: int) -> list[int]:
 # --- reports ----------------------------------------------------------------
 
 
-@dataclass
-class HomologyReport:
+class HomologyReport(Record):
     """Per-degree homology groups, exact."""
 
-    subject: str
-    coeff: str
-    max_deg: int
-    groups: list = field(default_factory=list)
+    _fields = ("subject", "coeff", "max_deg", "groups")
+
+    def __init__(self, subject: str, coeff: str, max_deg: int, groups: list | None = None):
+        self.subject = subject
+        self.coeff = coeff
+        self.max_deg = max_deg
+        self.groups = [] if groups is None else groups
 
     def to_json(self):
         return {

@@ -8,16 +8,59 @@ Every check in the package funnels its outcome through one of two shapes:
 * ``CheckReport`` for higher-level verification routines that return a
   verdict plus witnesses (counts, cell names, search traces) and the
   bounds within which the verdict is exact.
+
+``Record`` and ``FrozenRecord`` give these and the package's other small
+record classes field-wise equality, as ``dataclasses`` would, without
+importing it: that module loads ``inspect``, ``dis``, ``ast`` and
+``tokenize`` and costs about 15 ms of every ``nervekit`` process.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
 
-@dataclass(frozen=True)
-class Violation:
+class Record:
+    """Field-wise ``==`` and ``repr`` over the names in ``_fields``.
+
+    Subclasses set their fields in ``__init__``. ``==`` holds between
+    instances of the same class whose fields are equal and is
+    ``NotImplemented`` for any other type. A record is mutable and
+    unhashable unless it derives from `FrozenRecord`.
+    """
+
+    _fields: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({body})"
+
+
+class FrozenRecord(Record):
+    """A `Record` whose fields cannot be reassigned; it hashes by its fields."""
+
+    def __init__(self, **fields):
+        self.__dict__.update(fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class Violation(FrozenRecord):
     """One failed identity.
 
     Parameters
@@ -30,9 +73,10 @@ class Violation:
         Human-readable expansion with both sides of the failed equation.
     """
 
-    identity: str
-    location: tuple
-    detail: str = ""
+    _fields = ("identity", "location", "detail")
+
+    def __init__(self, identity: str, location: tuple, detail: str = ""):
+        super().__init__(identity=identity, location=location, detail=detail)
 
     def to_json(self) -> dict:
         return {
@@ -42,11 +86,13 @@ class Violation:
         }
 
 
-@dataclass
-class ValidationReport:
-    subject: str
-    violations: list[Violation] = field(default_factory=list)
-    checked: int = 0
+class ValidationReport(Record):
+    _fields = ("subject", "violations", "checked")
+
+    def __init__(self, subject: str, violations: list[Violation] | None = None, checked: int = 0):
+        self.subject = subject
+        self.violations = [] if violations is None else violations
+        self.checked = checked
 
     @property
     def ok(self) -> bool:
@@ -72,8 +118,7 @@ class ValidationReport:
             )
 
 
-@dataclass
-class CheckReport:
+class CheckReport(Record):
     """Outcome of a verification routine.
 
     ``verdict`` is one of ``"pass"``, ``"fail"``, ``"inconclusive"``.
@@ -81,10 +126,14 @@ class CheckReport:
     exact, so a pass is never silently extrapolated past stored data.
     """
 
-    check: str
-    verdict: str
-    witnesses: list = field(default_factory=list)
-    bounds: dict[str, Any] = field(default_factory=dict)
+    _fields = ("check", "verdict", "witnesses", "bounds")
+
+    def __init__(self, check: str, verdict: str, witnesses: list | None = None,
+                 bounds: dict[str, Any] | None = None):
+        self.check = check
+        self.verdict = verdict
+        self.witnesses = [] if witnesses is None else witnesses
+        self.bounds = {} if bounds is None else bounds
 
     @property
     def ok(self) -> bool:

@@ -22,11 +22,10 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Optional, Sequence
 
-from .reporting import ValidationReport
+from .reporting import Record, ValidationReport
 
 
 class TruncationError(Exception):
@@ -794,12 +793,14 @@ def enumerate_maps(A, X) -> list[SimplicialMap]:
     ]
 
 
-@dataclass
-class MarkedSimplicialSet:
+class MarkedSimplicialSet(Record):
     """A simplicial set with a distinguished set of level-1 cells."""
 
-    space: SimplicialSet
-    marked: frozenset[int]
+    _fields = ("space", "marked")
+
+    def __init__(self, space: SimplicialSet, marked: frozenset[int]):
+        self.space = space
+        self.marked = marked
 
     def validate(self, subject: str = "marked simplicial set") -> ValidationReport:
         rep = ValidationReport(subject)

@@ -1,5 +1,6 @@
 """Categories, enriched categories, gadget categories and functors."""
 import itertools
+import re
 from math import comb
 
 import pytest
@@ -185,3 +186,21 @@ def test_two_object_interval_example():
     assert validate_simplicial_category(R.cat).ok
     assert R.cat.hom(0, 1).counts() == (1, 1, 1)
     assert R.cat.hom(1, 0).counts() == (0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "name, a, b, stray",
+    [("bg:z3", "x", "x", 0), ("discrete:poset012", 0, 1, "0")],
+)
+def test_hom_rejects_names_that_are_not_objects(name, a, b, stray):
+    SC = build_example(name, max_dim=4).cat
+    assert SC.hom(a, b).card(0) == 1
+    for pair in ((stray, b), (a, stray), (stray, stray)):
+        with pytest.raises(KeyError, match=re.escape(f"{stray!r} is not an object")):
+            SC.hom(*pair)
+
+
+def test_hom_between_objects_without_one_is_empty():
+    SC = build_example("discrete:poset012", max_dim=4).cat
+    assert (1, 0) not in SC.homs
+    assert SC.hom(1, 0).counts() == (0,) * 5

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from nervekit.cli import main, run
+from nervekit.cli import COMMANDS, _parser, main, run
 from nervekit import build_example
 from nervekit.serialize import canonical_json, from_json, to_json
 
@@ -89,6 +89,35 @@ def test_usage_errors(capsys):
     assert invoke(["nerve", "--example", "bg:q8"], capsys)[0] == 2
     assert invoke(["validate", "--in", "/nonexistent.json"], capsys)[0] == 2
     assert invoke(["frobnicate"], capsys)[0] == 2
+    assert invoke(["compare", "--example", "bg:z2", "--max-cosimplicial", "2"], capsys)[0] == 2
+    assert invoke(["horncheck", "--example", "bg:z3", "--jobs", "2"], capsys)[0] == 2
+
+
+def test_help_exits_zero(capsys):
+    assert main(["-h"]) == 0
+    assert "{" + ",".join(COMMANDS) + "}" in capsys.readouterr().out
+    assert main(["compare", "-h"]) == 0
+    assert "--emit-cells" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("verb", COMMANDS)
+def test_every_verb_takes_the_shared_options(verb):
+    argv = [verb, "--max-dim", "3", "--rows", "1", "--cols", "2", "--coeff", "f2", "--in", "a.json",
+            "--out", "b.json", "--emit-cells", "--example", "bg:z2"]
+    args = _parser(verb).parse_args(argv)
+    assert (args.command, args.max_dim, args.rows, args.cols, args.coeff) == (verb, 3, 1, 2, "f2")
+    assert (args.infile, args.out, args.emit_cells, args.example) == ("a.json", "b.json", True, "bg:z2")
+    assert getattr(args, "max_cosimplicial", None) == (2 if verb == "uniq-check" else None)
+
+
+def _verb_help(top, verb):
+    (sub,) = [a for a in top._actions if a.dest == "command"]
+    return sub.choices[verb].format_help()
+
+
+@pytest.mark.parametrize("verb", COMMANDS)
+def test_verb_help_is_that_of_the_full_parser(verb):
+    assert _verb_help(_parser(verb), verb) == _verb_help(_parser(), verb)
 
 
 @pytest.mark.parametrize(

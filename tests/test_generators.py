@@ -52,9 +52,17 @@ def test_poset_parser_shapes():
         build_example("poset:", max_dim=1)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_group_composition_table_is_labelwise_sum(m):
-    SC = build_example(f"bg:z{m}", max_dim=3).cat
+    _check_group_composition_table(m, 4)
+
+
+def test_group_composition_table_is_labelwise_sum_at_dim_5():
+    _check_group_composition_table(3, 5)
+
+
+def _check_group_composition_table(m, D):
+    SC = build_example(f"bg:z{m}", max_dim=D).cat
     N = SC.hom("x", "x")
     assert SC.comps[("x", "x", "x")].fn is None  # a table, not a lazy map
     for n in range(SC.D + 1):
