@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .reporting import ValidationReport
 from .sset import (
@@ -235,12 +235,10 @@ class SimplicialCategory:
         return f"<SimplicialCategory{tag} objects={len(self.objects)} D={self.D}>"
 
 
-def validate_simplicial_category(
-    SC: SimplicialCategory, subject: str = "", max_level: Optional[int] = None, check_assoc: bool = True
-) -> ValidationReport:
+def validate_simplicial_category(SC: SimplicialCategory, subject: str = "") -> ValidationReport:
     """Check hom validity, simpliciality of composition, units, associativity."""
     rep = ValidationReport(subject or SC.name or "simplicial category")
-    L = SC.D if max_level is None else min(max_level, SC.D)
+    L = SC.D
     for (a, b), H in SC.homs.items():
         sub = validate_sset(H, subject=f"hom({a},{b})", max_level=L)
         for v in sub.violations:
@@ -265,35 +263,34 @@ def validate_simplicial_category(
                     rep.add("right unit", (a, b, n, f), "f after id differs from f")
                 if SC.compose(a, b, b, n, idb, f) != f:
                     rep.add("left unit", (a, b, n, f), "id after f differs from f")
-    if check_assoc:
-        for a in SC.objects:
-            for b in SC.objects:
-                for c in SC.objects:
-                    for d in SC.objects:
-                        if any(
-                            (p, q) not in SC.homs
-                            for p, q in [(a, b), (b, c), (c, d)]
-                        ):
-                            continue
-                        for n in range(L + 1):
-                            fs = range(SC.hom(a, b).card(n))
-                            gs = range(SC.hom(b, c).card(n))
-                            hs = range(SC.hom(c, d).card(n))
-                            for f in fs:
-                                for g in gs:
-                                    gf = SC.compose(a, b, c, n, g, f)
-                                    for h in hs:
-                                        rep.checked += 1
-                                        lhs = SC.compose(a, c, d, n, h, gf)
-                                        rhs = SC.compose(
-                                            a, b, d, n, SC.compose(b, c, d, n, h, g), f
+    for a in SC.objects:
+        for b in SC.objects:
+            for c in SC.objects:
+                for d in SC.objects:
+                    if any(
+                        (p, q) not in SC.homs
+                        for p, q in [(a, b), (b, c), (c, d)]
+                    ):
+                        continue
+                    for n in range(L + 1):
+                        fs = range(SC.hom(a, b).card(n))
+                        gs = range(SC.hom(b, c).card(n))
+                        hs = range(SC.hom(c, d).card(n))
+                        for f in fs:
+                            for g in gs:
+                                gf = SC.compose(a, b, c, n, g, f)
+                                for h in hs:
+                                    rep.checked += 1
+                                    lhs = SC.compose(a, c, d, n, h, gf)
+                                    rhs = SC.compose(
+                                        a, b, d, n, SC.compose(b, c, d, n, h, g), f
+                                    )
+                                    if lhs != rhs:
+                                        rep.add(
+                                            "associativity",
+                                            (a, b, c, d, n, f, g, h),
+                                            f"{lhs} != {rhs}",
                                         )
-                                        if lhs != rhs:
-                                            rep.add(
-                                                "associativity",
-                                                (a, b, c, d, n, f, g, h),
-                                                f"{lhs} != {rhs}",
-                                            )
     return rep
 
 
@@ -514,12 +511,6 @@ class SimplicialFunctor:
             sig.append(((a, b), tuple(self.apply_hom(a, b, 0, v) for v in range(H.card(0)))))
         return tuple(sig)
 
-    def key(self):
-        sig = [tuple(self.obj[a] for a in self.source.objects)]
-        for (a, b) in sorted(self.source.homs.keys(), key=str):
-            sig.append(((a, b), self.homs[(a, b)].key()))
-        return tuple(sig)
-
 
 def compose_functors(G: SimplicialFunctor, F: SimplicialFunctor) -> SimplicialFunctor:
     homs = {}
@@ -536,11 +527,11 @@ def compose_functors(G: SimplicialFunctor, F: SimplicialFunctor) -> SimplicialFu
     return SimplicialFunctor(F.source, G.target, obj, homs)
 
 
-def validate_functor(F: SimplicialFunctor, subject: str = "functor", max_level: Optional[int] = None) -> ValidationReport:
+def validate_functor(F: SimplicialFunctor, subject: str = "functor") -> ValidationReport:
     """Check hom maps are simplicial, identities and composition preserved."""
     rep = ValidationReport(subject)
     S, T = F.source, F.target
-    L = S.D if max_level is None else min(max_level, S.D)
+    L = S.D
     for (a, b), H in S.homs.items():
         if (a, b) not in F.homs:
             rep.add("hom map present", (a, b), "missing hom component")
@@ -769,32 +760,6 @@ def grid_collapse(p: int, q: int, tau: Sequence, D: int) -> SimplicialFunctor:
 def simplex_power_category_target(p: int, q: int, D: int) -> SimplicialCategory:
     """Power gadget on objects 0..p over the q-simplex (cached)."""
     return interval_power_category(p, standard_simplex(q, D), name=f"interval[{p}]^simplex({q})")
-
-
-def grid_collapse_signature(p: int, q: int, tau: Sequence):
-    """Vertex signature of `grid_collapse`, cheap and independent of any target.
-
-    Objects plus, per hom pair and per vertex subset, the raw tuple of
-    per-hop maxima. Two grid chains with equal signatures induce equal
-    collapse functors.
-    """
-    tau = _check_grid_chain(p, q, tau)
-    r = len(tau) - 1
-    sig = [tuple(a for a, _ in tau)]
-    for i in range(r + 1):
-        for j in range(i, r + 1):
-            a, b = tau[i][0], tau[j][0]
-            P = path_poset(i, j)
-            per = []
-            for subset in P.elements:
-                per.append(
-                    tuple(
-                        max(tau[s][1] for s in subset if tau[s][0] < hop)
-                        for hop in range(b, a, -1)
-                    )
-                )
-            sig.append(((i, j), tuple(per)))
-    return tuple(sig)
 
 
 def simplex_power_transform(f: Sequence[int], a: int, b: int, D: int) -> SimplicialFunctor:

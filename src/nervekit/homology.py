@@ -225,19 +225,6 @@ def _f2_masks(cols: list[dict]) -> list[int]:
     return out
 
 
-def _f2_rank(masks: list[int]) -> int:
-    pivots: list[int] = []
-    rank = 0
-    for m in masks:
-        for p in pivots:
-            m = min(m, m ^ p)
-        if m:
-            pivots.append(m)
-            pivots.sort(reverse=True)
-            rank += 1
-    return rank
-
-
 class _F2Space:
     """Row-reduced span of bit vectors with membership and reduction."""
 
@@ -342,8 +329,8 @@ def homology(X, coeff: str = "z", max_deg: Optional[int] = None, subject: str = 
     for n in range(max_deg + 1):
         dim_n = len(bases[n])
         if coeff == "f2":
-            rk_out = _f2_rank(_f2_masks(cols[n])) if n >= 1 else 0
-            rk_in = _f2_rank(_f2_masks(cols[n + 1]))
+            rk_out = _F2Space(_f2_masks(cols[n])).dim if n >= 1 else 0
+            rk_in = _F2Space(_f2_masks(cols[n + 1])).dim
             rep.groups.append({"degree": n, "dim": dim_n - rk_out - rk_in})
         else:
             if n >= 1:
@@ -446,10 +433,10 @@ def _f2_degree_iso(n, bA, bX, dA, dX, fM):
     kerX = (
         _f2_kernel_basis(_f2_masks(dX[n]), nX) if n >= 1 else [1 << j for j in range(nX)]
     )
-    imA = _F2Space(_f2_masks(dA[n + 1]))
-    imX = _F2Space(_f2_masks(dX[n + 1]))
-    dimHA = len(kerA) - imA.dim
-    dimHX = len(kerX) - imX.dim
+    dimHA = len(kerA) - _F2Space(_f2_masks(dA[n + 1])).dim
+    # boundaries of X, then the image of f's cycles added to their span
+    span = _F2Space(_f2_masks(dX[n + 1]))
+    dimHX = len(kerX) - span.dim
     # image of f on chains, as masks over X rows
     fmask = _f2_masks(fM[n])
 
@@ -463,7 +450,6 @@ def _f2_degree_iso(n, bA, bX, dA, dX, fM):
             j += 1
         return v
 
-    span = _F2Space(_f2_masks(dX[n + 1]))
     for c in kerA:
         span.add(push(c))
     surj = span.dim == len(kerX)  # span of image + boundaries vs all cycles

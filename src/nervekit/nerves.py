@@ -21,21 +21,23 @@ cell given in closed form by `comparison_cell`: on each generator
 chain, every hop acts by the tuple of largest subset elements strictly
 below it, and the hops fold by composition. That is the chain functor
 precomposed with `comparison_functor`, evaluated without building
-either; `theta_cell_value` does the same for `grid_collapse`. The
-functor route (`chain_functor` and `hc_from_simplicial_functor`) is
-kept in ``tests/test_nerves.py`` as the oracle for these closed forms.
+either; `theta_cell_value` does the same for `grid_collapse`, whose
+coordinate rule is written once, in `_collapse_row`, and read through
+`_collapse_table`. The functor route (`chain_functor` and
+`hc_from_simplicial_functor`) is kept in ``tests/test_nerves.py`` as
+the oracle for these closed forms.
 `classification_comparison` checks that the cell-by-cell map from the
 levelwise nerve into the classification diagram is simplicial in both
 directions and preserves marking; on small bidegrees it materializes
 both sides of every operator square, and on all bidegrees it verifies
 the two identities that together imply the squares: the chain identity
-and collapse naturality (checked on vertex signatures, independent of
-the cell). The chain identity says an operator with vertex maps
-(vp, vq) sends a chain to the chain whose hop t folds the hops
-s in (vp[t-1], vp[t]], each acted on by vq, by composition with later
-hops on the left, an empty fold being the identity cell; this is
-`chain_functor` precomposed with the interval transform, evaluated in
-closed form by `_reindexed_chain`.
+and collapse naturality (checked on the collapse rows the theta cells
+read, independent of the cell). The chain identity says an operator
+with vertex maps (vp, vq) sends a chain to the chain whose hop t folds
+the hops s in (vp[t-1], vp[t]], each acted on by vq, by composition
+with later hops on the left, an empty fold being the identity cell;
+this is `chain_functor` precomposed with the interval transform,
+evaluated in closed form by `_reindexed_chain`.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ from .cat import (
     RelativeSimplicialCategory,
     SimplicialCategory,
     _check_grid_chain,
-    grid_collapse_signature,
     level_category,
     nerve_cat,
     path_poset,
@@ -641,32 +642,64 @@ def _nondeg_grid_chains(p: int, q: int) -> list[tuple]:
 
 
 @lru_cache(maxsize=None)
+def _collapse_row(chain: tuple) -> tuple:
+    """The grid-collapse rule on one grid chain of length r + 1.
+
+    Per subset S of ``path_poset(0, r)``, in its order, the tuple with
+    one entry per hop t in (a, b], a and b the columns of the chain's
+    ends: the largest second coordinate of chain(S) whose first
+    coordinate is strictly below t. This is the one place the rule is
+    written: plans and the vertex-slice check read it through
+    `_collapse_table`, the naturality check row by row.
+    """
+    a, b = chain[0][0], chain[-1][0]
+    return tuple(
+        tuple(max(chain[s][1] for s in S if chain[s][0] < t) for t in range(a + 1, b + 1))
+        for S in path_poset(0, len(chain) - 1).elements
+    )
+
+
+@lru_cache(maxsize=None)
+def _collapse_table(tau: tuple) -> tuple:
+    """The object columns of ``tau`` and the `_collapse_row` of each pair.
+
+    Pairs (i, j) with i <= j run in the order of `_table_pairs`; the row
+    of (i, j) is that of the sub-chain tau[i..j].
+    """
+    return tuple(a for a, _ in tau), tuple(
+        _collapse_row(tau[i : j + 1]) for i, j in _table_pairs(len(tau) - 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def _table_pairs(r: int) -> tuple:
+    """Pairs i <= j of 0..r, by i and then j: the row order of a table."""
+    return tuple((i, j) for i in range(r + 1) for j in range(i, r + 1))
+
+
+@lru_cache(maxsize=None)
 def _collapse_plan(tau: tuple, D: int) -> tuple:
     """The cell-independent part of `theta_cell_value` along ``tau``.
 
     Same shape as `_comparison_plan`. Output vertex t sits over column
     tau[t][0]; generator pair (i, j) covers the hops (a, b] between
     a = tau[i][0] and b = tau[j][0], and the coordinate of hop t takes,
-    per subset S of the chain, the largest second coordinate of tau(S)
-    whose first coordinate is strictly below t. The hops read are the
-    union of those ranges, empty when tau stays in one column.
+    per subset S of the chain, the entry for t of the row of (i, j) in
+    `_collapse_table`. The hops read are the union of those ranges,
+    empty when tau stays in one column.
     """
+    cols, rows = _collapse_table(tau)
+    row_of = dict(zip(_table_pairs(len(tau) - 1), rows))
     entries = []
     hops = set()
     for i, j, m, c in _generator_slots(len(tau) - 1, D)[0]:
-        a, b = tau[i][0], tau[j][0]
+        a, b = cols[i], cols[j]
         hops.update(range(a + 1, b + 1))
-        entries.append(
-            (
-                m,
-                a,
-                tuple(
-                    tuple(max(tau[s][1] for s in S if tau[s][0] < t) for S in c)
-                    for t in range(a + 1, b + 1)
-                ),
-            )
-        )
-    return tuple(a for a, _ in tau), tuple(sorted(hops)), tuple(entries)
+        # S sits in path_poset(i, j) where S - i sits in path_poset(0, j - i)
+        row, position = row_of[(i, j)], path_poset(i, j).index
+        per_subset = [row[position(S)] for S in c]
+        entries.append((m, a, tuple(zip(*per_subset))))
+    return cols, tuple(sorted(hops)), tuple(entries)
 
 
 def _theta_cell(SC: SimplicialCategory, label, p: int, q: int, tau, memo: dict) -> tuple:
@@ -692,34 +725,21 @@ def theta_cell_value(SC: SimplicialCategory, label, p: int, q: int, tau) -> tupl
 
 
 @lru_cache(maxsize=None)
-def _collapse_signature(p: int, q: int, tau) -> tuple:
-    return grid_collapse_signature(p, q, tau)
+def _transformed_row(chain: tuple, vp: tuple, vq: tuple) -> tuple:
+    """The `_collapse_row` of ``chain`` moved by the interval transform.
 
-
-@lru_cache(maxsize=None)
-def _transformed_signature(p2: int, q2: int, tau, vp, vq) -> tuple:
-    """Signature of the interval transform applied to a grid collapse.
-
-    ``tau`` lives in the (p2, q2) grid of the operator's source; the
-    result must match the collapse signature of the translated chain in
-    the operator's target grid. Coordinates for a target hop are pulled
-    from the covering source hop and relabelled in the row direction.
+    ``chain`` lives in the grid of an operator with vertex maps ``vp``,
+    ``vq``; the result must equal the row of the chain's image
+    (vp[a], vq[b]) in the operator's target grid. Each target hop
+    between vp of the end columns pulls its entry from the first source
+    hop t that vp sends at or above it, relabelled by ``vq``.
     """
-    base = _collapse_signature(p2, q2, tau)
-    objs = base[0]
-    out = [tuple(vp[a] for a in objs)]
-    for ((i, j), per) in base[1:]:
-        a, b = objs[i], objs[j]
-        na, nb = vp[a], vp[b]
-        new_per = []
-        for u in per:
-            vals = []
-            for hop in range(nb, na, -1):
-                t = next(t for t in range(a + 1, b + 1) if vp[t] >= hop)
-                vals.append(vq[u[b - t]])
-            new_per.append(tuple(vals))
-        out.append(((i, j), tuple(new_per)))
-    return tuple(out)
+    a, b = chain[0][0], chain[-1][0]
+    cover = [
+        next(t for t in range(a + 1, b + 1) if vp[t] >= hop) - a - 1
+        for hop in range(vp[a] + 1, vp[b] + 1)
+    ]
+    return tuple(tuple(vq[u[k]] for k in cover) for u in _collapse_row(chain))
 
 
 def _grid_op(p, q, kind, i):
@@ -782,9 +802,11 @@ def _reindexed_chain(SC: SimplicialCategory, label, q: int, q2: int, vp, vq) -> 
     return tuple(out)
 
 
-def classification_comparison(
-    R: RelativeSimplicialCategory, P: int, Q: int, direct_bidegree: int = 3
-) -> CheckReport:
+# operator squares at p + q up to this bound are also materialized cell by cell
+_DIRECT_BIDEGREE = 3
+
+
+def classification_comparison(R: RelativeSimplicialCategory, P: int, Q: int) -> CheckReport:
     """Check the comparison from chain cells to classification cells.
 
     Per cell it verifies the chain identities: each bisimplicial
@@ -793,20 +815,22 @@ def classification_comparison(
     (vp[t-1], vp[t]], each acted on by vq, by composition with later
     hops on the left, an empty fold being the identity cell (see
     `_reindexed_chain`). Per operator it checks the collapse naturality
-    on every nondegenerate grid chain (cell-independent, so cached);
+    on every nondegenerate grid chain: each pair's row of the
+    `_collapse_table` the theta cells read, moved by the operator,
+    equals the row of the moved chain (cell-independent, so cached);
     together these force every operator square. Squares at bidegrees with
-    p + q <= ``direct_bidegree`` are additionally materialized cell by
+    p + q <= ``_DIRECT_BIDEGREE`` are additionally materialized cell by
     cell. Also checks that vertex slices collapse to constant cells,
     that marking is preserved, and that every assigned value is a valid
-    coherent-nerve cell on generators. The counters land in ``bounds``
-    also when the sweep stops at the witness cap.
+    coherent-nerve cell on generators. The sweep stops at nine
+    witnesses; the counters land in ``bounds`` also then.
     """
     SC = R.cat
     if P + Q > SC.D:
         raise TruncationError(f"bidegree ({P},{Q}) needs hom levels {P + Q}, truncation is {SC.D}")
     M = levelwise_nerve_marked(R, P, Q)
     check = CheckReport(check="theta", verdict="pass")
-    check.bounds.update({"P": P, "Q": Q, "direct_bidegree": direct_bidegree})
+    check.bounds.update({"P": P, "Q": Q, "direct_bidegree": _DIRECT_BIDEGREE})
     counts = {
         "chain_identities": 0,
         "naturality_instances": 0,
@@ -814,39 +838,43 @@ def classification_comparison(
         "slice_checks": 0,
         "marked_edges_checked": 0,
     }
-    _theta_sweep(R, M, P, Q, direct_bidegree, check, counts)
+    _theta_sweep(R, M, P, Q, check, counts)
     check.bounds.update(counts)
     return check
 
 
-def _theta_sweep(R, M, P, Q, direct_bidegree, check, counts) -> None:
+def _theta_sweep(R, M, P, Q, check, counts) -> None:
     """The checks of `classification_comparison`; returns at the witness cap."""
     SC = R.cat
     X = M.space
     memo: dict = {}
 
-    # collapse naturality, cached per operator and grid chain
+    def capped(witness) -> bool:
+        """Record a failure; true once the witnesses reach the cap."""
+        check.verdict = "fail"
+        check.witnesses.append(witness)
+        return len(check.witnesses) > 8
+
+    # collapse naturality, cached per operator and grid sub-chain
     for p in range(P + 1):
         for q in range(Q + 1):
             for kind, i, _ in _ops_at(X, p, q):
                 (p2, q2), vp, vq = _grid_op(p, q, kind, i)
                 for tau in _nondeg_grid_chains(p2, q2):
-                    lhs = _transformed_signature(p2, q2, tau, vp, vq)
                     moved = tuple((vp[a], vq[b]) for (a, b) in tau)
-                    rhs = _collapse_signature(p, q, moved)
                     counts["naturality_instances"] += 1
-                    if lhs != rhs:
-                        check.verdict = "fail"
-                        check.witnesses.append(
-                            {
-                                "reason": "collapse naturality",
-                                "bidegree": [p, q],
-                                "op": [kind, i],
-                                "grid_chain": list(map(list, tau)),
-                            }
-                        )
-                        if len(check.witnesses) > 8:
-                            return
+                    if any(
+                        _transformed_row(tau[s : t + 1], vp, vq) != _collapse_row(moved[s : t + 1])
+                        for s, t in _table_pairs(len(tau) - 1)
+                    ) and capped(
+                        {
+                            "reason": "collapse naturality",
+                            "bidegree": [p, q],
+                            "op": [kind, i],
+                            "grid_chain": list(map(list, tau)),
+                        }
+                    ):
+                        return
 
     # chain identities per cell and operator
     for p in range(P + 1):
@@ -858,62 +886,38 @@ def _theta_sweep(R, M, P, Q, direct_bidegree, check, counts) -> None:
                     lhs = _chain_tuple(X.label(p2, q2, op(p, q, i, x)))
                     rhs = _reindexed_chain(SC, label, q, q2, vp, vq)
                     counts["chain_identities"] += 1
-                    if lhs != rhs:
-                        check.verdict = "fail"
-                        check.witnesses.append(
-                            {
-                                "reason": "chain identity",
-                                "bidegree": [p, q],
-                                "cell": x,
-                                "op": [kind, i],
-                            }
-                        )
-                        if len(check.witnesses) > 8:
-                            return
+                    if lhs != rhs and capped(
+                        {"reason": "chain identity", "bidegree": [p, q], "cell": x, "op": [kind, i]}
+                    ):
+                        return
 
     # vertex slices: the collapse of a constant-column chain factors
     # through the one-object gadget, so values are constant cells; the
-    # signature check is cell-independent, small bidegrees also compare
+    # table check is cell-independent, small bidegrees also compare
     # the cells themselves
     for p in range(P + 1):
         for q in range(Q + 1):
             for i in range(p + 1):
                 tau = tuple((i, b) for b in range(q + 1))
-                sig = _collapse_signature(p, q, tau)
-                expected = [(i,) * (q + 1)]
-                for a in range(q + 1):
-                    for b in range(a, q + 1):
-                        expected.append(
-                            ((a, b), ((),) * len(path_poset(a, b).elements))
-                        )
+                expected = (
+                    (i,) * (q + 1),
+                    tuple(((),) * len(path_poset(a, b).elements) for a, b in _table_pairs(q)),
+                )
                 counts["slice_checks"] += 1
-                if sig != tuple(expected):
-                    check.verdict = "fail"
-                    check.witnesses.append(
-                        {
-                            "reason": "vertex slice not constant",
-                            "bidegree": [p, q],
-                            "vertex": i,
-                        }
-                    )
-                if p + q > direct_bidegree:
+                if _collapse_table(tau) != expected and capped(
+                    {"reason": "vertex slice not constant", "bidegree": [p, q], "vertex": i}
+                ):
+                    return
+                if p + q > _DIRECT_BIDEGREE:
                     continue
                 for x in range(X.card(p, q)):
                     label = X.label(p, q, x)
                     objs = [label[0]] + [m[1] for m in label[1]]
                     counts["slice_checks"] += 1
-                    if _theta_cell(SC, label, p, q, tau, memo) != hc_constant(SC, objs[i], q):
-                        check.verdict = "fail"
-                        check.witnesses.append(
-                            {
-                                "reason": "vertex slice value",
-                                "bidegree": [p, q],
-                                "cell": x,
-                                "vertex": i,
-                            }
-                        )
-                        if len(check.witnesses) > 8:
-                            return
+                    if _theta_cell(SC, label, p, q, tau, memo) != hc_constant(SC, objs[i], q) and capped(
+                        {"reason": "vertex slice value", "bidegree": [p, q], "cell": x, "vertex": i}
+                    ):
+                        return
 
     # marking: marked chains send every strict grid edge to a marked edge
     for (q, x) in sorted(M.marked):
@@ -923,23 +927,20 @@ def _theta_sweep(R, M, P, Q, direct_bidegree, check, counts) -> None:
                 tau = ((0, b0), (1, b1))
                 objects, values = _theta_cell(SC, label, 1, q, tau, memo)
                 counts["marked_edges_checked"] += 1
-                if values[0] not in R.sub_cells(objects[0], objects[1], 0):
-                    check.verdict = "fail"
-                    check.witnesses.append(
-                        {
-                            "reason": "marking not preserved",
-                            "row": q,
-                            "cell": x,
-                            "edge": [[0, b0], [1, b1]],
-                        }
-                    )
-                    if len(check.witnesses) > 8:
-                        return
+                if values[0] not in R.sub_cells(objects[0], objects[1], 0) and capped(
+                    {
+                        "reason": "marking not preserved",
+                        "row": q,
+                        "cell": x,
+                        "edge": [[0, b0], [1, b1]],
+                    }
+                ):
+                    return
 
     # direct operator squares on small bidegrees
     for p in range(P + 1):
         for q in range(Q + 1):
-            if p + q > direct_bidegree:
+            if p + q > _DIRECT_BIDEGREE:
                 continue
             targets = {_grid_op(p, q, kind, i)[0] for kind, i, _ in _ops_at(X, p, q)}
             chains_pq = {t: _nondeg_grid_chains(*t) for t in targets}
@@ -953,19 +954,16 @@ def _theta_sweep(R, M, P, Q, direct_bidegree, check, counts) -> None:
                         big = tuple((vp[a], vq[b]) for (a, b) in tau)
                         rhs = _theta_cell(SC, label, p, q, big, memo)
                         counts["direct_squares"] += 1
-                        if lhs != rhs:
-                            check.verdict = "fail"
-                            check.witnesses.append(
-                                {
-                                    "reason": "operator square",
-                                    "bidegree": [p, q],
-                                    "cell": x,
-                                    "op": [kind, i],
-                                    "grid_chain": list(map(list, tau)),
-                                }
-                            )
-                            if len(check.witnesses) > 8:
-                                return
+                        if lhs != rhs and capped(
+                            {
+                                "reason": "operator square",
+                                "bidegree": [p, q],
+                                "cell": x,
+                                "op": [kind, i],
+                                "grid_chain": list(map(list, tau)),
+                            }
+                        ):
+                            return
 
 
 def consistency_check(SC: SimplicialCategory, f: SimplicialMap) -> CheckReport:

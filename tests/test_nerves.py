@@ -585,7 +585,7 @@ def test_classification_comparison_keeps_bounds_at_witness_cap(z2_rel, monkeypat
     import nervekit.nerves as nerves_mod
 
     # every naturality instance now fails, so the sweep stops at the cap
-    monkeypatch.setattr(nerves_mod, "_transformed_signature", lambda *args: None)
+    monkeypatch.setattr(nerves_mod, "_transformed_row", lambda *args: None)
     rep = classification_comparison(z2_rel, 1, 1)
     assert rep.verdict == "fail"
     assert len(rep.witnesses) == 9
@@ -597,5 +597,112 @@ def test_classification_comparison_keeps_bounds_at_witness_cap(z2_rel, monkeypat
         "naturality_instances": 9,
         "direct_squares": 0,
         "slice_checks": 0,
+        "marked_edges_checked": 0,
+    }
+
+
+# --- the collapse table ------------------------------------------------------
+
+
+def test_collapse_plan_matches_the_direct_max_rule():
+    # the chains of the (3, 3) grid include those of every smaller grid;
+    # D = 2 keeps every subset of every pair and chains of three subsets
+    from nervekit.nerves import _collapse_plan, _generator_slots, _nondeg_grid_chains
+
+    D = 2
+    chains = _nondeg_grid_chains(3, 3)
+    for tau in chains:
+        cols, hops, entries = _collapse_plan(tau, D)
+        slots = _generator_slots(len(tau) - 1, D)[0]
+        want = [
+            (
+                m,
+                tau[i][0],
+                tuple(
+                    tuple(max(tau[s][1] for s in S if tau[s][0] < t) for S in c)
+                    for t in range(tau[i][0] + 1, tau[j][0] + 1)
+                ),
+            )
+            for i, j, m, c in slots
+        ]
+        assert cols == tuple(a for a, _ in tau)
+        assert hops == tuple(sorted({t for i, j, _, _ in slots for t in range(tau[i][0] + 1, tau[j][0] + 1)}))
+        assert list(entries) == want
+    assert len(chains) == 1007
+
+
+@pytest.fixture
+def cold_collapse_caches(monkeypatch):
+    """Empty the collapse caches around a test that plants a wrong rule."""
+    import nervekit.nerves as nerves_mod
+
+    caches = [
+        nerves_mod._collapse_row,
+        nerves_mod._collapse_table,
+        nerves_mod._collapse_plan,
+        nerves_mod._transformed_row,
+    ]
+    for fn in caches:
+        fn.cache_clear()
+    yield
+    for fn in caches:
+        fn.cache_clear()
+
+
+def test_theta_catches_a_wrong_collapse_row(monkeypatch, cold_collapse_caches):
+    # the chain lies only in grids with p + q >= 5, beyond the direct
+    # squares, so only the naturality check on the collapse rows sees it
+    import nervekit.nerves as nerves_mod
+
+    R = build_example("bg:z2", max_dim=5)
+    assert classification_comparison(R, 2, 3).ok
+    row = nerves_mod._collapse_row
+    planted = ((0, 0), (1, 1), (2, 2), (2, 3))
+
+    def mutated(chain):
+        out = row(chain)
+        if chain != planted:
+            return out
+        *rest, top = out
+        return (*rest, top[:-1] + (top[-1] + 1,))
+
+    monkeypatch.setattr(nerves_mod, "_collapse_row", mutated)
+    for fn in (nerves_mod._collapse_table, nerves_mod._collapse_plan, nerves_mod._transformed_row):
+        fn.cache_clear()
+    rep = classification_comparison(R, 2, 3)
+    assert rep.verdict == "fail"
+    assert {w["reason"] for w in rep.witnesses} == {"collapse naturality"}
+
+
+def test_theta_stops_at_the_cap_on_a_non_constant_slice(monkeypatch):
+    # the single-vertex row (pair (0, 0)) gains a hop entry; no plan
+    # reads that row, so only the slice table check fails, once for
+    # each of the 24 vertex slices at (2, 3) until the cap
+    import nervekit.nerves as nerves_mod
+
+    R = build_example("bg:z2", max_dim=5)
+    table = nerves_mod._collapse_table
+
+    def mutated(tau):
+        cols, rows = table(tau)
+        if len(set(cols)) > 1:
+            return cols, rows
+        return cols, (((0,),),) + rows[1:]
+
+    monkeypatch.setattr(nerves_mod, "_collapse_table", mutated)
+    rep = classification_comparison(R, 2, 3)
+    assert rep.verdict == "fail"
+    assert len(rep.witnesses) == 9
+    assert {w["reason"] for w in rep.witnesses} == {"vertex slice not constant"}
+    assert rep.bounds == {
+        "P": 2,
+        "Q": 3,
+        "direct_bidegree": 3,
+        "chain_identities": 768,
+        "naturality_instances": 3675,
+        "direct_squares": 0,
+        # tables and values at (0, 0..3), (1, 0) and (1, 1), then the
+        # first table at (1, 2) is the ninth witness
+        "slice_checks": 19,
         "marked_edges_checked": 0,
     }
