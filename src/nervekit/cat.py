@@ -314,6 +314,69 @@ def level_category(SC: SimplicialCategory, q: int) -> FiniteCategory:
     return FiniteCategory(SC.objects, homs, compose_fn, ids, name=f"{SC.name}_lvl{q}")
 
 
+def _level_nerve_operators(SC: SimplicialCategory, P: int, Q: int):
+    """The vertical operators between the nerves of the level categories.
+
+    Yields, for p = 0..P, ``(faces, degens)``: ``faces[q][j]`` sends
+    each p-chain of level-q morphisms, in the order of `nerve_cat`, to
+    the chain of level q - 1 whose hom cells are their d_j faces, and
+    ``degens[q][j]`` to level q + 1 by s_j; rows 0..Q. `nerve_cat`
+    lists the chains at level k + 1 by extending each chain at level k,
+    in order, by the target object and then the hom cell. So the image
+    of a chain is the first extension of its prefix's image, plus the
+    start of its last target object among those extensions, plus its
+    last cell's image: each column's tables follow from the previous
+    column's by index arithmetic, and no label is built.
+    """
+    n = len(SC.objects)
+    homs = [[SC.hom(a, b) for b in SC.objects] for a in SC.objects]
+    ends, firsts, starts = [], [], []  # per row: chain ends, first extensions, object starts
+    for q in range(Q + 1):
+        cards = [[H.card(q) for H in row] for row in homs]
+        start = [list(itertools.accumulate(row, initial=0)) for row in cards]
+        row_ends, row_firsts = [list(range(n))], []
+        for k in range(P):
+            row_firsts.append(list(itertools.accumulate((start[e][n] for e in row_ends[k]), initial=0)))
+            if k + 1 < P:
+                row_ends.append([y for e in row_ends[k] for y in range(n) for _ in range(cards[e][y])])
+        ends.append(row_ends)
+        firsts.append(row_firsts)
+        starts.append(start)
+
+    def images(q, r, op):
+        # per end object, the start in row r and the image of each level-q cell, per target
+        return [
+            [(starts[r][e][y], [op(H, c) for c in range(H.card(q))]) for y, H in enumerate(row) if H.card(q)]
+            for e, row in enumerate(homs)
+        ]
+
+    ops = []
+    for q in range(Q + 1):
+        for j in range(q + 1):
+            if q:
+                ops.append((q, q - 1, images(q, q - 1, lambda H, c: H.face(q, j, c))))
+            if q < Q:
+                ops.append((q, q + 1, images(q, q + 1, lambda H, c: H.degen(q, j, c))))
+    # every table entry refers to one int object per index, as in `nerve_cat`
+    index = list(range(max([n] + [row_firsts[-1][-1] for row_firsts in firsts if row_firsts])))
+    tables = [index[:n] for _ in ops]
+    for p in range(P + 1):
+        if p:
+            extended = []
+            for (q, r, image_of), table in zip(ops, tables):
+                first, row = firsts[r][p - 1], []
+                for e, x in zip(ends[q][p - 1], table):
+                    for s, image in image_of[e]:
+                        s += first[x]
+                        row.extend([index[s + v] for v in image])
+                extended.append(row)
+            tables = extended
+        faces, degens = [[] for _ in range(Q + 1)], [[] for _ in range(Q + 1)]
+        for (q, r, _), table in zip(ops, tables):
+            (faces if r < q else degens)[q].append(table)
+        yield faces, degens
+
+
 def constant_sset(k: int, D: int, labels=None, name: str = "") -> SimplicialSet:
     """k cells at every level with all operators the identity."""
     cards = [k] * (D + 1)

@@ -61,6 +61,7 @@ from .cat import (
     RelativeSimplicialCategory,
     SimplicialCategory,
     _check_grid_chain,
+    _level_nerve_operators,
     level_category,
     nerve_cat,
     path_poset,
@@ -299,65 +300,22 @@ def coherent_nerve(SC: SimplicialCategory, L: int, name: str = "") -> Simplicial
 # --- levelwise nerve and classifying space ----------------------------------
 
 
-def _translate_chain(SC: SimplicialCategory, label, q_op) -> tuple:
-    """Apply a hom-cell operator to every morphism of a nerve chain label."""
-    x0, ms = label
-    new = []
-    for (a, b, lab) in ms:
-        _, _, cell = lab
-        new.append((a, b, (a, b, q_op(a, b, cell))))
-    return (x0, tuple(new))
-
-
 def levelwise_nerve(SC: SimplicialCategory, P: int, Q: int, name: str = "") -> BisimplicialSet:
     """Bisimplicial set of chains: column p at row q is p-chains of q-cells.
 
     Horizontal operators compose and drop along the chain; vertical
-    operators act on each morphism's hom cell.
+    operators act on each morphism's hom cell (`_level_nerve_operators`).
     """
     if Q > SC.D:
         raise TruncationError(f"row {Q} beyond hom truncation {SC.D}")
     nerves = [nerve_cat(level_category(SC, q), P) for q in range(Q + 1)]
-    columns = []
-    for p in range(P + 1):
-        cards = [nerves[q].card(p) for q in range(Q + 1)]
-        faces: list[list[list[int]]] = [[]]
-        for q in range(1, Q + 1):
-            faces.append(
-                [
-                    [
-                        nerves[q - 1].index_of(
-                            p,
-                            _translate_chain(
-                                SC, nerves[q].label(p, x), lambda a, b, c, q=q, j=j: SC.hom(a, b).face(q, j, c)
-                            ),
-                        )
-                        for x in range(cards[q])
-                    ]
-                    for j in range(q + 1)
-                ]
-            )
-        degens = []
-        for q in range(Q + 1):
-            if q == Q:
-                degens.append([])
-            else:
-                degens.append(
-                    [
-                        [
-                            nerves[q + 1].index_of(
-                                p,
-                                _translate_chain(
-                                    SC, nerves[q].label(p, x), lambda a, b, c, q=q, j=j: SC.hom(a, b).degen(q, j, c)
-                                ),
-                            )
-                            for x in range(cards[q])
-                        ]
-                        for j in range(q + 1)
-                    ]
-                )
-        labels = [[nerves[q].label(p, x) for x in range(cards[q])] for q in range(Q + 1)]
-        columns.append(SimplicialSet(Q, cards, faces, degens, labels=labels, name=f"column {p}"))
+    columns = [
+        SimplicialSet(
+            Q, [nerves[q].card(p) for q in range(Q + 1)], faces, degens,
+            labels=[nerves[q].labels[p] for q in range(Q + 1)], name=f"column {p}",
+        )
+        for p, (faces, degens) in enumerate(_level_nerve_operators(SC, P, Q))
+    ]
     return bisset_from_columns(
         columns,
         lambda p, q, i, x: nerves[q].face(p, i, x),
@@ -417,35 +375,79 @@ def _cell_from_plan(SC: SimplicialCategory, label, q: int, plan, memo: dict) -> 
 
     Each value acts every hop's coordinate on that hop's cell and folds
     the results with composition, later hops on the left; an empty fold
-    is an identity cell. ``memo`` caches hop actions under
-    ``(q, source, target, cell, coordinate)``, where the row level q
-    matters because a cell index names different cells at different q,
-    and fold steps under ``(level, objects, operands)``. Both key sets
-    are bounded by the cells of the category, not by the cells
-    evaluated, which keeps a memo owned by a long sweep small.
+    is an identity cell. The plan's tables are resolved once per
+    (q, plan, chain objects) into ``memo``; a cell then reads
+    ``w = T[cell]`` per distinct (hop, coordinate) and extends each
+    distinct fold prefix acc once, to ``C[w * stride + acc]``.
     """
-    cols, _, entries = plan
     x0, ms = label
     objs = (x0,) + tuple(m[1] for m in ms)
-    gcells = tuple(m[2][2] for m in ms)
-    values = []
+    key = (q, id(plan), objs)  # the memo keeps the plan, so no other object takes its id
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = plan, _resolved_plan(SC, q, plan, objs, memo)
+    objects, acts, identities, comps, nodes, outputs = hit[1]
+    cells = [m[2][2] for m in ms]
+    v = [T[cells[t]] for t, T in acts]
+    v += identities
+    for acc, w, c in nodes:
+        C, stride = comps[c]
+        v.append(C[v[w] * stride + v[acc]])
+    return objects, tuple([v[k] for k in outputs])
+
+
+def _resolved_plan(SC: SimplicialCategory, q: int, plan, objs: tuple, memo: dict) -> tuple:
+    """A plan's output objects and `_fold_program` with its tables.
+
+    Tables come from `act_table` and ``apply``, as homs may be lazy.
+    """
+    hit = memo.get((id(plan),))
+    if hit is None:
+        hit = memo[(id(plan),)] = plan, _fold_program(plan[2])
+    acts, identities, comps, nodes, outputs = hit[1]
+    tables = []
+    for t, u in acts:
+        key = (q, objs[t], objs[t + 1], u)
+        T = memo.get(key)
+        if T is None:
+            T = memo[key] = act_table(SC.hom(objs[t], objs[t + 1]), q, u)
+        tables.append((t, T))
+    steps = []
+    for m, a, t in comps:
+        key = (m, objs[a], objs[t], objs[t + 1], None)
+        step = memo.get(key)
+        if step is None:
+            comp, stride = SC.comps[key[1:4]], SC.hom(objs[a], objs[t]).card(m)
+            size = SC.hom(objs[t], objs[t + 1]).card(m) * stride
+            step = memo[key] = [comp.apply(m, z) for z in range(size)], stride
+        steps.append(step)
+    units = [SC.identity_cell(objs[a], m) for m, a in identities]
+    return tuple(objs[a] for a in plan[0]), tables, units, steps, nodes, outputs
+
+
+def _fold_program(entries) -> tuple:
+    """A plan's distinct (hop, coordinate) actions, (level, source)
+    identities and (level, first hop, hop) composition steps, its fold
+    nodes (prefix, action, step) and, per slot, the position of its
+    value among the actions, identities and nodes, in that order."""
+    acts, identities = {}, {}
     for m, a, us in entries:
-        acc = None
-        for t, u in enumerate(us, start=a + 1):
-            src, tgt, x = objs[t - 1], objs[t], gcells[t - 1]
-            hop_key = (q, src, tgt, x, u)
-            w = memo.get(hop_key)
-            if w is None:
-                w = memo[hop_key] = act(SC.hom(src, tgt), q, x, u)
-            if acc is not None:
-                step_key = (m, objs[a], src, tgt, w, acc)
-                composite = memo.get(step_key)
-                if composite is None:
-                    composite = memo[step_key] = SC.compose(objs[a], src, tgt, m, w, acc)
-                w = composite
-            acc = w
-        values.append(SC.identity_cell(objs[a], m) if acc is None else acc)
-    return tuple(objs[a] for a in cols), tuple(values)
+        for t, u in enumerate(us, start=a):
+            acts.setdefault((t, u), len(acts))
+        if not us:
+            identities.setdefault((m, a), len(identities))
+    comps, nodes, outputs = {}, {}, []
+    base = len(acts) + len(identities)
+    for m, a, us in entries:
+        if not us:
+            outputs.append(len(acts) + identities[(m, a)])
+            continue
+        acc = acts[(a, us[0])]
+        for t, u in enumerate(us[1:], start=a + 1):
+            node = (acc, acts[(t, u)], comps.setdefault((m, a, t), len(comps)))
+            acc = nodes.setdefault(node, base + len(nodes))
+        outputs.append(acc)
+    return tuple(acts), tuple(identities), tuple(comps), tuple(nodes), tuple(outputs)
 
 
 def _comparison_cell(SC: SimplicialCategory, label, k: int, memo: dict) -> tuple:
@@ -778,32 +780,32 @@ def _chain_tuple(label) -> tuple:
     return (x0,) + tuple((a, b, lab[2]) for (a, b, lab) in ms)
 
 
-def _reindexed_chain(SC: SimplicialCategory, label, q: int, q2: int, vp, vq) -> tuple:
+@lru_cache(maxsize=None)
+def _reindex_plan(vp: tuple, vq: tuple) -> tuple:
+    """The plan of `_reindexed_chain`: slot t - 1 folds the hops in (vp[t-1], vp[t]]."""
+    return vp, (), tuple((len(vq) - 1, vp[t - 1], (vq,) * (vp[t] - vp[t - 1])) for t in range(1, len(vp)))
+
+
+def _reindexed_chain(SC: SimplicialCategory, label, q: int, vp, vq, memo: dict) -> tuple:
     """The chain a chain cell gives along the vertex maps ``vp``, ``vq``.
 
     ``label`` is a chain of level-q morphisms; the result has the shape
-    of `_chain_tuple`, with len(vp) - 1 hops of level-q2 cells. Output
-    hop t folds the source hops s in (vp[t-1], vp[t]]: each acts its
-    cell by ``vq``, later hops compose on the left, and an empty fold
-    is the identity cell. This is `chain_functor` (the test oracle in
+    of `_chain_tuple`, with len(vp) - 1 hops of level len(vq) - 1 cells.
+    Output hop t folds the source hops s in (vp[t-1], vp[t]]: each acts
+    its cell by ``vq``, later hops compose on the left, and an empty
+    fold is the identity cell, which is `_cell_from_plan` on
+    `_reindex_plan`. This is `chain_functor` (the test oracle in
     ``tests/test_nerves.py``) after the interval transform of (vp, vq),
     restricted to the top grid cell.
     """
-    x0, ms = label
-    objs = (x0,) + tuple(m[1] for m in ms)
-    out = [objs[vp[0]]]
-    for t in range(1, len(vp)):
-        a, b = objs[vp[t - 1]], objs[vp[t]]
-        acc = None
-        for s in range(vp[t - 1] + 1, vp[t] + 1):
-            w = act(SC.hom(objs[s - 1], objs[s]), q, ms[s - 1][2][2], vq)
-            acc = w if acc is None else SC.compose(a, objs[s - 1], objs[s], q2, w, acc)
-        out.append((a, b, SC.identity_cell(a, q2) if acc is None else acc))
-    return tuple(out)
+    objects, values = _cell_from_plan(SC, label, q, _reindex_plan(vp, vq), memo)
+    return (objects[0],) + tuple(zip(objects, objects[1:], values))
 
 
 # operator squares at p + q up to this bound are also materialized cell by cell
 _DIRECT_BIDEGREE = 3
+# a check report keeps at most this many witnesses
+_WITNESS_CAP = 9
 
 
 def classification_comparison(R: RelativeSimplicialCategory, P: int, Q: int) -> CheckReport:
@@ -853,7 +855,7 @@ def _theta_sweep(R, M, P, Q, check, counts) -> None:
         """Record a failure; true once the witnesses reach the cap."""
         check.verdict = "fail"
         check.witnesses.append(witness)
-        return len(check.witnesses) > 8
+        return len(check.witnesses) >= _WITNESS_CAP
 
     # collapse naturality, cached per operator and grid sub-chain
     for p in range(P + 1):
@@ -884,7 +886,7 @@ def _theta_sweep(R, M, P, Q, check, counts) -> None:
                 for kind, i, op in _ops_at(X, p, q):
                     (p2, q2), vp, vq = _grid_op(p, q, kind, i)
                     lhs = _chain_tuple(X.label(p2, q2, op(p, q, i, x)))
-                    rhs = _reindexed_chain(SC, label, q, q2, vp, vq)
+                    rhs = _reindexed_chain(SC, label, q, vp, vq, memo)
                     counts["chain_identities"] += 1
                     if lhs != rhs and capped(
                         {"reason": "chain identity", "bidegree": [p, q], "cell": x, "op": [kind, i]}
@@ -979,18 +981,20 @@ def consistency_check(SC: SimplicialCategory, f: SimplicialMap) -> CheckReport:
     (c) Acting a row cell vertically by a constant map and comparing
     lands on the level-0 inclusion of its vertex restriction.
 
-    Every instance of (b) and (c) is checked and counted, but each
-    distinct input is evaluated once: a verdict is looked up under a
-    key holding exactly what the two sides read, so reusing it is exact
-    for any input. In (b) the key is (p, q, i), which fixes the collapse
-    plan, with the objects at the plan's columns and the (source,
-    target, cell) of each hop the plan reads; a vertex chain reads no
-    hop and its columns are all i, so the objects include the one
-    `hc_constant` reads. In (c) the key is (m, z, level0): the left side
-    reads only the restricted cell z at (m, m), the right side only the
-    level-0 restriction of the chain. The memos hold booleans. In (c)
-    the restricted cells come from one `act_table` per (m, n, i), and
-    each hop's level-0 restriction is built once per (a, b, cell, n, i).
+    One memo holds the fold tables of `_cell_from_plan` for (a), (b)
+    and (c); (a) looks up one plan per level. Every instance of (b) and
+    (c) is checked and counted, but each distinct input is evaluated
+    once: a boolean verdict is looked up under a key holding exactly
+    what the two sides read, so reusing it is exact for any input. In
+    (b) the key is (p, q, i), which fixes the collapse plan, with the
+    objects at the plan's columns and the (source, target, cell) of each
+    hop the plan reads; a vertex chain reads no hop and its columns are
+    all i, so the objects include the one `hc_constant` reads. In (c)
+    the key is (m, z, level0): the left side reads only the restricted
+    cell z at (m, m), from one `act_table` per (m, n, i), the right
+    side only the level-0 restriction, from one `act` per
+    (a, b, cell, n, i). The report keeps nine witnesses; ``bounds``
+    counts every instance.
     """
     L = f.L
     if L > SC.D:
@@ -1000,15 +1004,18 @@ def consistency_check(SC: SimplicialCategory, f: SimplicialMap) -> CheckReport:
     counts = {"diagonal": 0, "vertex_slices": 0, "row_restrictions": 0}
     memo: dict = {}
     B, hc = f.source, f.target
+
+    def fail(witness) -> None:
+        check.verdict = "fail"
+        if len(check.witnesses) < _WITNESS_CAP:
+            check.witnesses.append(witness)
+
     for k in range(L + 1):
-        tau = tuple((t, t) for t in range(k + 1))
+        plan = _collapse_plan(_check_grid_chain(k, k, tuple((t, t) for t in range(k + 1))), SC.D)
         for x in range(B.card(k)):
-            lhs = _theta_cell(SC, B.label(k, x), k, k, tau, memo)
-            rhs = hc.label(k, f.apply(k, x))
             counts["diagonal"] += 1
-            if lhs != rhs:
-                check.verdict = "fail"
-                check.witnesses.append({"reason": "diagonal route", "level": k, "cell": x})
+            if _cell_from_plan(SC, B.label(k, x), k, plan, memo) != hc.label(k, f.apply(k, x)):
+                fail({"reason": "diagonal route", "level": k, "cell": x})
     slice_verdicts: dict = {}
     for p in range(L + 1):
         for q in range(L + 1):
@@ -1035,10 +1042,7 @@ def consistency_check(SC: SimplicialCategory, f: SimplicialMap) -> CheckReport:
                         ok = slice_verdicts[key] = F == hc_constant(SC, objs[i], q)
                     counts["vertex_slices"] += 1
                     if not ok:
-                        check.verdict = "fail"
-                        check.witnesses.append(
-                            {"reason": "vertex slice", "bidegree": [p, q], "cell": x, "vertex": i}
-                        )
+                        fail({"reason": "vertex slice", "bidegree": [p, q], "cell": x, "vertex": i})
     row_verdicts: dict = {}
     restricted_hops: dict = {}
     for m in range(L + 1):
@@ -1065,9 +1069,6 @@ def consistency_check(SC: SimplicialCategory, f: SimplicialMap) -> CheckReport:
                         ok = row_verdicts[key] = lhs == rhs
                     counts["row_restrictions"] += 1
                     if not ok:
-                        check.verdict = "fail"
-                        check.witnesses.append(
-                            {"reason": "row restriction", "bidegree": [m, n], "cell": x, "vertex": i}
-                        )
+                        fail({"reason": "row restriction", "bidegree": [m, n], "cell": x, "vertex": i})
     check.bounds.update(counts)
     return check

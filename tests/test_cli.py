@@ -165,12 +165,14 @@ DIGEST_PINS = [
     ("compare --example bg:z3 --max-dim 2 --coeff f2", "52e009ad064ee8cb8e5c18694ddf1b6cec72fb505bc50690b777e15b9486579c"),
     ("compare --example discrete:poset012 --max-dim 3", "d536c0ec3091b6b01e3fd5dd46d6bba6201709c6e888696ce94b66bae67673b3"),
     ("compare --example two-object-interval --max-dim 2", "269fbff00c72824318fd281d87729759dcccd01fbf3e45b73912e57bd7660538"),
+    ("compare --example poset:a<b,a<c,b<d,c<d --max-dim 3", "baa713f0882e4f4ca0b5de94d7839e9294e27c437262953af97608c8ab6fbabe"),
     ("theta --example bg:z2 --max-dim 4", "df24687e8f32d8bac7d5fae482802541565e8d26d1431d5f9f1125d6436bf548"),
     ("theta --example bg:z2 --max-dim 5", "a66cbbf36676b84e36f6e2c5276a2c87fec6c0fe80507d3d668e3fe19dccd48c"),
     ("theta --example two-object-interval --max-dim 3", "52552f912a0d331768cdf886c527de73ffd2523f5c7efb69eef935368d97fec3"),
     ("cls --example bg:z2 --max-dim 2 --emit-cells", "c11705718a3430627f2727c39d916ed2f958a44a0ba08e0864e21d79b9554403"),
     ("hcnerve --example bg:z3 --max-dim 3 --emit-cells", "49d0b16961fdda7ad19cc2f2a1699693b308fefa6880a4892226e2947771bd39"),
     ("binerve --example bg:z2 --max-dim 2 --emit-cells", "789263b3654c83e0ad64393f193a92b7601b45904b5ebe5712049a3f71e73c20"),
+    ("binerve --example two-object-interval --max-dim 3 --emit-cells", "333c11e7935758515f1252b92219b6b2810cd4ea190401c0c27494970219b36c"),
     ("horncheck --example bg:z3 --max-dim 4", "c17d8e1963ef3cb58ac2a8f069c6d85ea01d7347ff75eaecaee667e6131f9986"),
     ("horncheck --example discrete:poset012 --max-dim 4", "05f6c743f0cfb167ba34b3a29c5a245d9dc67aa1ec568bfa85769a7b7a4bbc63"),
     ("homology --example bg:z2 --max-dim 3", "6c234f58e639e1ceaa1f4524808d15f1438cba556a7418806f7a65ba249693de"),

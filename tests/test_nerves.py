@@ -123,7 +123,8 @@ def test_diagonal_of_binerve_is_classifying_space(z2_rel):
 
 
 def _category(name, D):
-    """A named example, S3 with constant homs, or the path category of [2].
+    """A named example, S3 with constant homs, the path category of [2],
+    or the seeded random poset of `_random_poset`.
 
     S3 is the only input here whose composition does not commute, so
     it is the one that sees the order of the hop fold. In the path
@@ -134,6 +135,8 @@ def _category(name, D):
 
     if name == "paths[2]":
         return coherent_path_category(2, D)
+    if name.startswith("random-poset:"):
+        return build_example(_random_poset(int(name.split(":")[1])), max_dim=D).cat
     if name != "discrete:s3":
         return build_example(name, max_dim=D).cat
 
@@ -146,6 +149,22 @@ def _category(name, D):
         name="s3",
     )
     return discrete_simplicial_category(S3, D)
+
+
+def _random_poset(seed):
+    """A ``poset:`` example on four to six letters, from a seeded stdlib
+    `random`: a random order of the letters, each pair related along it
+    with probability 0.5, so the object order (sorted names) is not a
+    linear extension and out-degrees are uneven."""
+    import random
+
+    rng = random.Random(seed)
+    letters = list("abcdef"[: rng.randint(4, 6)])
+    rng.shuffle(letters)
+    relations = [
+        f"{lo}<{hi}" for i, lo in enumerate(letters) for hi in letters[i + 1 :] if rng.random() < 0.5
+    ]
+    return "poset:" + ",".join(letters + relations)
 
 
 def chain_functor(SC, label, p, q):
@@ -296,6 +315,7 @@ def test_reindexed_chains_match_functor_route(name):
 
     SC = _category(name, 4)
     gadgets = {}
+    memo = {}  # one memo across bidegrees, as the theta sweep shares its own
     checked = 0
     # the rectangles with P + Q = 4 cover every bidegree with p + q <= 4
     for P in range(5):
@@ -310,7 +330,7 @@ def test_reindexed_chains_match_functor_route(name):
                         if key not in gadgets:
                             gadgets[key] = _interval_functor(SC.D, p, q, p2, q2, vp, vq)
                         want = _reindexed_functor_route(SC, label, p, q, q2, gadgets[key])
-                        assert _reindexed_chain(SC, label, q, q2, vp, vq) == want
+                        assert _reindexed_chain(SC, label, q, vp, vq, memo) == want
                         checked += 1
     assert checked > 0
 
@@ -389,13 +409,14 @@ def _consistency_check_by_instance(SC, f):
     """Verdict, bounds and witnesses of `consistency_check` by the slow
     route: both sides of every instance are built and compared, (a)
     reading the cell the map f stores. Every helper is looked up through
-    the module, so planted faults reach it."""
+    the module, so planted faults reach it. Every instance is counted,
+    and the first nine failures are kept as witnesses."""
     import nervekit.nerves as nerves_mod
     from nervekit import act
 
     L = f.L
     X = nerves_mod.levelwise_nerve(SC, L, L)
-    witnesses = []
+    failures = []
     counts = {"diagonal": 0, "vertex_slices": 0, "row_restrictions": 0}
     memo = {}
     for k in range(L + 1):
@@ -406,7 +427,7 @@ def _consistency_check_by_instance(SC, f):
             rhs = f.target.label(k, f.apply(k, x))
             counts["diagonal"] += 1
             if lhs != rhs:
-                witnesses.append({"reason": "diagonal route", "level": k, "cell": x})
+                failures.append({"reason": "diagonal route", "level": k, "cell": x})
     for p in range(L + 1):
         for q in range(L + 1):
             for x in range(X.card(p, q)):
@@ -417,7 +438,7 @@ def _consistency_check_by_instance(SC, f):
                     F = nerves_mod._theta_cell(SC, label, p, q, tau, memo)
                     counts["vertex_slices"] += 1
                     if F != nerves_mod.hc_constant(SC, objs[i], q):
-                        witnesses.append(
+                        failures.append(
                             {"reason": "vertex slice", "bidegree": [p, q], "cell": x, "vertex": i}
                         )
     for m in range(L + 1):
@@ -435,10 +456,10 @@ def _consistency_check_by_instance(SC, f):
                     rhs = nerves_mod.hc_from_level0_chain(SC, level0, m)
                     counts["row_restrictions"] += 1
                     if lhs != rhs:
-                        witnesses.append(
+                        failures.append(
                             {"reason": "row restriction", "bidegree": [m, n], "cell": x, "vertex": i}
                         )
-    return ("fail" if witnesses else "pass"), counts, witnesses
+    return ("fail" if failures else "pass"), counts, failures[:9]
 
 
 def _assert_matches_instance_route(SC, f):
@@ -706,3 +727,215 @@ def test_theta_stops_at_the_cap_on_a_non_constant_slice(monkeypatch):
         "slice_checks": 19,
         "marked_edges_checked": 0,
     }
+
+
+# --- the integer-table routes against their label and memo routes ------------
+
+# the six generators, S3, the path category, a lazy-hom gadget (its D
+# is 2) and five seeded random posets
+TABLE_INPUTS = [
+    "bg:z2",
+    "bg:z3",
+    "discrete:poset01",
+    "discrete:poset012",
+    "discrete:antichain3",
+    "poset:a<b,a<c,b<d,c<d",
+    "two-object-interval",
+    "discrete:s3",
+    "paths[2]",
+    "chains[1]",
+] + [f"random-poset:{seed}" for seed in range(5)]
+
+
+def _table_input(name):
+    from nervekit import simplex_power_category
+
+    return simplex_power_category(1, 2) if name == "chains[1]" else _category(name, 3)
+
+
+def _translate_chain(label, q_op):
+    """Apply a hom-cell operator to every morphism of a nerve chain label."""
+    x0, ms = label
+    return x0, tuple((a, b, (a, b, q_op(a, b, lab[2]))) for a, b, lab in ms)
+
+
+def _levelwise_nerve_by_labels(SC, P, Q):
+    """`levelwise_nerve` by labels: each vertical operator translates every
+    chain label and looks the result up with `index_of`."""
+    from nervekit import SimplicialSet, bisset_from_columns, level_category, nerve_cat
+
+    nerves = [nerve_cat(level_category(SC, q), P) for q in range(Q + 1)]
+
+    def vertical(p, q, r, op):
+        return [
+            nerves[r].index_of(p, _translate_chain(nerves[q].label(p, x), op))
+            for x in range(nerves[q].card(p))
+        ]
+
+    columns = []
+    for p in range(P + 1):
+        faces = [[]] + [
+            [vertical(p, q, q - 1, lambda a, b, c, q=q, j=j: SC.hom(a, b).face(q, j, c)) for j in range(q + 1)]
+            for q in range(1, Q + 1)
+        ]
+        degens = [
+            [vertical(p, q, q + 1, lambda a, b, c, q=q, j=j: SC.hom(a, b).degen(q, j, c)) for j in range(q + 1)]
+            for q in range(Q)
+        ] + [[]]
+        cards = [nerves[q].card(p) for q in range(Q + 1)]
+        labels = [[nerves[q].label(p, x) for x in range(cards[q])] for q in range(Q + 1)]
+        columns.append(SimplicialSet(Q, cards, faces, degens, labels=labels))
+    return bisset_from_columns(
+        columns,
+        lambda p, q, i, x: nerves[q].face(p, i, x),
+        lambda p, q, i, x: nerves[q].degen(p, i, x),
+    )
+
+
+@pytest.mark.parametrize("name", TABLE_INPUTS)
+def test_levelwise_nerve_matches_label_route(name):
+    SC = _table_input(name)
+    P, Q = 3, min(3, SC.D)
+    X = levelwise_nerve(SC, P, Q)
+    want = _levelwise_nerve_by_labels(SC, P, Q)
+    assert X.cards == want.cards
+    assert X.labels == want.labels
+    for family in ("hfaces", "hdegens", "vfaces", "vdegens"):
+        assert getattr(X, family) == getattr(want, family), family
+
+
+def _cell_from_plan_by_memo(SC, label, q, plan, memo):
+    """`_cell_from_plan` by memoized `act` and `SimplicialCategory.compose`:
+    hop actions are keyed by (q, source, target, cell, coordinate) and
+    fold steps by (level, objects, operands)."""
+    from nervekit import act
+
+    cols, _, entries = plan
+    x0, ms = label
+    objs = (x0,) + tuple(m[1] for m in ms)
+    values = []
+    for m, a, us in entries:
+        acc = None
+        for t, u in enumerate(us, start=a + 1):
+            src, tgt, x = objs[t - 1], objs[t], ms[t - 1][2][2]
+            hop_key = (q, src, tgt, x, u)
+            if hop_key not in memo:
+                memo[hop_key] = act(SC.hom(src, tgt), q, x, u)
+            w = memo[hop_key]
+            if acc is not None:
+                step_key = (m, objs[a], src, tgt, w, acc)
+                if step_key not in memo:
+                    memo[step_key] = SC.compose(objs[a], src, tgt, m, w, acc)
+                w = memo[step_key]
+            acc = w
+        values.append(SC.identity_cell(objs[a], m) if acc is None else acc)
+    return tuple(objs[a] for a in cols), tuple(values)
+
+
+def _fold_cases(SC, X):
+    """(label, row, plan) for every comparison plan with k <= 3 and every
+    collapse plan with p + q <= 3, over every cell of the bidegree."""
+    from nervekit.nerves import _collapse_plan, _comparison_plan, _nondeg_grid_chains
+
+    for k in range(X.Q + 1):
+        plan = _comparison_plan(k, SC.D)
+        for x in range(X.card(k, k)):
+            yield X.label(k, k, x), k, plan
+    for p in range(X.P + 1):
+        for q in range(min(X.Q, 3 - p) + 1):
+            for tau in _nondeg_grid_chains(p, q):
+                plan = _collapse_plan(tau, SC.D)
+                for x in range(X.card(p, q)):
+                    yield X.label(p, q, x), q, plan
+
+
+@pytest.mark.parametrize("name", TABLE_INPUTS)
+def test_fold_matches_memo_route(name):
+    from nervekit.nerves import _cell_from_plan
+
+    SC = _table_input(name)
+    X = levelwise_nerve(SC, 3, min(3, SC.D))
+    memo, oracle_memo = {}, {}  # one of each across bidegrees
+    checked = 0
+    for label, q, plan in _fold_cases(SC, X):
+        assert _cell_from_plan(SC, label, q, plan, memo) == _cell_from_plan_by_memo(SC, label, q, plan, oracle_memo)
+        checked += 1
+    assert checked > 0
+
+
+def test_fold_catches_a_permuted_action_table(z2_rel_d3, monkeypatch):
+    import nervekit.nerves as nerves_mod
+
+    SC = z2_rel_d3.cat
+    X = levelwise_nerve(SC, 3, 3)
+    build = nerves_mod.act_table
+    planted = []
+
+    def mutated(H, n, f):
+        table = build(H, n, f)
+        if not planted and len(set(table)) > 1:
+            _swap_first_differing([table])
+            planted.append((n, f))
+        return table
+
+    monkeypatch.setattr(nerves_mod, "act_table", mutated)
+    memo, oracle_memo = {}, {}
+    differ = sum(
+        nerves_mod._cell_from_plan(SC, label, q, plan, memo) != _cell_from_plan_by_memo(SC, label, q, plan, oracle_memo)
+        for label, q, plan in _fold_cases(SC, X)
+    )
+    assert planted and differ > 0
+
+
+def test_fold_calls_no_compose_or_act(z2_rel_d3, monkeypatch):
+    # the fold reads tables only; compose and act keep their other callers
+    import collections
+    import sys
+
+    import nervekit.nerves as nerves_mod
+    import nervekit.sset as sset_mod
+    from nervekit.cat import SimplicialCategory
+
+    callers = {"compose": collections.Counter(), "act": collections.Counter()}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            callers[name][sys._getframe(1).f_code.co_name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(SimplicialCategory, "compose", counted("compose", SimplicialCategory.compose))
+    for mod in (nerves_mod, sset_mod):
+        monkeypatch.setattr(mod, "act", counted("act", sset_mod.act))
+    SC = z2_rel_d3.cat
+    rep = consistency_check(SC, comparison_map(SC, 3))
+    assert rep.ok
+    fold = {"_cell_from_plan", "_resolved_plan"}
+    assert not fold & (set(callers["compose"]) | set(callers["act"])), callers
+    # the counters do see the other callers
+    assert callers["compose"]["hc_from_level0_chain"] > 0
+    assert callers["act"]["consistency_check"] > 0
+
+
+def test_consistency_check_stops_recording_at_the_witness_cap(z2_rel_d3, monkeypatch):
+    # a wrong constant cell at every level with a slot fails the 2619
+    # vertex slices of positive row; the report keeps nine witnesses and
+    # still counts every instance
+    import nervekit.nerves as nerves_mod
+
+    constant = nerves_mod.hc_constant
+
+    def mutated(target, obj, n):
+        objects, values = constant(target, obj, n)
+        if values:
+            values = (values[0] + 1,) + values[1:]
+        return objects, values
+
+    monkeypatch.setattr(nerves_mod, "hc_constant", mutated)
+    SC = z2_rel_d3.cat
+    rep = _assert_matches_instance_route(SC, comparison_map(SC, 3))
+    assert rep.verdict == "fail"
+    assert len(rep.witnesses) == 9
+    assert {w["reason"] for w in rep.witnesses} == {"vertex slice"}
+    assert rep.bounds == {"diagonal": 531, "vertex_slices": 2629, "row_restrictions": 2629}
