@@ -14,7 +14,8 @@ Three nerves of a simplicial category live here:
   diagonal.
 * `classification_diagram`: the marked bisimplicial set of simplicial
   maps out of ``p-simplex x q-simplex`` into the coherent nerve whose
-  vertex slices stay inside the marked subcategory.
+  vertex slices stay inside the marked subcategory; its operators are
+  gathers of the maps' value tables along maps of grids.
 
 `comparison_map` sends a diagonal chain cell to the coherent-nerve
 cell given in closed form by `comparison_cell`: on each generator
@@ -497,10 +498,20 @@ def _marked_hc_edges(R: RelativeSimplicialCategory, hc: SimplicialSet) -> frozen
     return frozenset(out)
 
 
-def _product_pair(p: int, q: int, T: int):
-    A = standard_simplex(p, T)
-    Bq = standard_simplex(q, T)
-    return materialize(ProductSset(A, Bq), name=f"grid({p},{q})"), A, Bq
+def _product_pair(p: int, q: int, T: int) -> SimplicialSet:
+    return materialize(ProductSset(standard_simplex(p, T), standard_simplex(q, T)), name=f"grid({p},{q})")
+
+
+def _grid_gather(G: SimplicialSet, G2: SimplicialSet, vp: tuple, vq: tuple) -> list[list[int]]:
+    """Index vectors of the grid map with vertex maps (vp, vq): entry
+    ``[n][c]`` is the cell of G that cell c of G2 at level n goes to."""
+    return [
+        [
+            G.index_of(n, (tuple(vp[v] for v in la), tuple(vq[v] for v in lb)))
+            for la, lb in (G2.label(n, c) for c in range(G2.card(n)))
+        ]
+        for n in range(G2.D + 1)
+    ]
 
 
 def classification_diagram(R: RelativeSimplicialCategory, P: int, Q: int, name: str = "") -> MarkedBisimplicialSet:
@@ -509,9 +520,14 @@ def classification_diagram(R: RelativeSimplicialCategory, P: int, Q: int, name: 
     Cells at (p, q) are simplicial maps from the (p, q) grid into the
     coherent nerve whose vertex slices {i} x q-simplex carry every edge
     into the marked edges; marked cells at column 1 carry every edge of
-    the whole grid into the marked edges. Operators precompose grid
-    cofaces and codegeneracies. Needs P >= 1 for the marking. Feasible
-    for small inputs only.
+    the whole grid into the marked edges. A cell's label is its value
+    table over the grid built to level P + Q (above p + q every grid
+    cell is degenerate, so those values are forced). An operator is
+    precomposition with the map of grids its vertex maps (`_grid_op`)
+    give: a cell's image is its table gathered along that map's
+    `_grid_gather` vectors, looked up among the labels of the target
+    bidegree. Needs P >= 1 for the marking. Feasible for small inputs
+    only.
     """
     SC = R.cat
     if P < 1:
@@ -520,104 +536,46 @@ def classification_diagram(R: RelativeSimplicialCategory, P: int, Q: int, name: 
         raise TruncationError(f"bidegree ({P},{Q}) needs hom levels {P + Q}, truncation is {SC.D}")
     hc = coherent_nerve(SC, P + Q)
     marked_edges = _marked_hc_edges(R, hc)
-    grids = {}
+
+    def all_marked(key, edges) -> bool:
+        return all(key[1][e] in marked_edges for e in edges)
+
+    grids, cells = {}, {}
+    labels = [[None] * (Q + 1) for _ in range(P + 1)]
     for p in range(P + 1):
         for q in range(Q + 1):
-            grids[(p, q)] = _product_pair(p, q, p + q)
+            G = grids[(p, q)] = _product_pair(p, q, P + Q)
+            slices = [G.index_of(1, ((i, i), (a, b))) for i in range(p + 1) for b in range(q + 1) for a in range(b)]
+            keys = [f.key() for f in enumerate_maps(G, hc)]
+            labels[p][q] = [k for k in keys if all_marked(k, slices)]
+            cells[(p, q)] = {k: x for x, k in enumerate(labels[p][q])}
 
-    def slice_ok(p, q, f) -> bool:
-        if p + q == 0:
-            return True
-        G, A, Bq = grids[(p, q)]
-        for i in range(p + 1):
-            for e in range(Bq.card(1)):
-                if Bq.is_degenerate(1, e):
-                    continue
-                cell = G.index_of(1, ((i, i), Bq.label(1, e)))
-                if f.apply(1, cell) not in marked_edges:
-                    return False
-        return True
-
-    def fully_marked(p, q, f) -> bool:
-        G, A, Bq = grids[(p, q)]
-        for e in range(G.card(1)):
-            if G.is_degenerate(1, e):
+    def family(kind, present):
+        # horizontal operators at (p, q) are indexed by p, vertical ones by q
+        tables = [[[] for _ in range(Q + 1)] for _ in range(P + 1)]
+        for (p, q), G in grids.items():
+            if not present(p, q):
                 continue
-            if f.apply(1, e) not in marked_edges:
-                return False
-        return True
+            for i in range((p if kind[0] == "h" else q) + 1):
+                (p2, q2), vp, vq = _grid_op(p, q, kind, i)
+                g = _grid_gather(G, grids[(p2, q2)], vp, vq)
+                index = cells[(p2, q2)]
+                tables[p][q].append(
+                    [index[tuple(tuple(row[c] for c in gn) for row, gn in zip(k, g))] for k in labels[p][q]]
+                )
+        return tables
 
-    cells = {}
-    maps = {}
-    for p in range(P + 1):
-        for q in range(Q + 1):
-            G, _, _ = grids[(p, q)]
-            found = [f for f in enumerate_maps(G, hc) if slice_ok(p, q, f)]
-            maps[(p, q)] = found
-            cells[(p, q)] = {f.key(): x for x, f in enumerate(found)}
-
-    def value_at(p, q, f, label, lvl):
-        # beyond the source grid truncation every product cell is
-        # degenerate; peel a doubled position and extend by degeneracy
-        G, _, _ = grids[(p, q)]
-        if lvl <= p + q:
-            return f.apply(lvl, G.index_of(lvl, label))
-        la, lb = label
-        t = next(
-            t for t in range(lvl) if la[t] == la[t + 1] and lb[t] == lb[t + 1]
-        )
-        sub = (la[:t] + la[t + 1 :], lb[:t] + lb[t + 1 :])
-        return hc.degen(lvl - 1, t, value_at(p, q, f, sub, lvl - 1))
-
-    def translated_key(p, q, f, vmap_p, vmap_q, p2, q2):
-        G2, A2, B2 = grids[(p2, q2)]
-        rows = []
-        for lvl in range(p2 + q2 + 1):
-            row = []
-            for c in range(G2.card(lvl)):
-                la, lb = G2.label(lvl, c)
-                moved = (tuple(vmap_p[v] for v in la), tuple(vmap_q[v] for v in lb))
-                row.append(value_at(p, q, f, moved, lvl))
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    def op_table(p, q, kind, i):
-        (p2, q2), vp, vq = _grid_op(p, q, kind, i)
-        out = []
-        for f in maps[(p, q)]:
-            key = translated_key(p, q, f, vp, vq, p2, q2)
-            out.append(cells[(p2, q2)][key])
-        return out
-
-    cards = [[len(maps[(p, q)]) for q in range(Q + 1)] for p in range(P + 1)]
-    hfaces = [
-        [[op_table(p, q, "hface", i) for i in range(p + 1)] if p >= 1 else [] for q in range(Q + 1)]
-        for p in range(P + 1)
-    ]
-    hdegens = [
-        [[op_table(p, q, "hdegen", i) for i in range(p + 1)] if p < P else [] for q in range(Q + 1)]
-        for p in range(P + 1)
-    ]
-    vfaces = [
-        [[op_table(p, q, "vface", j) for j in range(q + 1)] if q >= 1 else [] for q in range(Q + 1)]
-        for p in range(P + 1)
-    ]
-    vdegens = [
-        [[op_table(p, q, "vdegen", j) for j in range(q + 1)] if q < Q else [] for q in range(Q + 1)]
-        for p in range(P + 1)
-    ]
-    labels = [
-        [[f.key() for f in maps[(p, q)]] for q in range(Q + 1)] for p in range(P + 1)
-    ]
     space = BisimplicialSet(
-        P, Q, cards, hfaces, hdegens, vfaces, vdegens, labels=labels,
-        name=name or f"cls({R.name})",
+        P, Q, [[len(labels[p][q]) for q in range(Q + 1)] for p in range(P + 1)],
+        family("hface", lambda p, q: p >= 1), family("hdegen", lambda p, q: p < P),
+        family("vface", lambda p, q: q >= 1), family("vdegen", lambda p, q: q < Q),
+        labels=labels, name=name or f"cls({R.name})",
     )
     marked = set()
     for q in range(Q + 1):
-        for x, f in enumerate(maps[(1, q)]):
-            if fully_marked(1, q, f):
-                marked.add((q, x))
+        G = grids[(1, q)]
+        edges = [e for e in range(G.card(1)) if not G.is_degenerate(1, e)]
+        marked.update((q, x) for x, k in enumerate(labels[1][q]) if all_marked(k, edges))
     return MarkedBisimplicialSet(space, frozenset(marked))
 
 

@@ -71,10 +71,15 @@ def _require(cond: bool, msg: str) -> None:
         raise SchemaError(msg)
 
 
+def _is_int(v) -> bool:
+    # JSON true and false load as bool, a subclass of int
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _int_table(tbl, msg: str) -> list[list[int]]:
     _require(isinstance(tbl, list) and all(isinstance(r, list) for r in tbl), msg)
     for r in tbl:
-        _require(all(isinstance(v, int) for v in r), msg)
+        _require(all(_is_int(v) for v in r), msg)
     return [list(r) for r in tbl]
 
 
@@ -102,10 +107,10 @@ def sset_from_json(data, name: str = "", _validate: bool = True) -> SimplicialSe
     missing = {"dim", "cells", "face", "degen"} - set(data)
     _require(not missing, f"simplicial set document lacks {sorted(missing)}")
     D = data["dim"]
-    _require(isinstance(D, int) and D >= 0, "dim must be a nonnegative integer")
+    _require(_is_int(D) and D >= 0, "dim must be a nonnegative integer")
     cards = data["cells"]
     _require(
-        isinstance(cards, list) and len(cards) == D + 1 and all(isinstance(c, int) and c >= 0 for c in cards),
+        isinstance(cards, list) and len(cards) == D + 1 and all(_is_int(c) and c >= 0 for c in cards),
         "cells must list one nonnegative size per level",
     )
     faces_doc, degens_doc = data["face"], data["degen"]
@@ -196,7 +201,7 @@ def cat_from_json(data, name: str = "", _validate: bool = True) -> SimplicialCat
     _require(isinstance(data["id"], dict), "id must map objects to vertices")
     for key, v in data["id"].items():
         _require(key in by_name, f"bad identity key {key!r}")
-        _require(isinstance(v, int), "identity must be a vertex index")
+        _require(_is_int(v), "identity must be a vertex index")
         ids[by_name[key]] = v
     comps = {}
     _require(isinstance(data["comp"], dict), "comp must map object triples to tables")
@@ -249,7 +254,7 @@ def relative_from_json(data, name: str = "", _validate: bool = True) -> Relative
         _require(isinstance(refs, list), "sub cells must be [level, cell] pairs")
         for ref in refs:
             _require(
-                isinstance(ref, list) and len(ref) == 2 and all(isinstance(v, int) for v in ref),
+                isinstance(ref, list) and len(ref) == 2 and all(_is_int(v) for v in ref),
                 "sub cells must be [level, cell] pairs",
             )
             n, x = ref
@@ -314,7 +319,7 @@ def bisset_from_json(data, name: str = "", _validate: bool = True):
     _require(not missing, f"bisimplicial document lacks {sorted(missing)}")
     dims = data["dims"]
     _require(
-        isinstance(dims, list) and len(dims) == 2 and all(isinstance(d, int) and d >= 0 for d in dims),
+        isinstance(dims, list) and len(dims) == 2 and all(_is_int(d) and d >= 0 for d in dims),
         "dims must be a pair of nonnegative truncations",
     )
     P, Q = dims
@@ -323,7 +328,7 @@ def bisset_from_json(data, name: str = "", _validate: bool = True):
         isinstance(cards, list)
         and len(cards) == P + 1
         and all(
-            isinstance(row, list) and len(row) == Q + 1 and all(isinstance(c, int) and c >= 0 for c in row)
+            isinstance(row, list) and len(row) == Q + 1 and all(_is_int(c) and c >= 0 for c in row)
             for row in cards
         ),
         "cells must be a (P+1) x (Q+1) grid of sizes",
@@ -361,7 +366,7 @@ def bisset_from_json(data, name: str = "", _validate: bool = True):
     _require(isinstance(data["marked"], list), "marked must list [1, q, cell] triples")
     for ref in data["marked"]:
         _require(
-            isinstance(ref, list) and len(ref) == 3 and all(isinstance(v, int) for v in ref) and ref[0] == 1,
+            isinstance(ref, list) and len(ref) == 3 and all(_is_int(v) for v in ref) and ref[0] == 1,
             "marked entries must be [1, q, cell] triples",
         )
         _require(0 <= ref[1] <= Q and 0 <= ref[2] < cards[1][ref[1]], f"marked cell {ref} out of range")

@@ -158,7 +158,8 @@ def test_marked_verbs_run_at_truncation_one(capsys):
 # byte-identical (values computed before `consistency_check` read the
 # comparison map's cells; that of `theta bg:z2 -d 5`, whose bidegree
 # (2, 3) lies above the directly checked squares, before theta read its
-# collapse rule from one table)
+# collapse rule from one table; those of the last three `cls` runs before
+# its operators became gathers along grid maps)
 DIGEST_PINS = [
     ("compare --example bg:z2 --max-dim 3 --coeff f2", "2d0bcd5c0308c6738f3b7c0e5291c7a33101183d717d86adc5f3fae643c30eab"),
     ("compare --example bg:z2 --max-dim 3", "a04862a7efd985e5e160086d4066bcf7de576c37418322a66a2d0daf0c6f8a59"),
@@ -170,6 +171,9 @@ DIGEST_PINS = [
     ("theta --example bg:z2 --max-dim 5", "a66cbbf36676b84e36f6e2c5276a2c87fec6c0fe80507d3d668e3fe19dccd48c"),
     ("theta --example two-object-interval --max-dim 3", "52552f912a0d331768cdf886c527de73ffd2523f5c7efb69eef935368d97fec3"),
     ("cls --example bg:z2 --max-dim 2 --emit-cells", "c11705718a3430627f2727c39d916ed2f958a44a0ba08e0864e21d79b9554403"),
+    ("cls --example bg:z3 --max-dim 3 --emit-cells", "3c943af30bdbcde32c72e3954e1aaf0ecf1614aaa9b0904c9f6a2c194fb2243a"),
+    ("cls --example two-object-interval --max-dim 4 --emit-cells", "9357d15663800d0a945577f3927593e959ed1df8a22f531e80c6e33154778aed"),
+    ("cls --example poset:a<b,a<c,b<d,c<d --max-dim 3 --emit-cells", "15dc5823c18f7d6379d593ecef1f08872149791e708aa2869c0ca81b0b5bac51"),
     ("hcnerve --example bg:z3 --max-dim 3 --emit-cells", "49d0b16961fdda7ad19cc2f2a1699693b308fefa6880a4892226e2947771bd39"),
     ("binerve --example bg:z2 --max-dim 2 --emit-cells", "789263b3654c83e0ad64393f193a92b7601b45904b5ebe5712049a3f71e73c20"),
     ("binerve --example two-object-interval --max-dim 3 --emit-cells", "333c11e7935758515f1252b92219b6b2810cd4ea190401c0c27494970219b36c"),

@@ -939,3 +939,177 @@ def test_consistency_check_stops_recording_at_the_witness_cap(z2_rel_d3, monkeyp
     assert len(rep.witnesses) == 9
     assert {w["reason"] for w in rep.witnesses} == {"vertex slice"}
     assert rep.bounds == {"diagonal": 531, "vertex_slices": 2629, "row_restrictions": 2629}
+
+
+# --- the classification diagram by label translation -------------------------
+
+
+def _classification_diagram_by_translation(R, P, Q):
+    """`classification_diagram` by label translation: every grid stops at
+    level p + q, and an operator table evaluates each map on every cell
+    of the operator's source grid by translating the cell's label along
+    the vertex maps, looking it up with `index_of` and, above level
+    p + q, peeling a doubled position and extending by degeneracy.
+    Returns the cards, the four operator families, the labels and the
+    marked cells."""
+    from nervekit import standard_simplex
+    from nervekit.nerves import _grid_op, _marked_hc_edges, _product_pair
+    from nervekit.sset import enumerate_maps
+
+    hc = coherent_nerve(R.cat, P + Q)
+    marked_edges = _marked_hc_edges(R, hc)
+    grids = {(p, q): _product_pair(p, q, p + q) for p in range(P + 1) for q in range(Q + 1)}
+
+    def slice_ok(p, q, f):
+        G, Bq = grids[(p, q)], standard_simplex(q, p + q)
+        return all(
+            f.apply(1, G.index_of(1, ((i, i), Bq.label(1, e)))) in marked_edges
+            for i in range(p + 1)
+            for e in range(Bq.card(1) if p + q else 0)
+            if not Bq.is_degenerate(1, e)
+        )
+
+    def fully_marked(p, q, f):
+        G = grids[(p, q)]
+        return all(f.apply(1, e) in marked_edges for e in range(G.card(1)) if not G.is_degenerate(1, e))
+
+    maps = {
+        (p, q): [f for f in enumerate_maps(grids[(p, q)], hc) if slice_ok(p, q, f)]
+        for p in range(P + 1)
+        for q in range(Q + 1)
+    }
+    cells = {pq: {f.key(): x for x, f in enumerate(fs)} for pq, fs in maps.items()}
+
+    def value_at(p, q, f, label, lvl):
+        G = grids[(p, q)]
+        if lvl <= p + q:
+            return f.apply(lvl, G.index_of(lvl, label))
+        la, lb = label
+        t = next(t for t in range(lvl) if la[t] == la[t + 1] and lb[t] == lb[t + 1])
+        sub = (la[:t] + la[t + 1 :], lb[:t] + lb[t + 1 :])
+        return hc.degen(lvl - 1, t, value_at(p, q, f, sub, lvl - 1))
+
+    def translated_key(p, q, f, vp, vq, p2, q2):
+        G2 = grids[(p2, q2)]
+        return tuple(
+            tuple(
+                value_at(p, q, f, (tuple(vp[v] for v in la), tuple(vq[v] for v in lb)), lvl)
+                for la, lb in (G2.label(lvl, c) for c in range(G2.card(lvl)))
+            )
+            for lvl in range(p2 + q2 + 1)
+        )
+
+    def op_table(p, q, kind, i):
+        (p2, q2), vp, vq = _grid_op(p, q, kind, i)
+        return [cells[(p2, q2)][translated_key(p, q, f, vp, vq, p2, q2)] for f in maps[(p, q)]]
+
+    families = {
+        "hfaces": lambda p, q: [op_table(p, q, "hface", i) for i in range(p + 1)] if p >= 1 else [],
+        "hdegens": lambda p, q: [op_table(p, q, "hdegen", i) for i in range(p + 1)] if p < P else [],
+        "vfaces": lambda p, q: [op_table(p, q, "vface", j) for j in range(q + 1)] if q >= 1 else [],
+        "vdegens": lambda p, q: [op_table(p, q, "vdegen", j) for j in range(q + 1)] if q < Q else [],
+    }
+    return {
+        "cards": [[len(maps[(p, q)]) for q in range(Q + 1)] for p in range(P + 1)],
+        **{
+            family: [[table(p, q) for q in range(Q + 1)] for p in range(P + 1)]
+            for family, table in families.items()
+        },
+        "labels": [[[f.key() for f in maps[(p, q)]] for q in range(Q + 1)] for p in range(P + 1)],
+        "marked": {(q, x) for q in range(Q + 1) for x, f in enumerate(maps[(1, q)]) if fully_marked(1, q, f)},
+    }
+
+
+def _classification_tables(M):
+    """The data `_classification_diagram_by_translation` returns, read off
+    a built diagram; labels are cut to level p + q, where the
+    translation route's grids stop."""
+    X = M.space
+    out = {family: getattr(X, family) for family in ("cards", "hfaces", "hdegens", "vfaces", "vdegens")}
+    out["labels"] = [
+        [[key[: p + q + 1] for key in X.labels[p][q]] for q in range(X.Q + 1)] for p in range(X.P + 1)
+    ]
+    out["marked"] = set(M.marked)
+    return out
+
+
+CLS_CASES = [
+    ("bg:z2", 1, 1),
+    ("bg:z2", 1, 2),
+    ("bg:z2", 2, 1),
+    ("bg:z2", 3, 0),
+    ("bg:z3", 1, 2),
+    ("two-object-interval", 2, 2),
+    ("discrete:poset012", 2, 2),
+    ("poset:a<b,a<c,b<d,c<d", 1, 2),
+    ("discrete:antichain3", 2, 1),
+] + [(f"random-poset:{seed}", 1, 2) for seed in range(5)]
+
+
+def _cls_input(name, D):
+    if name.startswith("random-poset:"):
+        name = _random_poset(int(name.split(":")[1]))
+    return build_example(name, max_dim=D)
+
+
+@pytest.mark.parametrize("name, P, Q", CLS_CASES)
+def test_classification_diagram_matches_translation_route(name, P, Q):
+    from nervekit import validate_bisset
+
+    R = _cls_input(name, P + Q)
+    M = classification_diagram(R, P, Q)
+    assert _classification_tables(M) == _classification_diagram_by_translation(R, P, Q)
+    assert validate_bisset(M.space).ok
+
+
+def test_classification_diagram_catches_a_wrong_gather_entry(z2_rel_d3, monkeypatch):
+    # the coherent nerve of bg:z2 has one vertex and one edge, so the
+    # fault sits at level 2: in the first vertical-face gather at
+    # bidegree (1, 2), one nondegenerate triangle of the (1, 1) grid
+    # goes to the wrong nondegenerate triangle of the (1, 2) grid
+    import nervekit.nerves as nerves_mod
+
+    gather = nerves_mod._grid_gather
+    planted = []
+
+    def mutated(G, G2, vp, vq):
+        g = gather(G, G2, vp, vq)
+        if not planted and G.name == "grid(1,2)" and G2.name == "grid(1,1)":
+            c = next(c for c in range(G2.card(2)) if not G2.is_degenerate(2, c))
+            g[2][c] = next(y for y in range(G.card(2)) if not G.is_degenerate(2, y) and y != g[2][c])
+            planted.append(c)
+        return g
+
+    monkeypatch.setattr(nerves_mod, "_grid_gather", mutated)
+    want = _classification_diagram_by_translation(z2_rel_d3, 1, 2)
+    # a gathered table that is no simplicial map is no cell of the
+    # target bidegree, so its lookup fails; a tolerant lookup would
+    # give wrong tables instead
+    try:
+        got = _classification_tables(classification_diagram(z2_rel_d3, 1, 2))
+    except KeyError:
+        got = None
+    assert planted
+    assert got != want
+
+
+def test_classification_diagram_index_lookups_depend_only_on_the_grids(monkeypatch):
+    # one `index_of` per vertex-slice edge and per cell of an operator's
+    # source grid, whatever the coherent nerve it maps into
+    from nervekit import SimplicialSet
+
+    index_of = SimplicialSet.index_of
+    counts = {}
+    for name in ("bg:z2", "bg:z3", "two-object-interval"):
+        R = build_example(name, max_dim=3)
+        calls = []
+
+        def counted(self, n, label):
+            calls.append(n)
+            return index_of(self, n, label)
+
+        monkeypatch.setattr(SimplicialSet, "index_of", counted)
+        classification_diagram(R, 1, 2)
+        monkeypatch.setattr(SimplicialSet, "index_of", index_of)
+        counts[name] = len(calls)
+    assert len(set(counts.values())) == 1, counts

@@ -167,3 +167,33 @@ def test_planted_defects_rejected(fixtures_dir, name, needle):
     with pytest.raises(ValueError) as info:
         load(fixtures_dir / name)
     assert needle in str(info.value)
+
+
+# each entry becomes the JSON boolean equal to it, which Python's int
+# checks would accept
+BOOLEAN_ENTRIES = [
+    ("clean_sset.json", ("face", 1, 0, 0)),
+    ("clean_relative.json", ("comp", "x,x,x", 1, 0)),
+    ("clean_relative.json", ("sub", "x,x", 0, 0)),
+    ("clean_bisset.json", ("hface", 1, 0, 0, 0)),
+    ("clean_bisset.json", ("marked", 0, 0)),
+]
+
+
+@pytest.mark.parametrize("name, path", BOOLEAN_ENTRIES)
+def test_boolean_entries_rejected(fixtures_dir, tmp_path, capsys, name, path):
+    from nervekit.cli import main
+
+    doc = json.loads((fixtures_dir / name).read_text())
+    *outer, last = path
+    parent = doc
+    for step in outer:
+        parent = parent[step]
+    assert parent[last] in (0, 1)
+    parent[last] = bool(parent[last])
+    with pytest.raises(SchemaError):
+        from_json(doc)
+    p = tmp_path / name
+    p.write_text(json.dumps(doc))
+    assert main(["validate", "--in", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("nervekit: ")

@@ -232,7 +232,7 @@ def _scan_cases():
     hc = coherent_nerve(build_example("bg:z2", max_dim=2).cat, 2)
     for p in range(3):
         for q in range(3 - p):
-            yield f"grid({p},{q})->hc", _product_pair(p, q, p + q)[0], hc
+            yield f"grid({p},{q})->hc", _product_pair(p, q, p + q), hc
     # nondegenerate 2-cells (g, g^-1) have a degenerate face, so forced
     # steps run between branch steps
     z3 = nerve_cat(cyclic_group_category(3), 2)
