@@ -37,8 +37,6 @@ from .cat import (
 from .generators import ExampleSpec, build_example, example_names
 from .homology import HomologyReport, homology, induced_chain_iso, smith_normal_form
 from .nerves import (
-    classification_comparison,
-    classification_diagram,
     classifying_space,
     coherent_nerve,
     comparison_cell,
@@ -46,7 +44,6 @@ from .nerves import (
     consistency_check,
     levelwise_nerve,
     levelwise_nerve_marked,
-    theta_cell_value,
 )
 from .reporting import CheckReport, ValidationReport, Violation
 from .serialize import SchemaError, canonical_json, digest, load, save
@@ -74,13 +71,30 @@ from .sset import (
     vertices,
     yoneda_map,
 )
-from .verify import (
-    fiber_check,
-    horn_check,
-    pi0,
-    segal_column_check,
-    uniqueness_report,
-    uniqueness_search,
-)
+from .verify import horn_check, pi0
 
 __version__ = "0.1.0"
+
+# Public names of the modules no verb but the one using them needs;
+# each loads on first use (PEP 562), so a process that never asks for
+# them does not compile them.
+_LAZY = {
+    "classification_comparison": "classification",
+    "classification_diagram": "classification",
+    "theta_cell_value": "classification",
+    "fiber_check": "segal",
+    "segal_column_check": "segal",
+    "uniqueness_report": "uniqueness",
+    "uniqueness_search": "uniqueness",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -27,8 +27,6 @@ from .cat import (
 from .generators import build_example, example_names
 from .homology import homology, induced_chain_iso
 from .nerves import (
-    classification_comparison,
-    classification_diagram,
     classifying_space,
     coherent_nerve,
     comparison_map,
@@ -38,7 +36,7 @@ from .nerves import (
 )
 from .serialize import SchemaError, bisset_to_json, canonical_json, digest, load, sset_to_json, to_json
 from .sset import SimplicialSet, TruncationError, validate_map, validate_sset
-from .verify import horn_check, pi0, uniqueness_report
+from .verify import horn_check, pi0
 
 COMMANDS = (
     "validate",
@@ -69,16 +67,18 @@ class CheckFailure(Exception):
 def _parser(verb: str | None = None) -> argparse.ArgumentParser:
     """The parser for a command line whose first word is ``verb``.
 
-    One run parses one verb, so when ``verb`` is a verb only its subparser
-    gets options. Otherwise (``-h``, or an unknown verb) every subparser
-    gets them, so the help and the errors are those of the full parser.
+    One run parses one verb, so when ``verb`` is a verb only its
+    subparser is built, under a metavar naming every verb so that the
+    usage and the errors read as those of the full parser. Otherwise
+    (``-h``, no verb or an unknown one) every subparser is built, so the
+    help and the errors are those of the full parser.
     """
     top = argparse.ArgumentParser(prog="nervekit", description=__doc__)
-    sub = top.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    one = verb in COMMANDS
+    metavar = "{" + ",".join(COMMANDS) + "}" if one else None
+    sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in (verb,) if one else COMMANDS:
         p = sub.add_parser(name)
-        if verb in COMMANDS and name != verb:
-            continue
         p.add_argument("--max-dim", "-d", type=int, default=None,
                        help="truncation: build dimension for --example, level bound for constructions")
         p.add_argument("--rows", type=int, default=None, help="vertical bidegree bound")
@@ -270,6 +270,8 @@ def run(argv: list[str]) -> tuple[dict, int, str | None]:
         failed = not (vrep.ok and iso.ok and cons.ok)
 
     elif cmd == "cls":
+        from .classification import classification_diagram
+
         value, inputs = _load_input(args)
         R = _as_relative(value)
         P, Q = _marked_bidegrees(args, R.cat.D)
@@ -279,6 +281,8 @@ def run(argv: list[str]) -> tuple[dict, int, str | None]:
         _maybe_artifact(args, results, M)
 
     elif cmd == "theta":
+        from .classification import classification_comparison
+
         value, inputs = _load_input(args)
         R = _as_relative(value)
         P, Q = _marked_bidegrees(args, R.cat.D)
@@ -327,6 +331,8 @@ def run(argv: list[str]) -> tuple[dict, int, str | None]:
                     failed = failed or not rep.ok
 
     elif cmd == "uniq-check":
+        from .uniqueness import uniqueness_report
+
         if args.max_cosimplicial < 1:
             raise UsageError(f"--max-cosimplicial {args.max_cosimplicial} must be at least 1")
         rep = uniqueness_report(args.max_cosimplicial)

@@ -23,6 +23,7 @@ Conventions
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 from typing import Any, Callable, Optional, Sequence
 
 from .reporting import Record, ValidationReport
@@ -500,22 +501,20 @@ def vertex_induced_map(NP: SimplicialSet, NQ: SimplicialSet, vfun) -> "Simplicia
 def subcomplex(X: SimplicialSet, seeds) -> tuple[SimplicialSet, "SimplicialMap"]:
     """Smallest subobject containing the seed cells, with its inclusion.
 
-    ``seeds`` is an iterable of (level, cell). Closure goes down along
-    faces and up along degeneracies.
+    ``seeds`` is an iterable of (level, cell). Closure takes two passes
+    over the levels: faces downward from the top, then degeneracies
+    upward from level 0. The result is closed under faces too, since a
+    face of a degeneracy of x is x or a degeneracy of a face of x.
     """
     keep: list[set[int]] = [set() for _ in range(X.D + 1)]
-    stack = [(int(n), int(x)) for n, x in seeds]
-    while stack:
-        n, x = stack.pop()
-        if x in keep[n]:
-            continue
-        keep[n].add(x)
-        if n >= 1:
-            for i in range(n + 1):
-                stack.append((n - 1, X.face(n, i, x)))
-        if n < X.D:
-            for i in range(n + 1):
-                stack.append((n + 1, X.degen(n, i, x)))
+    for n, x in seeds:
+        keep[int(n)].add(int(x))
+    for n in range(X.D, 0, -1):
+        for row in X.faces[n]:
+            keep[n - 1].update(row[x] for x in keep[n])
+    for n in range(X.D):
+        for row in X.degens[n]:
+            keep[n + 1].update(row[x] for x in keep[n])
     old = [sorted(keep[n]) for n in range(X.D + 1)]
     new_idx = [{x: i for i, x in enumerate(old[n])} for n in range(X.D + 1)]
     cards = [len(old[n]) for n in range(X.D + 1)]
@@ -601,6 +600,8 @@ class SimplicialMap:
         return self.fn(n, x)
 
     def key(self):
+        if self.values is not None:
+            return tuple(tuple(self.values[n][: self.source.card(n)]) for n in range(self.L + 1))
         return tuple(
             tuple(self.apply(n, x) for x in range(self.source.card(n))) for n in range(self.L + 1)
         )
@@ -689,14 +690,20 @@ def enumerate_maps(A, X) -> list[SimplicialMap]:
     last. A nondegenerate cell is a branch step: its candidates are
     read from a face index of X, a per-level dict from face tuples to
     the cells with those faces in ascending order, keyed by the values
-    already given to its faces. A degenerate cell is a forced step, the
-    degeneracy of its witness's value, so the search space is exactly
-    the nondegenerate cells. The search runs on an explicit stack, so
-    its depth is not bounded by Python's recursion limit.
+    already given to its faces. A degenerate cell a branch step reads
+    is a forced step, the degeneracy of its witness's value, read from
+    a degeneracy table of X fetched once. So the search space is
+    exactly the nondegenerate cells. The search runs on an explicit
+    stack, so its depth is not bounded by Python's recursion limit.
 
     The output order is lexicographic in the full value tables
     (level-major, then cell index); the finished tables are sorted into
-    it, since the plan assigns cells in another order.
+    it, since the plan assigns cells in another order. The degenerate
+    cells no branch step reads are filled only after the sort, each from
+    one placed cell through one composite degeneracy table. Each comes
+    after that placed cell in the level-major order, so two full tables
+    first differ at a placed cell, and the partial tables sort as the
+    full ones do.
     """
     if X.D < A.D:
         raise TruncationError("target truncated below source")
@@ -716,11 +723,26 @@ def enumerate_maps(A, X) -> list[SimplicialMap]:
             for y in range(A.card(n)):
                 witness.setdefault(base[n + 1] + A.degen(n, i, y), (n, i, y))
 
+    tables: dict[tuple[tuple[int, int], ...], list[int]] = {}
+
+    def degen_table(steps: tuple[tuple[int, int], ...]) -> list[int]:
+        # the degeneracies (m, i) in steps, innermost first, as one table of X
+        t = tables.get(steps)
+        if t is None:
+            m, i = steps[-1]
+            if len(steps) == 1:
+                t = [X.degen(m, i, v) for v in range(X.card(m))]
+            else:
+                last = degen_table(steps[-1:])
+                t = [last[v] for v in degen_table(steps[:-1])]
+            tables[steps] = t
+        return t
+
     placed = [False] * base[D + 1]
     branches: list[tuple[int, int, tuple[int, ...]]] = []
     # forced[b] holds the forced steps taken right after branch step b;
     # none can come first, since every witness chain ends at a branch
-    forced: list[list[tuple[int, int, int, int]]] = []
+    forced: list[list[tuple[int, list[int], int]]] = []
 
     def place(n: int, x: int) -> None:
         # recursion one level down per call, so at most D + 1 frames deep
@@ -731,7 +753,7 @@ def enumerate_maps(A, X) -> list[SimplicialMap]:
         if s in witness:
             m, i, y = witness[s]
             place(m, y)
-            forced[-1].append((s, m, i, base[m] + y))
+            forced[-1].append((s, degen_table(((m, i),)), base[m] + y))
             return
         faces = [A.face(n, i, x) for i in range(n + 1)] if n else []
         for y in faces:
@@ -744,10 +766,16 @@ def enumerate_maps(A, X) -> list[SimplicialMap]:
             if base[n] + x not in witness:
                 place(n, x)
     # the rest are degenerate cells no branch step reads; each one's
-    # witness is one level down, so placed or met earlier in this loop
+    # witness is one level down, so placed or met earlier in this loop,
+    # and its witness chain ends at the placed cell it is filled from
+    chains: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
+    fill: list[tuple[int, int, list[int]]] = []
     for s, (m, i, y) in witness.items():
         if not placed[s]:
-            forced[-1].append((s, m, i, base[m] + y))
+            w = base[m] + y
+            root, steps = chains.get(w, (w, ()))
+            chains[s] = (root, steps + ((m, i),))
+            fill.append((s, root, degen_table(chains[s][1])))
 
     index: dict[int, dict[tuple[int, ...], list[int]]] = {}
     for n in {n for _, n, _ in branches if n}:
@@ -756,38 +784,41 @@ def enumerate_maps(A, X) -> list[SimplicialMap]:
             lvl.setdefault(tuple(X.face(n, i, v) for i in range(n + 1)), []).append(v)
     points = list(range(X.card(0)))
     vals = [0] * base[D + 1]
-
-    def candidates(b: int) -> Sequence[int]:
-        _, n, faces = branches[b]
-        if n == 0:
-            return points
-        return index[n].get(tuple(vals[s] for s in faces), ())
+    # branch step b at level n >= 1 reads the values of its faces with
+    # one getter and looks them up in the face index of level n
+    finders = [(None, None) if n == 0 else (index[n], itemgetter(*faces)) for _, n, faces in branches]
 
     out: list[list[int]] = []
     B = len(branches)
     if B == 0:
         out.append(vals[:])
     else:
-        cands: list[Sequence[int]] = [()] * B
+        # branch step 0 is a vertex: every branch step comes after its faces
+        cands: list[Sequence[int]] = [points] * B
         pos = [0] * B
-        cands[0] = candidates(0)
         b = 0
         while b >= 0:
             j = pos[b]
-            if j == len(cands[b]):
+            c = cands[b]
+            if j == len(c):
                 b -= 1
                 continue
             pos[b] = j + 1
-            vals[branches[b][0]] = cands[b][j]
-            for s, m, i, w in forced[b]:
-                vals[s] = X.degen(m, i, vals[w])
+            vals[branches[b][0]] = c[j]
+            for s, t, w in forced[b]:
+                vals[s] = t[vals[w]]
             if b + 1 == B:
                 out.append(vals[:])
                 continue
             b += 1
-            cands[b] = candidates(b)
+            lvl, get = finders[b]
+            if get is not None:
+                cands[b] = lvl.get(get(vals), ())
             pos[b] = 0
     out.sort()
+    for vec in out:
+        for s, w, t in fill:
+            vec[s] = t[vec[w]]
     return [
         SimplicialMap(A, X, values=[vec[base[n] : base[n + 1]] for n in range(D + 1)]) for vec in out
     ]

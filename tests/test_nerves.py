@@ -260,7 +260,8 @@ def test_comparison_cells_match_functor_route(name, L):
 )
 def test_theta_cells_match_functor_route(name):
     from nervekit import grid_collapse, theta_cell_value
-    from nervekit.nerves import _nondeg_grid_chains, _theta_cell
+    from nervekit.classification import _nondeg_grid_chains
+    from nervekit.nerves import _theta_cell
 
     SC = _category(name, 3)
     X = levelwise_nerve(SC, 3, 3)
@@ -311,7 +312,7 @@ def _reindexed_functor_route(SC, label, p, q, q2, J):
 
 @pytest.mark.parametrize("name", ["bg:z2", "discrete:s3", "paths[2]"])
 def test_reindexed_chains_match_functor_route(name):
-    from nervekit.nerves import _grid_op, _ops_at, _reindexed_chain
+    from nervekit.classification import _grid_op, _ops_at, _reindexed_chain
 
     SC = _category(name, 4)
     gadgets = {}
@@ -348,9 +349,9 @@ def _swap_first_differing(rows):
 # with one object, faces into column 0 or row 0 are constant, hence the bidegrees
 @pytest.mark.parametrize("family, P, Q", [("hfaces", 2, 1), ("vfaces", 1, 2)])
 def test_chain_identity_catches_a_swapped_face(z2_rel_d3, monkeypatch, family, P, Q):
-    import nervekit.nerves as nerves_mod
+    import nervekit.classification as cls_mod
 
-    build = nerves_mod.levelwise_nerve_marked
+    build = cls_mod.levelwise_nerve_marked
 
     def mutated(*args):
         M = build(*args)
@@ -358,7 +359,7 @@ def test_chain_identity_catches_a_swapped_face(z2_rel_d3, monkeypatch, family, P
         _swap_first_differing([row for col in tables for per_q in col for row in per_q])
         return M
 
-    monkeypatch.setattr(nerves_mod, "levelwise_nerve_marked", mutated)
+    monkeypatch.setattr(cls_mod, "levelwise_nerve_marked", mutated)
     rep = classification_comparison(z2_rel_d3, P, Q)
     assert rep.verdict == "fail"
     assert any(w["reason"] == "chain identity" for w in rep.witnesses)
@@ -603,10 +604,10 @@ def test_consistency_check_evaluates_each_distinct_input_once(z2_rel_d3, monkeyp
 
 
 def test_classification_comparison_keeps_bounds_at_witness_cap(z2_rel, monkeypatch):
-    import nervekit.nerves as nerves_mod
+    import nervekit.classification as cls_mod
 
     # every naturality instance now fails, so the sweep stops at the cap
-    monkeypatch.setattr(nerves_mod, "_transformed_row", lambda *args: None)
+    monkeypatch.setattr(cls_mod, "_transformed_row", lambda *args: None)
     rep = classification_comparison(z2_rel, 1, 1)
     assert rep.verdict == "fail"
     assert len(rep.witnesses) == 9
@@ -628,7 +629,8 @@ def test_classification_comparison_keeps_bounds_at_witness_cap(z2_rel, monkeypat
 def test_collapse_plan_matches_the_direct_max_rule():
     # the chains of the (3, 3) grid include those of every smaller grid;
     # D = 2 keeps every subset of every pair and chains of three subsets
-    from nervekit.nerves import _collapse_plan, _generator_slots, _nondeg_grid_chains
+    from nervekit.classification import _nondeg_grid_chains
+    from nervekit.nerves import _collapse_plan, _generator_slots
 
     D = 2
     chains = _nondeg_grid_chains(3, 3)
@@ -655,13 +657,14 @@ def test_collapse_plan_matches_the_direct_max_rule():
 @pytest.fixture
 def cold_collapse_caches(monkeypatch):
     """Empty the collapse caches around a test that plants a wrong rule."""
+    import nervekit.classification as cls_mod
     import nervekit.nerves as nerves_mod
 
     caches = [
         nerves_mod._collapse_row,
         nerves_mod._collapse_table,
         nerves_mod._collapse_plan,
-        nerves_mod._transformed_row,
+        cls_mod._transformed_row,
     ]
     for fn in caches:
         fn.cache_clear()
@@ -672,7 +675,10 @@ def cold_collapse_caches(monkeypatch):
 
 def test_theta_catches_a_wrong_collapse_row(monkeypatch, cold_collapse_caches):
     # the chain lies only in grids with p + q >= 5, beyond the direct
-    # squares, so only the naturality check on the collapse rows sees it
+    # squares, so only the naturality check on the collapse rows sees it;
+    # the rule is planted wherever it is read: in the collapse tables of
+    # `nerves` and in the naturality check of `classification`
+    import nervekit.classification as cls_mod
     import nervekit.nerves as nerves_mod
 
     R = build_example("bg:z2", max_dim=5)
@@ -687,8 +693,9 @@ def test_theta_catches_a_wrong_collapse_row(monkeypatch, cold_collapse_caches):
         *rest, top = out
         return (*rest, top[:-1] + (top[-1] + 1,))
 
-    monkeypatch.setattr(nerves_mod, "_collapse_row", mutated)
-    for fn in (nerves_mod._collapse_table, nerves_mod._collapse_plan, nerves_mod._transformed_row):
+    for mod in (nerves_mod, cls_mod):
+        monkeypatch.setattr(mod, "_collapse_row", mutated)
+    for fn in (nerves_mod._collapse_table, nerves_mod._collapse_plan, cls_mod._transformed_row):
         fn.cache_clear()
     rep = classification_comparison(R, 2, 3)
     assert rep.verdict == "fail"
@@ -698,7 +705,10 @@ def test_theta_catches_a_wrong_collapse_row(monkeypatch, cold_collapse_caches):
 def test_theta_stops_at_the_cap_on_a_non_constant_slice(monkeypatch):
     # the single-vertex row (pair (0, 0)) gains a hop entry; no plan
     # reads that row, so only the slice table check fails, once for
-    # each of the 24 vertex slices at (2, 3) until the cap
+    # each of the 24 vertex slices at (2, 3) until the cap; the table is
+    # planted in `nerves`, whose plans read it, and in `classification`,
+    # whose slice check does
+    import nervekit.classification as cls_mod
     import nervekit.nerves as nerves_mod
 
     R = build_example("bg:z2", max_dim=5)
@@ -710,7 +720,8 @@ def test_theta_stops_at_the_cap_on_a_non_constant_slice(monkeypatch):
             return cols, rows
         return cols, (((0,),),) + rows[1:]
 
-    monkeypatch.setattr(nerves_mod, "_collapse_table", mutated)
+    for mod in (nerves_mod, cls_mod):
+        monkeypatch.setattr(mod, "_collapse_table", mutated)
     rep = classification_comparison(R, 2, 3)
     assert rep.verdict == "fail"
     assert len(rep.witnesses) == 9
@@ -835,7 +846,8 @@ def _cell_from_plan_by_memo(SC, label, q, plan, memo):
 def _fold_cases(SC, X):
     """(label, row, plan) for every comparison plan with k <= 3 and every
     collapse plan with p + q <= 3, over every cell of the bidegree."""
-    from nervekit.nerves import _collapse_plan, _comparison_plan, _nondeg_grid_chains
+    from nervekit.classification import _nondeg_grid_chains
+    from nervekit.nerves import _collapse_plan, _comparison_plan
 
     for k in range(X.Q + 1):
         plan = _comparison_plan(k, SC.D)
@@ -953,7 +965,7 @@ def _classification_diagram_by_translation(R, P, Q):
     Returns the cards, the four operator families, the labels and the
     marked cells."""
     from nervekit import standard_simplex
-    from nervekit.nerves import _grid_op, _marked_hc_edges, _product_pair
+    from nervekit.classification import _grid_op, _marked_hc_edges, _product_pair
     from nervekit.sset import enumerate_maps
 
     hc = coherent_nerve(R.cat, P + Q)
@@ -1067,9 +1079,9 @@ def test_classification_diagram_catches_a_wrong_gather_entry(z2_rel_d3, monkeypa
     # fault sits at level 2: in the first vertical-face gather at
     # bidegree (1, 2), one nondegenerate triangle of the (1, 1) grid
     # goes to the wrong nondegenerate triangle of the (1, 2) grid
-    import nervekit.nerves as nerves_mod
+    import nervekit.classification as cls_mod
 
-    gather = nerves_mod._grid_gather
+    gather = cls_mod._grid_gather
     planted = []
 
     def mutated(G, G2, vp, vq):
@@ -1080,7 +1092,7 @@ def test_classification_diagram_catches_a_wrong_gather_entry(z2_rel_d3, monkeypa
             planted.append(c)
         return g
 
-    monkeypatch.setattr(nerves_mod, "_grid_gather", mutated)
+    monkeypatch.setattr(cls_mod, "_grid_gather", mutated)
     want = _classification_diagram_by_translation(z2_rel_d3, 1, 2)
     # a gathered table that is no simplicial map is no cell of the
     # target bidegree, so its lookup fails; a tolerant lookup would

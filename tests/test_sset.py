@@ -33,7 +33,7 @@ from nervekit import (
     vertices,
     yoneda_map,
 )
-from nervekit.nerves import _product_pair
+from nervekit.classification import _product_pair
 from nervekit.sset import PowerSset, sset_data_equal
 
 
@@ -270,6 +270,202 @@ def test_enumerate_maps_requires_deep_target():
     X = walk_nerve(2)
     with pytest.raises(TruncationError):
         enumerate_maps(A, X)
+
+
+def _enumerate_maps_by_forced_steps(A, X):
+    """All maps A -> X by the search `enumerate_maps` ran before its
+    forced steps read prefetched tables: every degenerate cell, those no
+    branch step reads included, is forced with ``X.degen`` right after a
+    branch step, and the full tables are sorted."""
+    D = A.D
+    base = [0] * (D + 2)
+    for n in range(D + 1):
+        base[n + 1] = base[n] + A.card(n)
+    witness = {}
+    for n in range(D):
+        for i in range(n + 1):
+            for y in range(A.card(n)):
+                witness.setdefault(base[n + 1] + A.degen(n, i, y), (n, i, y))
+    placed = [False] * base[D + 1]
+    branches, forced = [], []
+
+    def place(n, x):
+        s = base[n] + x
+        if placed[s]:
+            return
+        placed[s] = True
+        if s in witness:
+            m, i, y = witness[s]
+            place(m, y)
+            forced[-1].append((s, m, i, base[m] + y))
+            return
+        faces = [A.face(n, i, x) for i in range(n + 1)] if n else []
+        for y in faces:
+            place(n - 1, y)
+        branches.append((s, n, tuple(base[n - 1] + y for y in faces)))
+        forced.append([])
+
+    for n in range(D, -1, -1):
+        for x in range(A.card(n)):
+            if base[n] + x not in witness:
+                place(n, x)
+    for s, (m, i, y) in witness.items():
+        if not placed[s]:
+            forced[-1].append((s, m, i, base[m] + y))
+    index = {}
+    for n in {n for _, n, _ in branches if n}:
+        lvl = index[n] = {}
+        for v in range(X.card(n)):
+            lvl.setdefault(tuple(X.face(n, i, v) for i in range(n + 1)), []).append(v)
+    vals = [0] * base[D + 1]
+
+    def candidates(b):
+        _, n, faces = branches[b]
+        if n == 0:
+            return range(X.card(0))
+        return index[n].get(tuple(vals[s] for s in faces), ())
+
+    out = []
+    B = len(branches)
+    if B == 0:
+        out.append(vals[:])
+    else:
+        cands, pos = [()] * B, [0] * B
+        cands[0] = candidates(0)
+        b = 0
+        while b >= 0:
+            j = pos[b]
+            if j == len(cands[b]):
+                b -= 1
+                continue
+            pos[b] = j + 1
+            vals[branches[b][0]] = cands[b][j]
+            for s, m, i, w in forced[b]:
+                vals[s] = X.degen(m, i, vals[w])
+            if b + 1 == B:
+                out.append(vals[:])
+                continue
+            b += 1
+            cands[b] = candidates(b)
+            pos[b] = 0
+    out.sort()
+    return [[vec[base[n] : base[n + 1]] for n in range(D + 1)] for vec in out]
+
+
+def _forced_step_cases():
+    """Horns into group and poset nerves, group nerves into each other,
+    and grids built above their top nondegenerate level into coherent
+    nerves, where most cells are degenerate cells no branch step reads."""
+    from test_nerves import _random_poset
+
+    targets = [nerve_cat(cyclic_group_category(m), 4) for m in (2, 3)]
+    targets += [poset_nerve(FinitePoset([0, 1, 2], [(0, 1), (1, 2)]), 4)]
+    targets += [poset_nerve(FinitePoset(["a", "b", "c"], [("a", "b"), ("a", "c")]), 4)]
+    for X in targets:
+        for n in range(1, 5):
+            for k in sorted({0, n // 2, n}):
+                yield f"horn({n},{k})->{X.name}", horn(n, k), X
+    # group nerves have nondegenerate cells with degenerate faces, so
+    # their forced steps run between branch steps
+    for A in targets[:2]:
+        for X in targets[:2]:
+            yield f"{A.name}->{X.name}", A, X
+    inputs = ["bg:z2", "two-object-interval", "discrete:poset012"] + [_random_poset(seed) for seed in range(5)]
+    for name in inputs:
+        hc = coherent_nerve(build_example(name, max_dim=3).cat, 3)
+        for p, q in ((0, 1), (1, 1), (1, 2), (2, 1)):
+            if p + q < 3 or name == "bg:z2":
+                yield f"grid({p},{q})->hc({name})", _product_pair(p, q, 3), hc
+
+
+def test_enumerate_maps_matches_forced_step_search():
+    cases = 0
+    for name, A, X in _forced_step_cases():
+        got = [f.values for f in enumerate_maps(A, X)]
+        assert got == _enumerate_maps_by_forced_steps(A, X), name
+        cases += 1
+    assert cases == 66
+
+
+def test_enumerate_maps_catches_a_wrong_fill_table(monkeypatch):
+    # every level-3 cell of the grid is degenerate and read by no branch
+    # step, so it is filled after the sort through the tables of the
+    # level-2 degeneracies; one wrong entry there shows against the oracle
+    import nervekit.sset as sset_mod
+
+    hc = coherent_nerve(build_example("bg:z2", max_dim=3).cat, 3)
+    A = _product_pair(1, 1, 3)
+    want = _enumerate_maps_by_forced_steps(A, hc)
+    real = SimplicialSet.degen
+    planted = []
+
+    def degen(self, n, i, x):
+        if self is hc and n == 2 and x == 0 and not planted:
+            planted.append((n, i))
+            return real(self, n, (i + 1) % (n + 1), 1)
+        return real(self, n, i, x)
+
+    monkeypatch.setattr(sset_mod.SimplicialSet, "degen", degen)
+    got = [f.values for f in enumerate_maps(A, hc)]
+    assert planted and got != want
+
+
+def _key_by_apply(f):
+    return tuple(tuple(f.apply(n, x) for x in range(f.source.card(n))) for n in range(f.L + 1))
+
+
+def test_map_key_reads_stored_values():
+    z3 = nerve_cat(cyclic_group_category(3), 3)
+    stored = enumerate_maps(horn(3, 1), z3)
+    stored += [yoneda_map(z3, 2, x) for x in range(z3.card(2))]
+    # a stored map read below its top level
+    stored += [SimplicialMap(z3, z3, values=[list(range(z3.card(n))) for n in range(4)], L=2)]
+    lazy = [identity_map(z3), SimplicialMap(z3, z3, fn=lambda n, x: z3.face(n + 1, 0, z3.degen(n, 0, x)), L=2)]
+    for f in stored + lazy:
+        assert f.key() == _key_by_apply(f)
+    assert all(f.values is not None for f in stored) and all(f.values is None for f in lazy)
+    assert stored[-1].key() == lazy[1].key()
+
+
+def _closure_by_stack(X, seeds):
+    """The cells per level that `subcomplex` keeps, by the per-cell stack
+    it closed its seeds with before the two level passes."""
+    keep = [set() for _ in range(X.D + 1)]
+    stack = [(int(n), int(x)) for n, x in seeds]
+    while stack:
+        n, x = stack.pop()
+        if x in keep[n]:
+            continue
+        keep[n].add(x)
+        if n >= 1:
+            for i in range(n + 1):
+                stack.append((n - 1, X.face(n, i, x)))
+        if n < X.D:
+            for i in range(n + 1):
+                stack.append((n + 1, X.degen(n, i, x)))
+    return [sorted(level) for level in keep]
+
+
+def test_subcomplex_matches_stack_closure():
+    import random
+
+    rng = random.Random(0)
+    cases = 0
+    for n in range(5):
+        for D in range(n + 1):
+            Delta = standard_simplex(n, D)
+            cells = [(m, x) for m in range(D + 1) for x in range(Delta.card(m))]
+            seed_sets = [[]]
+            seed_sets += [[c for c in cells if any(j != k and j not in Delta.label(*c) for j in range(n + 1))]
+                          for k in range(n + 1)]
+            seed_sets.append([c for c in cells if set(Delta.label(*c)) != set(range(n + 1))])
+            seed_sets += [rng.sample(cells, rng.randint(1, min(4, len(cells)))) for _ in range(4)]
+            for seeds in seed_sets:
+                S, incl = subcomplex(Delta, seeds)
+                assert incl.values == _closure_by_stack(Delta, seeds), (n, D, seeds)
+                assert validate_sset(S).ok
+                cases += 1
+    assert cases == 145
 
 
 def test_map_composition_and_equality():

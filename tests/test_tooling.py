@@ -93,3 +93,83 @@ def test_package_import_loads_every_traced_module():
     for qual in _traced():
         mod = qual.split(".")[0]
         assert mod == "cli" or f"nervekit.{mod}" in loaded, qual
+
+
+# the modules only `cls`, `theta` and `uniq-check` need, with their public names
+LAZY_MODULES = {
+    "classification": ("classification_comparison", "classification_diagram", "theta_cell_value"),
+    "segal": ("fiber_check", "segal_column_check"),
+    "uniqueness": ("uniqueness_report", "uniqueness_search"),
+}
+
+
+def _cli_modules(argv: list) -> set:
+    """``sys.modules`` at the end of a fresh ``python -m nervekit.cli`` run."""
+    code = (
+        "import contextlib, io, runpy, sys\n"
+        f"sys.argv = ['nervekit'] + {argv!r}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        runpy.run_module('nervekit.cli', run_name='__main__', alter_sys=True)\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, exc.code\n"
+    )
+    return _fresh_modules(code)
+
+
+def test_gated_verbs_load_no_lazy_module():
+    lazy = {f"nervekit.{m}" for m in LAZY_MODULES}
+    for argv in (
+        ["horncheck", "--example", "bg:z3", "--max-dim", "4"],
+        ["compare", "--example", "bg:z2", "--max-dim", "3", "--coeff", "f2"],
+    ):
+        loaded = _cli_modules(argv)
+        assert "nervekit.verify" in loaded
+        assert not loaded & lazy, (argv, sorted(loaded & lazy))
+    assert not _fresh_modules("import nervekit") & lazy
+    # the verbs that need them do load them
+    assert "nervekit.classification" in _cli_modules(["cls", "--example", "bg:z2", "--max-dim", "1"])
+
+
+def test_moved_names_import_from_the_package():
+    import nervekit
+
+    for module, names in LAZY_MODULES.items():
+        mod = importlib.import_module(f"nervekit.{module}")
+        for name in names:
+            assert getattr(nervekit, name) is getattr(mod, name)
+            assert name in vars(nervekit)  # resolved once, then a plain attribute
+    names = sorted(n for ns in LAZY_MODULES.values() for n in ns)
+    assert "nervekit.classification" in _fresh_modules(f"from nervekit import {', '.join(names)}")
+    try:
+        nervekit.no_such_name
+    except AttributeError as exc:
+        assert "no_such_name" in str(exc)
+    else:
+        raise AssertionError("unknown names must raise AttributeError")
+
+
+def _parse_stderr(parser, argv: list) -> tuple:
+    import contextlib
+    import io
+
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            parser.parse_args(argv)
+            code = None
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def test_one_verb_parser_errs_as_the_full_parser():
+    from nervekit.cli import _parser
+
+    full = _parser(None)
+    for argv in (["compare", "--bogus"], ["compare", "--max-dim", "x"], ["horncheck", "extra"], ["cls", "--coeff", "q"]):
+        one = _parser(argv[0])
+        assert one.format_usage() == full.format_usage()
+        code, err = _parse_stderr(one, argv)
+        assert code == 2 and err
+        assert (code, err) == _parse_stderr(full, argv), argv

@@ -27,7 +27,7 @@ from nervekit import (
     uniqueness_report,
     uniqueness_search,
 )
-from nervekit.sset import act
+from nervekit.sset import act, act_table
 from nervekit.verify import _lab
 
 
@@ -89,20 +89,78 @@ def _horn_check_by_scan(X, n, k, max_witnesses=8):
     return ("pass" if unfillable == 0 else "fail"), unfillable, witnesses
 
 
-def test_horn_check_matches_filler_scan():
+def _horn_cases():
     chain = poset_nerve(FinitePoset([0, 1, 2], [(0, 1), (1, 2)]), 3)
     z3 = nerve_cat(cyclic_group_category(3), 4)
     cases = [(walk_nerve(), 2, 0)]
     cases += [(boundary_simplex(2, 2), n, k) for n in (1, 2) for k in range(n + 1)]
     cases += [(chain, n, k) for n in (1, 2, 3) for k in range(n + 1)]
     cases += [(z3, n, k) for n in range(1, 5) for k in range(n + 1)]
-    verdicts = set()
-    for X, n, k in cases:
+    return cases
+
+
+def _horn_scan_mismatches():
+    """The horn cases where `horn_check` and the filler scan disagree,
+    and the verdicts seen."""
+    mismatches, verdicts = [], set()
+    for X, n, k in _horn_cases():
         rep = horn_check(X, n, k, max_witnesses=3)
         got = (rep.verdict, rep.bounds["unfillable"], rep.witnesses)
-        assert got == _horn_check_by_scan(X, n, k, max_witnesses=3), (X.name, n, k)
+        if got != _horn_check_by_scan(X, n, k, max_witnesses=3):
+            mismatches.append((X.name, n, k))
         verdicts.add(rep.verdict)
+    return mismatches, verdicts
+
+
+def test_horn_check_matches_filler_scan():
+    mismatches, verdicts = _horn_scan_mismatches()
+    assert mismatches == []
     assert verdicts == {"pass", "fail"}
+
+
+def test_horn_check_catches_a_restriction_on_the_wrong_face(monkeypatch):
+    # the restriction to the top horn cell d_0 is built on d_1 instead
+    import nervekit.verify as verify_mod
+
+    real = verify_mod.act_table
+
+    def act_table(X, n, f):
+        if tuple(f) == tuple(range(1, n + 1)):
+            f = (0,) + tuple(range(2, n + 1))
+        return real(X, n, f)
+
+    monkeypatch.setattr(verify_mod, "act_table", act_table)
+    mismatches, _ = _horn_scan_mismatches()
+    assert mismatches
+
+
+def _horn_check_on_every_cell(X, n, k, max_witnesses=8):
+    """`horn_check` as it compared a horn map with the restrictions on
+    every nondegenerate horn cell, one composite `act_table` each."""
+    H = horn(n, k)
+    nd = [(m, c) for m in range(H.D + 1) for c in H.nondegenerate_cells(m)]
+    restrictions = set(zip(*(act_table(X, n, H.label(m, c)) for m, c in nd)))
+    witnesses = []
+    unfillable = 0
+    maps = enumerate_maps(H, X)
+    for h in maps:
+        if tuple(h.apply(m, c) for m, c in nd) not in restrictions:
+            unfillable += 1
+            if len(witnesses) < max_witnesses:
+                witnesses.append({"assignment": [(H.label(m, c), _lab(X, m, h.apply(m, c))) for m, c in nd]})
+    return {
+        "check": f"horn({n},{k}) extension in {X.name or 'sset'}",
+        "verdict": "pass" if unfillable == 0 else "fail",
+        "witnesses": witnesses,
+        "bounds": {"n": n, "k": k, "horn_maps": len(maps), "unfillable": unfillable},
+    }
+
+
+def test_horn_check_matches_the_route_on_every_cell():
+    for X, n, k in _horn_cases():
+        rep = horn_check(X, n, k, max_witnesses=3)
+        want = _horn_check_on_every_cell(X, n, k, max_witnesses=3)
+        assert {key: getattr(rep, key) for key in want} == want, (X.name, n, k)
 
 
 def test_horn_check_bounds():
