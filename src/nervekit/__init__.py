@@ -4,7 +4,6 @@ their nerves, and the comparison maps between them."""
 from .bisset import (
     BisimplicialSet,
     MarkedBisimplicialSet,
-    bisset_from_columns,
     diagonal,
     diagonal_marked,
     validate_bisset,

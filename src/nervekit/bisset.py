@@ -107,43 +107,6 @@ class BisimplicialSet:
         return f"<BisimplicialSet{tag} P={self.P} Q={self.Q}>"
 
 
-def bisset_from_columns(columns: Sequence[SimplicialSet], hface_fn, hdegen_fn, name: str = "") -> BisimplicialSet:
-    """Assemble a bisimplicial set from its column simplicial sets.
-
-    Vertical tables come from the columns; the horizontal operators are
-    supplied as functions (p, q, i, x) -> cell index one column over.
-    """
-    P = len(columns) - 1
-    Q = columns[0].D
-    if any(c.D != Q for c in columns):
-        raise ValueError("columns disagree on vertical truncation")
-    cards = [[columns[p].card(q) for q in range(Q + 1)] for p in range(P + 1)]
-    vfaces = [[columns[p].faces[q] for q in range(Q + 1)] for p in range(P + 1)]
-    vdegens = [
-        [columns[p].degens[q] if q < Q else [] for q in range(Q + 1)] for p in range(P + 1)
-    ]
-    hfaces = [
-        [
-            [[hface_fn(p, q, i, x) for x in range(cards[p][q])] for i in range(p + 1)]
-            if p >= 1
-            else []
-            for q in range(Q + 1)
-        ]
-        for p in range(P + 1)
-    ]
-    hdegens = [
-        [
-            [[hdegen_fn(p, q, i, x) for x in range(cards[p][q])] for i in range(p + 1)]
-            if p < P
-            else []
-            for q in range(Q + 1)
-        ]
-        for p in range(P + 1)
-    ]
-    labels = [[[columns[p].label(q, x) for x in range(cards[p][q])] for q in range(Q + 1)] for p in range(P + 1)]
-    return BisimplicialSet(P, Q, cards, hfaces, hdegens, vfaces, vdegens, labels=labels, name=name)
-
-
 def diagonal(X: BisimplicialSet, name: str = "") -> SimplicialSet:
     """The diagonal simplicial set: level n is bidegree (n, n).
 

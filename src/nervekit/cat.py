@@ -40,6 +40,7 @@ from .sset import (
     SimplicialSet,
     FinitePoset,
     TruncationError,
+    chain_index_nerve,
     enumerate_maps,
     poset_nerve,
     standard_simplex,
@@ -142,42 +143,29 @@ def nerve_cat(C: FiniteCategory, D: int) -> SimplicialSet:
     """Nerve of a finite category, truncated at level D.
 
     Level n cells are chains (x0, (m1, ..., mn)) of n composable
-    morphism triples. Outer faces drop an end, inner faces compose,
-    degeneracies insert identities. Cell order extends chains in
-    object order, then hom label order.
+    morphism triples, in the order and with the operators of
+    `chain_index_nerve`; ``compose_fn`` runs once per composable pair.
     """
-    cells: list[list[tuple]] = [[(x, ()) for x in C.objects]]
-    for n in range(1, D + 1):
-        lvl = []
-        for x0, ms in cells[n - 1]:
-            end = ms[-1][1] if ms else x0
-            for y in C.objects:
-                for l in C.hom_labels(end, y):
-                    lvl.append((x0, ms + ((end, y, l),)))
-        cells.append(lvl)
-    idx = [{c: i for i, c in enumerate(lvl)} for lvl in cells]
+    obs = C.objects
+    homs = [[C.hom_labels(a, b) for b in obs] for a in obs]
 
-    def face(n, i, c):
-        x0, ms = c
-        if i == 0:
-            return (ms[0][1], ms[1:])
-        if i == n:
-            return (x0, ms[:-1])
-        return (x0, ms[: i - 1] + (C.compose(ms[i], ms[i - 1]),) + ms[i + 1 :])
+    def comp(a, b, c):
+        where = {l: i for i, l in enumerate(homs[a][c])}
+        return [where[C.compose_fn(obs[a], obs[b], obs[c], g, f)] for g in homs[b][c] for f in homs[a][b]]
 
-    def degen(n, i, c):
-        x0, ms = c
-        at = ms[i - 1][1] if i else x0
-        return (x0, ms[:i] + (C.identity(at),) + ms[i:])
+    ids = [homs[a][a].index(C.ids[x]) for a, x in enumerate(obs)]
+    counts, faces, degens, ends, _ = chain_index_nerve([[len(h) for h in row] for row in homs], comp, ids, D)
+    return SimplicialSet(D, counts, faces, degens, labels=_chain_labels(obs, homs, ends, D), name=f"nerve({C.name})")
 
-    cards = [len(lvl) for lvl in cells]
-    faces: list[list[list[int]]] = [[] for _ in range(D + 1)]
-    degens: list[list[list[int]]] = [[] for _ in range(D + 1)]
-    for n in range(1, D + 1):
-        faces[n] = [[idx[n - 1][face(n, i, c)] for c in cells[n]] for i in range(n + 1)]
+
+def _chain_labels(objects: Sequence, homs, ends, D: int) -> list[list[tuple]]:
+    """Labels (x0, (m1, ..., mn)) of the chains of `chain_index_nerve`
+    up to level D, given its ``ends`` and the hom labels by index pair."""
+    steps = [[(x, y, l) for y, h in zip(objects, row) for l in h] for x, row in zip(objects, homs)]
+    labels = [[(x, ()) for x in objects]]
     for n in range(D):
-        degens[n] = [[idx[n + 1][degen(n, i, c)] for c in cells[n]] for i in range(n + 1)]
-    return SimplicialSet(D, cards, faces, degens, labels=[list(lvl) for lvl in cells], name=f"nerve({C.name})")
+        labels.append([(x0, ms + (m,)) for (x0, ms), e in zip(labels[n], ends[n]) for m in steps[e]])
+    return labels
 
 
 _EMPTY_CACHE: dict[int, SimplicialSet] = {}
@@ -312,69 +300,6 @@ def level_category(SC: SimplicialCategory, q: int) -> FiniteCategory:
 
     ids = {a: (a, a, SC.identity_cell(a, q)) for a in SC.objects}
     return FiniteCategory(SC.objects, homs, compose_fn, ids, name=f"{SC.name}_lvl{q}")
-
-
-def _level_nerve_operators(SC: SimplicialCategory, P: int, Q: int):
-    """The vertical operators between the nerves of the level categories.
-
-    Yields, for p = 0..P, ``(faces, degens)``: ``faces[q][j]`` sends
-    each p-chain of level-q morphisms, in the order of `nerve_cat`, to
-    the chain of level q - 1 whose hom cells are their d_j faces, and
-    ``degens[q][j]`` to level q + 1 by s_j; rows 0..Q. `nerve_cat`
-    lists the chains at level k + 1 by extending each chain at level k,
-    in order, by the target object and then the hom cell. So the image
-    of a chain is the first extension of its prefix's image, plus the
-    start of its last target object among those extensions, plus its
-    last cell's image: each column's tables follow from the previous
-    column's by index arithmetic, and no label is built.
-    """
-    n = len(SC.objects)
-    homs = [[SC.hom(a, b) for b in SC.objects] for a in SC.objects]
-    ends, firsts, starts = [], [], []  # per row: chain ends, first extensions, object starts
-    for q in range(Q + 1):
-        cards = [[H.card(q) for H in row] for row in homs]
-        start = [list(itertools.accumulate(row, initial=0)) for row in cards]
-        row_ends, row_firsts = [list(range(n))], []
-        for k in range(P):
-            row_firsts.append(list(itertools.accumulate((start[e][n] for e in row_ends[k]), initial=0)))
-            if k + 1 < P:
-                row_ends.append([y for e in row_ends[k] for y in range(n) for _ in range(cards[e][y])])
-        ends.append(row_ends)
-        firsts.append(row_firsts)
-        starts.append(start)
-
-    def images(q, r, op):
-        # per end object, the start in row r and the image of each level-q cell, per target
-        return [
-            [(starts[r][e][y], [op(H, c) for c in range(H.card(q))]) for y, H in enumerate(row) if H.card(q)]
-            for e, row in enumerate(homs)
-        ]
-
-    ops = []
-    for q in range(Q + 1):
-        for j in range(q + 1):
-            if q:
-                ops.append((q, q - 1, images(q, q - 1, lambda H, c: H.face(q, j, c))))
-            if q < Q:
-                ops.append((q, q + 1, images(q, q + 1, lambda H, c: H.degen(q, j, c))))
-    # every table entry refers to one int object per index, as in `nerve_cat`
-    index = list(range(max([n] + [row_firsts[-1][-1] for row_firsts in firsts if row_firsts])))
-    tables = [index[:n] for _ in ops]
-    for p in range(P + 1):
-        if p:
-            extended = []
-            for (q, r, image_of), table in zip(ops, tables):
-                first, row = firsts[r][p - 1], []
-                for e, x in zip(ends[q][p - 1], table):
-                    for s, image in image_of[e]:
-                        s += first[x]
-                        row.extend([index[s + v] for v in image])
-                extended.append(row)
-            tables = extended
-        faces, degens = [[] for _ in range(Q + 1)], [[] for _ in range(Q + 1)]
-        for (q, r, _), table in zip(ops, tables):
-            (faces if r < q else degens)[q].append(table)
-        yield faces, degens
 
 
 def constant_sset(k: int, D: int, labels=None, name: str = "") -> SimplicialSet:
@@ -625,8 +550,10 @@ def validate_functor(F: SimplicialFunctor, subject: str = "functor") -> Validati
 
 
 def functors_equal(F: SimplicialFunctor, G: SimplicialFunctor) -> bool:
-    """Equality via vertex signatures; exact when target homs are poset nerves."""
-    return F.vertex_signature() == G.vertex_signature()
+    """Equal object maps and equal hom maps, compared as full value tables."""
+    if F.obj != G.obj or F.homs.keys() != G.homs.keys():
+        return False
+    return all(F.homs[p].key() == G.homs[p].key() for p in F.homs)
 
 
 @lru_cache(maxsize=None)

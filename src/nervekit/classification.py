@@ -40,7 +40,7 @@ from .nerves import (
     _collapse_row,
     _collapse_table,
     _table_pairs,
-    _theta_cell,
+    _theta_plan,
     coherent_nerve,
     hc_constant,
     levelwise_nerve_marked,
@@ -179,7 +179,7 @@ def theta_cell_value(SC: SimplicialCategory, label, p: int, q: int, tau) -> tupl
     ``tests/test_nerves.py``) after `grid_collapse`, evaluated without
     building either.
     """
-    return _theta_cell(SC, label, p, q, tau, {})
+    return _cell_from_plan(SC, label, q, _theta_plan(p, q, tau, SC.D), {})
 
 
 @lru_cache(maxsize=None)
@@ -366,49 +366,52 @@ def _theta_sweep(R, M, P, Q, check, counts) -> None:
                     return
                 if p + q > _DIRECT_BIDEGREE:
                     continue
+                plan = _theta_plan(p, q, tau, SC.D)
                 for x in range(X.card(p, q)):
                     label = X.label(p, q, x)
                     objs = [label[0]] + [m[1] for m in label[1]]
                     counts["slice_checks"] += 1
-                    if _theta_cell(SC, label, p, q, tau, memo) != hc_constant(SC, objs[i], q) and capped(
+                    if _cell_from_plan(SC, label, q, plan, memo) != hc_constant(SC, objs[i], q) and capped(
                         {"reason": "vertex slice value", "bidegree": [p, q], "cell": x, "vertex": i}
                     ):
                         return
 
     # marking: marked chains send every strict grid edge to a marked edge
+    edges = {
+        q: [(b0, b1, _theta_plan(1, q, ((0, b0), (1, b1)), SC.D)) for b0 in range(q + 1) for b1 in range(b0, q + 1)]
+        for q in range(Q + 1)
+    }
     for (q, x) in sorted(M.marked):
         label = X.label(1, q, x)
-        for b0 in range(q + 1):
-            for b1 in range(b0, q + 1):
-                tau = ((0, b0), (1, b1))
-                objects, values = _theta_cell(SC, label, 1, q, tau, memo)
-                counts["marked_edges_checked"] += 1
-                if values[0] not in R.sub_cells(objects[0], objects[1], 0) and capped(
-                    {
-                        "reason": "marking not preserved",
-                        "row": q,
-                        "cell": x,
-                        "edge": [[0, b0], [1, b1]],
-                    }
-                ):
-                    return
+        for b0, b1, plan in edges[q]:
+            objects, values = _cell_from_plan(SC, label, q, plan, memo)
+            counts["marked_edges_checked"] += 1
+            if values[0] not in R.sub_cells(objects[0], objects[1], 0) and capped(
+                {"reason": "marking not preserved", "row": q, "cell": x, "edge": [[0, b0], [1, b1]]}
+            ):
+                return
 
     # direct operator squares on small bidegrees
     for p in range(P + 1):
         for q in range(Q + 1):
             if p + q > _DIRECT_BIDEGREE:
                 continue
-            targets = {_grid_op(p, q, kind, i)[0] for kind, i, _ in _ops_at(X, p, q)}
-            chains_pq = {t: _nondeg_grid_chains(*t) for t in targets}
+            # per operator, each source grid chain with its plan and its image's
+            squares = []
+            for kind, i, op in _ops_at(X, p, q):
+                (p2, q2), vp, vq = _grid_op(p, q, kind, i)
+                plans = [
+                    (tau, _theta_plan(p2, q2, tau, SC.D), _theta_plan(p, q, tuple((vp[a], vq[b]) for a, b in tau), SC.D))
+                    for tau in _nondeg_grid_chains(p2, q2)
+                ]
+                squares.append((kind, i, op, p2, q2, plans))
             for x in range(X.card(p, q)):
                 label = X.label(p, q, x)
-                for kind, i, op in _ops_at(X, p, q):
-                    (p2, q2), vp, vq = _grid_op(p, q, kind, i)
+                for kind, i, op, p2, q2, plans in squares:
                     moved_label = X.label(p2, q2, op(p, q, i, x))
-                    for tau in chains_pq[(p2, q2)]:
-                        lhs = _theta_cell(SC, moved_label, p2, q2, tau, memo)
-                        big = tuple((vp[a], vq[b]) for (a, b) in tau)
-                        rhs = _theta_cell(SC, label, p, q, big, memo)
+                    for tau, moved, big in plans:
+                        lhs = _cell_from_plan(SC, moved_label, q2, moved, memo)
+                        rhs = _cell_from_plan(SC, label, q, big, memo)
                         counts["direct_squares"] += 1
                         if lhs != rhs and capped(
                             {

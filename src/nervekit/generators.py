@@ -60,10 +60,11 @@ class ExampleSpec(FrozenRecord):
 
 def _cyclic_group_example(m: int, D: int) -> SimplicialCategory:
     N = nerve_cat(cyclic_group_category(m), D)
-    # nerve_cat orders the level-n cells of nerve(Z/m) as base-m numbers of
-    # their n labels, first label most significant, and composition adds
-    # labels digit by digit: the pair (g, f) at g * m^n + f composes the
-    # leading n - 1 digits one level down and adds the last digits mod m.
+    # the chain index (x extended by c is x * m + c) orders the level-n
+    # cells of nerve(Z/m) as base-m numbers of their n labels, first label
+    # most significant, and composition adds labels digit by digit: the
+    # pair (g, f) at g * m^n + f composes the leading n - 1 digits one
+    # level down and adds the last digits mod m.
     # One table per level makes composition a lookup; serializing the
     # input reads every entry anyway.
     vals = [[0]]

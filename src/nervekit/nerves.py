@@ -10,8 +10,8 @@ Three constructions of a simplicial category live here:
   (`_cell_value`), and a value on any other hom chain folds out of
   these by composition. That tuple is also the cell's label.
 * `levelwise_nerve`: the bisimplicial set whose column p at row q is
-  the set of p-chains of level-q morphisms; `classifying_space` is its
-  diagonal.
+  the set of p-chains of level-q morphisms, one `chain_index_nerve` per
+  row; `classifying_space` is its diagonal.
 
 `comparison_map` sends a diagonal chain cell to the coherent-nerve
 cell given in closed form by `comparison_cell`: on each generator
@@ -19,7 +19,7 @@ chain, every hop acts by the tuple of largest subset elements strictly
 below it, and the hops fold by composition. That is the chain functor
 precomposed with `comparison_functor`, evaluated without building
 either. `consistency_check` compares it with the grid-collapse route
-along the diagonal: `_theta_cell` folds a chain along the plan that
+along the diagonal: `_cell_from_plan` folds a chain along the plan that
 `_collapse_plan` reads off the coordinate rule, written once in
 `_collapse_row` and read through `_collapse_table`. The functor route
 (`chain_functor` and `hc_from_simplicial_functor`) is kept in
@@ -35,17 +35,9 @@ import itertools
 from functools import lru_cache
 
 from .reporting import CheckReport
-from .sset import SimplicialMap, SimplicialSet, TruncationError, act, act_table
-from .cat import (
-    RelativeSimplicialCategory,
-    SimplicialCategory,
-    _check_grid_chain,
-    _level_nerve_operators,
-    level_category,
-    nerve_cat,
-    path_poset,
-)
-from .bisset import BisimplicialSet, MarkedBisimplicialSet, bisset_from_columns, diagonal
+from .sset import SimplicialMap, SimplicialSet, TruncationError, _extend, act, act_table, chain_index_nerve
+from .cat import RelativeSimplicialCategory, SimplicialCategory, _chain_labels, _check_grid_chain, path_poset
+from .bisset import BisimplicialSet, MarkedBisimplicialSet, diagonal
 
 
 # --- generator chains and coherent-nerve cells ------------------------------
@@ -282,24 +274,56 @@ def coherent_nerve(SC: SimplicialCategory, L: int, name: str = "") -> Simplicial
 def levelwise_nerve(SC: SimplicialCategory, P: int, Q: int, name: str = "") -> BisimplicialSet:
     """Bisimplicial set of chains: column p at row q is p-chains of q-cells.
 
-    Horizontal operators compose and drop along the chain; vertical
-    operators act on each morphism's hom cell (`_level_nerve_operators`).
+    Row q is the nerve of the level-q category by `chain_index_nerve`,
+    labelled as ``nerve_cat(level_category(SC, q), P)``. A vertical
+    operator h keeps the objects and acts on each hom cell, so in its
+    target row r it sends x extended by c: e -> y to
+    first_r[h(x)] + start_r[e][y] + h(c).
     """
     if Q > SC.D:
         raise TruncationError(f"row {Q} beyond hom truncation {SC.D}")
-    nerves = [nerve_cat(level_category(SC, q), P) for q in range(Q + 1)]
-    columns = [
-        SimplicialSet(
-            Q, [nerves[q].card(p) for q in range(Q + 1)], faces, degens,
-            labels=[nerves[q].labels[p] for q in range(Q + 1)], name=f"column {p}",
-        )
-        for p, (faces, degens) in enumerate(_level_nerve_operators(SC, P, Q))
-    ]
-    return bisset_from_columns(
-        columns,
-        lambda p, q, i, x: nerves[q].face(p, i, x),
-        lambda p, q, i, x: nerves[q].degen(p, i, x),
-        name=name or f"chains({SC.name})",
+    obs = SC.objects
+    homs = [[SC.hom(a, b) for b in obs] for a in obs]
+    rows = []
+    for q in range(Q + 1):
+        cards = [[H.card(q) for H in row] for row in homs]
+
+        def comp(a, b, c, q=q, cards=cards):
+            m = SC.comps[(obs[a], obs[b], obs[c])]
+            return [m.apply(q, z) for z in range(cards[b][c] * cards[a][b])]
+
+        counts, faces, degens, ends, firsts = chain_index_nerve(cards, comp, [SC.identity_cell(a, q) for a in obs], P)
+        cells = [[[(x, y, c) for c in range(n)] for y, n in zip(obs, row)] for x, row in zip(obs, cards)]
+        rows.append((counts, faces, degens, _chain_labels(obs, cells, ends, P), cards, ends, firsts))
+    index = list(range(max(max(row[0]) for row in rows)))
+
+    def vertical(q, r):
+        # per column, the tables of the operators j = 0..q from row q to row r
+        tables = [[] for _ in range(P + 1)]
+        if not 0 <= r <= Q:
+            return tables
+        cards, ends, firsts = rows[q][4], rows[q][5], rows[r][6]
+        start = [list(itertools.accumulate(row, initial=0)) for row in rows[r][4]]
+        for j in range(q + 1):
+            offsets = [
+                [start[e][y] + (H.face if r < q else H.degen)(q, j, c) for y, H in enumerate(row) for c in range(cards[e][y])]
+                for e, row in enumerate(homs)
+            ]
+            table = index[: len(obs)]
+            for p in range(P + 1):
+                if p:
+                    table = _extend(index, table, firsts[p - 1], ends[p - 1], offsets)
+                tables[p].append(table)
+        return tables
+
+    def by_column(per_row):
+        return [[per_row[q][p] for q in range(Q + 1)] for p in range(P + 1)]
+
+    return BisimplicialSet(
+        P, Q, *(by_column([row[t] for row in rows]) for t in range(3)),
+        by_column([vertical(q, q - 1) for q in range(Q + 1)]),
+        by_column([vertical(q, q + 1) for q in range(Q + 1)]),
+        labels=by_column([row[3] for row in rows]), name=name or f"chains({SC.name})",
     )
 
 
@@ -527,9 +551,9 @@ def _collapse_plan(tau: tuple, D: int) -> tuple:
     return cols, tuple(sorted(hops)), tuple(entries)
 
 
-def _theta_cell(SC: SimplicialCategory, label, p: int, q: int, tau, memo: dict) -> tuple:
-    plan = _collapse_plan(_check_grid_chain(p, q, tau), SC.D)
-    return _cell_from_plan(SC, label, q, plan, memo)
+def _theta_plan(p: int, q: int, tau, D: int) -> tuple:
+    """The `_collapse_plan` of a grid chain, checked to lie in the (p, q) grid."""
+    return _collapse_plan(_check_grid_chain(p, q, tau), D)
 
 
 # a check report keeps at most this many witnesses
@@ -579,7 +603,7 @@ def consistency_check(SC: SimplicialCategory, f: SimplicialMap) -> CheckReport:
             check.witnesses.append(witness)
 
     for k in range(L + 1):
-        plan = _collapse_plan(_check_grid_chain(k, k, tuple((t, t) for t in range(k + 1))), SC.D)
+        plan = _theta_plan(k, k, tuple((t, t) for t in range(k + 1)), SC.D)
         for x in range(B.card(k)):
             counts["diagonal"] += 1
             if _cell_from_plan(SC, B.label(k, x), k, plan, memo) != hc.label(k, f.apply(k, x)):
@@ -587,16 +611,13 @@ def consistency_check(SC: SimplicialCategory, f: SimplicialMap) -> CheckReport:
     slice_verdicts: dict = {}
     for p in range(L + 1):
         for q in range(L + 1):
-            slices = []
-            for i in range(p + 1):
-                tau = tuple((i, b) for b in range(q + 1))
-                cols, hops, _ = _collapse_plan(_check_grid_chain(p, q, tau), SC.D)
-                slices.append((i, tau, cols, hops))
+            slices = [(i, _theta_plan(p, q, tuple((i, b) for b in range(q + 1)), SC.D)) for i in range(p + 1)]
             for x in range(X.card(p, q)):
                 label = X.label(p, q, x)
                 x0, ms = label
                 objs = (x0,) + tuple(m[1] for m in ms)
-                for i, tau, cols, hops in slices:
+                for i, plan in slices:
+                    cols, hops, _ = plan
                     key = (
                         p,
                         q,
@@ -606,7 +627,7 @@ def consistency_check(SC: SimplicialCategory, f: SimplicialMap) -> CheckReport:
                     )
                     ok = slice_verdicts.get(key)
                     if ok is None:
-                        F = _theta_cell(SC, label, p, q, tau, memo)
+                        F = _cell_from_plan(SC, label, q, plan, memo)
                         ok = slice_verdicts[key] = F == hc_constant(SC, objs[i], q)
                     counts["vertex_slices"] += 1
                     if not ok:

@@ -18,13 +18,16 @@ Conventions
   0 <= i <= n.
 * Equality of simplicial sets compares truncation, cardinalities and
   operator tables; labels are documentation and are ignored.
+* Every nerve of a category (simplices, posets, `cat.nerve_cat`, the
+  rows of `nerves.levelwise_nerve`) is built by `chain_index_nerve`.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from operator import itemgetter
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from .reporting import Record, ValidationReport
 
@@ -401,25 +404,84 @@ def vertices(X, n: int, x: int) -> tuple[int, ...]:
     return tuple(act(X, n, x, (t,)) for t in range(n + 1))
 
 
-def _chain_nerve(m: int, leq: Callable[[int, int], bool], D: int, element_labels=None) -> SimplicialSet:
-    # Level n cells are the weakly increasing (n+1)-chains in lexicographic
-    # order; face drops an entry, degeneracy repeats one.
-    cells: list[list[tuple[int, ...]]] = [[(i,) for i in range(m)]]
-    for n in range(1, D + 1):
-        cells.append([c + (j,) for c in cells[n - 1] for j in range(m) if leq(c[-1], j)])
-    idx = [{c: i for i, c in enumerate(lvl)} for lvl in cells]
-    cards = [len(lvl) for lvl in cells]
-    faces: list[list[list[int]]] = [[] for _ in range(D + 1)]
-    degens: list[list[list[int]]] = [[] for _ in range(D + 1)]
-    for n in range(1, D + 1):
-        faces[n] = [[idx[n - 1][c[:i] + c[i + 1 :]] for c in cells[n]] for i in range(n + 1)]
+def _extend(index: list[int], image, firsts, ends, offsets) -> list[int]:
+    """A chain operator one level up from its table ``image``: x extended
+    by the o-th morphism out of its end e goes to
+    ``index[firsts[image[x]] + offsets[e][o]]``."""
+    return [index[f + o] for f, e in zip(map(firsts.__getitem__, image), ends) for o in offsets[e]]
+
+
+def chain_index_nerve(cards, comp, ids, D: int) -> tuple:
+    """The nerve of a finite category by chain index, truncated at level D.
+
+    Objects are 0..k-1, ``cards[a][b]`` counts the morphisms a -> b,
+    ``comp(a, b, c)`` is the table sending g * cards[a][b] + f to the
+    index of g∘f (f: a -> b, g: b -> c), called once per composable
+    triple when D >= 2, and ``ids[a]`` indexes the identity of a.
+
+    Level n + 1 extends each n-chain x in order by each c: e -> y out of
+    its end e, at index first[x] + start[e][y] + c, start[e][y] counting
+    the morphisms from e to objects before y. Every operator but
+    d_{n-1}, d_n and s_n keeps the last morphism, so it extends its own
+    table one level down (`_extend`); d_n is the prefix, d_{n-1}
+    composes the last two morphisms and s_n appends an identity.
+
+    Returns (counts, faces, degens, ends, firsts): cells per level, the
+    tables as in `SimplicialSet`, and per level n < D each chain's end
+    and first extension, ``firsts[n]`` ending with the count of n + 1.
+    """
+    k = len(cards)
+    start = [list(itertools.accumulate(row, initial=0)) for row in cards]
+    out = [s[-1] for s in start]
+    targets = [[y for y, c in enumerate(row) for _ in range(c)] for row in cards]
+    ends, firsts, counts = [list(range(k))], [], [k]
     for n in range(D):
-        degens[n] = [[idx[n + 1][c[: i + 1] + c[i:]] for c in cells[n]] for i in range(n + 1)]
-    if element_labels is None:
-        labels = [[c for c in lvl] for lvl in cells]
-    else:
-        labels = [[tuple(element_labels[j] for j in c) for c in lvl] for lvl in cells]
-    return SimplicialSet(D, cards, faces, degens, labels=labels)
+        firsts.append(list(itertools.accumulate((out[e] for e in ends[n]), initial=0)))
+        counts.append(firsts[n][-1])
+        if n + 1 < D:
+            ends.append([y for e in ends[n] for y in targets[e]])
+    # offsets among the extensions of a chain ending at a: all of them,
+    # the prefix, the identity of a, and two levels up the composite of
+    # each pair a -> b -> c
+    spans = [range(o) for o in out]
+    prefix = [[0] * o for o in out]
+    unit = [[start[a][a] + ids[a]] for a in range(k)]
+    composites = []
+    for a in range(k if D >= 2 else 0):
+        row = []
+        for b in range(k):
+            if cards[a][b]:
+                tables = [comp(a, b, c) if cards[b][c] else () for c in range(k)]
+                row += [
+                    start[a][c] + C[g * cards[a][b] + f]
+                    for f in range(cards[a][b]) for c, C in enumerate(tables) for g in range(cards[b][c])
+                ]
+        composites.append(row)
+    index = list(range(max(counts)))  # entries share one int object per index
+    faces, degens = [[] for _ in range(D + 1)], [[] for _ in range(D + 1)]
+    for n in range(D + 1):
+        if n:
+            faces[n] = [_extend(index, T, firsts[n - 2], ends[n - 1], spans) for T in faces[n - 1][: n - 1]]
+            if n == 1:
+                faces[n].append(_extend(index, range(k), [0] * k, ends[0], targets))
+            else:
+                faces[n].append(_extend(index, range(counts[n - 2]), firsts[n - 2], ends[n - 2], composites))
+            faces[n].append(_extend(index, range(counts[n - 1]), index, ends[n - 1], prefix))
+        if n < D:
+            degens[n] = [_extend(index, T, firsts[n], ends[n - 1], spans) for T in degens[n - 1]] if n else []
+            degens[n].append(_extend(index, range(counts[n]), firsts[n], ends[n], unit))
+    return counts, faces, degens, ends, firsts
+
+
+def _chain_nerve(order, names: Sequence, D: int) -> SimplicialSet:
+    # order[a][b] is true when a <= b, counting the one morphism a -> b,
+    # so an n-chain is its n + 1 elements; its label is their names
+    counts, faces, degens, ends, _ = chain_index_nerve(order, lambda a, b, c: [0], [0] * len(order), D)
+    above = [[y for y, le in zip(names, row) if le] for row in order]
+    labels = [[(y,) for y in names]]
+    for n in range(D):
+        labels.append([c + (y,) for c, e in zip(labels[n], ends[n]) for y in above[e]])
+    return SimplicialSet(D, counts, faces, degens, labels=labels)
 
 
 @lru_cache(maxsize=None)
@@ -430,7 +492,7 @@ def standard_simplex(n: int, D: int) -> SimplicialSet:
     in 0..n, in lexicographic order; the label of a cell is that tuple.
     The result is cached and must be treated as immutable.
     """
-    X = _chain_nerve(n + 1, lambda a, b: a <= b, D)
+    X = _chain_nerve([[a <= b for b in range(n + 1)] for a in range(n + 1)], range(n + 1), D)
     X.name = f"simplex({n})"
     return X
 
@@ -479,7 +541,7 @@ class FinitePoset:
 
 def poset_nerve(P: FinitePoset, D: int, name: str = "") -> SimplicialSet:
     """Nerve of a finite poset: level n cells are weakly increasing chains."""
-    X = _chain_nerve(len(P), lambda i, j: P._leq[i][j], D, element_labels=P.elements)
+    X = _chain_nerve(P._leq, P.elements, D)
     X.name = name or "poset_nerve"
     return X
 

@@ -14,7 +14,6 @@ import itertools
 from typing import Optional
 
 from .cat import (
-    SimplicialFunctor,
     coherent_path_category,
     comparison_functor,
     compose_functors,
@@ -65,12 +64,6 @@ def uniqueness_search(N: int, D: Optional[int] = None) -> list[tuple]:
     return families
 
 
-def _functor_tables_equal(F: SimplicialFunctor, G: SimplicialFunctor) -> bool:
-    if F.obj != G.obj or set(F.homs) != set(G.homs):
-        return False
-    return all(F.homs[p].key() == G.homs[p].key() for p in F.homs)
-
-
 def uniqueness_report(N: int, D: Optional[int] = None) -> CheckReport:
     """Report form of `uniqueness_search`, compared against the canonical family."""
     if D is None:
@@ -78,7 +71,7 @@ def uniqueness_report(N: int, D: Optional[int] = None) -> CheckReport:
     families = uniqueness_search(N, D)
     expected = tuple(comparison_functor(n, D) for n in range(N + 1))
     matches = [
-        fam for fam in families if all(_functor_tables_equal(g, e) for g, e in zip(fam, expected))
+        fam for fam in families if all(functors_equal(g, e) for g, e in zip(fam, expected))
     ]
     verdict = "pass" if len(families) == 1 and len(matches) == 1 else "fail"
     witnesses = []

@@ -59,6 +59,16 @@ def test_nerve_of_poset_matches_poset_nerve():
     assert N1.nondeg_counts() == N2.nondeg_counts()
 
 
+def test_functors_equal_compares_whole_hom_tables():
+    # both functors send every vertex to the identity; one sends the
+    # nondegenerate edge of hom(0, 1) to the identity edge, the other to
+    # the generator, so their vertex signatures agree
+    F, G = enumerate_simplicial_functors(simplex_power_category(1, 1), build_example("bg:z2", max_dim=1).cat)
+    assert F.vertex_signature() == G.vertex_signature()
+    assert not functors_equal(F, G)
+    assert functors_equal(F, F) and functors_equal(G, G)
+
+
 def test_level_category_of_group_example(z2_rel):
     SC = z2_rel.cat
     C0 = level_category(SC, 0)

@@ -159,7 +159,8 @@ def test_marked_verbs_run_at_truncation_one(capsys):
 # comparison map's cells; that of `theta bg:z2 -d 5`, whose bidegree
 # (2, 3) lies above the directly checked squares, before theta read its
 # collapse rule from one table; those of the last three `cls` runs before
-# its operators became gathers along grid maps)
+# its operators became gathers along grid maps; those of `nerve` and of
+# the last `binerve` run before nerves were built by chain index)
 DIGEST_PINS = [
     ("compare --example bg:z2 --max-dim 3 --coeff f2", "2d0bcd5c0308c6738f3b7c0e5291c7a33101183d717d86adc5f3fae643c30eab"),
     ("compare --example bg:z2 --max-dim 3", "a04862a7efd985e5e160086d4066bcf7de576c37418322a66a2d0daf0c6f8a59"),
@@ -182,6 +183,9 @@ DIGEST_PINS = [
     ("homology --example bg:z2 --max-dim 3", "6c234f58e639e1ceaa1f4524808d15f1438cba556a7418806f7a65ba249693de"),
     ("bspace --example bg:z3 --max-dim 3", "1236c2f583a26bbafa8dc8205e904b6ec12aeaa8a938d2252fc8c3039610729e"),
     ("uniq-check --max-cosimplicial 2", "9f09c4d589200c9d7db17642c6c3fa896fd59a09d83d489a5441e93d4ccb0a0b"),
+    ("nerve --example bg:z3 --max-dim 4 --emit-cells", "fea48da85262f6a59cfab3289af2a7eb7dae58c4c4936507d1978621a562c99d"),
+    ("nerve --example two-object-interval --max-dim 4 --emit-cells", "bd0544f76692a588895b6b3e99cf2a34bf1df45c2523559052af3ee269c1d79d"),
+    ("binerve --example poset:a<b,a<c,b<d,c<d --max-dim 3 --emit-cells", "bf41a8968fd66566fe3339bd39a91e9c81109433cc10bacab9346543c4819821"),
 ]
 
 
@@ -208,6 +212,29 @@ def test_compare_builds_each_comparison_cell_once(monkeypatch):
     # 531 map cells; the consistency check reads them back and builds
     # only its 4 distinct row restrictions
     assert len(calls) == 531 + 4
+
+
+def test_theta_checks_each_grid_chain_once_per_bidegree(monkeypatch):
+    # the sweep resolves one collapse plan per (p, q, tau) it reads, so
+    # the grid-chain checks do not grow with the cells: bg:z3 has more
+    # than three times the cells of bg:z2 at the same bidegrees
+    import nervekit.nerves as nerves_mod
+
+    check = nerves_mod._check_grid_chain
+    calls = []
+
+    def counted(p, q, tau):
+        calls.append((p, q))
+        return check(p, q, tau)
+
+    monkeypatch.setattr(nerves_mod, "_check_grid_chain", counted)
+    per_input = {}
+    for example in ("bg:z2", "bg:z3"):
+        calls.clear()
+        rep, code, _ = run(["theta", "--example", example, "--max-dim", "4"])
+        assert code == 0
+        per_input[example] = (len(calls), rep["results"]["theta"]["bounds"]["direct_squares"])
+    assert per_input == {"bg:z2": (1589, 2436), "bg:z3": (1589, 5102)}
 
 
 def test_example_and_in_are_exclusive(tmp_path, capsys):

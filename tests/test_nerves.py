@@ -131,7 +131,7 @@ def _category(name, D):
     category a cell index names unrelated chains at different levels,
     so it is the one that sees the level in a composition memo key.
     """
-    from nervekit import FiniteCategory, coherent_path_category, discrete_simplicial_category
+    from nervekit import coherent_path_category, discrete_simplicial_category
 
     if name == "paths[2]":
         return coherent_path_category(2, D)
@@ -139,16 +139,21 @@ def _category(name, D):
         return build_example(_random_poset(int(name.split(":")[1])), max_dim=D).cat
     if name != "discrete:s3":
         return build_example(name, max_dim=D).cat
+    return discrete_simplicial_category(_s3_category(), D)
+
+
+def _s3_category():
+    """The symmetric group on three letters as a one-object category."""
+    from nervekit import FiniteCategory
 
     perms = list(itertools.permutations(range(3)))
-    S3 = FiniteCategory(
+    return FiniteCategory(
         ["x"],
         {("x", "x"): perms},
         lambda a, b, c, g, f: tuple(g[f[v]] for v in range(3)),
         {"x": (0, 1, 2)},
         name="s3",
     )
-    return discrete_simplicial_category(S3, D)
 
 
 def _random_poset(seed):
@@ -261,7 +266,7 @@ def test_comparison_cells_match_functor_route(name, L):
 def test_theta_cells_match_functor_route(name):
     from nervekit import grid_collapse, theta_cell_value
     from nervekit.classification import _nondeg_grid_chains
-    from nervekit.nerves import _theta_cell
+    from nervekit.nerves import _cell_from_plan, _theta_plan
 
     SC = _category(name, 3)
     X = levelwise_nerve(SC, 3, 3)
@@ -276,7 +281,7 @@ def test_theta_cells_match_functor_route(name):
                 for tau, collapse in zip(chains, collapses):
                     want = _functor_route(SC, label, p, q, collapse, len(tau) - 1)
                     assert theta_cell_value(SC, label, p, q, tau) == want
-                    assert _theta_cell(SC, label, p, q, tau, memo) == want
+                    assert _cell_from_plan(SC, label, q, _theta_plan(p, q, tau, SC.D), memo) == want
                     checked += 1
     assert checked > 0
 
@@ -406,6 +411,10 @@ def test_consistency_check_builds_no_functors(z2_rel_d3, z2_rel, monkeypatch):
     assert calls == {"comparison_functor": 1, "compose_functors": 1, "grid_collapse": 0, "chain_functor": 1}
 
 
+def _theta_cell(nerves_mod, SC, label, p, q, tau, memo):
+    return nerves_mod._cell_from_plan(SC, label, q, nerves_mod._theta_plan(p, q, tau, SC.D), memo)
+
+
 def _consistency_check_by_instance(SC, f):
     """Verdict, bounds and witnesses of `consistency_check` by the slow
     route: both sides of every instance are built and compared, (a)
@@ -424,7 +433,7 @@ def _consistency_check_by_instance(SC, f):
         tau = tuple((t, t) for t in range(k + 1))
         for x in range(X.card(k, k)):
             label = X.label(k, k, x)
-            lhs = nerves_mod._theta_cell(SC, label, k, k, tau, memo)
+            lhs = _theta_cell(nerves_mod, SC, label, k, k, tau, memo)
             rhs = f.target.label(k, f.apply(k, x))
             counts["diagonal"] += 1
             if lhs != rhs:
@@ -436,7 +445,7 @@ def _consistency_check_by_instance(SC, f):
                 objs = [label[0]] + [m[1] for m in label[1]]
                 for i in range(p + 1):
                     tau = tuple((i, b) for b in range(q + 1))
-                    F = nerves_mod._theta_cell(SC, label, p, q, tau, memo)
+                    F = _theta_cell(nerves_mod, SC, label, p, q, tau, memo)
                     counts["vertex_slices"] += 1
                     if F != nerves_mod.hc_constant(SC, objs[i], q):
                         failures.append(
@@ -561,13 +570,16 @@ def test_consistency_check_catches_a_wrong_slice_at_one_column(z2_rel_d3, monkey
     # the collapse along the vertex chain at column 1, row 2, changes one
     # generator value; column 0 reads the same objects and no hop, so a
     # verdict must not be shared across columns
+    # the fault is planted on the fold of that chain's collapse plan, which
+    # both the check and the instance route evaluate
     import nervekit.nerves as nerves_mod
 
-    theta = nerves_mod._theta_cell
+    fold = nerves_mod._cell_from_plan
+    planted = nerves_mod._collapse_plan(((1, 0), (1, 1), (1, 2)), z2_rel_d3.cat.D)
 
-    def mutated(SC, label, p, q, tau, memo):
-        objects, values = theta(SC, label, p, q, tau, memo)
-        if tau != ((1, 0), (1, 1), (1, 2)):
+    def mutated(SC, label, q, plan, memo):
+        objects, values = fold(SC, label, q, plan, memo)
+        if plan != planted:
             return objects, values
         slots, _ = nerves_mod._generator_slots(2, SC.D)
         s = max(s for s, (i, j, _, _) in enumerate(slots) if (i, j) == (0, 2))
@@ -575,7 +587,7 @@ def test_consistency_check_catches_a_wrong_slice_at_one_column(z2_rel_d3, monkey
         values[s] = (values[s] + 1) % SC.hom(objects[0], objects[2]).card(slots[s][2])
         return objects, tuple(values)
 
-    monkeypatch.setattr(nerves_mod, "_theta_cell", mutated)
+    monkeypatch.setattr(nerves_mod, "_cell_from_plan", mutated)
     rep = _assert_matches_instance_route(z2_rel_d3.cat, comparison_map(z2_rel_d3.cat, 3))
     assert rep.verdict == "fail"
     assert {(w["reason"], w["vertex"]) for w in rep.witnesses} == {("vertex slice", 1)}
@@ -771,11 +783,13 @@ def _translate_chain(label, q_op):
 
 
 def _levelwise_nerve_by_labels(SC, P, Q):
-    """`levelwise_nerve` by labels: each vertical operator translates every
-    chain label and looks the result up with `index_of`."""
-    from nervekit import SimplicialSet, bisset_from_columns, level_category, nerve_cat
+    """`levelwise_nerve` by labels: row q is the label-route nerve of the
+    level-q category, and each vertical operator translates every chain
+    label and looks the result up with `index_of`."""
+    from nervekit import BisimplicialSet, level_category
+    from test_chain_nerve import nerve_cat_by_labels
 
-    nerves = [nerve_cat(level_category(SC, q), P) for q in range(Q + 1)]
+    nerves = [nerve_cat_by_labels(level_category(SC, q), P) for q in range(Q + 1)]
 
     def vertical(p, q, r, op):
         return [
@@ -783,23 +797,30 @@ def _levelwise_nerve_by_labels(SC, P, Q):
             for x in range(nerves[q].card(p))
         ]
 
-    columns = []
-    for p in range(P + 1):
-        faces = [[]] + [
-            [vertical(p, q, q - 1, lambda a, b, c, q=q, j=j: SC.hom(a, b).face(q, j, c)) for j in range(q + 1)]
-            for q in range(1, Q + 1)
-        ]
-        degens = [
-            [vertical(p, q, q + 1, lambda a, b, c, q=q, j=j: SC.hom(a, b).degen(q, j, c)) for j in range(q + 1)]
-            for q in range(Q)
-        ] + [[]]
-        cards = [nerves[q].card(p) for q in range(Q + 1)]
-        labels = [[nerves[q].label(p, x) for x in range(cards[q])] for q in range(Q + 1)]
-        columns.append(SimplicialSet(Q, cards, faces, degens, labels=labels))
-    return bisset_from_columns(
-        columns,
-        lambda p, q, i, x: nerves[q].face(p, i, x),
-        lambda p, q, i, x: nerves[q].degen(p, i, x),
+    def per_bidegree(table):
+        return [[table(p, q) for q in range(Q + 1)] for p in range(P + 1)]
+
+    return BisimplicialSet(
+        P,
+        Q,
+        per_bidegree(lambda p, q: nerves[q].card(p)),
+        per_bidegree(lambda p, q: nerves[q].faces[p]),
+        per_bidegree(lambda p, q: nerves[q].degens[p]),
+        per_bidegree(
+            lambda p, q: [
+                vertical(p, q, q - 1, lambda a, b, c, j=j: SC.hom(a, b).face(q, j, c)) for j in range(q + 1)
+            ]
+            if q
+            else []
+        ),
+        per_bidegree(
+            lambda p, q: [
+                vertical(p, q, q + 1, lambda a, b, c, j=j: SC.hom(a, b).degen(q, j, c)) for j in range(q + 1)
+            ]
+            if q < Q
+            else []
+        ),
+        labels=per_bidegree(lambda p, q: nerves[q].labels[p]),
     )
 
 
