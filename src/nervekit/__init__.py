@@ -33,7 +33,7 @@ from .cat import (
     validate_relative,
     validate_simplicial_category,
 )
-from .generators import ExampleSpec, build_example, example_names
+from .generators import build_example, example_names
 from .homology import HomologyReport, homology, induced_chain_iso, smith_normal_form
 from .nerves import (
     classifying_space,

@@ -20,10 +20,12 @@ Gadgets
   hom action takes, per hop, the largest second coordinate seen
   strictly before that hop.
 
-Power coordinates are always listed from the top hop down to the hop
-just above the source object, so concatenation of coordinate tuples is
-exactly composition and agrees with the integer pairing of
-`ProductSset`.
+A simplicial category stores each composition as its per-level index
+tables, the ``comp`` tables of its JSON document: at level n, entry
+``g * hom(a, b).card(n) + f`` is the index of g∘f in hom(a, c). Power
+coordinates are always listed from the top hop down to the hop just
+above the source object, so concatenation of coordinate tuples is
+exactly composition and its table at each level is the index identity.
 """
 
 from __future__ import annotations
@@ -139,6 +141,13 @@ def poset_category(P: FinitePoset, name: str = "") -> FiniteCategory:
     return FiniteCategory(P.elements, homs, lambda a, b, c, g, f: 0, {a: 0 for a in P.elements}, name=name or "poset")
 
 
+def _comp_table(C: FiniteCategory, a, b, c) -> list[int]:
+    """Composition hom(b, c) x hom(a, b) -> hom(a, c) of C as the index
+    table g * |hom(a, b)| + f -> index of g∘f, from the label order."""
+    where = {l: i for i, l in enumerate(C.hom_labels(a, c))}
+    return [where[C.compose_fn(a, b, c, g, f)] for g in C.hom_labels(b, c) for f in C.hom_labels(a, b)]
+
+
 def nerve_cat(C: FiniteCategory, D: int) -> SimplicialSet:
     """Nerve of a finite category, truncated at level D.
 
@@ -148,13 +157,10 @@ def nerve_cat(C: FiniteCategory, D: int) -> SimplicialSet:
     """
     obs = C.objects
     homs = [[C.hom_labels(a, b) for b in obs] for a in obs]
-
-    def comp(a, b, c):
-        where = {l: i for i, l in enumerate(homs[a][c])}
-        return [where[C.compose_fn(obs[a], obs[b], obs[c], g, f)] for g in homs[b][c] for f in homs[a][b]]
-
     ids = [homs[a][a].index(C.ids[x]) for a, x in enumerate(obs)]
-    counts, faces, degens, ends, _ = chain_index_nerve([[len(h) for h in row] for row in homs], comp, ids, D)
+    counts, faces, degens, ends, _ = chain_index_nerve(
+        [[len(h) for h in row] for row in homs], lambda a, b, c: _comp_table(C, obs[a], obs[b], obs[c]), ids, D
+    )
     return SimplicialSet(D, counts, faces, degens, labels=_chain_labels(obs, homs, ends, D), name=f"nerve({C.name})")
 
 
@@ -180,10 +186,11 @@ def _empty(D: int) -> SimplicialSet:
 class SimplicialCategory:
     """A category enriched in truncated simplicial sets.
 
-    All homs share the truncation ``D``. ``comps[(a, b, c)]`` is a
-    SimplicialMap out of ``ProductSset(hom(b, c), hom(a, b))`` (second
-    arrow first in the pair), landing in hom(a, c). ``ids[a]`` is a
-    vertex of hom(a, a). Missing hom pairs are empty.
+    All homs share the truncation ``D``. ``comps[(a, b, c)]`` lists one
+    table per level n = 0..D, the ``comp`` tables of the JSON document:
+    entry ``g * hom(a, b).card(n) + f`` is the index in hom(a, c) of
+    g∘f, for f in hom(a, b) and g in hom(b, c). ``ids[a]`` is a vertex
+    of hom(a, a). Missing hom pairs are empty.
     """
 
     def __init__(self, objects: Sequence, homs: dict, comps: dict, ids: dict, D: int, name: str = ""):
@@ -208,8 +215,7 @@ class SimplicialCategory:
         return H
 
     def compose(self, a, b, c, n: int, g: int, f: int) -> int:
-        m = self.comps[(a, b, c)]
-        return m.apply(n, g * self.hom(a, b).card(n) + f)
+        return self.comps[(a, b, c)][n][g * self.hom(a, b).card(n) + f]
 
     def identity_cell(self, a, n: int = 0) -> int:
         c = self.ids[a]
@@ -224,11 +230,16 @@ class SimplicialCategory:
 
 
 def validate_simplicial_category(SC: SimplicialCategory, subject: str = "") -> ValidationReport:
-    """Check hom validity, simpliciality of composition, units, associativity."""
+    """Check hom validity, simpliciality of composition, units, associativity.
+
+    Each composition's tables are checked as a map out of the product
+    ``ProductSset(hom(b, c), hom(a, b))``, whose pairing is the index
+    ``g * hom(a, b).card(n) + f`` of the tables.
+    """
     rep = ValidationReport(subject or SC.name or "simplicial category")
     L = SC.D
     for (a, b), H in SC.homs.items():
-        sub = validate_sset(H, subject=f"hom({a},{b})", max_level=L)
+        sub = validate_sset(H, subject=f"hom({a},{b})")
         for v in sub.violations:
             rep.add(f"hom({a},{b}): {v.identity}", v.location, v.detail)
         rep.checked += sub.checked
@@ -236,8 +247,9 @@ def validate_simplicial_category(SC: SimplicialCategory, subject: str = "") -> V
         if (a, a) not in SC.homs or not 0 <= SC.ids.get(a, -1) < SC.hom(a, a).card(0):
             rep.add("identity vertex", (a,), "missing or out of range")
             return rep
-    for (a, b, c), m in SC.comps.items():
-        sub = validate_map(m, subject=f"comp({a},{b},{c})", max_level=L)
+    for (a, b, c), tables in SC.comps.items():
+        view = SimplicialMap(ProductSset(SC.hom(b, c), SC.hom(a, b)), SC.hom(a, c), values=tables)
+        sub = validate_map(view, subject=f"comp({a},{b},{c})")
         for v in sub.violations:
             rep.add(f"comp({a},{b},{c}) simplicial: {v.identity}", v.location, v.detail)
         rep.checked += sub.checked
@@ -318,22 +330,13 @@ def discrete_simplicial_category(C: FiniteCategory, D: int) -> SimplicialCategor
         homs[(a, b)] = constant_sset(
             len(labels), D, labels=[(a, b, l) for l in labels], name=f"hom({a},{b})"
         )
-    comps = {}
-    for a in C.objects:
-        for b in C.objects:
-            for c in C.objects:
-                if (a, b) in homs and (b, c) in homs and (a, c) in homs:
-                    la, lb = C.homs[(a, b)], C.homs[(b, c)]
-                    lc_idx = {l: i for i, l in enumerate(C.homs[(a, c)])}
-                    table = [
-                        lc_idx[C.compose_fn(a, b, c, lb[g], la[f])]
-                        for g in range(len(lb))
-                        for f in range(len(la))
-                    ]
-                    src = ProductSset(homs[(b, c)], homs[(a, b)])
-                    comps[(a, b, c)] = SimplicialMap(
-                        src, homs[(a, c)], values=[list(table) for _ in range(D + 1)]
-                    )
+    comps = {
+        (a, b, c): [_comp_table(C, a, b, c)] * (D + 1)
+        for a in C.objects
+        for b in C.objects
+        for c in C.objects
+        if (a, b) in homs and (b, c) in homs and (a, c) in homs
+    }
     ids = {a: C.homs[(a, a)].index(C.ids[a]) for a in C.objects}
     return SimplicialCategory(C.objects, homs, comps, ids, D, name=f"discrete({C.name})")
 
@@ -524,7 +527,7 @@ def validate_functor(F: SimplicialFunctor, subject: str = "functor") -> Validati
         if (a, b) not in F.homs:
             rep.add("hom map present", (a, b), "missing hom component")
             return rep
-        sub = validate_map(F.homs[(a, b)], subject=f"hom({a},{b})", max_level=L)
+        sub = validate_map(F.homs[(a, b)], subject=f"hom({a},{b})")
         for v in sub.violations:
             rep.add(f"hom({a},{b}) simplicial: {v.identity}", v.location, v.detail)
         rep.checked += sub.checked
@@ -592,21 +595,15 @@ def coherent_path_category(n: int, D: int) -> SimplicialCategory:
     for i in range(n + 1):
         for j in range(i, n + 1):
             for k in range(j, n + 1):
-                src = ProductSset(homs[(j, k)], homs[(i, j)])
-                tgt = homs[(i, k)]
-                vals = []
-                for m in range(D + 1):
-                    row = []
-                    for x in range(src.card(m)):
-                        g, f = src.split(m, x)
-                        gch = homs[(j, k)].label(m, g)
-                        fch = homs[(i, j)].label(m, f)
-                        merged = tuple(
-                            tuple(sorted(set(gc) | set(fc))) for gc, fc in zip(gch, fch)
-                        )
-                        row.append(tgt.index_of(m, merged))
-                    vals.append(row)
-                comps[(i, j, k)] = SimplicialMap(src, tgt, values=vals)
+                G, F, tgt = homs[(j, k)], homs[(i, j)], homs[(i, k)]
+                comps[(i, j, k)] = [
+                    [
+                        tgt.index_of(m, tuple(tuple(sorted(set(gc) | set(fc))) for gc, fc in zip(gch, fch)))
+                        for gch in G.labels[m]
+                        for fch in F.labels[m]
+                    ]
+                    for m in range(D + 1)
+                ]
     ids = {i: 0 for i in range(n + 1)}
     return SimplicialCategory(list(range(n + 1)), homs, comps, ids, D, name=f"paths[{n}]")
 
@@ -635,9 +632,10 @@ def path_functor(f: Sequence[int], n_src: int, n_tgt: int, D: int) -> Simplicial
 def interval_power_category(n: int, K, name: str = "") -> SimplicialCategory:
     """Objects 0..n with hom(i, j) the (j-i)-fold power of K.
 
-    Composition concatenates coordinate tuples, which on indices is the
-    pairing identity, so the composition maps are index-identities.
-    Homs are lazy power views to keep large K feasible.
+    Composition concatenates coordinate tuples, so its table at each
+    level is the index identity, stored as a ``range``. Homs are lazy
+    power views and nothing here materializes them, to keep large K
+    feasible.
     """
     homs = {}
     for i in range(n + 1):
@@ -647,8 +645,7 @@ def interval_power_category(n: int, K, name: str = "") -> SimplicialCategory:
     for i in range(n + 1):
         for j in range(i, n + 1):
             for k in range(j, n + 1):
-                src = ProductSset(homs[(j, k)], homs[(i, j)])
-                comps[(i, j, k)] = SimplicialMap(src, homs[(i, k)], fn=lambda m, x: x, L=K.D)
+                comps[(i, j, k)] = [range(homs[(i, k)].card(m)) for m in range(K.D + 1)]
     ids = {i: 0 for i in range(n + 1)}
     return SimplicialCategory(
         list(range(n + 1)), homs, comps, ids, K.D, name=name or f"interval[{n}]^{getattr(K, 'name', 'K')}"

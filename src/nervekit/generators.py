@@ -27,10 +27,9 @@ from .cat import (
     nerve_cat,
     poset_category,
 )
-from .reporting import FrozenRecord
-from .sset import FinitePoset, ProductSset, SimplicialMap
+from .sset import FinitePoset
 
-__all__ = ["ExampleSpec", "build_example", "example_names"]
+__all__ = ["build_example", "example_names"]
 
 EXAMPLE_NAMES = (
     "bg:z<m>",
@@ -46,18 +45,6 @@ def example_names() -> tuple:
     return EXAMPLE_NAMES
 
 
-class ExampleSpec(FrozenRecord):
-    """A generator name plus the truncation to build it at."""
-
-    _fields = ("name", "max_dim")
-
-    def __init__(self, name: str, max_dim: int = 2):
-        super().__init__(name=name, max_dim=max_dim)
-
-    def build(self) -> RelativeSimplicialCategory:
-        return build_example(self.name, self.max_dim)
-
-
 def _cyclic_group_example(m: int, D: int) -> SimplicialCategory:
     N = nerve_cat(cyclic_group_category(m), D)
     # the chain index (x extended by c is x * m + c) orders the level-n
@@ -65,16 +52,13 @@ def _cyclic_group_example(m: int, D: int) -> SimplicialCategory:
     # most significant, and composition adds labels digit by digit: the
     # pair (g, f) at g * m^n + f composes the leading n - 1 digits one
     # level down and adds the last digits mod m.
-    # One table per level makes composition a lookup; serializing the
-    # input reads every entry anyway.
     vals = [[0]]
     for n in range(1, D + 1):
         prev, c = vals[-1], m ** (n - 1)
         vals.append([prev[(g // m) * c + f // m] * m + (g % m + f % m) % m
                      for g in range(m * c) for f in range(m * c)])
-    comp = SimplicialMap(ProductSset(N, N), N, values=vals, L=D)
     return SimplicialCategory(
-        ["x"], {("x", "x"): N}, {("x", "x", "x"): comp}, {"x": 0}, D, name=f"bg:z{m}"
+        ["x"], {("x", "x"): N}, {("x", "x", "x"): vals}, {"x": 0}, D, name=f"bg:z{m}"
     )
 
 

@@ -288,9 +288,8 @@ def levelwise_nerve(SC: SimplicialCategory, P: int, Q: int, name: str = "") -> B
     for q in range(Q + 1):
         cards = [[H.card(q) for H in row] for row in homs]
 
-        def comp(a, b, c, q=q, cards=cards):
-            m = SC.comps[(obs[a], obs[b], obs[c])]
-            return [m.apply(q, z) for z in range(cards[b][c] * cards[a][b])]
+        def comp(a, b, c, q=q):
+            return SC.comps[(obs[a], obs[b], obs[c])][q]
 
         counts, faces, degens, ends, firsts = chain_index_nerve(cards, comp, [SC.identity_cell(a, q) for a in obs], P)
         cells = [[[(x, y, c) for c in range(n)] for y, n in zip(obs, row)] for x, row in zip(obs, cards)]
@@ -402,7 +401,10 @@ def _cell_from_plan(SC: SimplicialCategory, label, q: int, plan, memo: dict) -> 
 def _resolved_plan(SC: SimplicialCategory, q: int, plan, objs: tuple, memo: dict) -> tuple:
     """A plan's output objects and `_fold_program` with its tables.
 
-    Tables come from `act_table` and ``apply``, as homs may be lazy.
+    Action tables come from `act_table`, as homs may be lazy. A step
+    table is the category's stored composition table at its level, the
+    ``comp`` table of the JSON document, with its stride
+    hom(source, hop).card(level).
     """
     hit = memo.get((id(plan),))
     if hit is None:
@@ -415,15 +417,7 @@ def _resolved_plan(SC: SimplicialCategory, q: int, plan, objs: tuple, memo: dict
         if T is None:
             T = memo[key] = act_table(SC.hom(objs[t], objs[t + 1]), q, u)
         tables.append((t, T))
-    steps = []
-    for m, a, t in comps:
-        key = (m, objs[a], objs[t], objs[t + 1], None)
-        step = memo.get(key)
-        if step is None:
-            comp, stride = SC.comps[key[1:4]], SC.hom(objs[a], objs[t]).card(m)
-            size = SC.hom(objs[t], objs[t + 1]).card(m) * stride
-            step = memo[key] = [comp.apply(m, z) for z in range(size)], stride
-        steps.append(step)
+    steps = [(SC.comps[(objs[a], objs[t], objs[t + 1])][m], SC.hom(objs[a], objs[t]).card(m)) for m, a, t in comps]
     units = [SC.identity_cell(objs[a], m) for m, a in identities]
     return tuple(objs[a] for a in plan[0]), tables, units, steps, nodes, outputs
 

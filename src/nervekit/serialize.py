@@ -8,8 +8,9 @@ Three document kinds, distinguished by their top-level keys:
 * simplicial category, ``{"objects", "hom", "comp", "id"}``: homs keyed
   by "a,b" as nested simplicial-set documents, composition as
   level-indexed tables over pair indices ``g * hom(a,b).card(n) + f``
-  (one per composable pair of nonempty homs, keyed "a,b,c"),
-  identity vertices keyed by object; a relative category adds
+  (one per composable pair of nonempty homs, keyed "a,b,c"; they are
+  the tables `SimplicialCategory.comps` holds in memory), identity
+  vertices keyed by object; a relative category adds
   ``{"sub": {"a,b": [[level, cell], ...]}}``;
 * bisimplicial set, ``{"dims", "cells", "hface", "hdegen", "vface",
   "vdegen"}`` with tables indexed ``[p][q][i][x]``, plus an optional
@@ -37,7 +38,7 @@ from .cat import (
     validate_relative,
     validate_simplicial_category,
 )
-from .sset import ProductSset, SimplicialMap, SimplicialSet, validate_sset
+from .sset import SimplicialSet, validate_sset
 
 __all__ = [
     "SchemaError",
@@ -102,7 +103,7 @@ def sset_to_json(X) -> dict:
     }
 
 
-def sset_from_json(data, name: str = "", _validate: bool = True) -> SimplicialSet:
+def sset_from_json(data, name: str = "") -> SimplicialSet:
     _require(isinstance(data, dict), "simplicial set document must be an object")
     missing = {"dim", "cells", "face", "degen"} - set(data)
     _require(not missing, f"simplicial set document lacks {sorted(missing)}")
@@ -139,8 +140,7 @@ def sset_from_json(data, name: str = "", _validate: bool = True) -> SimplicialSe
             _require(all(0 <= v < cards[n + 1] for v in r), f"degen[{n}] has an out-of-range cell")
         degens.append(g)
     X = SimplicialSet(D, cards, faces, degens, name=name)
-    if _validate:
-        validate_sset(X, subject=name or "loaded simplicial set").raise_if_failed()
+    validate_sset(X, subject=name or "loaded simplicial set").raise_if_failed()
     return X
 
 
@@ -163,21 +163,15 @@ def _obj_lookup(objects) -> dict:
 
 def cat_to_json(SC: SimplicialCategory) -> dict:
     _obj_lookup(SC.objects)
-    doc = {
+    return {
         "objects": list(SC.objects),
         "hom": {_okey(a, b): sset_to_json(H) for (a, b), H in SC.homs.items()},
-        "comp": {},
+        "comp": {_okey(a, b, c): [list(t) for t in tables] for (a, b, c), tables in SC.comps.items()},
         "id": {str(a): SC.ids[a] for a in SC.objects},
     }
-    for (a, b, c), m in SC.comps.items():
-        src = ProductSset(SC.hom(b, c), SC.hom(a, b))
-        doc["comp"][_okey(a, b, c)] = [
-            [m.apply(n, z) for z in range(src.card(n))] for n in range(SC.D + 1)
-        ]
-    return doc
 
 
-def cat_from_json(data, name: str = "", _validate: bool = True) -> SimplicialCategory:
+def cat_from_json(data, name: str = "") -> SimplicialCategory:
     _require(isinstance(data, dict), "category document must be an object")
     missing = {"objects", "hom", "comp", "id"} - set(data)
     _require(not missing, f"category document lacks {sorted(missing)}")
@@ -191,7 +185,7 @@ def cat_from_json(data, name: str = "", _validate: bool = True) -> SimplicialCat
         parts = key.split(",")
         _require(len(parts) == 2 and all(p in by_name for p in parts), f"bad hom key {key!r}")
         a, b = by_name[parts[0]], by_name[parts[1]]
-        H = sset_from_json(sub, name=f"hom({a},{b})", _validate=_validate)
+        H = sset_from_json(sub, name=f"hom({a},{b})")
         if D is None:
             D = H.D
         _require(H.D == D, "hom truncations disagree")
@@ -210,21 +204,19 @@ def cat_from_json(data, name: str = "", _validate: bool = True) -> SimplicialCat
         _require(len(parts) == 3 and all(p in by_name for p in parts), f"bad comp key {key!r}")
         a, b, c = (by_name[p] for p in parts)
         _require((b, c) in homs and (a, b) in homs and (a, c) in homs, f"comp {key!r} over missing homs")
-        src = ProductSset(homs[(b, c)], homs[(a, b)])
-        tgt = homs[(a, c)]
         tab = _int_table(tables, f"comp[{key!r}] must be level-indexed integer tables")
         _require(len(tab) == D + 1, f"comp[{key!r}] must hold one table per level")
         for n in range(D + 1):
-            _require(len(tab[n]) == src.card(n), f"comp[{key!r}] level {n} size mismatch")
-            _require(all(0 <= v < tgt.card(n) for v in tab[n]), f"comp[{key!r}] has an out-of-range cell")
-        comps[(a, b, c)] = SimplicialMap(src, tgt, values=tab)
+            size = homs[(b, c)].card(n) * homs[(a, b)].card(n)
+            _require(len(tab[n]) == size, f"comp[{key!r}] level {n} size mismatch")
+            _require(all(0 <= v < homs[(a, c)].card(n) for v in tab[n]), f"comp[{key!r}] has an out-of-range cell")
+        comps[(a, b, c)] = tab
     for (a, b), F in homs.items():
         for (b2, c), G in homs.items():
             if b2 == b and F.card(0) and G.card(0):
                 _require((a, b, c) in comps, f"comp lacks a table for the composable triple {_okey(a, b, c)!r}")
     SC = SimplicialCategory(objects, homs, comps, ids, D, name=name)
-    if _validate:
-        validate_simplicial_category(SC, subject=name or "loaded category").raise_if_failed()
+    validate_simplicial_category(SC, subject=name or "loaded category").raise_if_failed()
     return SC
 
 
@@ -239,9 +231,9 @@ def relative_to_json(R: RelativeSimplicialCategory) -> dict:
     return doc
 
 
-def relative_from_json(data, name: str = "", _validate: bool = True) -> RelativeSimplicialCategory:
+def relative_from_json(data, name: str = "") -> RelativeSimplicialCategory:
     _require(isinstance(data, dict) and "sub" in data, "relative document needs a sub field")
-    SC = cat_from_json(data, name=name, _validate=_validate)
+    SC = cat_from_json(data, name=name)
     by_name = _obj_lookup(SC.objects)
     sub = {}
     _require(isinstance(data["sub"], dict), "sub must map object pairs to cell references")
@@ -262,8 +254,7 @@ def relative_from_json(data, name: str = "", _validate: bool = True) -> Relative
             per_level[n].add(x)
         sub[(a, b)] = [frozenset(s) for s in per_level]
     R = RelativeSimplicialCategory(SC, sub, name=name or SC.name)
-    if _validate:
-        validate_relative(R, subject=name or "loaded relative category").raise_if_failed()
+    validate_relative(R, subject=name or "loaded relative category").raise_if_failed()
     return R
 
 
@@ -313,7 +304,7 @@ def bisset_to_json(B) -> dict:
     return doc
 
 
-def bisset_from_json(data, name: str = "", _validate: bool = True):
+def bisset_from_json(data, name: str = ""):
     _require(isinstance(data, dict), "bisimplicial document must be an object")
     missing = {"dims", "cells", "hface", "hdegen", "vface", "vdegen"} - set(data)
     _require(not missing, f"bisimplicial document lacks {sorted(missing)}")
@@ -358,8 +349,7 @@ def bisset_from_json(data, name: str = "", _validate: bool = True):
     vfaces = grid("vface", lambda p, q: q + 1 if q else 0, lambda p, q: cards[p][q - 1] if q else 1)
     vdegens = grid("vdegen", lambda p, q: q + 1 if q < Q else 0, lambda p, q: cards[p][q + 1] if q < Q else 1)
     B = BisimplicialSet(P, Q, cards, hfaces, hdegens, vfaces, vdegens, name=name)
-    if _validate:
-        validate_bisset(B, subject=name or "loaded bisimplicial set").raise_if_failed()
+    validate_bisset(B, subject=name or "loaded bisimplicial set").raise_if_failed()
     if "marked" not in data:
         return B
     marked = set()
@@ -372,8 +362,7 @@ def bisset_from_json(data, name: str = "", _validate: bool = True):
         _require(0 <= ref[1] <= Q and 0 <= ref[2] < cards[1][ref[1]], f"marked cell {ref} out of range")
         marked.add((ref[1], ref[2]))
     M = MarkedBisimplicialSet(B, frozenset(marked))
-    if _validate:
-        M.validate(subject=name or "loaded marked bisimplicial set").raise_if_failed()
+    M.validate(subject=name or "loaded marked bisimplicial set").raise_if_failed()
     return M
 
 

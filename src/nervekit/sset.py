@@ -590,7 +590,7 @@ def subcomplex(X: SimplicialSet, seeds) -> tuple[SimplicialSet, "SimplicialMap"]
     if X.labels is not None:
         labels = [[X.label(n, x) for x in old[n]] for n in range(X.D + 1)]
     S = SimplicialSet(X.D, cards, faces, degens, labels=labels, name=f"sub({X.name})")
-    incl = SimplicialMap(S, X, values=[list(old[n]) for n in range(X.D + 1)])
+    incl = SimplicialMap(S, X, values=old)
     return S, incl
 
 
@@ -636,9 +636,10 @@ def horn(n: int, k: int, D: Optional[int] = None) -> SimplicialSet:
 class SimplicialMap:
     """A levelwise map of truncated simplicial sets.
 
-    Values are stored as explicit per-level tables, or computed by a
-    function ``fn(n, x)`` for lazy sources. ``L`` is the top level the
-    map is defined on (defaults to the source truncation).
+    Values are stored as explicit per-level tables, kept as given (not
+    copied), or computed by a function ``fn(n, x)`` for lazy sources.
+    ``L`` is the top level the map is defined on (defaults to the source
+    truncation).
     """
 
     def __init__(self, source, target, values=None, fn=None, L: Optional[int] = None):
@@ -646,7 +647,7 @@ class SimplicialMap:
             raise ValueError("exactly one of values, fn required")
         self.source = source
         self.target = target
-        self.values = None if values is None else [list(row) for row in values]
+        self.values = values
         self.fn = fn
         if L is None:
             L = source.D if values is None else len(values) - 1
@@ -690,15 +691,11 @@ def compose_maps(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
     return SimplicialMap(f.source, g.target, values=vals, L=L)
 
 
-def validate_map(f: SimplicialMap, subject: str = "map", max_level: Optional[int] = None) -> ValidationReport:
-    """Check that a map commutes with every face and degeneracy in range.
-
-    ``max_level`` bounds the levels visited, for lazy sources too large
-    to sweep in full.
-    """
+def validate_map(f: SimplicialMap, subject: str = "map") -> ValidationReport:
+    """Check that a map commutes with every face and degeneracy in range."""
     rep = ValidationReport(subject)
     A, X = f.source, f.target
-    L = f.L if max_level is None else min(f.L, max_level)
+    L = f.L
     for n in range(L + 1):
         for x in range(A.card(n)):
             v = f.apply(n, x)
@@ -910,17 +907,15 @@ class MarkedSimplicialSet(Record):
         return rep
 
 
-def validate_sset(X, subject: str = "", max_level: Optional[int] = None) -> ValidationReport:
+def validate_sset(X, subject: str = "") -> ValidationReport:
     """Check every simplicial identity that fits inside the truncation.
 
     Covers table shapes and ranges, the face-face and
     degeneracy-degeneracy exchange laws, and all mixed relations.
     Violations name the identity, the operator indices and the cell.
-    ``max_level`` bounds the cell levels swept, for lazy views.
     """
     rep = ValidationReport(subject or getattr(X, "name", "") or "simplicial set")
     D = X.D
-    cap = D if max_level is None else min(D, max_level)
     ranged = True
     if isinstance(X, SimplicialSet):
         for n in range(1, D + 1):
@@ -949,7 +944,7 @@ def validate_sset(X, subject: str = "", max_level: Optional[int] = None) -> Vali
                         ranged = False
         if not ranged:
             return rep
-    for n in range(2, cap + 1):
+    for n in range(2, D + 1):
         for j in range(n + 1):
             for i in range(j):
                 for x in range(X.card(n)):
@@ -958,7 +953,7 @@ def validate_sset(X, subject: str = "", max_level: Optional[int] = None) -> Vali
                     rep.checked += 1
                     if lhs != rhs:
                         rep.add("d_i d_j = d_{j-1} d_i", (n, i, j, x), f"{lhs} != {rhs}")
-    for n in range(min(D - 1, cap + 1)):
+    for n in range(D - 1):
         for j in range(n + 1):
             for i in range(j + 1):
                 for x in range(X.card(n)):
@@ -967,7 +962,7 @@ def validate_sset(X, subject: str = "", max_level: Optional[int] = None) -> Vali
                     rep.checked += 1
                     if lhs != rhs:
                         rep.add("s_i s_j = s_{j+1} s_i", (n, i, j, x), f"{lhs} != {rhs}")
-    for n in range(min(D, cap + 1)):
+    for n in range(D):
         for j in range(n + 1):
             for x in range(X.card(n)):
                 sx = X.degen(n, j, x)

@@ -2,35 +2,26 @@
 
 Everything here either passes exactly or fails with a witness; nothing
 is sampled and nothing is approximated. This module holds the
-point-set verifications of a single object: `pi0` and `horn_check`,
-with `homology` re-exported from the chain-complex module, and the
-cross-checks `consistency_check` (diagonal and vertex-restriction
-routes) and `induced_chain_iso` (homology of a map) re-exported from
-theirs. The checks no verb but ``uniq-check`` runs live in modules of
-their own, which ``import nervekit`` does not load up front:
-`nervekit.segal` (`segal_column_check`, the column formula and strict
-Segal pullback of the levelwise nerve, and `fiber_check`, its hom
-fibers of column 1) and `nervekit.uniqueness` (`uniqueness_search`,
-which enumerates every natural family of functors from the path gadgets
-to the chain gadgets up to a cosimplicial truncation).
+point-set verifications of a single object: `pi0` and `horn_check`.
+`homology` and `induced_chain_iso` (homology of a map) live in
+`nervekit.homology`, and `consistency_check` (diagonal and
+vertex-restriction routes) in `nervekit.nerves`. The checks no verb but
+``uniq-check`` runs live in modules of their own, which ``import
+nervekit`` does not load up front: `nervekit.segal`
+(`segal_column_check`, the column formula and strict Segal pullback of
+the levelwise nerve, and `fiber_check`, its hom fibers of column 1) and
+`nervekit.uniqueness` (`uniqueness_search`, which enumerates every
+natural family of functors from the path gadgets to the chain gadgets
+up to a cosimplicial truncation).
 """
 
 from __future__ import annotations
 
 from .cat import _pi0_classes
-from .homology import HomologyReport, homology, induced_chain_iso
-from .nerves import consistency_check
 from .reporting import CheckReport
 from .sset import TruncationError, act_table, enumerate_maps, horn
 
-__all__ = [
-    "HomologyReport",
-    "consistency_check",
-    "homology",
-    "horn_check",
-    "induced_chain_iso",
-    "pi0",
-]
+__all__ = ["horn_check", "pi0"]
 
 
 def pi0(X) -> list[list[int]]:

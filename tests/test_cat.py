@@ -116,6 +116,41 @@ def test_simplex_power_hom_counts():
             )
 
 
+def test_simplex_power_compositions_are_index_identities():
+    # concatenating coordinate tuples is the pairing g * |hom(i, j)| + f,
+    # so every level's table is the identity on hom(i, k), and validation
+    # sweeps as many cells as it did over a lazily computed composition
+    T = simplex_power_category(2, 2)
+    for (i, j, k), tables in T.comps.items():
+        assert tables == [range(T.hom(i, k).card(m)) for m in range(3)]
+    rep = validate_simplicial_category(T)
+    assert rep.ok and rep.checked == 3525
+    # the oracles' largest gadget: hom(0, 4) has 126^4 cells at level 4
+    assert simplex_power_category(4, 4).comps[(0, 2, 4)][4] == range(126**4)
+
+
+def test_nerves_and_serialization_read_compositions_as_tables(monkeypatch):
+    # building the levelwise nerve, the comparison map and the JSON
+    # document indexes the stored tables and reads no composition through
+    # a map out of a product
+    from nervekit import ProductSset, SimplicialMap, comparison_map, levelwise_nerve
+    from nervekit.serialize import cat_to_json
+
+    apply, calls = SimplicialMap.apply, []
+
+    def recorded(self, n, x):
+        if isinstance(self.source, ProductSset):
+            calls.append((n, x))
+        return apply(self, n, x)
+
+    monkeypatch.setattr(SimplicialMap, "apply", recorded)
+    z2 = build_example("bg:z2", max_dim=3).cat
+    levelwise_nerve(z2, 3, 3)
+    comparison_map(z2, 3)
+    cat_to_json(build_example("bg:z3", max_dim=4).cat)
+    assert calls == []
+
+
 def test_comparison_functor_vertex_formula():
     F = comparison_functor(2, 2)
     NP = F.source.hom(0, 2)

@@ -160,7 +160,8 @@ def test_marked_verbs_run_at_truncation_one(capsys):
 # (2, 3) lies above the directly checked squares, before theta read its
 # collapse rule from one table; those of the last three `cls` runs before
 # its operators became gathers along grid maps; those of `nerve` and of
-# the last `binerve` run before nerves were built by chain index)
+# the last `binerve` run before nerves were built by chain index; those of
+# `example` before compositions were stored as per-level tables)
 DIGEST_PINS = [
     ("compare --example bg:z2 --max-dim 3 --coeff f2", "2d0bcd5c0308c6738f3b7c0e5291c7a33101183d717d86adc5f3fae643c30eab"),
     ("compare --example bg:z2 --max-dim 3", "a04862a7efd985e5e160086d4066bcf7de576c37418322a66a2d0daf0c6f8a59"),
@@ -186,6 +187,9 @@ DIGEST_PINS = [
     ("nerve --example bg:z3 --max-dim 4 --emit-cells", "fea48da85262f6a59cfab3289af2a7eb7dae58c4c4936507d1978621a562c99d"),
     ("nerve --example two-object-interval --max-dim 4 --emit-cells", "bd0544f76692a588895b6b3e99cf2a34bf1df45c2523559052af3ee269c1d79d"),
     ("binerve --example poset:a<b,a<c,b<d,c<d --max-dim 3 --emit-cells", "bf41a8968fd66566fe3339bd39a91e9c81109433cc10bacab9346543c4819821"),
+    ("example --example bg:z3 --max-dim 4 --emit-cells", "423d8f3826c48a88d42c59a5858eb4687a4305f5c1764f058581e3eaeb6511c5"),
+    ("example --example discrete:poset012 --max-dim 3 --emit-cells", "3781d970016ffb7455387610bfede6ad8b75d1c25141d0e6b26069f1c8cc34e5"),
+    ("example --example two-object-interval --max-dim 3 --emit-cells", "63895c76fe433eeb656ee3bcccdb84e37f5241e95bfd75c40ebb854751468432"),
 ]
 
 

@@ -2,7 +2,6 @@
 import pytest
 
 from nervekit import (
-    ExampleSpec,
     build_example,
     validate_relative,
     validate_simplicial_category,
@@ -37,12 +36,6 @@ def test_group_hom_counts():
         assert R.cat.hom("x", "x").counts() == (1, m, m * m)
 
 
-def test_example_spec_dataclass():
-    spec = ExampleSpec("bg:z2", max_dim=3)
-    R = spec.build()
-    assert R.cat.D == 3
-
-
 def test_poset_parser_shapes():
     R = build_example("poset:p<q", max_dim=1)
     assert set(R.cat.objects) == {"p", "q"}
@@ -64,7 +57,8 @@ def test_group_composition_table_is_labelwise_sum_at_dim_5():
 def _check_group_composition_table(m, D):
     SC = build_example(f"bg:z{m}", max_dim=D).cat
     N = SC.hom("x", "x")
-    assert SC.comps[("x", "x", "x")].fn is None  # a table, not a lazy map
+    # one table per level, over the pair index g * |hom| + f
+    assert [len(t) for t in SC.comps[("x", "x", "x")]] == [N.card(n) ** 2 for n in range(SC.D + 1)]
     for n in range(SC.D + 1):
         for g in range(N.card(n)):
             _, msg = N.label(n, g)

@@ -492,16 +492,15 @@ def _max_monoid(D):
     # one object whose hom is the nerve of 0 < 1, composed by levelwise
     # max with unit 0; unlike every generator, its hom has two vertices,
     # so the level-0 restriction of a hop depends on the vertex
-    from nervekit import ProductSset, SimplicialMap, standard_simplex
+    from nervekit import standard_simplex
     from nervekit.cat import SimplicialCategory
 
     H = standard_simplex(1, D)
-    PS = ProductSset(H, H)
-    vals = [
-        [H.index_of(n, tuple(map(max, *(H.label(n, c) for c in PS.split(n, z))))) for z in range(PS.card(n))]
+    cells = [range(H.card(n)) for n in range(D + 1)]
+    comp = [
+        [H.index_of(n, tuple(map(max, H.label(n, g), H.label(n, f)))) for g in cells[n] for f in cells[n]]
         for n in range(D + 1)
     ]
-    comp = SimplicialMap(PS, H, values=vals, L=D)
     return SimplicialCategory(
         ["x"], {("x", "x"): H}, {("x", "x", "x"): comp}, {"x": H.index_of(0, (0,))}, D, name="max-monoid"
     )

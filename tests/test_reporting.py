@@ -3,7 +3,6 @@ import pytest
 
 from nervekit import (
     CheckReport,
-    ExampleSpec,
     HomologyReport,
     MarkedBisimplicialSet,
     MarkedSimplicialSet,
@@ -41,7 +40,9 @@ def test_constructors_keep_positional_order_and_defaults():
     assert (c.check, c.verdict, c.witnesses, c.bounds) == ("c", "fail", ["w"], {"n": 1})
     h = HomologyReport(subject="X", coeff="f2", max_deg=2, groups=[{}])
     assert (h.subject, h.coeff, h.max_deg, h.groups) == ("X", "f2", 2, [{}])
-    assert ExampleSpec("bg:z2").max_dim == 2
+    M = _marked_binerve()
+    twin = MarkedBisimplicialSet(M.space, M.marked)
+    assert (twin.space, twin.marked) == (M.space, M.marked)
 
 
 def test_equality_goes_by_fields():
@@ -55,8 +56,10 @@ def test_equality_goes_by_fields():
     X = standard_simplex(1, 2)
     assert MarkedSimplicialSet(X, frozenset({0})) == MarkedSimplicialSet(X, frozenset({0}))
     assert MarkedSimplicialSet(X, frozenset({0})) != MarkedSimplicialSet(X, frozenset())
-    assert ExampleSpec("bg:z2", 3) == ExampleSpec("bg:z2", max_dim=3)
-    assert ExampleSpec("bg:z2", 3) != ExampleSpec("bg:z2", 2)
+    assert Violation("law", (1,), "d") == Violation("law", (1,), detail="d")
+    assert Violation("law", (1,), "d") != Violation("law", (1,), "e")
+    M = _marked_binerve()
+    assert MarkedBisimplicialSet(M.space, M.marked) == MarkedBisimplicialSet(space=M.space, marked=M.marked)
     assert repr(Violation("law", (1,))) == "Violation(identity='law', location=(1,), detail='')"
 
 
@@ -65,18 +68,20 @@ def test_equality_with_other_types_is_not_implemented():
     assert v.__eq__(("law", (), "")) is NotImplemented
     assert CheckReport("c", "pass").__eq__(ValidationReport("c")) is NotImplemented
     assert v != ("law", (), "")
-    assert ExampleSpec("bg:z2") != "bg:z2"
+    M = _marked_binerve()
+    assert M.__eq__(M.space) is NotImplemented
+    assert M != M.space
 
 
 def test_frozen_records_refuse_assignment_and_hash_by_fields():
     M = _marked_binerve()
-    for rec, field in ((Violation("law", (1,)), "detail"), (M, "marked"), (ExampleSpec("bg:z2"), "max_dim")):
+    for rec, field in ((Violation("law", (1,)), "detail"), (M, "space"), (M, "marked")):
         with pytest.raises(AttributeError):
             setattr(rec, field, None)
         with pytest.raises(AttributeError):
             delattr(rec, field)
     assert hash(Violation("law", (1,), "d")) == hash(Violation("law", (1,), "d"))
-    assert len({ExampleSpec("bg:z2", 3), ExampleSpec("bg:z2", 3), ExampleSpec("bg:z3", 3)}) == 2
+    assert len({Violation("law", (1,)), Violation("law", (1,)), Violation("law", (2,))}) == 2
     twin = MarkedBisimplicialSet(M.space, M.marked)
     assert twin == M and {M: 1}[twin] == 1
     assert MarkedBisimplicialSet(M.space, frozenset()) != M

@@ -153,6 +153,13 @@ def test_clean_fixtures_load(fixtures_dir):
         assert value is not None
 
 
+def test_loaded_category_holds_the_document_comp_tables(fixtures_dir):
+    doc = json.loads((fixtures_dir / "clean_relative.json").read_text())
+    SC = cat_from_json(doc)
+    assert {",".join(map(str, key)): tables for key, tables in SC.comps.items()} == doc["comp"]
+    assert cat_to_json(SC)["comp"] == doc["comp"]
+
+
 @pytest.mark.parametrize(
     "name,needle",
     [
