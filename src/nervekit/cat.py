@@ -14,7 +14,8 @@ Gadgets
 * ``comparison_functor(n, D)``: the canonical functor from the first
   gadget to the second (with K the n-simplex), sending a subset S to
   the coordinate tuple whose entry for hop t is the largest element of
-  S below t, listed from the top hop down.
+  S below t, listed from the top hop down. It is the diagonal case of
+  ``grid_collapse``, the chain (0, 0), ..., (n, n).
 * ``grid_collapse(p, q, tau, D)``: the composite functor out of a path
   category of a grid chain, collapsing to the first grid coordinate;
   hom action takes, per hop, the largest second coordinate seen
@@ -652,42 +653,21 @@ def interval_power_category(n: int, K, name: str = "") -> SimplicialCategory:
     )
 
 
-@lru_cache(maxsize=None)
 def simplex_power_category(n: int, D: int) -> SimplicialCategory:
     """`interval_power_category` with K the n-simplex (the chain gadget)."""
-    return interval_power_category(n, standard_simplex(n, D), name=f"chains[{n}]")
+    return simplex_power_category_target(n, n, D)
 
 
 def comparison_functor(n: int, D: int) -> SimplicialFunctor:
     """The canonical functor from the path gadget to the chain gadget.
 
-    Identity on objects. A subset S with min i and max j goes to the
-    tuple whose coordinate for hop t (listed from t = j down to
+    It is `grid_collapse` along the diagonal chain (0, 0), ..., (n, n):
+    identity on objects, and a subset S with min i and max j goes to
+    the tuple whose coordinate for hop t (listed from t = j down to
     t = i+1) is the largest element of S strictly below t; chains map
     entrywise.
     """
-    S = coherent_path_category(n, D)
-    T = simplex_power_category(n, D)
-    Delta = standard_simplex(n, D)
-    homs = {}
-    for i in range(n + 1):
-        for j in range(i, n + 1):
-            NP = S.hom(i, j)
-            PW = T.hom(i, j)
-            vals = []
-            for m in range(D + 1):
-                row = []
-                for x in range(NP.card(m)):
-                    chain = NP.label(m, x)
-                    coords = []
-                    for c in range(j - i):
-                        hop = j - c
-                        tup = tuple(max(v for v in subset if v < hop) for subset in chain)
-                        coords.append(Delta.index_of(m, tup))
-                    row.append(PW.index(m, coords))
-                vals.append(row)
-            homs[(i, j)] = SimplicialMap(NP, PW, values=vals)
-    return SimplicialFunctor(S, T, {i: i for i in range(n + 1)}, homs)
+    return grid_collapse(n, n, [(t, t) for t in range(n + 1)], D)
 
 
 def _check_grid_chain(p: int, q: int, tau: Sequence) -> tuple:

@@ -385,29 +385,19 @@ def induced_chain_iso(f: SimplicialMap, coeff: str = "f2", max_deg: Optional[int
 
     check = CheckReport(check=f"induced_chain_iso[{coeff}]", verdict="pass")
     check.bounds["max_deg"] = max_deg
-    # chain-map property: boundary after f equals f after boundary
+    # chain-map property: boundary after f equals f after boundary, read
+    # off the columns above; a column of fM is empty where f(x) is
+    # degenerate and holds one entry otherwise
     for n in range(1, top + 1):
         for c, x in enumerate(bA[n]):
             lhs: dict[int, int] = {}
-            y = f.apply(n, x)
-            # boundary of the pushed chain, zero when f(x) is degenerate
-            if pX[n].get(y) is not None:
-                for i in range(n + 1):
-                    z = X.face(n, i, y)
-                    r = pX[n - 1].get(z)
-                    if r is None:
-                        continue
-                    lhs[r] = lhs.get(r, 0) + (1 if i % 2 == 0 else -1)
+            for r in fM[n][c]:
+                lhs = dX[n][r]
             rhs: dict[int, int] = {}
             for r, v in dA[n][c].items():
-                yy = f.apply(n - 1, bA[n - 1][r])
-                rr = pX[n - 1].get(yy)
-                if rr is None:
-                    continue
-                rhs[rr] = rhs.get(rr, 0) + v
-            lhs = {k: v for k, v in lhs.items() if v}
-            rhs = {k: v for k, v in rhs.items() if v}
-            if lhs != rhs:
+                for rr in fM[n - 1][r]:
+                    rhs[rr] = rhs.get(rr, 0) + v
+            if lhs != {k: v for k, v in rhs.items() if v}:
                 check.verdict = "fail"
                 check.witnesses.append(
                     {"reason": "not a chain map", "degree": n, "cell": x}

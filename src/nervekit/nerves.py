@@ -18,10 +18,13 @@ cell given in closed form by `comparison_cell`: on each generator
 chain, every hop acts by the tuple of largest subset elements strictly
 below it, and the hops fold by composition. That is the chain functor
 precomposed with `comparison_functor`, evaluated without building
-either. `consistency_check` compares it with the grid-collapse route
-along the diagonal: `_cell_from_plan` folds a chain along the plan that
-`_collapse_plan` reads off the coordinate rule, written once in
-`_collapse_row` and read through `_collapse_table`. The functor route
+either; `comparison_functor` is `grid_collapse` along the diagonal
+chain (0, 0), ..., (n, n). `consistency_check` compares it with the
+grid-collapse route along the diagonal: `_cell_from_plan` folds a chain
+along the plan that `_collapse_plan` reads off the coordinate rule,
+written once in `_collapse_row` and read through `_collapse_table`;
+`_comparison_plan` writes the diagonal rule on its own, so the two
+routes stay independent. The functor route
 (`chain_functor` and `hc_from_simplicial_functor`) is kept in
 ``tests/test_nerves.py`` as the oracle for these closed forms.
 

@@ -21,6 +21,9 @@ from .nerves import levelwise_nerve
 from .reporting import CheckReport
 from .sset import TruncationError
 
+# each check keeps the first witnesses it finds, up to this many
+MAX_WITNESSES = 8
+
 
 def _column_factors(NB, n: int, q: int, x: int) -> tuple:
     # restrict the column-n cell to each edge {i-1, i} by horizontal faces,
@@ -40,7 +43,7 @@ def _column_factors(NB, n: int, q: int, x: int) -> tuple:
     return tuple(out)
 
 
-def segal_column_check(R, n_max: int, Q: int, max_witnesses: int = 8) -> CheckReport:
+def segal_column_check(R, n_max: int, Q: int) -> CheckReport:
     """Column formula and strict Segal pullback for the levelwise nerve.
 
     For 1 <= n <= n_max and q <= Q, the horizontal edge restrictions
@@ -62,7 +65,7 @@ def segal_column_check(R, n_max: int, Q: int, max_witnesses: int = 8) -> CheckRe
     segal_pairs = 0
 
     def note(*w):
-        if len(witnesses) < max_witnesses:
+        if len(witnesses) < MAX_WITNESSES:
             witnesses.append(w)
 
     fac = {}
@@ -149,7 +152,7 @@ def segal_column_check(R, n_max: int, Q: int, max_witnesses: int = 8) -> CheckRe
     )
 
 
-def fiber_check(R, max_witnesses: int = 8) -> CheckReport:
+def fiber_check(R) -> CheckReport:
     """Fibers of (source, target): column 1 over column 0 x column 0.
 
     For each object pair (X, Y) and each level q, the column-1 cells
@@ -164,7 +167,7 @@ def fiber_check(R, max_witnesses: int = 8) -> CheckReport:
     cells_checked = 0
 
     def note(*w):
-        if len(witnesses) < max_witnesses:
+        if len(witnesses) < MAX_WITNESSES:
             witnesses.append(w)
 
     def endpoint(q, y, i):

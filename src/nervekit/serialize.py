@@ -114,32 +114,19 @@ def sset_from_json(data, name: str = "") -> SimplicialSet:
         isinstance(cards, list) and len(cards) == D + 1 and all(_is_int(c) and c >= 0 for c in cards),
         "cells must list one nonnegative size per level",
     )
-    faces_doc, degens_doc = data["face"], data["degen"]
-    _require(
-        isinstance(faces_doc, list) and len(faces_doc) == D + 1,
-        "face must hold one table per level",
-    )
-    _require(
-        isinstance(degens_doc, list) and len(degens_doc) == D + 1,
-        "degen must hold one table per level",
-    )
-    faces, degens = [], []
+    for key in ("face", "degen"):
+        _require(isinstance(data[key], list) and len(data[key]) == D + 1, f"{key} must hold one table per level")
+    tables = {"face": [], "degen": []}
     for n in range(D + 1):
-        f = _int_table(faces_doc[n], f"face[{n}] must be nested integer arrays")
-        want = 0 if n == 0 else n + 1
-        _require(len(f) == want, f"face[{n}] must hold {want} rows")
-        _require(all(len(r) == cards[n] for r in f), f"face[{n}] rows must match the level size")
-        for r in f:
-            _require(all(0 <= v < cards[n - 1] for v in r), f"face[{n}] has an out-of-range cell")
-        faces.append(f)
-        g = _int_table(degens_doc[n], f"degen[{n}] must be nested integer arrays")
-        want = n + 1 if n < D else 0
-        _require(len(g) == want, f"degen[{n}] must hold {want} rows")
-        _require(all(len(r) == cards[n] for r in g), f"degen[{n}] rows must match the level size")
-        for r in g:
-            _require(all(0 <= v < cards[n + 1] for v in r), f"degen[{n}] has an out-of-range cell")
-        degens.append(g)
-    X = SimplicialSet(D, cards, faces, degens, name=name)
+        # rows per operator index, and the level their cells lie in
+        for key, want, m in (("face", n + 1 if n else 0, n - 1), ("degen", n + 1 if n < D else 0, n + 1)):
+            t = _int_table(data[key][n], f"{key}[{n}] must be nested integer arrays")
+            _require(len(t) == want, f"{key}[{n}] must hold {want} rows")
+            _require(all(len(r) == cards[n] for r in t), f"{key}[{n}] rows must match the level size")
+            for r in t:
+                _require(all(0 <= v < cards[m] for v in r), f"{key}[{n}] has an out-of-range cell")
+            tables[key].append(t)
+    X = SimplicialSet(D, cards, tables["face"], tables["degen"], name=name)
     validate_sset(X, subject=name or "loaded simplicial set").raise_if_failed()
     return X
 
@@ -261,44 +248,37 @@ def relative_from_json(data, name: str = "") -> RelativeSimplicialCategory:
 # -- bisimplicial sets -------------------------------------------------------
 
 
+def _bisset_families(P: int, Q: int) -> tuple:
+    """The four operator families of a (P, Q)-truncated bisimplicial set.
+
+    Each is (key, rows, dp, dq): its table at (p, q) holds ``rows(p, q)``
+    rows, one per operator index and none at the edge the family leaves,
+    and its entries are cells at (p + dp, q + dq).
+    """
+    return (
+        ("hface", lambda p, q: p + 1 if p else 0, -1, 0),
+        ("hdegen", lambda p, q: p + 1 if p < P else 0, 1, 0),
+        ("vface", lambda p, q: q + 1 if q else 0, 0, -1),
+        ("vdegen", lambda p, q: q + 1 if q < Q else 0, 0, 1),
+    )
+
+
 def bisset_to_json(B) -> dict:
     marked = None
     if isinstance(B, MarkedBisimplicialSet):
         marked = sorted(B.marked)
         B = B.space
     P, Q = B.P, B.Q
-    doc = {
-        "dims": [P, Q],
-        "cells": [[B.card(p, q) for q in range(Q + 1)] for p in range(P + 1)],
-        "hface": [
-            [
-                [[B.hface(p, q, i, x) for x in range(B.card(p, q))] for i in range(p + 1)] if p else []
-                for q in range(Q + 1)
-            ]
+
+    def grid(op, rows):
+        return [
+            [[[op(p, q, i, x) for x in range(B.card(p, q))] for i in range(rows(p, q))] for q in range(Q + 1)]
             for p in range(P + 1)
-        ],
-        "hdegen": [
-            [
-                [[B.hdegen(p, q, i, x) for x in range(B.card(p, q))] for i in range(p + 1)] if p < P else []
-                for q in range(Q + 1)
-            ]
-            for p in range(P + 1)
-        ],
-        "vface": [
-            [
-                [[B.vface(p, q, j, x) for x in range(B.card(p, q))] for j in range(q + 1)] if q else []
-                for q in range(Q + 1)
-            ]
-            for p in range(P + 1)
-        ],
-        "vdegen": [
-            [
-                [[B.vdegen(p, q, j, x) for x in range(B.card(p, q))] for j in range(q + 1)] if q < Q else []
-                for q in range(Q + 1)
-            ]
-            for p in range(P + 1)
-        ],
-    }
+        ]
+
+    doc = {"dims": [P, Q], "cells": [[B.card(p, q) for q in range(Q + 1)] for p in range(P + 1)]}
+    for key, rows, _, _ in _bisset_families(P, Q):
+        doc[key] = grid(getattr(B, key), rows)
     if marked is not None:
         doc["marked"] = [[1, q, x] for (q, x) in marked]
     return doc
@@ -325,7 +305,7 @@ def bisset_from_json(data, name: str = ""):
         "cells must be a (P+1) x (Q+1) grid of sizes",
     )
 
-    def grid(key, rows_at, tgt_card):
+    def grid(key, rows, dp, dq):
         doc = data[key]
         _require(isinstance(doc, list) and len(doc) == P + 1, f"{key} must hold one row per column degree")
         out = []
@@ -333,21 +313,19 @@ def bisset_from_json(data, name: str = ""):
             _require(isinstance(doc[p], list) and len(doc[p]) == Q + 1, f"{key}[{p}] must hold one table per row degree")
             col = []
             for q in range(Q + 1):
-                want = rows_at(p, q)
+                want = rows(p, q)
                 tbl = _int_table(doc[p][q], f"{key}[{p}][{q}] must be nested integer arrays")
                 _require(len(tbl) == want, f"{key}[{p}][{q}] must hold {want} rows")
                 _require(all(len(r) == cards[p][q] for r in tbl), f"{key}[{p}][{q}] rows must match the cell count")
-                tc = tgt_card(p, q)
                 for r in tbl:
+                    # only a table with rows has a target inside the grid
+                    tc = cards[p + dp][q + dq]
                     _require(all(0 <= v < tc for v in r), f"{key}[{p}][{q}] has an out-of-range cell")
                 col.append(tbl)
             out.append(col)
         return out
 
-    hfaces = grid("hface", lambda p, q: p + 1 if p else 0, lambda p, q: cards[p - 1][q] if p else 1)
-    hdegens = grid("hdegen", lambda p, q: p + 1 if p < P else 0, lambda p, q: cards[p + 1][q] if p < P else 1)
-    vfaces = grid("vface", lambda p, q: q + 1 if q else 0, lambda p, q: cards[p][q - 1] if q else 1)
-    vdegens = grid("vdegen", lambda p, q: q + 1 if q < Q else 0, lambda p, q: cards[p][q + 1] if q < Q else 1)
+    hfaces, hdegens, vfaces, vdegens = (grid(*family) for family in _bisset_families(P, Q))
     B = BisimplicialSet(P, Q, cards, hfaces, hdegens, vfaces, vdegens, name=name)
     validate_bisset(B, subject=name or "loaded bisimplicial set").raise_if_failed()
     if "marked" not in data:

@@ -308,47 +308,25 @@ def act(X, n: int, x: int, f: Sequence[int]) -> int:
     under the induced map level n -> level m. The operator is factored
     into faces (one per value missing from the image, largest first)
     followed by degeneracies (doubled positions, smallest first), which
-    is exactly the unique surjection-after-injection factorization.
+    is exactly the unique surjection-after-injection factorization
+    (`_factored`). ``tests/test_sset.py`` keeps a recursive
+    factoring and a label formula as oracles.
     """
-    f = tuple(f)
-    m = len(f) - 1
-    if m < 0:
-        raise ValueError("operator must be nonempty")
-    if any(f[t] > f[t + 1] for t in range(m)) or f[0] < 0 or f[-1] > n:
-        raise ValueError(f"not a monotone map into [{n}]: {f}")
-    if m > X.D:
-        raise TruncationError(f"operator lands in level {m} beyond truncation {X.D}")
-    image = set(f)
-    g = list(f)
-    y, k = x, n
-    for j in range(n, -1, -1):
-        if j in image:
-            continue
-        y = X.face(k, j, y)
-        k -= 1
-        for t in range(m + 1):
-            if g[t] > j:
-                g[t] -= 1
-    return _act_surjective(X, k, y, g)
-
-
-def _act_surjective(X, k: int, y: int, g: list[int]) -> int:
-    m = len(g) - 1
-    if m == k:
-        return y
-    t = next(t for t in range(m) if g[t] == g[t + 1])
-    z = _act_surjective(X, k, y, g[: t + 1] + g[t + 2 :])
-    return X.degen(m - 1, t, z)
+    faces, degens = _steps(X, n, f)
+    for k, j in faces:
+        x = X.face(k, j, x)
+    for k, t in degens:
+        x = X.degen(k, t, x)
+    return x
 
 
 @lru_cache(maxsize=None)
 def _factored(n: int, f: tuple) -> tuple:
-    """The steps `act` takes for ``f`` into [n], validated as `act` does.
+    """The steps of ``f`` into [n], after checking it is monotone.
 
     Returns the faces and then the degeneracies, each a (level, index)
-    pair in the order they apply; the degeneracies are the ones
-    `_act_surjective` finds outermost first, so they apply innermost
-    first.
+    pair in the order they apply. The degeneracies are found outermost
+    first, at the first doubled position, so they apply innermost first.
     """
     m = len(f) - 1
     if m < 0:
@@ -373,21 +351,26 @@ def _factored(n: int, f: tuple) -> tuple:
     return tuple(faces), tuple(reversed(degens))
 
 
+def _steps(X, n: int, f: Sequence[int]) -> tuple:
+    # ValueError for a bad operator comes before TruncationError
+    f = tuple(f)
+    steps = _factored(n, f)
+    if len(f) - 1 > X.D:
+        raise TruncationError(f"operator lands in level {len(f) - 1} beyond truncation {X.D}")
+    return steps
+
+
 def act_table(X, n: int, f: Sequence[int]) -> list[int]:
     """`act` of one operator on every n-cell, in cell order.
 
     Equals ``[act(X, n, x, f) for x in range(X.card(n))]`` and raises
-    what `act` raises, but validates and factors ``f`` once, exactly as
-    `act` does (faces first, then degeneracies), and then applies the
-    steps to each cell in turn. The factoring is cached per (n, f), so
-    a sweep that applies the same operators to many targets, as
-    `horn_check` does, factors each once. `act` keeps its own factoring
-    and is the reference the tests compare this against.
+    what `act` raises: it takes the same steps of `_factored`, cached
+    per (n, f), and applies them to each cell in turn, so a sweep that
+    applies the same operators to many targets, as `horn_check` does,
+    factors each once. ``tests/test_sset.py`` compares both against a
+    recursive factoring kept there as the oracle.
     """
-    f = tuple(f)
-    faces, degens = _factored(n, f)
-    if len(f) - 1 > X.D:
-        raise TruncationError(f"operator lands in level {len(f) - 1} beyond truncation {X.D}")
+    faces, degens = _steps(X, n, f)
     face, degen = X.face, X.degen
     out = []
     for x in range(X.card(n)):

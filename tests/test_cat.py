@@ -8,6 +8,8 @@ import pytest
 from nervekit import (
     FinitePoset,
     RelativeSimplicialCategory,
+    SimplicialFunctor,
+    SimplicialMap,
     build_example,
     coherent_path_category,
     comparison_functor,
@@ -24,11 +26,13 @@ from nervekit import (
     poset_nerve,
     simplex_power_category,
     simplex_power_transform,
+    standard_simplex,
     validate_category,
     validate_functor,
     validate_relative,
     validate_simplicial_category,
 )
+from nervekit.cat import interval_power_category
 from nervekit.sset import sset_data_equal
 
 
@@ -159,6 +163,44 @@ def test_comparison_functor_vertex_formula():
     refined = NP.index_of(0, ((0, 1, 2),))
     assert PW.label(0, F.apply_hom(0, 2, 0, direct)) == ((0,), (0,))
     assert PW.label(0, F.apply_hom(0, 2, 0, refined)) == ((1,), (0,))
+
+
+def _comparison_functor_by_subsets(n, D):
+    """The comparison functor by its own rule, into a chain gadget built
+    here: a subset S with min i and max j goes to the tuple whose
+    coordinate for hop t = j, ..., i+1 is the largest element of S
+    strictly below t."""
+    S = coherent_path_category(n, D)
+    Delta = standard_simplex(n, D)
+    T = interval_power_category(n, Delta)
+    homs = {}
+    for i in range(n + 1):
+        for j in range(i, n + 1):
+            NP = S.hom(i, j)
+            PW = T.hom(i, j)
+            vals = []
+            for m in range(D + 1):
+                row = []
+                for x in range(NP.card(m)):
+                    chain = NP.label(m, x)
+                    coords = []
+                    for c in range(j - i):
+                        hop = j - c
+                        tup = tuple(max(v for v in subset if v < hop) for subset in chain)
+                        coords.append(Delta.index_of(m, tup))
+                    row.append(PW.index(m, coords))
+                vals.append(row)
+            homs[(i, j)] = SimplicialMap(NP, PW, values=vals)
+    return SimplicialFunctor(S, T, {i: i for i in range(n + 1)}, homs)
+
+
+def test_comparison_functor_is_the_diagonal_grid_collapse():
+    for n in range(5):
+        for D in range(4):
+            F, G = comparison_functor(n, D), _comparison_functor_by_subsets(n, D)
+            assert F.obj == G.obj == {i: i for i in range(n + 1)}
+            assert functors_equal(F, G), (n, D)
+    assert comparison_functor(2, 2).target is simplex_power_category(2, 2)
 
 
 def test_comparison_functor_validates():

@@ -131,6 +131,20 @@ def test_chain_iso_detects_failure():
     assert rep.bounds["H1"]["dim_target"] == 1
 
 
+@pytest.mark.parametrize("coeff", ["f2", "z"])
+def test_chain_iso_rejects_a_map_that_is_not_a_chain_map(coeff):
+    # sending the edge (0, 1) of the 1-simplex to the degenerate (0, 0)
+    # while fixing both vertices breaks d f = f d on that edge
+    from nervekit import SimplicialMap
+
+    D1 = standard_simplex(1, 1)
+    bad = SimplicialMap(D1, D1, values=[[0, 1], [0, 0, 2]])
+    rep = induced_chain_iso(bad, coeff=coeff, max_deg=0)
+    assert rep.verdict == "fail"
+    assert rep.witnesses == [{"reason": "not a chain map", "degree": 1, "cell": 1}]
+    assert induced_chain_iso(SimplicialMap(D1, D1, values=[[0, 1], [0, 1, 2]]), coeff=coeff, max_deg=0).ok
+
+
 def test_chain_iso_z_coefficients(z2_rel):
     B = classifying_space(z2_rel.cat, 2)
     rep = induced_chain_iso(identity_map(B), coeff="z", max_deg=1)

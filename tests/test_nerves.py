@@ -405,10 +405,11 @@ def test_consistency_check_builds_no_functors(z2_rel_d3, z2_rel, monkeypatch):
     assert calls == {"comparison_functor": 0, "compose_functors": 0, "grid_collapse": 0, "chain_functor": 0}
     assert classification_comparison(z2_rel, 1, 1).ok
     assert calls == {"comparison_functor": 0, "compose_functors": 0, "grid_collapse": 0, "chain_functor": 0}
-    # the counters do see calls made through the functor route
+    # the counters do see calls made through the functor route, whose
+    # comparison functor is the grid collapse along the diagonal chain
     label = levelwise_nerve(z2_rel.cat, 1, 1).label(1, 1, 0)
     _functor_route(z2_rel.cat, label, 1, 1, cat_mod.comparison_functor(1, z2_rel.cat.D), 1)
-    assert calls == {"comparison_functor": 1, "compose_functors": 1, "grid_collapse": 0, "chain_functor": 1}
+    assert calls == {"comparison_functor": 1, "compose_functors": 1, "grid_collapse": 1, "chain_functor": 1}
 
 
 def _theta_cell(nerves_mod, SC, label, p, q, tau, memo):
