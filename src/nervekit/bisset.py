@@ -144,15 +144,9 @@ def validate_bisset(X: BisimplicialSet, subject: str = "") -> ValidationReport:
     """Both directions' simplicial identities plus all commutation squares."""
     rep = ValidationReport(subject or X.name or "bisimplicial set")
     for q in range(X.Q + 1):
-        sub = validate_sset(X.row(q), subject=f"row {q}")
-        for v in sub.violations:
-            rep.add(f"row {q}: {v.identity}", v.location, v.detail)
-        rep.checked += sub.checked
+        rep.merge(validate_sset(X.row(q), subject=f"row {q}"), f"row {q}: ")
     for p in range(X.P + 1):
-        sub = validate_sset(X.column(p), subject=f"column {p}")
-        for v in sub.violations:
-            rep.add(f"column {p}: {v.identity}", v.location, v.detail)
-        rep.checked += sub.checked
+        rep.merge(validate_sset(X.column(p), subject=f"column {p}"), f"column {p}: ")
     if not rep.ok:
         return rep
     for p in range(X.P + 1):

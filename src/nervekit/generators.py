@@ -124,7 +124,7 @@ def build_example(name: str, max_dim: int = 2) -> RelativeSimplicialCategory:
         C = FiniteCategory(
             [0, 1],
             {(0, 0): ["id0"], (0, 1): ["walk"], (1, 1): ["id1"]},
-            lambda a, b, c, g, f: g if f.startswith("id") else f,
+            {abc: [0] for abc in [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]},
             {0: "id0", 1: "id1"},
             name=name,
         )

@@ -101,6 +101,12 @@ class ValidationReport(Record):
     def add(self, identity: str, location: tuple, detail: str = "") -> None:
         self.violations.append(Violation(identity, location, detail))
 
+    def merge(self, sub: "ValidationReport", prefix: str) -> None:
+        """Take over ``sub``'s checks and violations, each identity led by ``prefix``."""
+        for v in sub.violations:
+            self.add(prefix + v.identity, v.location, v.detail)
+        self.checked += sub.checked
+
     def to_json(self) -> dict:
         return {
             "subject": self.subject,

@@ -620,9 +620,13 @@ class SimplicialMap:
     """A levelwise map of truncated simplicial sets.
 
     Values are stored as explicit per-level tables, kept as given (not
-    copied), or computed by a function ``fn(n, x)`` for lazy sources.
-    ``L`` is the top level the map is defined on (defaults to the source
-    truncation).
+    copied). ``fn(n, x)`` computes them instead only for the maps out of
+    lazy power homs that `cat._interval_transform` builds: their sources
+    are too large to tabulate (a naturality square of the comparison
+    functor at [4] reads ``simplex_power_transform(f, 4, b, 3)``, whose
+    hom (Δ⁴)⁴ has 70⁴, about 24 million, cells at level 3), and a
+    composite reads only the cells its other factor hits. ``L`` is the top level the map is
+    defined on (defaults to the source truncation).
     """
 
     def __init__(self, source, target, values=None, fn=None, L: Optional[int] = None):
@@ -665,7 +669,7 @@ class SimplicialMap:
 
 
 def identity_map(X) -> SimplicialMap:
-    return SimplicialMap(X, X, fn=lambda n, x: x, L=X.D)
+    return SimplicialMap(X, X, values=[range(X.card(n)) for n in range(X.D + 1)])
 
 
 def compose_maps(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:

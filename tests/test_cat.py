@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from nervekit import (
+    FiniteCategory,
     FinitePoset,
     RelativeSimplicialCategory,
     SimplicialFunctor,
@@ -46,6 +47,34 @@ def test_cyclic_group_category():
     g2 = ("x", "x", Z3.hom_labels("x", "x")[2])
     composite = Z3.compose(g2, g2)
     assert composite == ("x", "x", Z3.hom_labels("x", "x")[1])
+
+
+def _planted(ids, table):
+    # a three-element monoid on one object, with its identity and table given
+    comps = {} if table is None else {("x", "x", "x"): table}
+    return FiniteCategory(["x"], {("x", "x"): ["e", "u", "v"]}, comps, ids, name="planted")
+
+
+# entry g * 3 + f is g∘f for g, f in e, u, v (indices 0, 1, 2). Every
+# full table has e as its unit; the first is Z/3. The last two rows of the
+# non-associative one set u u = v, u v = e, v u = u, v v = v, so
+# (u u) v = v but u (u v) = u.
+@pytest.mark.parametrize(
+    "ids, table, identity",
+    [
+        ({"x": "w"}, [0, 1, 2, 1, 2, 0, 2, 0, 1], "identity vertex"),
+        ({"x": "e"}, [0, 1, 2, 1, 2, 3, 2, 0, 1], "comp(x,x,x) simplicial: value range"),
+        ({"x": "e"}, [0, 1, 2, 1, 2, 0, 2, 1, 2], "associativity"),
+        ({"x": "e"}, [0, 1, 2, 1, 2, 0, 2, 0], "composition table"),
+        ({"x": "e"}, None, "composition table"),
+    ],
+    ids=["missing-identity", "out-of-range", "non-associative", "short-table", "missing-table"],
+)
+def test_validate_category_reports_malformed_tables(ids, table, identity):
+    assert validate_category(_planted({"x": "e"}, [0, 1, 2, 1, 2, 0, 2, 0, 1])).ok  # Z/3
+    rep = validate_category(_planted(ids, table))
+    assert not rep.ok and rep.subject == "planted"
+    assert {v.identity for v in rep.violations} == {identity}
 
 
 def test_nerve_counts_for_groups():
@@ -221,6 +250,33 @@ def test_comparison_naturality_squares():
                 lhs = compose_functors(comparison_functor(b, D), up)
                 rhs = compose_functors(right, comparison_functor(a, D))
                 assert functors_equal(lhs, rhs), (a, b, f)
+
+
+def test_composed_functors_match_the_lazy_route():
+    # compose_functors gathers G's tables along F's; the oracle evaluates
+    # a closure over both factors cell by cell
+    from test_nerves import _compose_lazily
+
+    D = 2
+    for a in range(3):
+        for b in range(3):
+            for f in itertools.combinations_with_replacement(range(b + 1), a + 1):
+                up = path_functor(f, a, b, D)
+                right = simplex_power_transform(f, a, b, D)
+                for G, F in [(comparison_functor(b, D), up), (right, comparison_functor(a, D))]:
+                    eager = compose_functors(G, F)
+                    assert all(m.values is not None for m in eager.homs.values())
+                    assert functors_equal(eager, _compose_lazily(G, F)), (a, b, f)
+
+
+@pytest.mark.parametrize(
+    "f, b, message",
+    [((1, 0), 1, "not a monotone"), ((0, 3), 2, "out of range"), ((0,), 1, "not a monotone"), ((-1, 0), 1, "out of range")],
+)
+def test_induced_functors_reject_bad_vertex_maps(f, b, message):
+    for build in (path_functor, simplex_power_transform):
+        with pytest.raises(ValueError, match=message):
+            build(f, 1, b, 2)
 
 
 def test_enumerate_functors_candidate_count():

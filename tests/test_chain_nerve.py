@@ -21,7 +21,7 @@ from nervekit import (
     standard_simplex,
 )
 from nervekit.generators import _parse_poset
-from test_nerves import _random_poset, _s3_category
+from test_nerves import _random_poset, _s3_category, category_by_rule
 
 
 def chain_nerve_by_tuples(m, leq, D, element_labels=None):
@@ -98,7 +98,7 @@ def _product_group(m1, m2, seed):
     seeded random order, so the identity is rarely the first label."""
     elements = [(a, b) for a in range(m1) for b in range(m2)]
     random.Random(seed).shuffle(elements)
-    return FiniteCategory(
+    return category_by_rule(
         ["x"],
         {("x", "x"): elements},
         lambda a, b, c, g, f: ((g[0] + f[0]) % m1, (g[1] + f[1]) % m2),

@@ -200,6 +200,14 @@ def test_report_digest_is_pinned(command, want):
     assert rep["digest"] == want
 
 
+def test_failing_uniqueness_digest_is_pinned():
+    # at N = 1 the search finds more than the canonical family; this is
+    # the one pinned report whose witnesses print vertex signatures
+    rep, code, _ = run(["uniq-check", "--max-cosimplicial", "1"])
+    assert code == 1 and rep["results"]["uniqueness"]["verdict"] == "fail"
+    assert rep["digest"] == "0c30d141ceabb3ca1b978095b6b0cb853925c0a4c7da2c4a5881a966cfb54795"
+
+
 def test_compare_builds_each_comparison_cell_once(monkeypatch):
     import nervekit.nerves as nerves_mod
 

@@ -1,4 +1,4 @@
-"""Repository tooling: the traced benchmark run, start-up imports and the package's dependencies."""
+"""Repository tooling: the traced benchmark run, start-up imports, the package's dependencies and its table-backed compositions."""
 import ast
 import importlib
 import importlib.util
@@ -75,6 +75,36 @@ def test_runtime_imports_only_the_standard_library():
                 continue
             for module in modules:
                 assert module.split(".")[0] in sys.stdlib_module_names, (path.name, module)
+
+
+def _calls_with_owner(tree):
+    """(innermost enclosing function, or the module, and call) for every call."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                out.append((owner, child))
+            visit(child, child if isinstance(child, ast.FunctionDef) else owner)
+
+    visit(tree, tree)
+    return out
+
+
+def test_compositions_and_hom_maps_are_tables():
+    # a function that builds a category defines no function, so no
+    # composition it stores can be a closure; a hom map computed by
+    # ``fn`` is built only for the lazy power homs of _interval_transform
+    lazy_maps = set()
+    for path in sorted((ROOT / "src" / "nervekit").glob("*.py")):
+        for owner, call in _calls_with_owner(ast.parse(path.read_text(), filename=str(path))):
+            callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+            if callee in ("FiniteCategory", "SimplicialCategory"):
+                defs = [n for n in ast.walk(owner) if isinstance(n, (ast.Lambda, ast.FunctionDef)) and n is not owner]
+                assert not defs, (path.name, getattr(owner, "name", "<module>"))
+            if callee == "SimplicialMap" and any(k.arg == "fn" for k in call.keywords):
+                lazy_maps.add((path.name, getattr(owner, "name", "<module>")))
+    assert lazy_maps == {("cat.py", "_interval_transform")}
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
