@@ -1,37 +1,35 @@
 """Exact computation with truncated simplicial sets, simplicial categories,
-their nerves, and the comparison maps between them."""
+their nerves, and the comparison maps between them.
+
+The names of the modules that only some verbs run load on first use
+(see ``_LAZY``): the document readers (`nervekit.schema`), the
+whole-object validators (`nervekit.axioms`), the cosimplicial gadgets
+and the functor search (`nervekit.gadgets`), the classification
+diagram and theta, the Segal and fiber checks, and the uniqueness
+search.
+"""
 
 from .bisset import (
     BisimplicialSet,
     MarkedBisimplicialSet,
     diagonal,
     diagonal_marked,
-    validate_bisset,
 )
 from .cat import (
     FiniteCategory,
     RelativeSimplicialCategory,
     SimplicialCategory,
     SimplicialFunctor,
-    coherent_path_category,
     comparison_functor,
     compose_functors,
     cyclic_group_category,
     discrete_simplicial_category,
-    enumerate_simplicial_functors,
     functors_equal,
     grid_collapse,
     level_category,
     nerve_cat,
-    path_functor,
     path_poset,
     poset_category,
-    simplex_power_category,
-    simplex_power_transform,
-    validate_category,
-    validate_functor,
-    validate_relative,
-    validate_simplicial_category,
 )
 from .generators import build_example, example_names
 from .homology import HomologyReport, homology, induced_chain_iso, smith_normal_form
@@ -45,7 +43,7 @@ from .nerves import (
     levelwise_nerve_marked,
 )
 from .reporting import CheckReport, ValidationReport, Violation
-from .serialize import SchemaError, canonical_json, digest, load, save
+from .serialize import SchemaError, canonical_json, digest, save
 from .sset import (
     FinitePoset,
     MarkedSimplicialSet,
@@ -55,20 +53,16 @@ from .sset import (
     TruncationError,
     act,
     act_table,
-    boundary_simplex,
     compose_maps,
     enumerate_maps,
     horn,
-    identity_map,
     materialize,
     poset_nerve,
     product,
     standard_simplex,
     subcomplex,
     validate_map,
-    validate_sset,
     vertices,
-    yoneda_map,
 )
 from .verify import horn_check, pi0
 
@@ -78,9 +72,21 @@ __version__ = "0.1.0"
 # each loads on first use (PEP 562), so a process that never asks for
 # them does not compile them.
 _LAZY = {
+    "validate_bisset": "axioms",
+    "validate_category": "axioms",
+    "validate_functor": "axioms",
+    "validate_relative": "axioms",
+    "validate_simplicial_category": "axioms",
+    "validate_sset": "axioms",
     "classification_comparison": "classification",
     "classification_diagram": "classification",
     "theta_cell_value": "classification",
+    "coherent_path_category": "gadgets",
+    "enumerate_simplicial_functors": "gadgets",
+    "path_functor": "gadgets",
+    "simplex_power_category": "gadgets",
+    "simplex_power_transform": "gadgets",
+    "load": "schema",
     "fiber_check": "segal",
     "segal_column_check": "segal",
     "uniqueness_report": "uniqueness",

@@ -2,9 +2,9 @@
 
 Bidegree (p, q) means column p, row q. Columns are simplicial sets in
 the row index and vice versa; the diagonal restricts to p = q. All
-operator tables are stored exhaustively, as in `SimplicialSet`, and
-`validate_bisset` checks both directions plus every commutation square
-within the truncation.
+operator tables are stored exhaustively, as in `SimplicialSet`;
+`axioms.validate_bisset` checks both directions plus every commutation
+square within the truncation.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .reporting import FrozenRecord, ValidationReport
-from .sset import MarkedSimplicialSet, SimplicialSet, validate_sset
+from .sset import MarkedSimplicialSet, SimplicialSet
 
 
 class BisimplicialSet:
@@ -138,53 +138,6 @@ def diagonal(X: BisimplicialSet, name: str = "") -> SimplicialSet:
     if X.labels is not None:
         labels = [[X.labels[n][n][x] for x in range(cards[n])] for n in range(D + 1)]
     return SimplicialSet(D, cards, faces, degens, labels=labels, name=name or f"diag({X.name})")
-
-
-def validate_bisset(X: BisimplicialSet, subject: str = "") -> ValidationReport:
-    """Both directions' simplicial identities plus all commutation squares."""
-    rep = ValidationReport(subject or X.name or "bisimplicial set")
-    for q in range(X.Q + 1):
-        rep.merge(validate_sset(X.row(q), subject=f"row {q}"), f"row {q}: ")
-    for p in range(X.P + 1):
-        rep.merge(validate_sset(X.column(p), subject=f"column {p}"), f"column {p}: ")
-    if not rep.ok:
-        return rep
-    for p in range(X.P + 1):
-        for q in range(X.Q + 1):
-            for x in range(X.card(p, q)):
-                if p >= 1 and q >= 1:
-                    for i in range(p + 1):
-                        for j in range(q + 1):
-                            rep.checked += 1
-                            lhs = X.vface(p - 1, q, j, X.hface(p, q, i, x))
-                            rhs = X.hface(p, q - 1, i, X.vface(p, q, j, x))
-                            if lhs != rhs:
-                                rep.add("d^v_j d^h_i = d^h_i d^v_j", (p, q, i, j, x), f"{lhs} != {rhs}")
-                if p >= 1 and q < X.Q:
-                    for i in range(p + 1):
-                        for j in range(q + 1):
-                            rep.checked += 1
-                            lhs = X.vdegen(p - 1, q, j, X.hface(p, q, i, x))
-                            rhs = X.hface(p, q + 1, i, X.vdegen(p, q, j, x))
-                            if lhs != rhs:
-                                rep.add("s^v_j d^h_i = d^h_i s^v_j", (p, q, i, j, x), f"{lhs} != {rhs}")
-                if p < X.P and q >= 1:
-                    for i in range(p + 1):
-                        for j in range(q + 1):
-                            rep.checked += 1
-                            lhs = X.vface(p + 1, q, j, X.hdegen(p, q, i, x))
-                            rhs = X.hdegen(p, q - 1, i, X.vface(p, q, j, x))
-                            if lhs != rhs:
-                                rep.add("d^v_j s^h_i = s^h_i d^v_j", (p, q, i, j, x), f"{lhs} != {rhs}")
-                if p < X.P and q < X.Q:
-                    for i in range(p + 1):
-                        for j in range(q + 1):
-                            rep.checked += 1
-                            lhs = X.vdegen(p + 1, q, j, X.hdegen(p, q, i, x))
-                            rhs = X.hdegen(p, q + 1, i, X.vdegen(p, q, j, x))
-                            if lhs != rhs:
-                                rep.add("s^v_j s^h_i = s^h_i s^v_j", (p, q, i, j, x), f"{lhs} != {rhs}")
-    return rep
 
 
 class MarkedBisimplicialSet(FrozenRecord):

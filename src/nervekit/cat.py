@@ -1,25 +1,22 @@
-"""Finite categories, simplicial categories, and the gadget categories
-that drive the coherent nerve and the comparison machinery.
+"""Finite categories, simplicial categories, functors, and the functors
+from the path gadget to the power gadgets that drive the comparison
+machinery.
 
-Gadgets
--------
-* ``coherent_path_category(n, D)``: objects 0..n, hom(i, j) the nerve
-  of the poset of subsets of {i..j} with fixed min and max, ordered by
-  inclusion, composed by union. Simplicial functors out of it are the
-  cells of the coherent nerve.
-* ``interval_power_category(n, K)``: objects 0..n, hom(i, j) a
-  (j-i)-fold power of K, composed by concatenation. Functors out of it
-  are chains of K-shaped cells, which is how classifying-space cells
-  are recognized.
-* ``comparison_functor(n, D)``: the canonical functor from the first
-  gadget to the second (with K the n-simplex), sending a subset S to
-  the coordinate tuple whose entry for hop t is the largest element of
-  S below t, listed from the top hop down. It is the diagonal case of
+* ``comparison_functor(n, D)``: the canonical functor from the path
+  gadget ``coherent_path_category(n, D)`` to the chain gadget
+  ``simplex_power_category(n, D)``, sending a subset S to the
+  coordinate tuple whose entry for hop t is the largest element of S
+  below t, listed from the top hop down. It is the diagonal case of
   ``grid_collapse``, the chain (0, 0), ..., (n, n).
 * ``grid_collapse(p, q, tau, D)``: the composite functor out of a path
   category of a grid chain, collapsing to the first grid coordinate;
   hom action takes, per hop, the largest second coordinate seen
   strictly before that hop.
+
+The gadgets themselves, their cosimplicial structure and the functor
+search live in `nervekit.gadgets`, and the validators of categories,
+relative categories and functors in `nervekit.axioms`; both load on
+first use.
 
 Every composition is an index table. A simplicial category stores its
 per-level tables, the ``comp`` tables of its JSON document: at level n,
@@ -28,12 +25,8 @@ finite category stores one table per triple in the layout of one level,
 so its level-0 discrete category and its nerve read the table as given.
 Functors store their hom maps as value tables too, and compose by
 gathering one through the other. The one exception is
-`simplex_power_transform`, whose hom maps out of the lazy power homs
-compute each cell on demand (see `SimplicialMap`).
-
-Power coordinates are always listed from the top hop down to the hop
-just above the source object, so concatenation of coordinate tuples is
-exactly composition and its table at each level is the index identity.
+`gadgets.simplex_power_transform`, whose hom maps out of the lazy power
+homs compute each cell on demand (see `SimplicialMap`).
 """
 
 from __future__ import annotations
@@ -42,22 +35,14 @@ import itertools
 from functools import lru_cache
 from typing import Sequence
 
-from .reporting import ValidationReport
 from .sset import (
-    ProductSset,
-    PowerSset,
+    FinitePoset,
     SimplicialMap,
     SimplicialSet,
-    FinitePoset,
     TruncationError,
     chain_index_nerve,
     compose_maps,
-    enumerate_maps,
-    poset_nerve,
     standard_simplex,
-    validate_map,
-    validate_sset,
-    vertex_induced_map,
     vertices,
 )
 
@@ -98,15 +83,6 @@ class FiniteCategory:
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
         return f"<FiniteCategory{tag} objects={len(self.objects)}>"
-
-
-def validate_category(C: FiniteCategory, subject: str = "") -> ValidationReport:
-    """Check identities, composition ranges, units and associativity.
-
-    These are the checks of `validate_simplicial_category` on the level-0
-    discrete category of C, which holds C's tables as they are.
-    """
-    return validate_simplicial_category(discrete_simplicial_category(C, 0), subject or C.name or "category")
 
 
 def cyclic_group_category(m: int, obj="x") -> FiniteCategory:
@@ -205,82 +181,6 @@ class SimplicialCategory:
         return f"<SimplicialCategory{tag} objects={len(self.objects)} D={self.D}>"
 
 
-def validate_simplicial_category(SC: SimplicialCategory, subject: str = "") -> ValidationReport:
-    """Check hom validity, simpliciality of composition, units, associativity.
-
-    Each composition's tables are checked as a map out of the product
-    ``ProductSset(hom(b, c), hom(a, b))``, whose pairing is the index
-    ``g * hom(a, b).card(n) + f`` of the tables.
-    """
-    rep = ValidationReport(subject or SC.name or "simplicial category")
-    L = SC.D
-    for (a, b), H in SC.homs.items():
-        rep.merge(validate_sset(H, subject=f"hom({a},{b})"), f"hom({a},{b}): ")
-    for a in SC.objects:
-        if (a, a) not in SC.homs or not 0 <= SC.ids.get(a, -1) < SC.hom(a, a).card(0):
-            rep.add("identity vertex", (a,), "missing or out of range")
-            return rep
-    shaped = True
-    for (a, b), F in SC.homs.items():
-        for (b2, c), G in SC.homs.items():
-            tables = SC.comps.get((a, b, c))
-            if b2 == b and (tables is not None or F.card(0) and G.card(0)):
-                sizes = [G.card(n) * F.card(n) for n in range(L + 1)]
-                if tables is None or [len(t) for t in tables] != sizes:
-                    rep.add("composition table", (a, b, c), f"missing or not of sizes {sizes}")
-                    shaped = False
-    if not shaped:
-        return rep
-    in_range = True
-    for (a, b, c), tables in SC.comps.items():
-        view = SimplicialMap(ProductSset(SC.hom(b, c), SC.hom(a, b)), SC.hom(a, c), values=tables)
-        sub = validate_map(view, subject=f"comp({a},{b},{c})")
-        rep.merge(sub, f"comp({a},{b},{c}) simplicial: ")
-        in_range = in_range and all(v.identity != "value range" for v in sub.violations)
-    if not in_range:
-        # the unit and associativity checks would compose the stray entries
-        return rep
-    for (a, b), H in SC.homs.items():
-        for n in range(L + 1):
-            ida = SC.identity_cell(a, n)
-            idb = SC.identity_cell(b, n)
-            for f in range(H.card(n)):
-                rep.checked += 1
-                if SC.compose(a, a, b, n, f, ida) != f:
-                    rep.add("right unit", (a, b, n, f), "f after id differs from f")
-                if SC.compose(a, b, b, n, idb, f) != f:
-                    rep.add("left unit", (a, b, n, f), "id after f differs from f")
-    for a in SC.objects:
-        for b in SC.objects:
-            for c in SC.objects:
-                for d in SC.objects:
-                    if any(
-                        (p, q) not in SC.homs
-                        for p, q in [(a, b), (b, c), (c, d)]
-                    ):
-                        continue
-                    for n in range(L + 1):
-                        fs = range(SC.hom(a, b).card(n))
-                        gs = range(SC.hom(b, c).card(n))
-                        hs = range(SC.hom(c, d).card(n))
-                        for f in fs:
-                            for g in gs:
-                                gf = SC.compose(a, b, c, n, g, f)
-                                for h in hs:
-                                    rep.checked += 1
-                                    lhs = SC.compose(a, c, d, n, h, gf)
-                                    rhs = SC.compose(
-                                        a, b, d, n, SC.compose(b, c, d, n, h, g), f
-                                    )
-                                    if lhs != rhs:
-                                        rep.add(
-                                            "associativity",
-                                            (a, b, c, d, n, f, g, h),
-                                            f"{lhs} != {rhs}",
-                                        )
-    return rep
-
-
 def level_category(SC: SimplicialCategory, q: int) -> FiniteCategory:
     """The ordinary category of level-q hom cells.
 
@@ -325,7 +225,7 @@ class RelativeSimplicialCategory:
 
     ``sub[(a, b)]`` lists, per level, the set of hom cells belonging to
     the subcategory. Wideness (each sub hom is a union of connected
-    components) is checked by `validate_relative`, not assumed.
+    components) is checked by `axioms.validate_relative`, not assumed.
     """
 
     def __init__(self, cat: SimplicialCategory, sub: dict, name: str = ""):
@@ -396,67 +296,6 @@ def _pi0_classes(X) -> list[int]:
     return [find(v) for v in range(X.card(0))]
 
 
-def validate_relative(R: RelativeSimplicialCategory, subject: str = "") -> ValidationReport:
-    """Check the wide-subcategory conditions with witness cells.
-
-    Covers: index validity, closure of each sub hom under faces and
-    degeneracies, presence of identities, closure under composition,
-    and wideness (each sub hom is exactly the set of cells living in a
-    union of connected components).
-    """
-    rep = ValidationReport(subject or R.name)
-    SC = R.cat
-    for (a, b), per_level in R.sub.items():
-        if (a, b) not in SC.homs:
-            rep.add("sub pair exists", (a, b), "sub on an empty hom")
-            continue
-        H = SC.hom(a, b)
-        if len(per_level) != SC.D + 1:
-            rep.add("sub shape", (a, b), "per-level list has wrong length")
-            continue
-        for n in range(SC.D + 1):
-            for x in per_level[n]:
-                if not 0 <= x < H.card(n):
-                    rep.add("sub cell range", (a, b, n, x), "cell out of range")
-        for n in range(1, SC.D + 1):
-            for x in per_level[n]:
-                for i in range(n + 1):
-                    rep.checked += 1
-                    if H.face(n, i, x) not in per_level[n - 1]:
-                        rep.add("sub closed under faces", (a, b, n, i, x), "face escapes sub")
-        for n in range(SC.D):
-            for x in per_level[n]:
-                for i in range(n + 1):
-                    rep.checked += 1
-                    if H.degen(n, i, x) not in per_level[n + 1]:
-                        rep.add("sub closed under degeneracies", (a, b, n, i, x), "degeneracy escapes sub")
-    for a in SC.objects:
-        for n in range(SC.D + 1):
-            rep.checked += 1
-            if SC.identity_cell(a, n) not in R.sub_cells(a, a, n):
-                rep.add("identities in sub", (a, n), "identity cell missing from sub")
-    for (a, b, c), m in SC.comps.items():
-        for n in range(SC.D + 1):
-            for g in R.sub_cells(b, c, n):
-                for f in R.sub_cells(a, b, n):
-                    rep.checked += 1
-                    if SC.compose(a, b, c, n, g, f) not in R.sub_cells(a, c, n):
-                        rep.add("sub closed under composition", (a, b, c, n, g, f), "composite escapes sub")
-    for (a, b), H in SC.homs.items():
-        classes = _pi0_classes(H)
-        kept = {classes[v] for v in R.sub_cells(a, b, 0)}
-        for n in range(SC.D + 1):
-            in_sub = R.sub_cells(a, b, n)
-            for x in range(H.card(n)):
-                rep.checked += 1
-                belongs = classes[vertices(H, n, x)[0]] in kept
-                if belongs and x not in in_sub:
-                    rep.add("wideness", (a, b, n, x), "cell in a marked component but not in sub")
-                if not belongs and x in in_sub:
-                    rep.add("wideness", (a, b, n, x), "sub cell outside the marked components")
-    return rep
-
-
 class SimplicialFunctor:
     """A functor of simplicial categories: object map plus hom maps."""
 
@@ -489,37 +328,6 @@ def compose_functors(G: SimplicialFunctor, F: SimplicialFunctor) -> SimplicialFu
     return SimplicialFunctor(F.source, G.target, obj, homs)
 
 
-def validate_functor(F: SimplicialFunctor, subject: str = "functor") -> ValidationReport:
-    """Check hom maps are simplicial, identities and composition preserved."""
-    rep = ValidationReport(subject)
-    S, T = F.source, F.target
-    L = S.D
-    for (a, b), H in S.homs.items():
-        if (a, b) not in F.homs:
-            rep.add("hom map present", (a, b), "missing hom component")
-            return rep
-        rep.merge(validate_map(F.homs[(a, b)], subject=f"hom({a},{b})"), f"hom({a},{b}) simplicial: ")
-    for a in S.objects:
-        rep.checked += 1
-        if F.apply_hom(a, a, 0, S.identity_cell(a, 0)) != T.identity_cell(F.obj[a], 0):
-            rep.add("identity preserved", (a,), "image of identity vertex differs")
-    for (a, b, c) in S.comps.keys():
-        fa, fb, fc = F.obj[a], F.obj[b], F.obj[c]
-        for n in range(L + 1):
-            cg = S.hom(b, c).card(n)
-            cf = S.hom(a, b).card(n)
-            for g in range(cg):
-                for f in range(cf):
-                    rep.checked += 1
-                    lhs = F.apply_hom(a, c, n, S.compose(a, b, c, n, g, f))
-                    rhs = T.compose(
-                        fa, fb, fc, n, F.apply_hom(b, c, n, g), F.apply_hom(a, b, n, f)
-                    )
-                    if lhs != rhs:
-                        rep.add("composition preserved", (a, b, c, n, g, f), f"{lhs} != {rhs}")
-    return rep
-
-
 def functors_equal(F: SimplicialFunctor, G: SimplicialFunctor) -> bool:
     """Equal object maps and equal hom maps, compared as full value tables."""
     if F.obj != G.obj or F.homs.keys() != G.homs.keys():
@@ -548,89 +356,6 @@ def path_poset(i: int, j: int) -> FinitePoset:
 
 
 @lru_cache(maxsize=None)
-def coherent_path_category(n: int, D: int) -> SimplicialCategory:
-    """The path-poset resolution of the linear order 0..n.
-
-    hom(i, j) is the nerve of `path_poset(i, j)`; composition takes
-    unions entrywise. Its simplicial functors into a category are the
-    coherent-nerve cells. Cached; treat as immutable.
-    """
-    homs = {}
-    for i in range(n + 1):
-        for j in range(i, n + 1):
-            homs[(i, j)] = poset_nerve(path_poset(i, j), D, name=f"paths({i},{j})")
-    comps = {}
-    for i in range(n + 1):
-        for j in range(i, n + 1):
-            for k in range(j, n + 1):
-                G, F, tgt = homs[(j, k)], homs[(i, j)], homs[(i, k)]
-                comps[(i, j, k)] = [
-                    [
-                        tgt.index_of(m, tuple(tuple(sorted(set(gc) | set(fc))) for gc, fc in zip(gch, fch)))
-                        for gch in G.labels[m]
-                        for fch in F.labels[m]
-                    ]
-                    for m in range(D + 1)
-                ]
-    ids = {i: 0 for i in range(n + 1)}
-    return SimplicialCategory(list(range(n + 1)), homs, comps, ids, D, name=f"paths[{n}]")
-
-
-def path_functor(f: Sequence[int], n_src: int, n_tgt: int, D: int) -> SimplicialFunctor:
-    """Functor of path categories induced by a monotone map on vertices.
-
-    Acts on objects by f and on a subset S by its image f(S).
-    """
-    f = _vertex_map(f, n_src, n_tgt)
-    S = coherent_path_category(n_src, D)
-    T = coherent_path_category(n_tgt, D)
-    homs = {}
-    for i in range(n_src + 1):
-        for j in range(i, n_src + 1):
-            homs[(i, j)] = vertex_induced_map(
-                S.hom(i, j), T.hom(f[i], f[j]), lambda s: tuple(sorted({f[v] for v in s}))
-            )
-    return SimplicialFunctor(S, T, {i: f[i] for i in range(n_src + 1)}, homs)
-
-
-def _vertex_map(f: Sequence[int], n_src: int, n_tgt: int) -> tuple:
-    """``f`` as a tuple, after checking it is a monotone map [n_src] -> [n_tgt]."""
-    f = tuple(f)
-    if len(f) != n_src + 1 or any(f[t] > f[t + 1] for t in range(n_src)):
-        raise ValueError("not a monotone vertex map")
-    if f and (f[0] < 0 or f[-1] > n_tgt):
-        raise ValueError("vertex map out of range")
-    return f
-
-
-def interval_power_category(n: int, K, name: str = "") -> SimplicialCategory:
-    """Objects 0..n with hom(i, j) the (j-i)-fold power of K.
-
-    Composition concatenates coordinate tuples, so its table at each
-    level is the index identity, stored as a ``range``. Homs are lazy
-    power views and nothing here materializes them, to keep large K
-    feasible.
-    """
-    homs = {}
-    for i in range(n + 1):
-        for j in range(i, n + 1):
-            homs[(i, j)] = PowerSset(K, j - i, name=f"power({i},{j})")
-    comps = {}
-    for i in range(n + 1):
-        for j in range(i, n + 1):
-            for k in range(j, n + 1):
-                comps[(i, j, k)] = [range(homs[(i, k)].card(m)) for m in range(K.D + 1)]
-    ids = {i: 0 for i in range(n + 1)}
-    return SimplicialCategory(
-        list(range(n + 1)), homs, comps, ids, K.D, name=name or f"interval[{n}]^{getattr(K, 'name', 'K')}"
-    )
-
-
-def simplex_power_category(n: int, D: int) -> SimplicialCategory:
-    """`interval_power_category` with K the n-simplex (the chain gadget)."""
-    return simplex_power_category_target(n, n, D)
-
-
 def comparison_functor(n: int, D: int) -> SimplicialFunctor:
     """The canonical functor from the path gadget to the chain gadget.
 
@@ -638,7 +363,9 @@ def comparison_functor(n: int, D: int) -> SimplicialFunctor:
     identity on objects, and a subset S with min i and max j goes to
     the tuple whose coordinate for hop t (listed from t = j down to
     t = i+1) is the largest element of S strictly below t; chains map
-    entrywise.
+    entrywise. Cached, as the naturality squares ask for the same few
+    n again and again; the result is shared and must be treated as
+    immutable.
     """
     return grid_collapse(n, n, [(t, t) for t in range(n + 1)], D)
 
@@ -666,6 +393,8 @@ def grid_collapse(p: int, q: int, tau: Sequence, D: int) -> SimplicialFunctor:
     second coordinate of tau(S) whose first coordinate is strictly
     below t; chains map entrywise.
     """
+    from .gadgets import coherent_path_category, simplex_power_category_target
+
     tau = _check_grid_chain(p, q, tau)
     r = len(tau) - 1
     S = coherent_path_category(r, D)
@@ -695,79 +424,3 @@ def grid_collapse(p: int, q: int, tau: Sequence, D: int) -> SimplicialFunctor:
             homs[(i, j)] = SimplicialMap(NP, PW, values=vals)
     return SimplicialFunctor(S, T, obj, homs)
 
-
-@lru_cache(maxsize=None)
-def simplex_power_category_target(p: int, q: int, D: int) -> SimplicialCategory:
-    """Power gadget on objects 0..p over the q-simplex (cached)."""
-    return interval_power_category(p, standard_simplex(q, D), name=f"interval[{p}]^simplex({q})")
-
-
-def simplex_power_transform(f: Sequence[int], a: int, b: int, D: int) -> SimplicialFunctor:
-    """Functor between chain gadgets over a monotone map [a] -> [b].
-
-    Coordinates are pulled from covering hops and relabelled by f in
-    the simplex direction; this is the cosimplicial structure under
-    which classifying-space cells are functor-valued.
-    """
-    f = _vertex_map(f, a, b)
-    S = simplex_power_category(a, D)
-    T = simplex_power_category(b, D)
-    Ka = standard_simplex(a, D)
-    Kb = standard_simplex(b, D)
-    return _interval_transform(S, T, f, Ka, Kb, lambda u: tuple(f[v] for v in u))
-
-
-def _interval_transform(S, T, f, K_src, K_tgt, relabel) -> SimplicialFunctor:
-    n_src = len(S.objects) - 1
-    homs = {}
-    for i in range(n_src + 1):
-        for j in range(i, n_src + 1):
-            src = S.hom(i, j)
-            tgt = T.hom(f[i], f[j])
-
-            def fn(m, x, i=i, j=j, src=src, tgt=tgt):
-                cs = src.coords(m, x)
-                out = []
-                for c in range(f[j] - f[i]):
-                    hop = f[j] - c
-                    t = next(t for t in range(i + 1, j + 1) if f[t] >= hop)
-                    u = K_src.label(m, cs[j - t])
-                    out.append(K_tgt.index_of(m, relabel(u)))
-                return tgt.index(m, out)
-
-            homs[(i, j)] = SimplicialMap(src, tgt, fn=fn, L=S.D)
-    return SimplicialFunctor(S, T, {i: f[i] for i in range(n_src + 1)}, homs)
-
-
-def enumerate_simplicial_functors(S: SimplicialCategory, T: SimplicialCategory) -> list[SimplicialFunctor]:
-    """All simplicial functors S -> T by exhaustive search (small inputs only).
-
-    Object maps are filtered by hom emptiness, hom maps enumerated per
-    pair, and candidates kept iff identities and composition are
-    preserved. Deterministic order.
-    """
-    results = []
-    obj_lists = [T.objects] * len(S.objects)
-    for combo in itertools.product(*obj_lists):
-        omap = dict(zip(S.objects, combo))
-        if any(
-            S.hom(a, b).card(0) > 0 and (omap[a], omap[b]) not in T.homs
-            for (a, b) in S.homs.keys()
-        ):
-            continue
-        pairs = sorted(S.homs.keys(), key=str)
-        per_pair = []
-        feasible = True
-        for (a, b) in pairs:
-            cands = enumerate_maps(S.hom(a, b), T.hom(omap[a], omap[b]))
-            if not cands:
-                feasible = False
-                break
-            per_pair.append(cands)
-        if not feasible:
-            continue
-        for choice in itertools.product(*per_pair):
-            F = SimplicialFunctor(S, T, omap, dict(zip(pairs, choice)))
-            if validate_functor(F).ok:
-                results.append(F)
-    return results

@@ -15,15 +15,8 @@ import json
 import sys
 import time
 
-from .bisset import BisimplicialSet, MarkedBisimplicialSet, diagonal, diagonal_marked, validate_bisset
-from .cat import (
-    RelativeSimplicialCategory,
-    SimplicialCategory,
-    level_category,
-    nerve_cat,
-    validate_relative,
-    validate_simplicial_category,
-)
+from .bisset import BisimplicialSet, MarkedBisimplicialSet, diagonal, diagonal_marked
+from .cat import RelativeSimplicialCategory, SimplicialCategory, level_category, nerve_cat
 from .generators import build_example, example_names
 from .homology import homology, induced_chain_iso
 from .nerves import (
@@ -34,8 +27,8 @@ from .nerves import (
     levelwise_nerve,
     levelwise_nerve_marked,
 )
-from .serialize import SchemaError, bisset_to_json, canonical_json, digest, load, sset_to_json, to_json
-from .sset import SimplicialSet, TruncationError, validate_map, validate_sset
+from .serialize import SchemaError, canonical_json, digest, to_json
+from .sset import SimplicialSet, TruncationError, validate_map
 from .verify import horn_check, pi0
 
 COMMANDS = (
@@ -106,6 +99,8 @@ def _load_input(args):
             raise UsageError(str(exc)) from exc
         return R, {"example": args.example, "max_dim": dim, "digest": digest(to_json(R))}
     if args.infile is not None:
+        from .schema import load
+
         try:
             raw = open(args.infile, "rb").read()
         except OSError as exc:
@@ -179,6 +174,8 @@ def run(argv: list[str]) -> tuple[dict, int, str | None]:
     cmd = args.command
 
     if cmd == "validate":
+        from .axioms import validate_bisset, validate_relative, validate_simplicial_category, validate_sset
+
         value, inputs = _load_input(args)
         reps = []
         if isinstance(value, RelativeSimplicialCategory):

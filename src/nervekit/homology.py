@@ -53,14 +53,27 @@ def _dense(cols: list[dict], rows: int) -> list[list[int]]:
 
 # --- integer Smith normal form with transforms ------------------------------
 
+# The most entries the two dense transforms of `smith_normal_form` may
+# hold together, rows² + cols². The largest matrix any test or pinned
+# report reaches is 540 x 360 (421200), in the integer homology of the
+# subdivided RP²; a boundary of bg:z2 in degree 4 has 63577 columns.
+SNF_MAX_TRANSFORM_ENTRIES = 2_000_000
+
 
 def smith_normal_form(A: list[list[int]]):
     """Return (diag, U, V, rank) with U*A*V diagonal, U and V unimodular.
 
-    Diagonal entries are nonnegative and each divides the next.
+    Diagonal entries are nonnegative and each divides the next. A matrix
+    whose transforms would hold more than `SNF_MAX_TRANSFORM_ENTRIES`
+    entries raises `TruncationError` before anything is allocated.
     """
     rows = len(A)
     cols = len(A[0]) if rows else 0
+    if rows * rows + cols * cols > SNF_MAX_TRANSFORM_ENTRIES:
+        raise TruncationError(
+            f"Smith normal form of a {rows} x {cols} matrix needs {rows * rows + cols * cols} transform "
+            f"entries, above the budget of {SNF_MAX_TRANSFORM_ENTRIES}"
+        )
     M = [list(r) for r in A]
     U = [[int(i == j) for j in range(rows)] for i in range(rows)]
     V = [[int(i == j) for j in range(cols)] for i in range(cols)]

@@ -3,7 +3,7 @@
 Three constructions of a simplicial category live here:
 
 * `coherent_nerve`: level n cells are simplicial functors out of
-  `coherent_path_category(n, D)`, stored as the tuple (objects,
+  `gadgets.coherent_path_category(n, D)`, stored as the tuple (objects,
   values): one value per generator chain (chain whose first subset is
   the two-point one) of the pair's unforced levels, in the order of
   `_generator_slots`. Identity pairs and higher levels are forced

@@ -20,6 +20,10 @@ Conventions
   operator tables; labels are documentation and are ignored.
 * Every nerve of a category (simplices, posets, `cat.nerve_cat`, the
   rows of `nerves.levelwise_nerve`) is built by `chain_index_nerve`.
+
+`validate_sset`, the check of every simplicial identity, lives in
+`nervekit.axioms`, and the lazy power `PowerSset` in `nervekit.gadgets`;
+both load on first use. `validate_map` stays here.
 """
 
 from __future__ import annotations
@@ -45,6 +49,13 @@ class _DegeneracyTest:
 
     def nondegenerate_cells(self, n: int) -> list[int]:
         return [x for x in range(self.card(n)) if not self.is_degenerate(n, x)]
+
+    def face_index(self, n: int) -> dict:
+        """The cells of level n >= 1 keyed by their face tuple, each list ascending."""
+        index: dict[tuple[int, ...], list[int]] = {}
+        for v in range(self.card(n)):
+            index.setdefault(tuple(self.face(n, i, v) for i in range(n + 1)), []).append(v)
+        return index
 
 
 class SimplicialSet(_DegeneracyTest):
@@ -86,6 +97,7 @@ class SimplicialSet(_DegeneracyTest):
         self.name = name
         self._nondeg: list[Optional[list[bool]]] = [None] * (D + 1)
         self._label_idx: list[Optional[dict]] = [None] * (D + 1)
+        self._face_idx: list[Optional[dict]] = [None] * (D + 1)
 
     @classmethod
     def empty(cls, D: int, name: str = "empty") -> "SimplicialSet":
@@ -129,6 +141,15 @@ class SimplicialSet(_DegeneracyTest):
             flags = self._nondeg[n] = [test(n, y) for y in range(self.cards[n])]
         return flags[x]
 
+    def face_index(self, n: int) -> dict:
+        """`_DegeneracyTest.face_index`, built once per level and shared by
+        every caller: treat it as immutable."""
+        if n > self.D:
+            raise TruncationError(f"level {n} beyond truncation {self.D}")
+        if self._face_idx[n] is None:
+            self._face_idx[n] = super().face_index(n)
+        return self._face_idx[n]
+
     def counts(self) -> tuple[int, ...]:
         return tuple(self.cards)
 
@@ -154,26 +175,6 @@ class SimplicialSet(_DegeneracyTest):
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
         return f"<SimplicialSet{tag} D={self.D} cards={self.cards}>"
-
-
-def sset_data_equal(X, Y) -> bool:
-    """Levelwise comparison of two cell-table interfaces, labels ignored."""
-    if X.D != Y.D:
-        return False
-    for n in range(X.D + 1):
-        if X.card(n) != Y.card(n):
-            return False
-    for n in range(1, X.D + 1):
-        for i in range(n + 1):
-            for x in range(X.card(n)):
-                if X.face(n, i, x) != Y.face(n, i, x):
-                    return False
-    for n in range(X.D):
-        for i in range(n + 1):
-            for x in range(X.card(n)):
-                if X.degen(n, i, x) != Y.degen(n, i, x):
-                    return False
-    return True
 
 
 def materialize(V, name: str = "") -> SimplicialSet:
@@ -235,64 +236,6 @@ class ProductSset(_DegeneracyTest):
         if la is None and lb is None:
             return None
         return (la, lb)
-
-
-class PowerSset(_DegeneracyTest):
-    """Lazy m-fold power K^m of a cell-table interface.
-
-    A cell is an m-tuple of K-cells of the same level, encoded as one
-    integer in base card(n) with coordinate 0 as the most significant
-    digit. Concatenation of tuples therefore agrees with the pairing
-    rule of `ProductSset`: the index of (u ++ v) equals
-    index(u) * card(n)**len(v) + index(v). The zeroth power is a point.
-    """
-
-    def __init__(self, K, m: int, name: str = ""):
-        if m < 0:
-            raise ValueError("power must be >= 0")
-        self.K = K
-        self.m = m
-        self.D = K.D
-        self.name = name
-
-    def card(self, n: int) -> int:
-        return self.K.card(n) ** self.m
-
-    def coords(self, n: int, x: int) -> tuple[int, ...]:
-        c = self.K.card(n)
-        out = []
-        for _ in range(self.m):
-            out.append(x % c)
-            x //= c
-        return tuple(reversed(out))
-
-    def index(self, n: int, coords: Sequence[int]) -> int:
-        c = self.K.card(n)
-        x = 0
-        for u in coords:
-            x = x * c + u
-        return x
-
-    def face(self, n: int, i: int, x: int) -> int:
-        cs = self.coords(n, x)
-        c = self.K.card(n - 1)
-        y = 0
-        for u in cs:
-            y = y * c + self.K.face(n, i, u)
-        return y
-
-    def degen(self, n: int, i: int, x: int) -> int:
-        cs = self.coords(n, x)
-        c = self.K.card(n + 1)
-        y = 0
-        for u in cs:
-            y = y * c + self.K.degen(n, i, u)
-        return y
-
-    def label(self, n: int, x: int):
-        if self.m == 0:
-            return ()
-        return tuple(self.K.label(n, u) for u in self.coords(n, x))
 
 
 def product(X, Y, name: str = "") -> SimplicialSet:
@@ -577,23 +520,6 @@ def subcomplex(X: SimplicialSet, seeds) -> tuple[SimplicialSet, "SimplicialMap"]
     return S, incl
 
 
-def boundary_simplex(n: int, D: Optional[int] = None) -> SimplicialSet:
-    """Boundary of the n-simplex: cells whose vertices miss some value."""
-    if D is None:
-        D = max(n - 1, 0)
-    full = set(range(n + 1))
-    Delta = standard_simplex(n, D)
-    seeds = [
-        (m, x)
-        for m in range(D + 1)
-        for x in range(Delta.card(m))
-        if set(Delta.label(m, x)) != full
-    ]
-    S, _ = subcomplex(Delta, seeds)
-    S.name = f"boundary({n})"
-    return S
-
-
 @lru_cache(maxsize=None)
 def horn(n: int, k: int, D: Optional[int] = None) -> SimplicialSet:
     """The (n, k)-horn: cells whose vertices miss some value other than k.
@@ -621,7 +547,7 @@ class SimplicialMap:
 
     Values are stored as explicit per-level tables, kept as given (not
     copied). ``fn(n, x)`` computes them instead only for the maps out of
-    lazy power homs that `cat._interval_transform` builds: their sources
+    lazy power homs that `gadgets._interval_transform` builds: their sources
     are too large to tabulate (a naturality square of the comparison
     functor at [4] reads ``simplex_power_transform(f, 4, b, 3)``, whose
     hom (Δ⁴)⁴ has 70⁴, about 24 million, cells at level 3), and a
@@ -668,10 +594,6 @@ class SimplicialMap:
         return f"<SimplicialMap L={self.L}>"
 
 
-def identity_map(X) -> SimplicialMap:
-    return SimplicialMap(X, X, values=[range(X.card(n)) for n in range(X.D + 1)])
-
-
 def compose_maps(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
     L = min(f.L, g.L)
     vals = [[g.apply(n, f.apply(n, x)) for x in range(f.source.card(n))] for n in range(L + 1)]
@@ -711,21 +633,6 @@ def validate_map(f: SimplicialMap, subject: str = "map") -> ValidationReport:
     return rep
 
 
-def yoneda_map(X, n: int, x: int, L: Optional[int] = None) -> SimplicialMap:
-    """The map out of the n-simplex classifying cell x, as explicit tables.
-
-    Level m sends the monotone tuple labelling a simplex cell to the
-    action of that operator on x.
-    """
-    if L is None:
-        L = X.D
-    Delta = standard_simplex(n, L)
-    vals = [
-        [act(X, n, x, Delta.label(m, c)) for c in range(Delta.card(m))] for m in range(L + 1)
-    ]
-    return SimplicialMap(Delta, X, values=vals)
-
-
 def enumerate_maps(A, X) -> list[SimplicialMap]:
     """All simplicial maps A -> X, in canonical order, by backtracking.
 
@@ -734,13 +641,15 @@ def enumerate_maps(A, X) -> list[SimplicialMap]:
     level first, so each simplex is checked as soon as its faces are
     set; degenerate cells no face of a nondegenerate cell needs come
     last. A nondegenerate cell is a branch step: its candidates are
-    read from a face index of X, a per-level dict from face tuples to
-    the cells with those faces in ascending order, keyed by the values
-    already given to its faces. A degenerate cell a branch step reads
-    is a forced step, the degeneracy of its witness's value, read from
-    a degeneracy table of X fetched once. So the search space is
-    exactly the nondegenerate cells. The search runs on an explicit
-    stack, so its depth is not bounded by Python's recursion limit.
+    read from the face index of X (``X.face_index(n)``, a per-level
+    dict from face tuples to the cells with those faces in ascending
+    order, which a `SimplicialSet` builds once and keeps for every
+    later search), keyed by the values already given to its faces. A
+    degenerate cell a branch step reads is a forced step, the
+    degeneracy of its witness's value, read from a degeneracy table of
+    X fetched once. So the search space is exactly the nondegenerate
+    cells. The search runs on an explicit stack, so its depth is not
+    bounded by Python's recursion limit.
 
     The output order is lexicographic in the full value tables
     (level-major, then cell index); the finished tables are sorted into
@@ -823,11 +732,7 @@ def enumerate_maps(A, X) -> list[SimplicialMap]:
             chains[s] = (root, steps + ((m, i),))
             fill.append((s, root, degen_table(chains[s][1])))
 
-    index: dict[int, dict[tuple[int, ...], list[int]]] = {}
-    for n in {n for _, n, _ in branches if n}:
-        lvl = index[n] = {}
-        for v in range(X.card(n)):
-            lvl.setdefault(tuple(X.face(n, i, v) for i in range(n + 1)), []).append(v)
+    index = {n: X.face_index(n) for _, n, _ in branches if n}
     points = list(range(X.card(0)))
     vals = [0] * base[D + 1]
     # branch step b at level n >= 1 reads the values of its faces with
@@ -893,78 +798,3 @@ class MarkedSimplicialSet(Record):
                 rep.add("degenerate edges marked", (1, e), "identity edge left unmarked")
         return rep
 
-
-def validate_sset(X, subject: str = "") -> ValidationReport:
-    """Check every simplicial identity that fits inside the truncation.
-
-    Covers table shapes and ranges, the face-face and
-    degeneracy-degeneracy exchange laws, and all mixed relations.
-    Violations name the identity, the operator indices and the cell.
-    """
-    rep = ValidationReport(subject or getattr(X, "name", "") or "simplicial set")
-    D = X.D
-    ranged = True
-    if isinstance(X, SimplicialSet):
-        for n in range(1, D + 1):
-            if len(X.faces[n]) != n + 1 or any(len(r) != X.cards[n] for r in X.faces[n]):
-                rep.add("table shape", (n,), "face tables misshapen")
-                ranged = False
-        for n in range(D):
-            if len(X.degens[n]) != n + 1 or any(len(r) != X.cards[n] for r in X.degens[n]):
-                rep.add("table shape", (n,), "degeneracy tables misshapen")
-                ranged = False
-        if not ranged:
-            return rep
-        for n in range(1, D + 1):
-            for i in range(n + 1):
-                for x in range(X.cards[n]):
-                    v = X.faces[n][i][x]
-                    if not 0 <= v < X.cards[n - 1]:
-                        rep.add("face range", (n, i, x), f"d_{i} lands at {v}")
-                        ranged = False
-        for n in range(D):
-            for i in range(n + 1):
-                for x in range(X.cards[n]):
-                    v = X.degens[n][i][x]
-                    if not 0 <= v < X.cards[n + 1]:
-                        rep.add("degeneracy range", (n, i, x), f"s_{i} lands at {v}")
-                        ranged = False
-        if not ranged:
-            return rep
-    for n in range(2, D + 1):
-        for j in range(n + 1):
-            for i in range(j):
-                for x in range(X.card(n)):
-                    lhs = X.face(n - 1, i, X.face(n, j, x))
-                    rhs = X.face(n - 1, j - 1, X.face(n, i, x))
-                    rep.checked += 1
-                    if lhs != rhs:
-                        rep.add("d_i d_j = d_{j-1} d_i", (n, i, j, x), f"{lhs} != {rhs}")
-    for n in range(D - 1):
-        for j in range(n + 1):
-            for i in range(j + 1):
-                for x in range(X.card(n)):
-                    lhs = X.degen(n + 1, i, X.degen(n, j, x))
-                    rhs = X.degen(n + 1, j + 1, X.degen(n, i, x))
-                    rep.checked += 1
-                    if lhs != rhs:
-                        rep.add("s_i s_j = s_{j+1} s_i", (n, i, j, x), f"{lhs} != {rhs}")
-    for n in range(D):
-        for j in range(n + 1):
-            for x in range(X.card(n)):
-                sx = X.degen(n, j, x)
-                for i in range(n + 2):
-                    got = X.face(n + 1, i, sx)
-                    rep.checked += 1
-                    if i == j or i == j + 1:
-                        if got != x:
-                            rep.add("d_j s_j = id = d_{j+1} s_j", (n, i, j, x), f"{got} != {x}")
-                    elif i < j:
-                        want = X.degen(n - 1, j - 1, X.face(n, i, x))
-                        if got != want:
-                            rep.add("d_i s_j = s_{j-1} d_i", (n, i, j, x), f"{got} != {want}")
-                    else:
-                        want = X.degen(n - 1, j, X.face(n, i - 1, x))
-                        if got != want:
-                            rep.add("d_i s_j = s_j d_{i-1}", (n, i, j, x), f"{got} != {want}")
-    return rep

@@ -13,12 +13,10 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from .cat import (
+from .cat import comparison_functor, compose_functors, functors_equal
+from .gadgets import (
     coherent_path_category,
-    comparison_functor,
-    compose_functors,
     enumerate_simplicial_functors,
-    functors_equal,
     path_functor,
     simplex_power_category,
     simplex_power_transform,

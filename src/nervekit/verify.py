@@ -5,9 +5,10 @@ is sampled and nothing is approximated. This module holds the
 point-set verifications of a single object: `pi0` and `horn_check`.
 `homology` and `induced_chain_iso` (homology of a map) live in
 `nervekit.homology`, and `consistency_check` (diagonal and
-vertex-restriction routes) in `nervekit.nerves`. The checks no verb but
-``uniq-check`` runs live in modules of their own, which ``import
-nervekit`` does not load up front: `nervekit.segal`
+vertex-restriction routes) in `nervekit.nerves`. The checks only a few
+verbs run live in modules of their own, which ``import nervekit`` does
+not load up front: `nervekit.axioms` (the whole-object validators, run
+by ``validate`` and by loading a document), `nervekit.segal`
 (`segal_column_check`, the column formula and strict Segal pullback of
 the levelwise nerve, and `fiber_check`, its hom fibers of column 1) and
 `nervekit.uniqueness` (`uniqueness_search`, which enumerates every

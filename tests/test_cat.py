@@ -33,8 +33,7 @@ from nervekit import (
     validate_relative,
     validate_simplicial_category,
 )
-from nervekit.cat import interval_power_category
-from nervekit.sset import sset_data_equal
+from nervekit.gadgets import interval_power_category
 
 
 def test_cyclic_group_category():

@@ -1,12 +1,17 @@
 """Command line driver: verbs, exit codes, report determinism."""
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from nervekit.cli import COMMANDS, _parser, main, run
 from nervekit import build_example
-from nervekit.serialize import canonical_json, from_json, to_json
+from nervekit.schema import from_json
+from nervekit.serialize import canonical_json, to_json
 
 
 def invoke(argv, capsys):
@@ -53,6 +58,21 @@ def test_integer_compare_on_bgz2(capsys):
     for n, g in enumerate(groups):
         assert iso["bounds"][f"H{n}"]["source"] == g
         assert iso["bounds"][f"H{n}"]["target"] == g
+
+
+def test_integer_homology_over_the_transform_budget_exits_2():
+    # degree 3 of bg:z2 at level 4 is a 469 x 63577 boundary, whose dense
+    # Smith transforms would hold about 4e9 entries; the run must stop
+    # with a truncation error, not a MemoryError traceback
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nervekit.cli", "homology", "--example", "bg:z2", "--max-dim", "4"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "budget" in proc.stderr and not proc.stdout
 
 
 def test_homology_and_pi0(capsys):

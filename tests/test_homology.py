@@ -3,7 +3,6 @@ import pytest
 
 from nervekit import (
     TruncationError,
-    boundary_simplex,
     build_example,
     classifying_space,
     diagonal,
@@ -12,13 +11,12 @@ from nervekit import (
     levelwise_nerve,
     nerve_cat,
     cyclic_group_category,
-    identity_map,
     poset_nerve,
     smith_normal_form,
     standard_simplex,
-    yoneda_map,
 )
 from nervekit.sset import FinitePoset
+from sset_helpers import boundary_simplex, identity_map, yoneda_map
 
 
 def test_smith_normal_form_known_matrices():
@@ -36,6 +34,19 @@ def test_smith_divisibility_chain():
     diag, _, _, rank = smith_normal_form(A)
     for k in range(rank - 1):
         assert diag[k + 1] % diag[k] == 0
+
+
+def test_smith_normal_form_refuses_transforms_over_the_budget():
+    from math import isqrt
+
+    from nervekit.homology import SNF_MAX_TRANSFORM_ENTRIES
+
+    # a 1 x n zero matrix needs 1 + n² transform entries
+    n = isqrt(SNF_MAX_TRANSFORM_ENTRIES - 1)
+    diag, U, V, rank = smith_normal_form([[0] * n])
+    assert (diag, U, rank, len(V)) == ([0], [[1]], 0, n)
+    with pytest.raises(TruncationError, match="budget"):
+        smith_normal_form([[0] * (n + 1)])
 
 
 def boundary_squared_is_zero(X, top):

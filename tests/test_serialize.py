@@ -4,18 +4,8 @@ import json
 import pytest
 
 from nervekit import SchemaError, build_example, canonical_json, digest, load, save
-from nervekit.serialize import (
-    bisset_from_json,
-    bisset_to_json,
-    cat_from_json,
-    cat_to_json,
-    from_json,
-    relative_from_json,
-    relative_to_json,
-    sset_from_json,
-    sset_to_json,
-    to_json,
-)
+from nervekit.schema import bisset_from_json, cat_from_json, from_json, relative_from_json, sset_from_json
+from nervekit.serialize import bisset_to_json, cat_to_json, relative_to_json, sset_to_json, to_json
 from nervekit import (
     FinitePoset,
     SimplicialSet,
@@ -26,7 +16,7 @@ from nervekit import (
     poset_category,
     validate_sset,
 )
-from nervekit.sset import sset_data_equal
+from sset_helpers import sset_data_equal
 
 
 def test_canonical_json_is_sorted_and_terminated():

@@ -12,14 +12,12 @@ from nervekit import (
     TruncationError,
     act,
     act_table,
-    boundary_simplex,
     build_example,
     coherent_nerve,
     compose_maps,
     cyclic_group_category,
     enumerate_maps,
     horn,
-    identity_map,
     levelwise_nerve,
     materialize,
     nerve_cat,
@@ -31,10 +29,10 @@ from nervekit import (
     validate_map,
     validate_sset,
     vertices,
-    yoneda_map,
 )
 from nervekit.classification import _product_pair
-from nervekit.sset import PowerSset, sset_data_equal
+from nervekit.gadgets import PowerSset
+from sset_helpers import boundary_simplex, identity_map, sset_data_equal, yoneda_map
 
 
 def walk_nerve(D=2):
@@ -327,6 +325,31 @@ def test_enumerate_maps_requires_deep_target():
     X = walk_nerve(2)
     with pytest.raises(TruncationError):
         enumerate_maps(A, X)
+
+
+def test_face_index_is_built_once_per_level(monkeypatch):
+    import nervekit.sset as sset_mod
+
+    X = nerve_cat(cyclic_group_category(3), 3)
+    calls = []
+    real = SimplicialSet.face
+
+    def face(self, n, i, x):
+        if self is X:
+            calls.append(n)
+        return real(self, n, i, x)
+
+    monkeypatch.setattr(sset_mod.SimplicialSet, "face", face)
+    before = [f.key() for f in enumerate_maps(horn(3, 1), X)]
+    assert sorted(set(calls)) == [1, 2]
+    # later searches into X read the kept index: no face of X is taken
+    calls.clear()
+    assert [f.key() for f in enumerate_maps(horn(3, 1), X)] == before
+    assert len(enumerate_maps(horn(2, 0), X)) == 9
+    assert calls == []
+    assert X.face_index(2) is X.face_index(2)
+    with pytest.raises(TruncationError):
+        X.face_index(4)
 
 
 def _enumerate_maps_by_forced_steps(A, X):

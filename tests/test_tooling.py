@@ -104,7 +104,7 @@ def test_compositions_and_hom_maps_are_tables():
                 assert not defs, (path.name, getattr(owner, "name", "<module>"))
             if callee == "SimplicialMap" and any(k.arg == "fn" for k in call.keywords):
                 lazy_maps.add((path.name, getattr(owner, "name", "<module>")))
-    assert lazy_maps == {("cat.py", "_interval_transform")}
+    assert lazy_maps == {("gadgets.py", "_interval_transform")}
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
@@ -125,9 +125,26 @@ def test_package_import_loads_every_traced_module():
         assert mod == "cli" or f"nervekit.{mod}" in loaded, qual
 
 
-# the modules only `cls`, `theta` and `uniq-check` need, with their public names
+# the modules only `validate`, `--in`, `cls`, `theta` and `uniq-check`
+# need, with the public names the package resolves from them
 LAZY_MODULES = {
+    "axioms": (
+        "validate_bisset",
+        "validate_category",
+        "validate_functor",
+        "validate_relative",
+        "validate_simplicial_category",
+        "validate_sset",
+    ),
     "classification": ("classification_comparison", "classification_diagram", "theta_cell_value"),
+    "gadgets": (
+        "coherent_path_category",
+        "enumerate_simplicial_functors",
+        "path_functor",
+        "simplex_power_category",
+        "simplex_power_transform",
+    ),
+    "schema": ("load",),
     "segal": ("fiber_check", "segal_column_check"),
     "uniqueness": ("uniqueness_report", "uniqueness_search"),
 }
@@ -159,6 +176,8 @@ def test_gated_verbs_load_no_lazy_module():
     assert not _fresh_modules("import nervekit") & lazy
     # the verbs that need them do load them
     assert "nervekit.classification" in _cli_modules(["cls", "--example", "bg:z2", "--max-dim", "1"])
+    loaded = _cli_modules(["validate", "--in", str(ROOT / "tests" / "fixtures" / "clean_relative.json")])
+    assert {"nervekit.schema", "nervekit.axioms"} <= loaded, sorted(loaded & lazy)
 
 
 def test_moved_names_import_from_the_package():
@@ -169,8 +188,10 @@ def test_moved_names_import_from_the_package():
         for name in names:
             assert getattr(nervekit, name) is getattr(mod, name)
             assert name in vars(nervekit)  # resolved once, then a plain attribute
-    names = sorted(n for ns in LAZY_MODULES.values() for n in ns)
-    assert "nervekit.classification" in _fresh_modules(f"from nervekit import {', '.join(names)}")
+    assert sorted(nervekit._LAZY) == sorted(n for ns in LAZY_MODULES.values() for n in ns)
+    names = sorted(nervekit._LAZY)
+    loaded = _fresh_modules(f"from nervekit import {', '.join(names)}")
+    assert {f"nervekit.{m}" for m in LAZY_MODULES} <= loaded
     try:
         nervekit.no_such_name
     except AttributeError as exc:

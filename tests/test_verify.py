@@ -9,7 +9,6 @@ import pytest
 from nervekit import (
     FinitePoset,
     TruncationError,
-    boundary_simplex,
     build_example,
     comparison_functor,
     cyclic_group_category,
@@ -29,6 +28,7 @@ from nervekit import (
 )
 from nervekit.sset import act, act_table
 from nervekit.verify import _lab
+from sset_helpers import boundary_simplex
 
 
 def walk_nerve(D=2):
