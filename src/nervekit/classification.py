@@ -6,9 +6,10 @@
   gathers of the maps' value tables along maps of grids.
 * `theta_cell_value`: the coherent-nerve cell a chain of the levelwise
   nerve assigns to one grid chain, read off the grid-collapse rule of
-  `nerves._collapse_row` through `nerves._collapse_plan`. That is the
-  chain functor after `grid_collapse`, evaluated without building
-  either; the functor route is the oracle in ``tests/test_nerves.py``.
+  `comparison._collapse_row` through `comparison._collapse_plan`. That
+  is the chain functor after `grid_collapse`, evaluated without
+  building either; the functor route is the oracle in
+  ``tests/test_nerves.py``.
 * `classification_comparison` checks that the cell-by-cell map from
   the levelwise nerve into the classification diagram is simplicial in
   both directions and preserves marking; on small bidegrees it
@@ -34,17 +35,8 @@ from functools import lru_cache
 
 from .bisset import BisimplicialSet, MarkedBisimplicialSet
 from .cat import RelativeSimplicialCategory, SimplicialCategory, path_poset
-from .nerves import (
-    _WITNESS_CAP,
-    _cell_from_plan,
-    _collapse_row,
-    _collapse_table,
-    _table_pairs,
-    _theta_plan,
-    coherent_nerve,
-    hc_constant,
-    levelwise_nerve_marked,
-)
+from .comparison import _cell_from_plan, _collapse_row, _collapse_table, _table_pairs, _theta_plan, hc_constant
+from .nerves import _WITNESS_CAP, coherent_nerve, levelwise_nerve_marked
 from .reporting import CheckReport
 from .sset import ProductSset, SimplicialSet, TruncationError, enumerate_maps, materialize, standard_simplex
 

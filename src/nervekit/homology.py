@@ -8,6 +8,12 @@ homology uses bitmask Gaussian elimination.
 
 A truncation at D determines boundaries only up to level D, so degree
 n homology needs n <= D - 1; higher degrees raise `TruncationError`.
+
+This module holds the entry points, `homology`, `induced_chain_iso`
+and `smith_normal_form`. The kernels they run load when first called:
+the bases, boundary and chain-map columns and mod-2 elimination from
+`nervekit.chains`, and the dense matrices and exact solves of the
+integer route from `nervekit.integer`, only when the coefficients are Z.
 """
 
 from __future__ import annotations
@@ -16,39 +22,6 @@ from typing import Optional
 
 from .reporting import CheckReport, Record
 from .sset import SimplicialMap, TruncationError
-
-
-def _nondeg_bases(X, top: int):
-    bases = [X.nondegenerate_cells(n) for n in range(top + 1)]
-    pos = [{x: r for r, x in enumerate(b)} for b in bases]
-    return bases, pos
-
-
-def _boundary_columns(X, n: int, bases_n, pos_prev) -> list[dict]:
-    """Column r: the boundary of the r-th nondegenerate n-cell, as row -> coeff."""
-    cols = []
-    for x in bases_n:
-        col: dict[int, int] = {}
-        for i in range(n + 1):
-            y = X.face(n, i, x)
-            r = pos_prev.get(y)
-            if r is None:
-                continue
-            c = col.get(r, 0) + (1 if i % 2 == 0 else -1)
-            if c:
-                col[r] = c
-            else:
-                col.pop(r, None)
-        cols.append(col)
-    return cols
-
-
-def _dense(cols: list[dict], rows: int) -> list[list[int]]:
-    A = [[0] * len(cols) for _ in range(rows)]
-    for c, col in enumerate(cols):
-        for r, v in col.items():
-            A[r][c] = v
-    return A
 
 
 # --- integer Smith normal form with transforms ------------------------------
@@ -60,6 +33,17 @@ def _dense(cols: list[dict], rows: int) -> list[list[int]]:
 SNF_MAX_TRANSFORM_ENTRIES = 2_000_000
 
 
+def _check_snf_budget(rows: int, cols: int) -> None:
+    """Refuse a rows x cols Smith normal form whose transforms would hold
+    more than `SNF_MAX_TRANSFORM_ENTRIES` entries; callers check the shape
+    before they build the dense matrix."""
+    if rows * rows + cols * cols > SNF_MAX_TRANSFORM_ENTRIES:
+        raise TruncationError(
+            f"Smith normal form of a {rows} x {cols} matrix needs {rows * rows + cols * cols} transform "
+            f"entries, above the budget of {SNF_MAX_TRANSFORM_ENTRIES}"
+        )
+
+
 def smith_normal_form(A: list[list[int]]):
     """Return (diag, U, V, rank) with U*A*V diagonal, U and V unimodular.
 
@@ -69,11 +53,7 @@ def smith_normal_form(A: list[list[int]]):
     """
     rows = len(A)
     cols = len(A[0]) if rows else 0
-    if rows * rows + cols * cols > SNF_MAX_TRANSFORM_ENTRIES:
-        raise TruncationError(
-            f"Smith normal form of a {rows} x {cols} matrix needs {rows * rows + cols * cols} transform "
-            f"entries, above the budget of {SNF_MAX_TRANSFORM_ENTRIES}"
-        )
+    _check_snf_budget(rows, cols)
     M = [list(r) for r in A]
     U = [[int(i == j) for j in range(rows)] for i in range(rows)]
     V = [[int(i == j) for j in range(cols)] for i in range(cols)]
@@ -173,120 +153,6 @@ def smith_normal_form(A: list[list[int]]):
     return diag, U, V, rank
 
 
-def _mat_vec(A, v):
-    return [sum(a * b for a, b in zip(row, v)) for row in A]
-
-
-def _kernel_basis(A: list[list[int]], cols: int) -> list[list[int]]:
-    """Basis of the integer kernel lattice, as column vectors.
-
-    ``cols`` is the width of A, passed explicitly because a matrix with
-    no rows does not record it; its kernel is all of Z^cols.
-    """
-    rows = len(A)
-    if cols == 0:
-        return []
-    if rows == 0:
-        return [[int(i == j) for i in range(cols)] for j in range(cols)]
-    diag, U, V, rank = smith_normal_form(A)
-    return [[V[r][j] for r in range(cols)] for j in range(rank, cols)]
-
-
-class _IntSolver:
-    """Solve A y = b repeatedly from one Smith decomposition."""
-
-    def __init__(self, A: list[list[int]]):
-        self.rows = len(A)
-        self.cols = len(A[0]) if self.rows else 0
-        if self.rows and self.cols:
-            self.diag, self.U, self.V, self.rank = smith_normal_form(A)
-        else:
-            self.diag, self.U, self.V, self.rank = [], None, None, 0
-
-    def solve(self, b: list[int]) -> Optional[list[int]]:
-        if self.cols == 0:
-            return [] if all(v == 0 for v in b) else None
-        if self.rows == 0:
-            return [0] * self.cols
-        ub = _mat_vec(self.U, b)
-        z = [0] * self.cols
-        for j in range(min(self.rows, self.cols)):
-            d = self.diag[j] if j < len(self.diag) else 0
-            if d:
-                if ub[j] % d:
-                    return None
-                z[j] = ub[j] // d
-            elif ub[j]:
-                return None
-        for j in range(min(self.rows, self.cols), self.rows):
-            if ub[j]:
-                return None
-        return _mat_vec(self.V, z)
-
-
-# --- mod 2 linear algebra on bitmasks ---------------------------------------
-
-
-def _f2_masks(cols: list[dict]) -> list[int]:
-    out = []
-    for col in cols:
-        m = 0
-        for r, v in col.items():
-            if v % 2:
-                m |= 1 << r
-        out.append(m)
-    return out
-
-
-class _F2Space:
-    """Row-reduced span of bit vectors with membership and reduction."""
-
-    def __init__(self, vecs=()):
-        self.pivots: dict[int, int] = {}
-        for v in vecs:
-            self.add(v)
-
-    def reduce(self, v: int) -> int:
-        while v:
-            h = v.bit_length() - 1
-            p = self.pivots.get(h)
-            if p is None:
-                return v
-            v ^= p
-        return 0
-
-    def add(self, v: int) -> bool:
-        v = self.reduce(v)
-        if v:
-            self.pivots[v.bit_length() - 1] = v
-            return True
-        return False
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
-
-
-def _f2_kernel_basis(masks: list[int], ncols: int) -> list[int]:
-    """Kernel of the matrix with the given columns, as coefficient bitmasks."""
-    # carry (column, coefficient-combo) pairs through elimination
-    rows: list[tuple[int, int]] = []
-    basis = []
-    for j, m in enumerate(masks):
-        combo = 1 << j
-        v = m
-        for pm, pc in rows:
-            if v and (v ^ pm) < v:
-                v ^= pm
-                combo ^= pc
-        if v:
-            rows.append((v, combo))
-            rows.sort(key=lambda t: -t[0])
-        else:
-            basis.append(combo)
-    return basis
-
-
 # --- reports ----------------------------------------------------------------
 
 
@@ -321,12 +187,19 @@ class HomologyReport(Record):
         return out
 
 
+# --- homology and chain isomorphisms ----------------------------------------
+
+
 def homology(X, coeff: str = "z", max_deg: Optional[int] = None, subject: str = "") -> HomologyReport:
     """Homology of the normalized chain complex up to ``max_deg``.
 
     ``coeff`` is "z" or "f2". Degrees above D - 1 are not determined by
-    a D-truncation and raise `TruncationError`.
+    a D-truncation and raise `TruncationError`. Over Z, a boundary
+    whose Smith normal form is over the budget is refused before it is
+    densified.
     """
+    from .chains import _boundary_columns, _nondeg_bases
+
     if coeff not in ("z", "f2"):
         raise ValueError(f"unknown coefficients {coeff!r}")
     if max_deg is None:
@@ -339,6 +212,16 @@ def homology(X, coeff: str = "z", max_deg: Optional[int] = None, subject: str = 
     bases, pos = _nondeg_bases(X, top)
     cols = {n: _boundary_columns(X, n, bases[n], pos[n - 1]) for n in range(1, top + 1)}
     rep = HomologyReport(subject or getattr(X, "name", "") or "space", coeff, max_deg)
+    if coeff == "f2":
+        from .chains import _F2Space, _f2_masks
+    else:
+        from .integer import _dense
+
+        def boundary_snf(n):
+            rows = len(bases[n - 1])
+            _check_snf_budget(rows, len(bases[n]))
+            return smith_normal_form(_dense(cols[n], rows))
+
     for n in range(max_deg + 1):
         dim_n = len(bases[n])
         if coeff == "f2":
@@ -346,14 +229,9 @@ def homology(X, coeff: str = "z", max_deg: Optional[int] = None, subject: str = 
             rk_in = _F2Space(_f2_masks(cols[n + 1])).dim
             rep.groups.append({"degree": n, "dim": dim_n - rk_out - rk_in})
         else:
-            if n >= 1:
-                A = _dense(cols[n], len(bases[n - 1]))
-                rk_out = smith_normal_form(A)[3] if bases[n - 1] and bases[n] else 0
-            else:
-                rk_out = 0
-            Bm = _dense(cols[n + 1], dim_n)
+            rk_out = boundary_snf(n)[3] if n >= 1 and bases[n - 1] and bases[n] else 0
             if bases[n + 1] and dim_n:
-                diag, _, _, rk_in = smith_normal_form(Bm)
+                diag, _, _, rk_in = boundary_snf(n + 1)
                 torsion = [d for d in diag[:rk_in] if d > 1]
             else:
                 rk_in, torsion = 0, []
@@ -361,15 +239,6 @@ def homology(X, coeff: str = "z", max_deg: Optional[int] = None, subject: str = 
                 {"degree": n, "betti": dim_n - rk_out - rk_in, "torsion": torsion}
             )
     return rep
-
-
-def _chain_matrix_columns(f: SimplicialMap, n: int, bases_A, pos_X) -> list[dict]:
-    cols = []
-    for x in bases_A:
-        y = f.apply(n, x)
-        r = pos_X.get(y)
-        cols.append({} if r is None else {r: 1})
-    return cols
 
 
 def induced_chain_iso(f: SimplicialMap, coeff: str = "f2", max_deg: Optional[int] = None) -> CheckReport:
@@ -382,8 +251,14 @@ def induced_chain_iso(f: SimplicialMap, coeff: str = "f2", max_deg: Optional[int
     presented quotients. Witnesses carry the failing degree and the
     computed groups.
     """
+    from .chains import _boundary_columns, _chain_matrix_columns, _nondeg_bases
+
     A, X = f.source, f.target
-    if coeff not in ("z", "f2"):
+    if coeff == "f2":
+        from .chains import _f2_degree_iso as degree_iso
+    elif coeff == "z":
+        from .integer import _z_degree_iso as degree_iso
+    else:
         raise ValueError(f"unknown coefficients {coeff!r}")
     if max_deg is None:
         max_deg = min(A.D, X.D) - 1
@@ -417,135 +292,9 @@ def induced_chain_iso(f: SimplicialMap, coeff: str = "f2", max_deg: Optional[int
                 )
                 return check
     for n in range(max_deg + 1):
-        if coeff == "f2":
-            ok, info = _f2_degree_iso(n, bA, bX, dA, dX, fM)
-        else:
-            ok, info = _z_degree_iso(n, bA, bX, dA, dX, fM)
+        ok, info = degree_iso(n, bA, bX, dA, dX, fM)
         check.bounds[f"H{n}"] = info
         if not ok:
             check.verdict = "fail"
             check.witnesses.append({"degree": n, **info})
     return check
-
-
-def _f2_degree_iso(n, bA, bX, dA, dX, fM):
-    nA, nX = len(bA[n]), len(bX[n])
-    kerA = (
-        _f2_kernel_basis(_f2_masks(dA[n]), nA) if n >= 1 else [1 << j for j in range(nA)]
-    )
-    kerX = (
-        _f2_kernel_basis(_f2_masks(dX[n]), nX) if n >= 1 else [1 << j for j in range(nX)]
-    )
-    dimHA = len(kerA) - _F2Space(_f2_masks(dA[n + 1])).dim
-    # boundaries of X, then the image of f's cycles added to their span
-    span = _F2Space(_f2_masks(dX[n + 1]))
-    dimHX = len(kerX) - span.dim
-    # image of f on chains, as masks over X rows
-    fmask = _f2_masks(fM[n])
-
-    def push(combo: int) -> int:
-        v = 0
-        j = 0
-        while combo:
-            if combo & 1:
-                v ^= fmask[j]
-            combo >>= 1
-            j += 1
-        return v
-
-    for c in kerA:
-        span.add(push(c))
-    surj = span.dim == len(kerX)  # span of image + boundaries vs all cycles
-    info = {"dim_source": dimHA, "dim_target": dimHX, "surjective": surj}
-    return (dimHA == dimHX and surj), info
-
-
-def _z_degree_iso(n, bA, bX, dA, dX, fM):
-    nA, nX = len(bA[n]), len(bX[n])
-    KA = (
-        _kernel_basis(_dense(dA[n], len(bA[n - 1])), nA) if n >= 1 else
-        [[int(i == j) for i in range(nA)] for j in range(nA)]
-    )
-    KX = (
-        _kernel_basis(_dense(dX[n], len(bX[n - 1])), nX) if n >= 1 else
-        [[int(i == j) for i in range(nX)] for j in range(nX)]
-    )
-    kA, kX = len(KA), len(KX)
-    KXmat = [[KX[j][r] for j in range(kX)] for r in range(nX)]
-    solver_KX = _IntSolver(KXmat)
-    KAmat = [[KA[j][r] for j in range(kA)] for r in range(nA)]
-    solver_KA = _IntSolver(KAmat)
-
-    def chain_push(vec: list[int]) -> list[int]:
-        out = [0] * nX
-        for j, v in enumerate(vec):
-            if v:
-                col = fM[n][j]
-                for r, c in col.items():
-                    out[r] += c * v
-        return out
-
-    # induced matrix M: kernel coords of A to kernel coords of X
-    Mcols = []
-    for b in KA:
-        sol = solver_KX.solve(chain_push(b))
-        if sol is None:
-            return False, {"reason": "image leaves the cycle lattice"}
-        Mcols.append(sol)
-    # boundaries in kernel coordinates
-    def to_coords(cols_dicts, rows, solver):
-        out = []
-        for col in cols_dicts:
-            vec = [0] * rows
-            for r, v in col.items():
-                vec[r] = v
-            sol = solver.solve(vec)
-            if sol is None:
-                return None
-            out.append(sol)
-        return out
-
-    BA = to_coords(dA[n + 1], nA, solver_KA)
-    BX = to_coords(dX[n + 1], nX, solver_KX)
-    if BA is None or BX is None:
-        return False, {"reason": "boundary outside the cycle lattice"}
-    # groups for the record
-    def group_of(k, B):
-        mat = [[col[r] for col in B] for r in range(k)] if B else [[] for _ in range(k)]
-        if k == 0:
-            return {"betti": 0, "torsion": []}
-        if not B:
-            return {"betti": k, "torsion": []}
-        diag, _, _, rank = smith_normal_form(mat)
-        return {"betti": k - rank, "torsion": [d for d in diag[:rank] if d > 1]}
-
-    HA = group_of(kA, BA)
-    HX = group_of(kX, BX)
-    info = {"source": HA, "target": HX}
-    # surjectivity: columns of M plus boundaries of X must span Z^kX
-    stacked = [[(Mcols[c][r] if c < kA else BX[c - kA][r]) for c in range(kA + len(BX))] for r in range(kX)]
-    if kX:
-        diag, _, _, rank = smith_normal_form(stacked)
-        if rank < kX or any(d != 1 for d in diag[:rank]):
-            info["surjective"] = False
-            return False, info
-    info["surjective"] = True
-    # injectivity: kernel of the induced map must die in the source quotient
-    width = kA + len(BX)
-    paired = [[(Mcols[c][r] if c < kA else -BX[c - kA][r]) for c in range(width)] for r in range(kX)]
-    solver_BA = _IntSolver([[col[r] for col in BA] for r in range(kA)] if BA else [[] for _ in range(kA)])
-    for ker_vec in _kernel_basis(paired, width):
-        v = ker_vec[:kA]
-        if all(c == 0 for c in v):
-            continue
-        if BA:
-            if solver_BA.solve(v) is None:
-                info["injective"] = False
-                info["witness_vector"] = v
-                return False, info
-        else:
-            info["injective"] = False
-            info["witness_vector"] = v
-            return False, info
-    info["injective"] = True
-    return True, info

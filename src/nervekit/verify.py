@@ -5,15 +5,18 @@ is sampled and nothing is approximated. This module holds the
 point-set verifications of a single object: `pi0` and `horn_check`.
 `homology` and `induced_chain_iso` (homology of a map) live in
 `nervekit.homology`, and `consistency_check` (diagonal and
-vertex-restriction routes) in `nervekit.nerves`. The checks only a few
-verbs run live in modules of their own, which ``import nervekit`` does
-not load up front: `nervekit.axioms` (the whole-object validators, run
-by ``validate`` and by loading a document), `nervekit.segal`
-(`segal_column_check`, the column formula and strict Segal pullback of
-the levelwise nerve, and `fiber_check`, its hom fibers of column 1) and
-`nervekit.uniqueness` (`uniqueness_search`, which enumerates every
-natural family of functors from the path gadgets to the chain gadgets
-up to a cosimplicial truncation).
+vertex-restriction routes) in `nervekit.nerves`; the kernels those
+run (`nervekit.chains`, `nervekit.integer`, `nervekit.comparison`)
+load on their first call, so `horn_check` runs without compiling
+them. The checks only a few verbs run live in modules of their own,
+which ``import nervekit`` does not load up front: `nervekit.axioms`
+(the whole-object validators, run by ``validate`` and by loading a
+document), `nervekit.segal` (`segal_column_check`, the column formula
+and strict Segal pullback of the levelwise nerve, and `fiber_check`,
+its hom fibers of column 1) and `nervekit.uniqueness`
+(`uniqueness_search`, which enumerates every natural family of
+functors from the path gadgets to the chain gadgets up to a
+cosimplicial truncation).
 """
 
 from __future__ import annotations
@@ -63,13 +66,15 @@ def horn_check(X, n: int, k: int, max_witnesses: int = 8) -> CheckReport:
     top = H.nondegenerate_cells(n - 1)
     restrictions = set(zip(*(act_table(X, n, H.label(n - 1, c)) for c in top)))
     maps = enumerate_maps(H, X)
-    nd = [(m, c) for m in range(H.D + 1) for c in H.nondegenerate_cells(m)]
+    nd = None  # the horn's nondegenerate cells, listed at the first witness
     witnesses = []
     unfillable = 0
     for h in maps:
         if tuple(h.apply(n - 1, c) for c in top) not in restrictions:
             unfillable += 1
             if len(witnesses) < max_witnesses:
+                if nd is None:
+                    nd = [(m, c) for m in range(H.D + 1) for c in H.nondegenerate_cells(m)]
                 witnesses.append(
                     {
                         "assignment": [

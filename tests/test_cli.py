@@ -229,16 +229,16 @@ def test_failing_uniqueness_digest_is_pinned():
 
 
 def test_compare_builds_each_comparison_cell_once(monkeypatch):
-    import nervekit.nerves as nerves_mod
+    import nervekit.comparison as comparison_mod
 
-    cell = nerves_mod._comparison_cell
+    cell = comparison_mod._comparison_cell
     calls = []
 
     def counted(SC, label, k, memo):
         calls.append(k)
         return cell(SC, label, k, memo)
 
-    monkeypatch.setattr(nerves_mod, "_comparison_cell", counted)
+    monkeypatch.setattr(comparison_mod, "_comparison_cell", counted)
     rep, code, _ = run(["compare", "--example", "bg:z2", "--max-dim", "3", "--coeff", "f2"])
     assert code == 0
     # 531 map cells; the consistency check reads them back and builds
@@ -250,16 +250,16 @@ def test_theta_checks_each_grid_chain_once_per_bidegree(monkeypatch):
     # the sweep resolves one collapse plan per (p, q, tau) it reads, so
     # the grid-chain checks do not grow with the cells: bg:z3 has more
     # than three times the cells of bg:z2 at the same bidegrees
-    import nervekit.nerves as nerves_mod
+    import nervekit.comparison as comparison_mod
 
-    check = nerves_mod._check_grid_chain
+    check = comparison_mod._check_grid_chain
     calls = []
 
     def counted(p, q, tau):
         calls.append((p, q))
         return check(p, q, tau)
 
-    monkeypatch.setattr(nerves_mod, "_check_grid_chain", counted)
+    monkeypatch.setattr(comparison_mod, "_check_grid_chain", counted)
     per_input = {}
     for example in ("bg:z2", "bg:z3"):
         calls.clear()

@@ -49,6 +49,30 @@ def test_smith_normal_form_refuses_transforms_over_the_budget():
         smith_normal_form([[0] * (n + 1)])
 
 
+def test_integer_homology_refuses_a_boundary_before_densifying_it(monkeypatch, capsys):
+    # the boundary from degree 4 to 3 of bg:z2 at level 4 is 469 x 63577:
+    # the run stops on its shape, and every matrix built before that is
+    # in budget
+    import nervekit.integer as integer_mod
+    from nervekit.cli import main
+    from nervekit.homology import SNF_MAX_TRANSFORM_ENTRIES
+
+    dense = integer_mod._dense
+    shapes = []
+
+    def recorded(cols, rows):
+        shapes.append((rows, len(cols)))
+        assert rows * rows + len(cols) ** 2 <= SNF_MAX_TRANSFORM_ENTRIES, shapes[-1]
+        return dense(cols, rows)
+
+    monkeypatch.setattr(integer_mod, "_dense", recorded)
+    assert main(["homology", "--example", "bg:z2", "--max-dim", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "Smith normal form of a 469 x 63577 matrix" in err and "budget" in err
+    # the boundaries of degrees 1 to 3 were densified, each twice
+    assert len(shapes) == 6 and (469, 63577) not in shapes
+
+
 def boundary_squared_is_zero(X, top):
     # alternating face sums of nondegenerate cells, reduced twice
     from collections import Counter
@@ -163,7 +187,7 @@ def test_chain_iso_z_coefficients(z2_rel):
 
 
 def test_kernel_of_matrix_without_rows_is_everything():
-    from nervekit.homology import _dense, _kernel_basis
+    from nervekit.integer import _dense, _kernel_basis
 
     A = _dense([{}, {}, {}], 0)
     assert A == []

@@ -230,7 +230,7 @@ def hc_from_simplicial_functor(F, n, target):
     Walks pairs i < j, the pair's unforced levels and their generator
     chains in that order, so it also pins the slot order of the cells.
     """
-    from nervekit.nerves import _pair_limit, generator_chains
+    from nervekit.comparison import _pair_limit, generator_chains
 
     D = target.D
     values = []
@@ -295,7 +295,7 @@ def test_comparison_cells_match_functor_route(name, L):
 def test_theta_cells_match_functor_route(name):
     from nervekit import grid_collapse, theta_cell_value
     from nervekit.classification import _nondeg_grid_chains
-    from nervekit.nerves import _cell_from_plan, _theta_plan
+    from nervekit.comparison import _cell_from_plan, _theta_plan
 
     SC = _category(name, 3)
     X = levelwise_nerve(SC, 3, 3)
@@ -411,6 +411,7 @@ def test_consistency_check_builds_no_functors(z2_rel_d3, z2_rel, monkeypatch):
     import sys
 
     import nervekit.cat as cat_mod
+    import nervekit.comparison as comparison_mod
     import nervekit.nerves as nerves_mod
 
     none = {"comparison_functor": 0, "compose_functors": 0, "grid_collapse": 0, "chain_functor": 0, "_compose_lazily": 0}
@@ -427,7 +428,7 @@ def test_consistency_check_builds_no_functors(z2_rel_d3, z2_rel, monkeypatch):
         return wrapper
 
     for name in calls:
-        for mod in (cat_mod, nerves_mod, sys.modules[__name__]):
+        for mod in (cat_mod, nerves_mod, comparison_mod, sys.modules[__name__]):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
     rep = consistency_check(z2_rel_d3.cat, comparison_map(z2_rel_d3.cat, 3))
@@ -444,16 +445,17 @@ def test_consistency_check_builds_no_functors(z2_rel_d3, z2_rel, monkeypatch):
     assert calls == {**none, "comparison_functor": 1, "grid_collapse": 1, "chain_functor": 1, "_compose_lazily": 1}
 
 
-def _theta_cell(nerves_mod, SC, label, p, q, tau, memo):
-    return nerves_mod._cell_from_plan(SC, label, q, nerves_mod._theta_plan(p, q, tau, SC.D), memo)
+def _theta_cell(comparison_mod, SC, label, p, q, tau, memo):
+    return comparison_mod._cell_from_plan(SC, label, q, comparison_mod._theta_plan(p, q, tau, SC.D), memo)
 
 
 def _consistency_check_by_instance(SC, f):
     """Verdict, bounds and witnesses of `consistency_check` by the slow
     route: both sides of every instance are built and compared, (a)
     reading the cell the map f stores. Every helper is looked up through
-    the module, so planted faults reach it. Every instance is counted,
-    and the first nine failures are kept as witnesses."""
+    the module that holds it, so planted faults reach it. Every instance
+    is counted, and the first nine failures are kept as witnesses."""
+    import nervekit.comparison as comparison_mod
     import nervekit.nerves as nerves_mod
     from nervekit import act
 
@@ -466,7 +468,7 @@ def _consistency_check_by_instance(SC, f):
         tau = tuple((t, t) for t in range(k + 1))
         for x in range(X.card(k, k)):
             label = X.label(k, k, x)
-            lhs = _theta_cell(nerves_mod, SC, label, k, k, tau, memo)
+            lhs = _theta_cell(comparison_mod, SC, label, k, k, tau, memo)
             rhs = f.target.label(k, f.apply(k, x))
             counts["diagonal"] += 1
             if lhs != rhs:
@@ -478,9 +480,9 @@ def _consistency_check_by_instance(SC, f):
                 objs = [label[0]] + [m[1] for m in label[1]]
                 for i in range(p + 1):
                     tau = tuple((i, b) for b in range(q + 1))
-                    F = _theta_cell(nerves_mod, SC, label, p, q, tau, memo)
+                    F = _theta_cell(comparison_mod, SC, label, p, q, tau, memo)
                     counts["vertex_slices"] += 1
-                    if F != nerves_mod.hc_constant(SC, objs[i], q):
+                    if F != comparison_mod.hc_constant(SC, objs[i], q):
                         failures.append(
                             {"reason": "vertex slice", "bidegree": [p, q], "cell": x, "vertex": i}
                         )
@@ -491,12 +493,12 @@ def _consistency_check_by_instance(SC, f):
                 x0, ms = X.label(m, n, x)
                 for i in range(n + 1):
                     z = act(col, n, x, (i,) * (m + 1))
-                    lhs = nerves_mod._comparison_cell(SC, X.label(m, m, z), m, memo)
+                    lhs = comparison_mod._comparison_cell(SC, X.label(m, m, z), m, memo)
                     level0 = (
                         x0,
                         tuple((a, b, (a, b, act(SC.hom(a, b), n, lab[2], (i,)))) for (a, b, lab) in ms),
                     )
-                    rhs = nerves_mod.hc_from_level0_chain(SC, level0, m)
+                    rhs = comparison_mod.hc_from_level0_chain(SC, level0, m)
                     counts["row_restrictions"] += 1
                     if lhs != rhs:
                         failures.append(
@@ -584,14 +586,14 @@ def test_consistency_check_catches_a_swapped_column_entry(poset012, monkeypatch)
 def test_consistency_check_catches_a_wrong_constant_cell(monkeypatch):
     # the constant 1-cell at object 1 sits at object 0: only vertex slices
     # over object 1 fail, so a verdict must not be shared across objects
-    import nervekit.nerves as nerves_mod
+    import nervekit.comparison as comparison_mod
 
-    constant = nerves_mod.hc_constant
+    constant = comparison_mod.hc_constant
 
     def mutated(target, obj, n):
         return constant(target, 0 if (obj, n) == (1, 1) else obj, n)
 
-    monkeypatch.setattr(nerves_mod, "hc_constant", mutated)
+    monkeypatch.setattr(comparison_mod, "hc_constant", mutated)
     SC = build_example("two-object-interval", max_dim=2).cat
     rep = _assert_matches_instance_route(SC, comparison_map(SC, 2))
     assert rep.verdict == "fail"
@@ -604,29 +606,29 @@ def test_consistency_check_catches_a_wrong_slice_at_one_column(z2_rel_d3, monkey
     # verdict must not be shared across columns
     # the fault is planted on the fold of that chain's collapse plan, which
     # both the check and the instance route evaluate
-    import nervekit.nerves as nerves_mod
+    import nervekit.comparison as comparison_mod
 
-    fold = nerves_mod._cell_from_plan
-    planted = nerves_mod._collapse_plan(((1, 0), (1, 1), (1, 2)), z2_rel_d3.cat.D)
+    fold = comparison_mod._cell_from_plan
+    planted = comparison_mod._collapse_plan(((1, 0), (1, 1), (1, 2)), z2_rel_d3.cat.D)
 
     def mutated(SC, label, q, plan, memo):
         objects, values = fold(SC, label, q, plan, memo)
         if plan != planted:
             return objects, values
-        slots, _ = nerves_mod._generator_slots(2, SC.D)
+        slots, _ = comparison_mod._generator_slots(2, SC.D)
         s = max(s for s, (i, j, _, _) in enumerate(slots) if (i, j) == (0, 2))
         values = list(values)
         values[s] = (values[s] + 1) % SC.hom(objects[0], objects[2]).card(slots[s][2])
         return objects, tuple(values)
 
-    monkeypatch.setattr(nerves_mod, "_cell_from_plan", mutated)
+    monkeypatch.setattr(comparison_mod, "_cell_from_plan", mutated)
     rep = _assert_matches_instance_route(z2_rel_d3.cat, comparison_map(z2_rel_d3.cat, 3))
     assert rep.verdict == "fail"
     assert {(w["reason"], w["vertex"]) for w in rep.witnesses} == {("vertex slice", 1)}
 
 
 def test_consistency_check_evaluates_each_distinct_input_once(z2_rel_d3, monkeypatch):
-    import nervekit.nerves as nerves_mod
+    import nervekit.comparison as comparison_mod
 
     calls = {"hc_from_level0_chain": 0, "hc_constant": 0, "_comparison_cell": 0}
 
@@ -638,7 +640,7 @@ def test_consistency_check_evaluates_each_distinct_input_once(z2_rel_d3, monkeyp
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(nerves_mod, name, counted(name, getattr(nerves_mod, name)))
+        monkeypatch.setattr(comparison_mod, name, counted(name, getattr(comparison_mod, name)))
     rep = consistency_check(z2_rel_d3.cat, comparison_map(z2_rel_d3.cat, 3))
     assert rep.ok
     assert rep.bounds == {"diagonal": 531, "vertex_slices": 2629, "row_restrictions": 2629}
@@ -674,7 +676,7 @@ def test_collapse_plan_matches_the_direct_max_rule():
     # the chains of the (3, 3) grid include those of every smaller grid;
     # D = 2 keeps every subset of every pair and chains of three subsets
     from nervekit.classification import _nondeg_grid_chains
-    from nervekit.nerves import _collapse_plan, _generator_slots
+    from nervekit.comparison import _collapse_plan, _generator_slots
 
     D = 2
     chains = _nondeg_grid_chains(3, 3)
@@ -702,12 +704,12 @@ def test_collapse_plan_matches_the_direct_max_rule():
 def cold_collapse_caches(monkeypatch):
     """Empty the collapse caches around a test that plants a wrong rule."""
     import nervekit.classification as cls_mod
-    import nervekit.nerves as nerves_mod
+    import nervekit.comparison as comparison_mod
 
     caches = [
-        nerves_mod._collapse_row,
-        nerves_mod._collapse_table,
-        nerves_mod._collapse_plan,
+        comparison_mod._collapse_row,
+        comparison_mod._collapse_table,
+        comparison_mod._collapse_plan,
         cls_mod._transformed_row,
     ]
     for fn in caches:
@@ -721,13 +723,13 @@ def test_theta_catches_a_wrong_collapse_row(monkeypatch, cold_collapse_caches):
     # the chain lies only in grids with p + q >= 5, beyond the direct
     # squares, so only the naturality check on the collapse rows sees it;
     # the rule is planted wherever it is read: in the collapse tables of
-    # `nerves` and in the naturality check of `classification`
+    # `comparison` and in the naturality check of `classification`
     import nervekit.classification as cls_mod
-    import nervekit.nerves as nerves_mod
+    import nervekit.comparison as comparison_mod
 
     R = build_example("bg:z2", max_dim=5)
     assert classification_comparison(R, 2, 3).ok
-    row = nerves_mod._collapse_row
+    row = comparison_mod._collapse_row
     planted = ((0, 0), (1, 1), (2, 2), (2, 3))
 
     def mutated(chain):
@@ -737,9 +739,9 @@ def test_theta_catches_a_wrong_collapse_row(monkeypatch, cold_collapse_caches):
         *rest, top = out
         return (*rest, top[:-1] + (top[-1] + 1,))
 
-    for mod in (nerves_mod, cls_mod):
+    for mod in (comparison_mod, cls_mod):
         monkeypatch.setattr(mod, "_collapse_row", mutated)
-    for fn in (nerves_mod._collapse_table, nerves_mod._collapse_plan, cls_mod._transformed_row):
+    for fn in (comparison_mod._collapse_table, comparison_mod._collapse_plan, cls_mod._transformed_row):
         fn.cache_clear()
     rep = classification_comparison(R, 2, 3)
     assert rep.verdict == "fail"
@@ -750,13 +752,13 @@ def test_theta_stops_at_the_cap_on_a_non_constant_slice(monkeypatch):
     # the single-vertex row (pair (0, 0)) gains a hop entry; no plan
     # reads that row, so only the slice table check fails, once for
     # each of the 24 vertex slices at (2, 3) until the cap; the table is
-    # planted in `nerves`, whose plans read it, and in `classification`,
+    # planted in `comparison`, whose plans read it, and in `classification`,
     # whose slice check does
     import nervekit.classification as cls_mod
-    import nervekit.nerves as nerves_mod
+    import nervekit.comparison as comparison_mod
 
     R = build_example("bg:z2", max_dim=5)
-    table = nerves_mod._collapse_table
+    table = comparison_mod._collapse_table
 
     def mutated(tau):
         cols, rows = table(tau)
@@ -764,7 +766,7 @@ def test_theta_stops_at_the_cap_on_a_non_constant_slice(monkeypatch):
             return cols, rows
         return cols, (((0,),),) + rows[1:]
 
-    for mod in (nerves_mod, cls_mod):
+    for mod in (comparison_mod, cls_mod):
         monkeypatch.setattr(mod, "_collapse_table", mutated)
     rep = classification_comparison(R, 2, 3)
     assert rep.verdict == "fail"
@@ -900,7 +902,7 @@ def _fold_cases(SC, X):
     """(label, row, plan) for every comparison plan with k <= 3 and every
     collapse plan with p + q <= 3, over every cell of the bidegree."""
     from nervekit.classification import _nondeg_grid_chains
-    from nervekit.nerves import _collapse_plan, _comparison_plan
+    from nervekit.comparison import _collapse_plan, _comparison_plan
 
     for k in range(X.Q + 1):
         plan = _comparison_plan(k, SC.D)
@@ -916,7 +918,7 @@ def _fold_cases(SC, X):
 
 @pytest.mark.parametrize("name", TABLE_INPUTS)
 def test_fold_matches_memo_route(name):
-    from nervekit.nerves import _cell_from_plan
+    from nervekit.comparison import _cell_from_plan
 
     SC = _table_input(name)
     X = levelwise_nerve(SC, 3, min(3, SC.D))
@@ -929,11 +931,11 @@ def test_fold_matches_memo_route(name):
 
 
 def test_fold_catches_a_permuted_action_table(z2_rel_d3, monkeypatch):
-    import nervekit.nerves as nerves_mod
+    import nervekit.comparison as comparison_mod
 
     SC = z2_rel_d3.cat
     X = levelwise_nerve(SC, 3, 3)
-    build = nerves_mod.act_table
+    build = comparison_mod.act_table
     planted = []
 
     def mutated(H, n, f):
@@ -943,10 +945,10 @@ def test_fold_catches_a_permuted_action_table(z2_rel_d3, monkeypatch):
             planted.append((n, f))
         return table
 
-    monkeypatch.setattr(nerves_mod, "act_table", mutated)
+    monkeypatch.setattr(comparison_mod, "act_table", mutated)
     memo, oracle_memo = {}, {}
     differ = sum(
-        nerves_mod._cell_from_plan(SC, label, q, plan, memo) != _cell_from_plan_by_memo(SC, label, q, plan, oracle_memo)
+        comparison_mod._cell_from_plan(SC, label, q, plan, memo) != _cell_from_plan_by_memo(SC, label, q, plan, oracle_memo)
         for label, q, plan in _fold_cases(SC, X)
     )
     assert planted and differ > 0
@@ -987,9 +989,9 @@ def test_consistency_check_stops_recording_at_the_witness_cap(z2_rel_d3, monkeyp
     # a wrong constant cell at every level with a slot fails the 2619
     # vertex slices of positive row; the report keeps nine witnesses and
     # still counts every instance
-    import nervekit.nerves as nerves_mod
+    import nervekit.comparison as comparison_mod
 
-    constant = nerves_mod.hc_constant
+    constant = comparison_mod.hc_constant
 
     def mutated(target, obj, n):
         objects, values = constant(target, obj, n)
@@ -997,7 +999,7 @@ def test_consistency_check_stops_recording_at_the_witness_cap(z2_rel_d3, monkeyp
             values = (values[0] + 1,) + values[1:]
         return objects, values
 
-    monkeypatch.setattr(nerves_mod, "hc_constant", mutated)
+    monkeypatch.setattr(comparison_mod, "hc_constant", mutated)
     SC = z2_rel_d3.cat
     rep = _assert_matches_instance_route(SC, comparison_map(SC, 3))
     assert rep.verdict == "fail"

@@ -2,6 +2,7 @@
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import pathlib
 import subprocess
@@ -34,6 +35,14 @@ def test_traced_names_resolve():
     for qual in traced:
         mod, name = qual.split(".")
         assert callable(getattr(importlib.import_module(f"nervekit.{mod}"), name, None)), qual
+
+
+def test_traced_functions_are_defined_in_their_home_module():
+    # the tracer wraps each function where it is defined, and a module
+    # loaded on first call binds the wrapper by importing from there
+    for qual in _traced():
+        mod, name = qual.split(".")
+        assert getattr(importlib.import_module(f"nervekit.{mod}"), name).__module__ == f"nervekit.{mod}", qual
 
 
 def test_horn_check_enumerates_once_through_module_global(monkeypatch):
@@ -178,6 +187,49 @@ def test_gated_verbs_load_no_lazy_module():
     assert "nervekit.classification" in _cli_modules(["cls", "--example", "bg:z2", "--max-dim", "1"])
     loaded = _cli_modules(["validate", "--in", str(ROOT / "tests" / "fixtures" / "clean_relative.json")])
     assert {"nervekit.schema", "nervekit.axioms"} <= loaded, sorted(loaded & lazy)
+
+
+# the cell formulas and kernels the nerves and homology entry points
+# import when first called; no public name resolves to them
+FIRST_CALL_MODULES = ("comparison", "chains", "integer")
+
+
+def test_cell_formulas_and_kernels_load_on_first_call():
+    first_call = {f"nervekit.{m}" for m in FIRST_CALL_MODULES}
+    assert not _fresh_modules("import nervekit.cli") & first_call
+    loaded = _cli_modules(["horncheck", "--example", "bg:z3", "--max-dim", "4"])
+    assert "nervekit.verify" in loaded and not loaded & first_call, sorted(loaded & first_call)
+    loaded = _cli_modules(["compare", "--example", "bg:z2", "--max-dim", "3", "--coeff", "f2"])
+    assert loaded & first_call == {"nervekit.comparison", "nervekit.chains"}
+    loaded = _cli_modules(["homology", "--example", "bg:z2", "--max-dim", "2"])
+    assert loaded & first_call == {"nervekit.chains", "nervekit.integer"}
+
+
+def test_tracer_reaches_functions_loaded_on_first_call(tmp_path):
+    # the helpers loaded on first call still reach the functions the
+    # tracer wrapped: the consistency check builds its levelwise nerve,
+    # and the integer chain check runs Smith normal forms, inside spans
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    for coeff in ("f2", "z"):
+        out = tmp_path / f"trace-{coeff}.json"
+        subprocess.run(
+            [sys.executable, str(TRACE_CHILD), str(out), "compare", "--example", "bg:z2", "--max-dim", "2", "--coeff", coeff],
+            env=env, capture_output=True, check=True, timeout=120,
+        )
+        spans = {sid: (parent, name) for sid, parent, name, _, _ in json.loads(out.read_text())["spans"]}
+
+        def under(name, ancestor):
+            found = False
+            for parent, span_name in spans.values():
+                if span_name != name:
+                    continue
+                while parent is not None and spans[parent][1] != ancestor:
+                    parent = spans[parent][0]
+                found = found or parent is not None
+            return found
+
+        assert under("nerves.levelwise_nerve", "nerves.consistency_check"), coeff
+        assert under("homology.smith_normal_form", "homology.induced_chain_iso") == (coeff == "z")
 
 
 def test_moved_names_import_from_the_package():
