@@ -8,12 +8,21 @@ other hom chain folds out of these by composition. `_hc_level`
 enumerates the cells of one level and the `hc_*` operators act on them.
 
 A comparison or grid-collapse cell is a plan folded over a chain of
-level-q morphisms (`_cell_from_plan`): on each generator chain, every
-hop acts by a tuple of subset elements and the hops fold by
-composition. `_comparison_plan` writes the diagonal rule; `_collapse_plan`
-reads the grid-collapse rule, written once in `_collapse_row` and read
-through `_collapse_table`. The two rules stay separately written, so
-check (a) of `nerves.consistency_check` compares independent routes.
+level-q morphisms: on each generator chain, every hop acts by a tuple
+of subset elements and the hops fold by composition. `_comparison_plan`
+writes the diagonal rule; `_collapse_plan` reads the grid-collapse
+rule, written once in `_collapse_row` and read through
+`_collapse_table`. The two rules stay separately written, so check (a)
+of `nerves.consistency_check` compares independent routes.
+
+Two folds evaluate a plan, both from the tables `_resolved_plan` keeps
+in the caller's memo. `_cells_from_plan` folds a whole level, one block
+of cells at a time, one list per action and fold node: `comparison_map`
+and check (a) read every cell of a level through it. `_cell_from_plan`
+folds one cell: the theta sweeps and the verdicts of checks (b) and (c)
+evaluate single cells and stop early, so they use it, as does
+`_cells_from_plan` for an object tuple with fewer than `_MIN_BATCH`
+chains (every one in a poset). Each fold is the other's test oracle.
 
 `nervekit.nerves` imports this module inside the functions that use it
 (and `nervekit.classification`, itself loaded on first use, at its
@@ -263,11 +272,8 @@ def _cell_from_plan(SC: SimplicialCategory, label, q: int, plan, memo: dict) -> 
     """
     x0, ms = label
     objs = (x0,) + tuple(m[1] for m in ms)
-    key = (q, id(plan), objs)  # the memo keeps the plan, so no other object takes its id
-    hit = memo.get(key)
-    if hit is None:
-        hit = memo[key] = plan, _resolved_plan(SC, q, plan, objs, memo)
-    objects, acts, identities, comps, nodes, outputs = hit[1]
+    resolved = memo.get((q, id(plan), objs)) or _resolved_plan(SC, q, plan, objs, memo)
+    objects, acts, identities, comps, nodes, outputs = resolved
     cells = [m[2][2] for m in ms]
     v = [T[cells[t]] for t, T in acts]
     v += identities
@@ -277,12 +283,76 @@ def _cell_from_plan(SC: SimplicialCategory, label, q: int, plan, memo: dict) -> 
     return objects, tuple([v[k] for k in outputs])
 
 
+# the batched fold evaluates at most _BLOCK cells at once, and a group
+# of fewer than _MIN_BATCH cells one cell at a time: building one list
+# per action and fold node costs more than it saves on so few cells
+_BLOCK = 128
+_MIN_BATCH = 8
+
+
+def _cells_from_plan(SC: SimplicialCategory, labels, q: int, plan, memo: dict):
+    """`_cell_from_plan` on every chain of ``labels``, block by block.
+
+    Yields (x, cell) for each position x of ``labels``. The labels are
+    grouped by chain objects, and each group resolves the plan once
+    through the same ``memo``. A block of at most `_BLOCK` cells of a
+    group then reads one list per action (``T[cell]`` over the hop's
+    column of cells), one per identity and one per fold node
+    (``C[w * stride + acc]`` over the zipped lists of its action and
+    prefix). A group of fewer than `_MIN_BATCH` cells goes through
+    `_cell_from_plan` instead: in a poset every hom is a point, so each
+    object tuple holds one chain. The positions come in ascending order
+    within a group, and the groups in order of first appearance.
+    """
+    groups: dict = {}
+    for x, objs in enumerate(zip(*_object_columns(labels))):
+        groups.setdefault(objs, []).append(x)
+    for objs, xs in groups.items():
+        if len(xs) < _MIN_BATCH:
+            for x in xs:
+                yield x, _cell_from_plan(SC, labels[x], q, plan, memo)
+            continue
+        resolved = memo.get((q, id(plan), objs)) or _resolved_plan(SC, q, plan, objs, memo)
+        objects, acts, identities, comps, nodes, outputs = resolved
+        hops = sorted({t for t, _ in acts})
+        for start in range(0, len(xs), _BLOCK):
+            block = xs[start : start + _BLOCK]
+            chains = [labels[x][1] for x in block]
+            cells = {t: [ms[t][2][2] for ms in chains] for t in hops}
+            v = [list(map(T.__getitem__, cells[t])) for t, T in acts]
+            v += [[u] * len(block) for u in identities]
+            for acc, w, c in nodes:
+                C, stride = comps[c]
+                v.append([C[b * stride + a] for b, a in zip(v[w], v[acc])])
+            rows = zip(*[v[k] for k in outputs]) if outputs else itertools.repeat(())
+            for x, values in zip(block, rows):
+                yield x, (objects, values)
+
+
+def _object_columns(labels) -> list:
+    """Per vertex t, the list of each chain label's object at t."""
+    hops = len(labels[0][1]) if labels else 0
+    return [[x0 for x0, _ in labels]] + [[ms[t][1] for _, ms in labels] for t in range(hops)]
+
+
+def _label_blocks(labels):
+    """Consecutive blocks of at most `_BLOCK` chain labels of one
+    bidegree: each as its range of positions, its object columns (one
+    list per vertex) and its cell columns (one list per hop)."""
+    for start in range(0, len(labels), _BLOCK):
+        chunk = labels[start : start + _BLOCK]
+        objs = _object_columns(chunk)
+        yield range(start, start + len(chunk)), objs, [[ms[t][2][2] for _, ms in chunk] for t in range(len(objs) - 1)]
+
+
 def _resolved_plan(SC: SimplicialCategory, q: int, plan, objs: tuple, memo: dict) -> tuple:
     """A plan's output objects and `_fold_program` with its tables.
 
-    Action tables come from `act_table`, as homs may be lazy. A step
-    table is the category's stored composition table at its level, the
-    ``comp`` table of the JSON document, with its stride
+    Stored in ``memo`` under (q, id(plan), objs); the memo also keeps
+    the plan itself, so no other object takes its id. Action tables
+    come from `act_table`, as homs may be lazy. A step table is the
+    category's stored composition table at its level, the ``comp``
+    table of the JSON document, with its stride
     hom(source, hop).card(level).
     """
     hit = memo.get((id(plan),))
@@ -298,7 +368,8 @@ def _resolved_plan(SC: SimplicialCategory, q: int, plan, objs: tuple, memo: dict
         tables.append((t, T))
     steps = [(SC.comps[(objs[a], objs[t], objs[t + 1])][m], SC.hom(objs[a], objs[t]).card(m)) for m, a, t in comps]
     units = [SC.identity_cell(objs[a], m) for m, a in identities]
-    return tuple(objs[a] for a in plan[0]), tables, units, steps, nodes, outputs
+    resolved = memo[(q, id(plan), objs)] = tuple(objs[a] for a in plan[0]), tables, units, steps, nodes, outputs
+    return resolved
 
 
 def _fold_program(entries) -> tuple:

@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 
 from .reporting import CheckReport
-from .sset import SimplicialMap, SimplicialSet, TruncationError, _extend, act, act_table, chain_index_nerve
+from .sset import SimplicialMap, SimplicialSet, TruncationError, _extend, act_table, chain_index_nerve
 from .cat import RelativeSimplicialCategory, SimplicialCategory, _chain_labels
 from .bisset import BisimplicialSet, MarkedBisimplicialSet, diagonal
 
@@ -180,16 +180,19 @@ def comparison_map(SC: SimplicialCategory, L: int) -> SimplicialMap:
     value on a generator chain of pair (i, j) folds, by composition with
     later hops on the left, the action on each hop t in (i, j] of the
     tuple of largest elements strictly below t (see `comparison_cell`).
+    A level's cells are folded block by block (`_cells_from_plan`).
     """
-    from .comparison import _comparison_cell
+    from .comparison import _cells_from_plan, _comparison_plan
 
     B = classifying_space(SC, L)
     hc = coherent_nerve(SC, L)
     memo: dict = {}
-    vals = [
-        [hc.index_of(k, _comparison_cell(SC, B.label(k, x), k, memo)) for x in range(B.card(k))]
-        for k in range(L + 1)
-    ]
+    vals = []
+    for k in range(L + 1):
+        row = [0] * B.card(k)
+        for x, cell in _cells_from_plan(SC, B.labels[k], k, _comparison_plan(k, SC.D), memo):
+            row[x] = hc.index_of(k, cell)
+        vals.append(row)
     return SimplicialMap(B, hc, values=vals, L=L)
 
 
@@ -210,22 +213,34 @@ def consistency_check(SC: SimplicialCategory, f: SimplicialMap) -> CheckReport:
     (c) Acting a row cell vertically by a constant map and comparing
     lands on the level-0 inclusion of its vertex restriction.
 
-    One memo holds the fold tables of `_cell_from_plan` for (a), (b)
-    and (c); (a) looks up one plan per level. Every instance of (b) and
-    (c) is checked and counted, but each distinct input is evaluated
-    once: a boolean verdict is looked up under a key holding exactly
-    what the two sides read, so reusing it is exact for any input. In
-    (b) the key is (p, q, i), which fixes the collapse plan, with the
-    objects at the plan's columns and the (source, target, cell) of each
-    hop the plan reads; a vertex chain reads no hop and its columns are
-    all i, so the objects include the one `hc_constant` reads. In (c)
-    the key is (m, z, level0): the left side reads only the restricted
-    cell z at (m, m), from one `act_table` per (m, n, i), the right
-    side only the level-0 restriction, from one `act` per
-    (a, b, cell, n, i). The report keeps nine witnesses; ``bounds``
-    counts every instance.
+    One memo holds the fold tables for (a), (b) and (c), shared by the
+    batched fold `_cells_from_plan`, which evaluates (a) level by level,
+    and the single-cell `_cell_from_plan`. Every instance of (b) and (c)
+    is checked and counted, but each distinct input is evaluated once: a
+    boolean verdict is looked up under a key holding exactly what the
+    two sides read, so reusing it is exact for any input. The keys of a
+    block of at most `_BLOCK` cells are zipped from the block's label
+    columns. In (b) the verdicts are kept per (p, q, i), which fixes the
+    collapse plan, under the objects at the plan's columns and the
+    (source, target, cell) of each hop the plan reads; a vertex chain
+    reads no hop and its columns are all i, so the objects include the
+    one `hc_constant` reads. In (c) they are kept per m, under (z,
+    objects, vertex-i cells): the left side reads only the restricted
+    cell z at (m, m), from one `act_table` per (m, n, i), the right side
+    only the level-0 restriction, whose hop cells come from one vertex
+    table ``act_table(SC.hom(a, b), n, (i,))`` per (a, b, n, i). The report
+    keeps nine witnesses, in the order of the instances (per bidegree,
+    by cell and then by vertex); ``bounds`` counts every instance.
     """
-    from .comparison import _cell_from_plan, _comparison_cell, _theta_plan, hc_constant, hc_from_level0_chain
+    from .comparison import (
+        _cell_from_plan,
+        _cells_from_plan,
+        _comparison_cell,
+        _label_blocks,
+        _theta_plan,
+        hc_constant,
+        hc_from_level0_chain,
+    )
 
     L = f.L
     if L > SC.D:
@@ -241,62 +256,74 @@ def consistency_check(SC: SimplicialCategory, f: SimplicialMap) -> CheckReport:
         if len(check.witnesses) < _WITNESS_CAP:
             check.witnesses.append(witness)
 
+    def check_block(block, keys, seen, verdict, witness) -> int:
+        # keys[i][pos] is the key of vertex i of cell block[pos]; a key
+        # missing from seen[i] is evaluated once, by verdict(i, x, key)
+        # on one cell x that has it
+        failing = [set() for _ in keys]
+        for i, vertex_keys in enumerate(keys):
+            for key, x in dict(zip(vertex_keys, block)).items():
+                ok = seen[i].get(key)
+                if ok is None:
+                    ok = seen[i][key] = verdict(i, x, key)
+                if not ok:
+                    failing[i].add(key)
+        if any(failing):
+            for pos, x in enumerate(block):
+                for i, vertex_keys in enumerate(keys):
+                    if vertex_keys[pos] in failing[i]:
+                        fail(witness(x, i))
+        return len(block) * len(keys)
+
     for k in range(L + 1):
         plan = _theta_plan(k, k, tuple((t, t) for t in range(k + 1)), SC.D)
-        for x in range(B.card(k)):
-            counts["diagonal"] += 1
-            if _cell_from_plan(SC, B.label(k, x), k, plan, memo) != hc.label(k, f.apply(k, x)):
-                fail({"reason": "diagonal route", "level": k, "cell": x})
-    slice_verdicts: dict = {}
+        failed = [x for x, cell in _cells_from_plan(SC, B.labels[k], k, plan, memo) if cell != hc.label(k, f.apply(k, x))]
+        counts["diagonal"] += B.card(k)
+        for x in sorted(failed):
+            fail({"reason": "diagonal route", "level": k, "cell": x})
     for p in range(L + 1):
         for q in range(L + 1):
-            slices = [(i, _theta_plan(p, q, tuple((i, b) for b in range(q + 1)), SC.D)) for i in range(p + 1)]
-            for x in range(X.card(p, q)):
-                label = X.label(p, q, x)
-                x0, ms = label
-                objs = (x0,) + tuple(m[1] for m in ms)
-                for i, plan in slices:
-                    cols, hops, _ = plan
-                    key = (
-                        p,
-                        q,
-                        i,
-                        tuple(objs[c] for c in cols),
-                        tuple((objs[t - 1], objs[t], ms[t - 1][2][2]) for t in hops),
-                    )
-                    ok = slice_verdicts.get(key)
-                    if ok is None:
-                        F = _cell_from_plan(SC, label, q, plan, memo)
-                        ok = slice_verdicts[key] = F == hc_constant(SC, objs[i], q)
-                    counts["vertex_slices"] += 1
-                    if not ok:
-                        fail({"reason": "vertex slice", "bidegree": [p, q], "cell": x, "vertex": i})
-    row_verdicts: dict = {}
-    restricted_hops: dict = {}
+            slices = [_theta_plan(p, q, tuple((i, b) for b in range(q + 1)), SC.D) for i in range(p + 1)]
+            seen = [{} for _ in slices]
+            labels = X.labels[p][q]
+
+            def verdict(i, x, key):
+                # the vertex chain at i starts in column i: key[0] is the object at i
+                return _cell_from_plan(SC, labels[x], q, slices[i], memo) == hc_constant(SC, key[0], q)
+
+            for block, objs, cells in _label_blocks(labels):
+                keys = [
+                    list(zip(*[objs[c] for c in cols], *[col for t in hops for col in (objs[t - 1], objs[t], cells[t - 1])]))
+                    for cols, hops, _ in slices
+                ]
+                counts["vertex_slices"] += check_block(
+                    block, keys, seen, verdict, lambda x, i: {"reason": "vertex slice", "bidegree": [p, q], "cell": x, "vertex": i}
+                )
+    vertex_tables: dict = {}
     for m in range(L + 1):
         col = X.column(m)
+        seen = [{}] * (L + 1)  # the key holds all the sides read, so every row and vertex shares one
+
+        def verdict(i, x, key):
+            z, ob, cs = key[0], key[1 : m + 2], key[m + 2 :]
+            level0 = (ob[0], tuple((ob[t], ob[t + 1], (ob[t], ob[t + 1], c)) for t, c in enumerate(cs)))
+            return _comparison_cell(SC, X.label(m, m, z), m, memo) == hc_from_level0_chain(SC, level0, m)
+
         for n in range(L + 1):
             restrictions = [act_table(col, n, (i,) * (m + 1)) for i in range(n + 1)]
-            for x in range(X.card(m, n)):
-                x0, ms = X.label(m, n, x)
-                for i in range(n + 1):
-                    z = restrictions[i][x]
-                    hops = []
-                    for a, b, lab in ms:
-                        hop_key = (a, b, lab[2], n, i)
-                        c = restricted_hops.get(hop_key)
-                        if c is None:
-                            c = restricted_hops[hop_key] = act(SC.hom(a, b), n, lab[2], (i,))
-                        hops.append((a, b, (a, b, c)))
-                    level0 = (x0, tuple(hops))
-                    key = (m, z, level0)
-                    ok = row_verdicts.get(key)
-                    if ok is None:
-                        lhs = _comparison_cell(SC, X.label(m, m, z), m, memo)
-                        rhs = hc_from_level0_chain(SC, level0, m)
-                        ok = row_verdicts[key] = lhs == rhs
-                    counts["row_restrictions"] += 1
-                    if not ok:
-                        fail({"reason": "row restriction", "bidegree": [m, n], "cell": x, "vertex": i})
+            for block, objs, cells in _label_blocks(X.labels[m][n]):
+                pairs = [list(zip(objs[t], objs[t + 1])) for t in range(m)]
+                keys = []
+                for i, restriction in enumerate(restrictions):
+                    tables = vertex_tables.setdefault((n, i), {})
+                    vertex_cells = []
+                    for hop, hop_cells in zip(pairs, cells):
+                        for a, b in set(hop) - tables.keys():
+                            tables[a, b] = act_table(SC.hom(a, b), n, (i,))
+                        vertex_cells.append([tables[ab][c] for ab, c in zip(hop, hop_cells)])
+                    keys.append(list(zip(restriction[block.start : block.stop], *objs, *vertex_cells)))
+                counts["row_restrictions"] += check_block(
+                    block, keys, seen, verdict, lambda x, i: {"reason": "row restriction", "bidegree": [m, n], "cell": x, "vertex": i}
+                )
     check.bounds.update(counts)
     return check

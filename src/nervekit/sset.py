@@ -29,8 +29,8 @@ both load on first use. `validate_map` stays here.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
-from operator import itemgetter
+from functools import lru_cache, partial
+from operator import itemgetter, ne
 from typing import Any, Optional, Sequence
 
 from .reporting import Record, ValidationReport
@@ -56,6 +56,14 @@ class _DegeneracyTest:
         for v in range(self.card(n)):
             index.setdefault(tuple(self.face(n, i, v) for i in range(n + 1)), []).append(v)
         return index
+
+    def face_map(self, n: int, i: int):
+        """``d_i`` on level n as a function of the cell."""
+        return partial(self.face, n, i)
+
+    def degen_map(self, n: int, i: int):
+        """``s_i`` on level n as a function of the cell."""
+        return partial(self.degen, n, i)
 
 
 class SimplicialSet(_DegeneracyTest):
@@ -120,6 +128,18 @@ class SimplicialSet(_DegeneracyTest):
         if n >= self.D:
             raise TruncationError(f"degeneracy out of level {n} needs truncation > {n}")
         return self.degens[n][i][x]
+
+    def face_map(self, n: int, i: int):
+        """The lookup of the stored ``d_i`` row of level n."""
+        if n > self.D:
+            raise TruncationError(f"level {n} beyond truncation {self.D}")
+        return self.faces[n][i].__getitem__
+
+    def degen_map(self, n: int, i: int):
+        """The lookup of the stored ``s_i`` row of level n."""
+        if n >= self.D:
+            raise TruncationError(f"degeneracy out of level {n} needs truncation > {n}")
+        return self.degens[n][i].__getitem__
 
     def label(self, n: int, x: int):
         if self.labels is None:
@@ -308,21 +328,20 @@ def act_table(X, n: int, f: Sequence[int]) -> list[int]:
 
     Equals ``[act(X, n, x, f) for x in range(X.card(n))]`` and raises
     what `act` raises: it takes the same steps of `_factored`, cached
-    per (n, f), and applies them to each cell in turn, so a sweep that
-    applies the same operators to many targets, as `horn_check` does,
-    factors each once. ``tests/test_sset.py`` compares both against a
-    recursive factoring kept there as the oracle.
+    per (n, f), and gathers the cells through each step's
+    ``face_map``/``degen_map`` in turn, the stored rows of a
+    `SimplicialSet` and the operators of a lazy one alike. So a sweep
+    that applies the same operators to many targets, as `horn_check`
+    does, factors each once. ``tests/test_sset.py`` compares both
+    against a recursive factoring kept there as the oracle.
     """
     faces, degens = _steps(X, n, f)
-    face, degen = X.face, X.degen
-    out = []
-    for x in range(X.card(n)):
-        for k, j in faces:
-            x = face(k, j, x)
-        for k, t in degens:
-            x = degen(k, t, x)
-        out.append(x)
-    return out
+    out = range(X.card(n))
+    for k, j in faces:
+        out = map(X.face_map(k, j), out)
+    for k, t in degens:
+        out = map(X.degen_map(k, t), out)
+    return list(out)
 
 
 def vertices(X, n: int, x: int) -> tuple[int, ...]:
@@ -601,35 +620,42 @@ def compose_maps(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
 
 
 def validate_map(f: SimplicialMap, subject: str = "map") -> ValidationReport:
-    """Check that a map commutes with every face and degeneracy in range."""
+    """Check that a map commutes with every face and degeneracy in range.
+
+    Each square at (n, i) gathers, over the cells of A, f after the
+    operator of A and the operator of X after f, through the operators'
+    ``face_map``/``degen_map``, and compares the two in one pass; only
+    the cells where they differ are evaluated again, for the message.
+    Every cell of every square counts towards ``checked``.
+    """
     rep = ValidationReport(subject)
     A, X = f.source, f.target
     L = f.L
-    for n in range(L + 1):
-        for x in range(A.card(n)):
-            v = f.apply(n, x)
-            if not 0 <= v < X.card(n):
+    values = [list(map(f.apply, itertools.repeat(n), range(A.card(n)))) for n in range(L + 1)]
+    for n, row in enumerate(values):
+        c = X.card(n)
+        for x, v in enumerate(row):
+            if not 0 <= v < c:
                 rep.add("value range", (n, x), f"value {v} outside target level {n}")
     if rep.violations:
         return rep
+
+    def square(law, n, i, m, op_A, op_X):
+        # f at level m after op_A against op_X after f at level n
+        cells = range(A.card(n))
+        differ = map(ne, map(values[m].__getitem__, map(op_A, cells)), map(op_X, values[n]))
+        for x in itertools.compress(cells, differ):
+            rep.add(law, (n, i, x), f"{values[m][op_A(x)]} != {op_X(values[n][x])}")
+        rep.checked += len(cells)
+
     for n in range(1, L + 1):
         for i in range(n + 1):
-            for x in range(A.card(n)):
-                lhs = f.apply(n - 1, A.face(n, i, x))
-                rhs = X.face(n, i, f.apply(n, x))
-                rep.checked += 1
-                if lhs != rhs:
-                    rep.add("f d_i = d_i f", (n, i, x), f"{lhs} != {rhs}")
+            square("f d_i = d_i f", n, i, n - 1, A.face_map(n, i), X.face_map(n, i))
     for n in range(min(L, A.D - 1, X.D - 1) + 1):
         if n + 1 > f.L:
             break
         for i in range(n + 1):
-            for x in range(A.card(n)):
-                lhs = f.apply(n + 1, A.degen(n, i, x))
-                rhs = X.degen(n, i, f.apply(n, x))
-                rep.checked += 1
-                if lhs != rhs:
-                    rep.add("f s_i = s_i f", (n, i, x), f"{lhs} != {rhs}")
+            square("f s_i = s_i f", n, i, n + 1, A.degen_map(n, i), X.degen_map(n, i))
     return rep
 
 

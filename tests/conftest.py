@@ -35,3 +35,28 @@ def poset012():
 @pytest.fixture(scope="session")
 def fixtures_dir():
     return FIXTURES
+
+
+@pytest.fixture
+def comparison_cell_calls(monkeypatch) -> list:
+    """Record the level of every comparison cell built, one at a time by
+    `_comparison_cell` or block by block by `_cells_from_plan` on a
+    comparison plan; the list fills as the cells are built."""
+    import nervekit.comparison as comparison_mod
+
+    cell, cells = comparison_mod._comparison_cell, comparison_mod._cells_from_plan
+    calls = []
+
+    def counted(SC, label, k, memo):
+        calls.append(k)
+        return cell(SC, label, k, memo)
+
+    def counted_cells(SC, labels, q, plan, memo):
+        for x, value in cells(SC, labels, q, plan, memo):
+            if plan is comparison_mod._comparison_plan(q, SC.D):
+                calls.append(q)
+            yield x, value
+
+    monkeypatch.setattr(comparison_mod, "_comparison_cell", counted)
+    monkeypatch.setattr(comparison_mod, "_cells_from_plan", counted_cells)
+    return calls

@@ -228,22 +228,12 @@ def test_failing_uniqueness_digest_is_pinned():
     assert rep["digest"] == "0c30d141ceabb3ca1b978095b6b0cb853925c0a4c7da2c4a5881a966cfb54795"
 
 
-def test_compare_builds_each_comparison_cell_once(monkeypatch):
-    import nervekit.comparison as comparison_mod
-
-    cell = comparison_mod._comparison_cell
-    calls = []
-
-    def counted(SC, label, k, memo):
-        calls.append(k)
-        return cell(SC, label, k, memo)
-
-    monkeypatch.setattr(comparison_mod, "_comparison_cell", counted)
+def test_compare_builds_each_comparison_cell_once(comparison_cell_calls):
     rep, code, _ = run(["compare", "--example", "bg:z2", "--max-dim", "3", "--coeff", "f2"])
     assert code == 0
-    # 531 map cells; the consistency check reads them back and builds
-    # only its 4 distinct row restrictions
-    assert len(calls) == 531 + 4
+    # 531 map cells, built by the batched fold; the consistency check
+    # reads them back and builds only its 4 distinct row restrictions
+    assert len(comparison_cell_calls) == 531 + 4
 
 
 def test_theta_checks_each_grid_chain_once_per_bidegree(monkeypatch):

@@ -562,6 +562,28 @@ def test_consistency_check_catches_a_wrong_map_cell(z2_rel_d3):
     assert rep.witnesses == [{"reason": "diagonal route", "level": 2, "cell": 5}]
 
 
+def test_consistency_check_reports_diagonal_witnesses_by_cell():
+    # hom(0, 1) has two vertices and object 1 maps to 1 and to 2, so the
+    # chains over one object tuple are not consecutive at level 2: the
+    # batched fold yields them group by group, yet the witnesses of two
+    # planted cells it visits out of order still come by cell
+    from nervekit import standard_simplex
+    from nervekit.gadgets import interval_power_category
+
+    SC = interval_power_category(2, standard_simplex(1, 2))
+    f = comparison_map(SC, 2)
+    groups = {}
+    for x, (x0, ms) in enumerate(f.source.labels[2]):
+        groups.setdefault((x0,) + tuple(m[1] for m in ms), []).append(x)
+    order = [x for xs in groups.values() for x in xs]
+    t = next(t for t in range(len(order) - 1) if order[t] > order[t + 1])
+    planted = sorted(order[t : t + 2])
+    for x in planted:
+        f.values[2][x] = (f.values[2][x] + 1) % f.target.card(2)
+    rep = _assert_matches_instance_route(SC, f)
+    assert [w["cell"] for w in rep.witnesses] == planted
+
+
 def test_consistency_check_catches_a_swapped_column_entry(poset012, monkeypatch):
     # a swapped vertical face (d_0 on objects 0 and 1 at row 1) moves the
     # restricted cell z of check (c), but not the level-0 restriction,
@@ -627,10 +649,38 @@ def test_consistency_check_catches_a_wrong_slice_at_one_column(z2_rel_d3, monkey
     assert {(w["reason"], w["vertex"]) for w in rep.witnesses} == {("vertex slice", 1)}
 
 
-def test_consistency_check_evaluates_each_distinct_input_once(z2_rel_d3, monkeypatch):
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize(
+    "case",
+    [
+        test_consistency_check_matches_instance_route_on_a_two_vertex_hom,
+        test_consistency_check_catches_a_wrong_map_cell,
+        test_consistency_check_reports_diagonal_witnesses_by_cell,
+        test_consistency_check_catches_a_swapped_column_entry,
+        test_consistency_check_catches_a_wrong_constant_cell,
+        test_consistency_check_catches_a_wrong_slice_at_one_column,
+    ],
+    ids=lambda case: case.__name__.removeprefix("test_consistency_check_"),
+)
+def test_consistency_check_matches_instance_route_across_blocks(case, block, request, monkeypatch):
+    # the witness-order and planted-fault tests above, rerun with blocks
+    # of 1 and 7 cells, all batched: every bidegree's checks (b) and (c)
+    # and every level of (a) are split across blocks, so the verdicts
+    # carried between blocks and the witness walk of each block meet the
+    # instance route at block boundaries
+    import inspect
+
     import nervekit.comparison as comparison_mod
 
-    calls = {"hc_from_level0_chain": 0, "hc_constant": 0, "_comparison_cell": 0}
+    monkeypatch.setattr(comparison_mod, "_BLOCK", block)
+    monkeypatch.setattr(comparison_mod, "_MIN_BATCH", 1)
+    case(**{name: request.getfixturevalue(name) for name in inspect.signature(case).parameters})
+
+
+def test_consistency_check_evaluates_each_distinct_input_once(z2_rel_d3, comparison_cell_calls, monkeypatch):
+    import nervekit.comparison as comparison_mod
+
+    calls = {"hc_from_level0_chain": 0, "hc_constant": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -646,7 +696,8 @@ def test_consistency_check_evaluates_each_distinct_input_once(z2_rel_d3, monkeyp
     assert rep.bounds == {"diagonal": 531, "vertex_slices": 2629, "row_restrictions": 2629}
     # the map builds its 531 cells once and (a) reads them back; (b)
     # meets 40 distinct (p, q, i) and (c) 4 distinct (m, z, level0)
-    assert calls == {"hc_from_level0_chain": 4, "hc_constant": 40, "_comparison_cell": 535}
+    assert calls == {"hc_from_level0_chain": 4, "hc_constant": 40}
+    assert len(comparison_cell_calls) == 535
 
 
 def test_classification_comparison_keeps_bounds_at_witness_cap(z2_rel, monkeypatch):
@@ -898,22 +949,26 @@ def _cell_from_plan_by_memo(SC, label, q, plan, memo):
     return tuple(objs[a] for a in cols), tuple(values)
 
 
-def _fold_cases(SC, X):
-    """(label, row, plan) for every comparison plan with k <= 3 and every
-    collapse plan with p + q <= 3, over every cell of the bidegree."""
+def _fold_levels(SC, X):
+    """(labels, row, plan) for every comparison plan with k <= 3 and
+    every collapse plan with p + q <= 3, with the labels of the plan's
+    bidegree."""
     from nervekit.classification import _nondeg_grid_chains
     from nervekit.comparison import _collapse_plan, _comparison_plan
 
     for k in range(X.Q + 1):
-        plan = _comparison_plan(k, SC.D)
-        for x in range(X.card(k, k)):
-            yield X.label(k, k, x), k, plan
+        yield X.labels[k][k], k, _comparison_plan(k, SC.D)
     for p in range(X.P + 1):
         for q in range(min(X.Q, 3 - p) + 1):
             for tau in _nondeg_grid_chains(p, q):
-                plan = _collapse_plan(tau, SC.D)
-                for x in range(X.card(p, q)):
-                    yield X.label(p, q, x), q, plan
+                yield X.labels[p][q], q, _collapse_plan(tau, SC.D)
+
+
+def _fold_cases(SC, X):
+    """(label, row, plan) for every cell of every level of `_fold_levels`."""
+    for labels, q, plan in _fold_levels(SC, X):
+        for label in labels:
+            yield label, q, plan
 
 
 @pytest.mark.parametrize("name", TABLE_INPUTS)
@@ -928,6 +983,63 @@ def test_fold_matches_memo_route(name):
         assert _cell_from_plan(SC, label, q, plan, memo) == _cell_from_plan_by_memo(SC, label, q, plan, oracle_memo)
         checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("block", [None, 1, 7])
+@pytest.mark.parametrize("name", TABLE_INPUTS)
+def test_batched_fold_matches_single_cells(name, block, monkeypatch):
+    # by default, groups of fewer than _MIN_BATCH cells (every group of
+    # a poset) go through the single-cell fold and larger ones are
+    # batched; blocks of 1 and 7 cells, all batched, cross block
+    # boundaries on every level
+    import nervekit.comparison as comparison_mod
+
+    if block is not None:
+        monkeypatch.setattr(comparison_mod, "_BLOCK", block)
+        monkeypatch.setattr(comparison_mod, "_MIN_BATCH", 1)
+    SC = _table_input(name)
+    X = levelwise_nerve(SC, 3, min(3, SC.D))
+    memo, single_memo = {}, {}  # one of each across bidegrees
+    checked = 0
+    for labels, q, plan in _fold_levels(SC, X):
+        cells = list(comparison_mod._cells_from_plan(SC, labels, q, plan, memo))
+        assert sorted(x for x, _ in cells) == list(range(len(labels)))
+        for x, cell in cells:
+            assert cell == comparison_mod._cell_from_plan(SC, labels[x], q, plan, single_memo)
+        checked += len(cells)
+    assert checked > 0
+
+
+def test_batched_fold_catches_a_permuted_action_table(z2_rel_d3, monkeypatch):
+    # the planted table is resolved once into the shared memo, so both
+    # routes read it and both move the same cells off the memo route
+    import nervekit.comparison as comparison_mod
+
+    SC = z2_rel_d3.cat
+    X = levelwise_nerve(SC, 3, 3)
+    build = comparison_mod.act_table
+    planted = []
+
+    def mutated(H, n, f):
+        table = build(H, n, f)
+        if not planted and len(set(table)) > 1:
+            _swap_first_differing([table])
+            planted.append((n, f))
+        return table
+
+    monkeypatch.setattr(comparison_mod, "act_table", mutated)
+    monkeypatch.setattr(comparison_mod, "_BLOCK", 7)
+    monkeypatch.setattr(comparison_mod, "_MIN_BATCH", 1)
+    memo, oracle_memo = {}, {}
+    single, batched = set(), set()
+    for case, (labels, q, plan) in enumerate(_fold_levels(SC, X)):
+        for x, cell in comparison_mod._cells_from_plan(SC, labels, q, plan, memo):
+            want = _cell_from_plan_by_memo(SC, labels[x], q, plan, oracle_memo)
+            if cell != want:
+                batched.add((case, x))
+            if comparison_mod._cell_from_plan(SC, labels[x], q, plan, memo) != want:
+                single.add((case, x))
+    assert planted and batched and batched == single
 
 
 def test_fold_catches_a_permuted_action_table(z2_rel_d3, monkeypatch):
@@ -963,7 +1075,9 @@ def test_fold_calls_no_compose_or_act(z2_rel_d3, monkeypatch):
     import nervekit.sset as sset_mod
     from nervekit.cat import SimplicialCategory
 
-    callers = {"compose": collections.Counter(), "act": collections.Counter()}
+    import nervekit.comparison as comparison_mod
+
+    callers = {"compose": collections.Counter(), "act": collections.Counter(), "act_table": collections.Counter()}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -973,16 +1087,23 @@ def test_fold_calls_no_compose_or_act(z2_rel_d3, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(SimplicialCategory, "compose", counted("compose", SimplicialCategory.compose))
-    for mod in (nerves_mod, sset_mod):
-        monkeypatch.setattr(mod, "act", counted("act", sset_mod.act))
+    monkeypatch.setattr(sset_mod, "act", counted("act", sset_mod.act))
+    for mod in (nerves_mod, comparison_mod):
+        monkeypatch.setattr(mod, "act_table", counted("act_table", sset_mod.act_table))
     SC = z2_rel_d3.cat
     rep = consistency_check(SC, comparison_map(SC, 3))
     assert rep.ok
-    fold = {"_cell_from_plan", "_resolved_plan"}
+    fold = {"_cell_from_plan", "_cells_from_plan", "_resolved_plan"}
     assert not fold & (set(callers["compose"]) | set(callers["act"])), callers
-    # the counters do see the other callers
+    # the counters do see the other callers: the fold resolves its
+    # actions and check (c) its vertex tables by `act_table`, and
+    # `vertices` still applies `act` one cell at a time
     assert callers["compose"]["hc_from_level0_chain"] > 0
-    assert callers["act"]["consistency_check"] > 0
+    assert callers["act_table"]["_resolved_plan"] > 0
+    assert callers["act_table"]["consistency_check"] > 0
+    assert not callers["act"]
+    sset_mod.vertices(SC.hom(SC.objects[0], SC.objects[0]), 2, 0)
+    assert sum(callers["act"].values()) == 3
 
 
 def test_consistency_check_stops_recording_at_the_witness_cap(z2_rel_d3, monkeypatch):

@@ -94,13 +94,15 @@ def test_act_identity_and_vertices():
 
 @pytest.fixture(scope="module")
 def act_table_targets():
-    # materialized, lazy, a group nerve and a levelwise-nerve column, all truncated at 4
+    # materialized, lazy, a group nerve, a levelwise-nerve column and a
+    # lazy power, all truncated at 4
     bgz2 = build_example("bg:z2", max_dim=4).cat
     return [
         standard_simplex(3, 4),
         ProductSset(standard_simplex(1, 4), walk_nerve(4)),
         nerve_cat(cyclic_group_category(3), 4),
         levelwise_nerve(bgz2, 2, 4).column(2),
+        PowerSset(standard_simplex(1, 4), 2),
     ]
 
 
@@ -162,6 +164,88 @@ def test_act_table_raises_what_act_raises(act_table_targets):
             want = _raised(_act_by_recursion, X, 2, 0, f)
             assert _raised(act, X, 2, 0, f) == want, (X, f)
             assert _raised(act_table, X, 2, f) == want, (X, f)
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type and message of the
+    `TruncationError` it raises."""
+    try:
+        return fn(*args)
+    except TruncationError as e:
+        return TruncationError, str(e)
+
+
+def test_operator_maps_are_the_operators():
+    # stored, product and power sets, at every level and one past the
+    # truncation, where both routes raise the same TruncationError (an
+    # outcome is a tuple only when raised)
+    for X in (
+        standard_simplex(2, 3),
+        ProductSset(standard_simplex(1, 3), walk_nerve(3)),
+        PowerSset(standard_simplex(1, 3), 2),
+    ):
+        for n in range(X.D + 2):
+            cells = range(X.card(n)) if n <= X.D else [0]
+            for i in range(n + 1):
+                if n:
+                    faces = [_outcome(lambda x: X.face_map(n, i)(x), x) for x in cells]
+                    assert faces == [_outcome(X.face, n, i, x) for x in cells], (X, n, i)
+                    assert isinstance(faces[0], tuple) == (n > X.D)
+                degens = [_outcome(lambda x: X.degen_map(n, i)(x), x) for x in cells]
+                assert degens == [_outcome(X.degen, n, i, x) for x in cells], (X, n, i)
+                assert isinstance(degens[0], tuple) == (n >= X.D)
+
+
+def _validate_map_by_cells(f):
+    """`validate_map` cell by cell: each value's range, then every face
+    square and every degeneracy square, one cell at a time."""
+    from nervekit.reporting import ValidationReport
+
+    rep = ValidationReport("map")
+    A, X, L = f.source, f.target, f.L
+    for n in range(L + 1):
+        for x in range(A.card(n)):
+            v = f.apply(n, x)
+            if not 0 <= v < X.card(n):
+                rep.add("value range", (n, x), f"value {v} outside target level {n}")
+    if rep.violations:
+        return rep
+    for n in range(1, L + 1):
+        for i in range(n + 1):
+            for x in range(A.card(n)):
+                lhs, rhs = f.apply(n - 1, A.face(n, i, x)), X.face(n, i, f.apply(n, x))
+                rep.checked += 1
+                if lhs != rhs:
+                    rep.add("f d_i = d_i f", (n, i, x), f"{lhs} != {rhs}")
+    for n in range(min(L - 1, A.D - 1, X.D - 1) + 1):
+        for i in range(n + 1):
+            for x in range(A.card(n)):
+                lhs, rhs = f.apply(n + 1, A.degen(n, i, x)), X.degen(n, i, f.apply(n, x))
+                rep.checked += 1
+                if lhs != rhs:
+                    rep.add("f s_i = s_i f", (n, i, x), f"{lhs} != {rhs}")
+    return rep
+
+
+def test_validate_map_matches_the_cell_walk():
+    X = walk_nerve(3)
+    moved = yoneda_map(X, 2, X.card(2) - 1)
+    moved.values[1][1] = (moved.values[1][1] + 1) % X.card(1)
+    out_of_range = yoneda_map(X, 1, 0)
+    out_of_range.values[2][3] = X.card(2)
+    P = ProductSset(standard_simplex(1, 3), X)
+    projection = SimplicialMap(P, X, fn=lambda n, x: P.split(n, x)[1])
+    # one wrong value of a lazy map, at a cell only degeneracies reach
+    off = P.pair(2, 0, X.degen(1, 0, 1))
+    bent = SimplicialMap(P, X, fn=lambda n, x: 0 if (n, x) == (2, off) else P.split(n, x)[1])
+    reports = []
+    for f in (moved, out_of_range, projection, bent, yoneda_map(X, 3, 0)):
+        rep = validate_map(f)
+        want = _validate_map_by_cells(f)
+        assert (rep.violations, rep.checked) == (want.violations, want.checked)
+        reports.append(rep)
+    assert [rep.ok for rep in reports] == [False, False, True, False, True]
+    assert {v.identity for v in reports[0].violations} == {"f d_i = d_i f", "f s_i = s_i f"}
 
 
 def test_act_is_the_label_formula():
