@@ -6,22 +6,19 @@ Only the ``validate`` verb, loading a document (`nervekit.schema`) and
 the functor search (`nervekit.gadgets`) run these, so ``import
 nervekit`` does not load this module up front: the package resolves
 its names on first use. `sset.validate_map`, which ``compare`` runs on
-the comparison map, stays with the maps.
+the comparison map, stays with the maps (its body in `nervekit.maps`).
 """
 
 from __future__ import annotations
 
-from .bisset import BisimplicialSet
-from .cat import (
-    FiniteCategory,
-    RelativeSimplicialCategory,
-    SimplicialCategory,
-    SimplicialFunctor,
-    _pi0_classes,
-    discrete_simplicial_category,
-)
+from .bisimplicial import BisimplicialSet
+from .cat import FiniteCategory, RelativeSimplicialCategory, SimplicialCategory
+from .components import _pi0_classes
+from .discrete import discrete_simplicial_category
+from .functors import SimplicialFunctor
 from .reporting import ValidationReport
-from .sset import ProductSset, SimplicialMap, SimplicialSet, validate_map, vertices
+from .spaces import ProductSset, vertices
+from .sset import SimplicialMap, SimplicialSet, validate_map
 
 
 def validate_sset(X, subject: str = "") -> ValidationReport:

@@ -1,0 +1,241 @@
+"""Truncated bisimplicial sets: tables, rows, columns, diagonal, and the
+levelwise nerve.
+
+Bidegree (p, q) means column p, row q. Columns are simplicial sets in
+the row index and vice versa; the diagonal restricts to p = q. All
+operator tables are stored exhaustively, as in `SimplicialSet`;
+`axioms.validate_bisset` checks both directions plus every commutation
+square within the truncation. `bisset_to_json` writes the schema
+document of a plain or marked one (see `nervekit.serialize`).
+
+The levelwise nerve of a simplicial category has column p at row q the
+set of p-chains of level-q morphisms, one `sset.chain_index_nerve` per
+row, labelled as ``nerve_cat(level_category(SC, q), P)``; the vertical
+operators act on each hom cell.
+
+``import nervekit`` does not load this module up front. The traced
+entry points `bisset.diagonal` and `nerves.levelwise_nerve` import
+their bodies from here when first called, and `nervekit.bisset`
+resolves `BisimplicialSet` from here, so only a verb that builds a
+bisimplicial set compiles this module. The marked kinds live in
+`nervekit.marked`.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Sequence
+
+from .cat import SimplicialCategory, _chain_labels
+from .sset import SimplicialSet, TruncationError, _extend, chain_index_nerve
+
+
+class BisimplicialSet:
+    """Cells and the four operator families on a (P, Q) truncation.
+
+    ``hfaces[p][q]`` holds p+1 rows for the horizontal faces at (p, q),
+    empty at p = 0; ``hdegens[p][q]`` holds p+1 rows when p < P.
+    Vertical tables mirror this in q.
+    """
+
+    def __init__(
+        self,
+        P: int,
+        Q: int,
+        cards: Sequence[Sequence[int]],
+        hfaces,
+        hdegens,
+        vfaces,
+        vdegens,
+        labels=None,
+        name: str = "",
+    ):
+        self.P = P
+        self.Q = Q
+        self.cards = [list(row) for row in cards]
+        self.hfaces = hfaces
+        self.hdegens = hdegens
+        self.vfaces = vfaces
+        self.vdegens = vdegens
+        self.labels = labels
+        self.name = name
+
+    def card(self, p: int, q: int) -> int:
+        return self.cards[p][q]
+
+    def hface(self, p: int, q: int, i: int, x: int) -> int:
+        return self.hfaces[p][q][i][x]
+
+    def hdegen(self, p: int, q: int, i: int, x: int) -> int:
+        return self.hdegens[p][q][i][x]
+
+    def vface(self, p: int, q: int, j: int, x: int) -> int:
+        return self.vfaces[p][q][j][x]
+
+    def vdegen(self, p: int, q: int, j: int, x: int) -> int:
+        return self.vdegens[p][q][j][x]
+
+    def label(self, p: int, q: int, x: int):
+        if self.labels is None:
+            return (p, q, x)
+        return self.labels[p][q][x]
+
+    def counts(self) -> tuple:
+        return tuple(tuple(row) for row in self.cards)
+
+    def row(self, q: int) -> SimplicialSet:
+        cards = [self.cards[p][q] for p in range(self.P + 1)]
+        faces = [self.hfaces[p][q] for p in range(self.P + 1)]
+        degens = [self.hdegens[p][q] if p < self.P else [] for p in range(self.P + 1)]
+        labels = None
+        if self.labels is not None:
+            labels = [list(self.labels[p][q]) for p in range(self.P + 1)]
+        return SimplicialSet(self.P, cards, faces, degens, labels=labels, name=f"{self.name}[row {q}]")
+
+    def column(self, p: int) -> SimplicialSet:
+        cards = list(self.cards[p])
+        faces = [self.vfaces[p][q] for q in range(self.Q + 1)]
+        degens = [self.vdegens[p][q] if q < self.Q else [] for q in range(self.Q + 1)]
+        labels = None if self.labels is None else [list(lvl) for lvl in self.labels[p]]
+        return SimplicialSet(self.Q, cards, faces, degens, labels=labels, name=f"{self.name}[col {p}]")
+
+    def transpose(self) -> "BisimplicialSet":
+        # new (p, q) reads the old (q, p); rows become columns
+        flip = lambda tbl: [
+            [tbl[b][a] for b in range(self.P + 1)] for a in range(self.Q + 1)
+        ]
+        labels = None if self.labels is None else flip(self.labels)
+        return BisimplicialSet(
+            self.Q,
+            self.P,
+            flip(self.cards),
+            flip(self.vfaces),
+            flip(self.vdegens),
+            flip(self.hfaces),
+            flip(self.hdegens),
+            labels=labels,
+            name=f"transpose({self.name})",
+        )
+
+    def __repr__(self):
+        tag = f" {self.name!r}" if self.name else ""
+        return f"<BisimplicialSet{tag} P={self.P} Q={self.Q}>"
+
+
+def _diagonal(X: BisimplicialSet, name: str = "") -> SimplicialSet:
+    # the body of `bisset.diagonal`
+    D = min(X.P, X.Q)
+    cards = [X.card(n, n) for n in range(D + 1)]
+    faces: list[list[list[int]]] = [[]]
+    for n in range(1, D + 1):
+        faces.append(
+            [
+                [X.vface(n - 1, n, i, X.hface(n, n, i, x)) for x in range(cards[n])]
+                for i in range(n + 1)
+            ]
+        )
+    degens = []
+    for n in range(D + 1):
+        if n == D:
+            degens.append([])
+        else:
+            degens.append(
+                [
+                    [X.vdegen(n + 1, n, i, X.hdegen(n, n, i, x)) for x in range(cards[n])]
+                    for i in range(n + 1)
+                ]
+            )
+    labels = None
+    if X.labels is not None:
+        labels = [[X.labels[n][n][x] for x in range(cards[n])] for n in range(D + 1)]
+    return SimplicialSet(D, cards, faces, degens, labels=labels, name=name or f"diag({X.name})")
+
+
+# -- the levelwise nerve ---------------------------------------------------
+
+
+def _levelwise_nerve(SC: SimplicialCategory, P: int, Q: int, name: str) -> BisimplicialSet:
+    # the body of `nerves.levelwise_nerve`
+    if Q > SC.D:
+        raise TruncationError(f"row {Q} beyond hom truncation {SC.D}")
+    obs = SC.objects
+    homs = [[SC.hom(a, b) for b in obs] for a in obs]
+    rows = []
+    for q in range(Q + 1):
+        cards = [[H.card(q) for H in row] for row in homs]
+
+        def comp(a, b, c, q=q):
+            return SC.comps[(obs[a], obs[b], obs[c])][q]
+
+        counts, faces, degens, ends, firsts = chain_index_nerve(cards, comp, [SC.identity_cell(a, q) for a in obs], P)
+        cells = [[[(x, y, c) for c in range(n)] for y, n in zip(obs, row)] for x, row in zip(obs, cards)]
+        rows.append((counts, faces, degens, _chain_labels(obs, cells, ends, P), cards, ends, firsts))
+    index = list(range(max(max(row[0]) for row in rows)))
+
+    def vertical(q, r):
+        # per column, the tables of the operators j = 0..q from row q to row r
+        tables = [[] for _ in range(P + 1)]
+        if not 0 <= r <= Q:
+            return tables
+        cards, ends, firsts = rows[q][4], rows[q][5], rows[r][6]
+        start = [list(itertools.accumulate(row, initial=0)) for row in rows[r][4]]
+        for j in range(q + 1):
+            offsets = [
+                [start[e][y] + (H.face if r < q else H.degen)(q, j, c) for y, H in enumerate(row) for c in range(cards[e][y])]
+                for e, row in enumerate(homs)
+            ]
+            table = index[: len(obs)]
+            for p in range(P + 1):
+                if p:
+                    table = _extend(index, table, firsts[p - 1], ends[p - 1], offsets)
+                tables[p].append(table)
+        return tables
+
+    def by_column(per_row):
+        return [[per_row[q][p] for q in range(Q + 1)] for p in range(P + 1)]
+
+    return BisimplicialSet(
+        P, Q, *(by_column([row[t] for row in rows]) for t in range(3)),
+        by_column([vertical(q, q - 1) for q in range(Q + 1)]),
+        by_column([vertical(q, q + 1) for q in range(Q + 1)]),
+        labels=by_column([row[3] for row in rows]), name=name or f"chains({SC.name})",
+    )
+
+
+# -- the schema document ----------------------------------------------------
+
+
+def _bisset_families(P: int, Q: int) -> tuple:
+    """The four operator families of a (P, Q)-truncated bisimplicial set.
+
+    Each is (key, rows, dp, dq): its table at (p, q) holds ``rows(p, q)``
+    rows, one per operator index and none at the edge the family leaves,
+    and its entries are cells at (p + dp, q + dq).
+    """
+    return (
+        ("hface", lambda p, q: p + 1 if p else 0, -1, 0),
+        ("hdegen", lambda p, q: p + 1 if p < P else 0, 1, 0),
+        ("vface", lambda p, q: q + 1 if q else 0, 0, -1),
+        ("vdegen", lambda p, q: q + 1 if q < Q else 0, 0, 1),
+    )
+
+
+def bisset_to_json(B) -> dict:
+    marked = None
+    if not hasattr(B, "hface"):  # a marked bisimplicial set
+        marked = sorted(B.marked)
+        B = B.space
+    P, Q = B.P, B.Q
+
+    def grid(op, rows):
+        return [
+            [[[op(p, q, i, x) for x in range(B.card(p, q))] for i in range(rows(p, q))] for q in range(Q + 1)]
+            for p in range(P + 1)
+        ]
+
+    doc = {"dims": [P, Q], "cells": [[B.card(p, q) for q in range(Q + 1)] for p in range(P + 1)]}
+    for key, rows, _, _ in _bisset_families(P, Q):
+        doc[key] = grid(getattr(B, key), rows)
+    if marked is not None:
+        doc["marked"] = [[1, q, x] for (q, x) in marked]
+    return doc

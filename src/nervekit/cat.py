@@ -1,50 +1,31 @@
-"""Finite categories, simplicial categories, functors, and the functors
-from the path gadget to the power gadgets that drive the comparison
-machinery.
-
-* ``comparison_functor(n, D)``: the canonical functor from the path
-  gadget ``coherent_path_category(n, D)`` to the chain gadget
-  ``simplex_power_category(n, D)``, sending a subset S to the
-  coordinate tuple whose entry for hop t is the largest element of S
-  below t, listed from the top hop down. It is the diagonal case of
-  ``grid_collapse``, the chain (0, 0), ..., (n, n).
-* ``grid_collapse(p, q, tau, D)``: the composite functor out of a path
-  category of a grid chain, collapsing to the first grid coordinate;
-  hom action takes, per hop, the largest second coordinate seen
-  strictly before that hop.
-
-The gadgets themselves, their cosimplicial structure and the functor
-search live in `nervekit.gadgets`, and the validators of categories,
-relative categories and functors in `nervekit.axioms`; both load on
-first use.
+"""Finite categories, simplicial categories and relative ones.
 
 Every composition is an index table. A simplicial category stores its
 per-level tables, the ``comp`` tables of its JSON document: at level n,
 entry ``g * hom(a, b).card(n) + f`` is the index of g∘f in hom(a, c). A
 finite category stores one table per triple in the layout of one level,
-so its level-0 discrete category and its nerve read the table as given.
-Functors store their hom maps as value tables too, and compose by
-gathering one through the other. The one exception is
-`gadgets.simplex_power_transform`, whose hom maps out of the lazy power
-homs compute each cell on demand (see `SimplicialMap`).
+which its nerve (`nerve_cat`) reads as given. Functors store their hom
+maps as value tables too, except `gadgets.simplex_power_transform`'s
+maps out of the lazy power homs (see `SimplicialMap`).
+
+``import nervekit`` loads this module with what every verb runs to
+build an example, and with `comparison_functor`, `grid_collapse` and
+`compose_functors`, which a traced benchmark run wraps where they are
+defined (``bench/trace_child.py`` ``TRACED``). The last two import
+their bodies from `nervekit.functors` when first called. The names
+that moved out resolve from here on first use: `SimplicialFunctor`
+and `functors_equal` (`nervekit.functors`), the poset categories and
+`path_poset` (`nervekit.posets`), the discrete and level categories
+(`nervekit.discrete`).
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import Sequence
 
-from .sset import (
-    FinitePoset,
-    SimplicialMap,
-    SimplicialSet,
-    TruncationError,
-    chain_index_nerve,
-    compose_maps,
-    standard_simplex,
-    vertices,
-)
+from ._lazy import lazy
+from .sset import SimplicialSet, chain_index_nerve
 
 
 class FiniteCategory:
@@ -91,13 +72,6 @@ def cyclic_group_category(m: int, obj="x") -> FiniteCategory:
         raise ValueError("group order must be >= 1")
     table = [(g + f) % m for g in range(m) for f in range(m)]
     return FiniteCategory([obj], {(obj, obj): list(range(m))}, {(obj, obj, obj): table}, {obj: 0}, name=f"z{m}")
-
-
-def poset_category(P: FinitePoset, name: str = "") -> FiniteCategory:
-    els = P.elements
-    homs = {(a, b): [0] for a in els for b in els if P.leq(a, b)}
-    comps = {(a, b, c): [0] for a, b in homs for c in els if P.leq(b, c)}
-    return FiniteCategory(els, homs, comps, {a: 0 for a in els}, name=name or "poset")
 
 
 def nerve_cat(C: FiniteCategory, D: int) -> SimplicialSet:
@@ -181,45 +155,6 @@ class SimplicialCategory:
         return f"<SimplicialCategory{tag} objects={len(self.objects)} D={self.D}>"
 
 
-def level_category(SC: SimplicialCategory, q: int) -> FiniteCategory:
-    """The ordinary category of level-q hom cells.
-
-    Morphism labels are (source, target, cell) so the same morphism is
-    addressable consistently across levels.
-    """
-    if q > SC.D:
-        raise TruncationError(f"level {q} beyond hom truncation {SC.D}")
-    homs = {(a, b): [(a, b, x) for x in range(H.card(q))] for (a, b), H in SC.homs.items()}
-    comps = {abc: tables[q] for abc, tables in SC.comps.items()}
-    ids = {a: (a, a, SC.identity_cell(a, q)) for a in SC.objects}
-    return FiniteCategory(SC.objects, homs, comps, ids, name=f"{SC.name}_lvl{q}")
-
-
-def constant_sset(k: int, D: int, labels=None, name: str = "") -> SimplicialSet:
-    """k cells at every level with all operators the identity."""
-    cards = [k] * (D + 1)
-    faces = [[] if n == 0 else [list(range(k)) for _ in range(n + 1)] for n in range(D + 1)]
-    degens = [[list(range(k)) for _ in range(n + 1)] if n < D else [] for n in range(D + 1)]
-    lab = None if labels is None else [list(labels) for _ in range(D + 1)]
-    return SimplicialSet(D, cards, faces, degens, labels=lab, name=name or f"constant({k})")
-
-
-def discrete_simplicial_category(C: FiniteCategory, D: int) -> SimplicialCategory:
-    """Simplicial category with constant homs built from an ordinary category.
-
-    Every level holds C's composition tables. An object whose identity
-    label is not in its hom gets no identity vertex.
-    """
-    homs = {}
-    for (a, b), labels in C.homs.items():
-        homs[(a, b)] = constant_sset(
-            len(labels), D, labels=[(a, b, l) for l in labels], name=f"hom({a},{b})"
-        )
-    comps = {abc: [table] * (D + 1) for abc, table in C.comps.items()}
-    ids = {a: C.homs[(a, a)].index(C.ids[a]) for a in C.objects if C.ids.get(a) in C.hom_labels(a, a)}
-    return SimplicialCategory(C.objects, homs, comps, ids, D, name=f"discrete({C.name})")
-
-
 class RelativeSimplicialCategory:
     """A simplicial category with a wide simplicial subcategory.
 
@@ -262,97 +197,16 @@ class RelativeSimplicialCategory:
         simplicial sets are the full unions of the connected components
         meeting them (plus identity components).
         """
-        sub = {}
-        for (a, b), H in cat.homs.items():
-            seeds = set(chosen.get((a, b), set()))
-            if a == b:
-                seeds.add(cat.ids[a])
-            classes = _pi0_classes(H)
-            keep_classes = {classes[v] for v in seeds}
-            per_level = []
-            for n in range(cat.D + 1):
-                cells = frozenset(
-                    x for x in range(H.card(n)) if classes[vertices(H, n, x)[0]] in keep_classes
-                )
-                per_level.append(cells)
-            sub[(a, b)] = per_level
-        return cls(cat, sub)
+        from .components import _component_sub
 
-
-def _pi0_classes(X) -> list[int]:
-    # union-find over the endpoint pairs of 1-cells; returns root per vertex
-    parent = list(range(X.card(0)))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in range(X.card(1)):
-        a, b = find(X.face(1, 1, e)), find(X.face(1, 0, e))
-        if a != b:
-            parent[b] = a
-    return [find(v) for v in range(X.card(0))]
-
-
-class SimplicialFunctor:
-    """A functor of simplicial categories: object map plus hom maps."""
-
-    def __init__(self, source: SimplicialCategory, target: SimplicialCategory, obj: dict, homs: dict):
-        self.source = source
-        self.target = target
-        self.obj = dict(obj)
-        self.homs = dict(homs)
-
-    def apply_hom(self, a, b, n: int, x: int) -> int:
-        return self.homs[(a, b)].apply(n, x)
-
-    def vertex_signature(self):
-        """Object map plus all hom values on vertices.
-
-        For functors whose target homs are nerves of posets this
-        determines the functor.
-        """
-        sig = [tuple(self.obj[a] for a in self.source.objects)]
-        for (a, b) in sorted(self.source.homs.keys(), key=str):
-            H = self.source.hom(a, b)
-            sig.append(((a, b), tuple(self.apply_hom(a, b, 0, v) for v in range(H.card(0)))))
-        return tuple(sig)
+        return cls(cat, _component_sub(cat, chosen))
 
 
 def compose_functors(G: SimplicialFunctor, F: SimplicialFunctor) -> SimplicialFunctor:
     """G after F, each hom map G's applied to every entry of F's table."""
-    homs = {(a, b): compose_maps(G.homs[(F.obj[a], F.obj[b])], m) for (a, b), m in F.homs.items()}
-    obj = {a: G.obj[F.obj[a]] for a in F.source.objects}
-    return SimplicialFunctor(F.source, G.target, obj, homs)
+    from .functors import _compose_functors
 
-
-def functors_equal(F: SimplicialFunctor, G: SimplicialFunctor) -> bool:
-    """Equal object maps and equal hom maps, compared as full value tables."""
-    if F.obj != G.obj or F.homs.keys() != G.homs.keys():
-        return False
-    return all(F.homs[p].key() == G.homs[p].key() for p in F.homs)
-
-
-@lru_cache(maxsize=None)
-def path_poset(i: int, j: int) -> FinitePoset:
-    """Subsets of {i..j} with min i and max j, ordered by inclusion.
-
-    Elements are sorted tuples, listed by (size, lexicographic).
-    """
-    if i > j:
-        raise ValueError("empty interval")
-    interior = list(range(i + 1, j))
-    elements = []
-    for r in range(len(interior) + 1):
-        for extra in itertools.combinations(interior, r):
-            elements.append(tuple(sorted(set((i, j)) | set(extra))))
-    elements.sort(key=lambda s: (len(s), s))
-    rels = [
-        (s, t) for s in elements for t in elements if set(s) <= set(t)
-    ]
-    return FinitePoset(elements, rels)
+    return _compose_functors(G, F)
 
 
 @lru_cache(maxsize=None)
@@ -370,19 +224,6 @@ def comparison_functor(n: int, D: int) -> SimplicialFunctor:
     return grid_collapse(n, n, [(t, t) for t in range(n + 1)], D)
 
 
-def _check_grid_chain(p: int, q: int, tau: Sequence) -> tuple:
-    tau = tuple((int(a), int(b)) for a, b in tau)
-    if not tau:
-        raise ValueError("grid chain must be nonempty")
-    for a, b in tau:
-        if not (0 <= a <= p and 0 <= b <= q):
-            raise ValueError(f"grid vertex {(a, b)} outside [{p}]x[{q}]")
-    for t in range(len(tau) - 1):
-        if tau[t][0] > tau[t + 1][0] or tau[t][1] > tau[t + 1][1]:
-            raise ValueError(f"grid chain not weakly increasing at {t}: {tau}")
-    return tau
-
-
 def grid_collapse(p: int, q: int, tau: Sequence, D: int) -> SimplicialFunctor:
     """Composite functor out of the path gadget of a grid chain.
 
@@ -393,34 +234,20 @@ def grid_collapse(p: int, q: int, tau: Sequence, D: int) -> SimplicialFunctor:
     second coordinate of tau(S) whose first coordinate is strictly
     below t; chains map entrywise.
     """
-    from .gadgets import coherent_path_category, simplex_power_category_target
+    from .functors import _grid_collapse
 
-    tau = _check_grid_chain(p, q, tau)
-    r = len(tau) - 1
-    S = coherent_path_category(r, D)
-    T = simplex_power_category_target(p, q, D)
-    Dq = standard_simplex(q, D)
-    obj = {t: tau[t][0] for t in range(r + 1)}
-    homs = {}
-    for i in range(r + 1):
-        for j in range(i, r + 1):
-            a, b = tau[i][0], tau[j][0]
-            NP = S.hom(i, j)
-            PW = T.hom(a, b)
-            vals = []
-            for m in range(D + 1):
-                row = []
-                for x in range(NP.card(m)):
-                    chain = NP.label(m, x)
-                    coords = []
-                    for c in range(b - a):
-                        hop = b - c
-                        tup = tuple(
-                            max(tau[s][1] for s in subset if tau[s][0] < hop) for subset in chain
-                        )
-                        coords.append(Dq.index_of(m, tup))
-                    row.append(PW.index(m, coords))
-                vals.append(row)
-            homs[(i, j)] = SimplicialMap(NP, PW, values=vals)
-    return SimplicialFunctor(S, T, obj, homs)
+    return _grid_collapse(p, q, tau, D)
 
+
+__getattr__ = lazy(
+    __name__,
+    {
+        "SimplicialFunctor": "functors",
+        "functors_equal": "functors",
+        "constant_sset": "discrete",
+        "discrete_simplicial_category": "discrete",
+        "level_category": "discrete",
+        "path_poset": "posets",
+        "poset_category": "posets",
+    },
+)

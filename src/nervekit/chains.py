@@ -8,11 +8,21 @@ dict row -> coefficient per basis cell (`_boundary_columns`,
 coefficient combinations through elimination; `_f2_degree_iso` decides
 one degree of `homology.induced_chain_iso` over F2.
 
-`nervekit.homology` imports this module inside the functions that use
-it, so a process that computes no homology does not compile it.
+The bodies of `homology.homology` and `homology.induced_chain_iso`
+live here too, with `HomologyReport`. `nervekit.homology` imports them
+when first called, so a process that computes no homology does not
+compile this module. It binds the traced `homology.smith_normal_form`
+when it loads, so a traced run sees the eliminations of the integer
+route nested in their entry point.
 """
 
 from __future__ import annotations
+
+from typing import Optional
+
+from .homology import smith_normal_form
+from .reporting import CheckReport, Record
+from .sset import SimplicialMap, TruncationError
 
 
 def _nondeg_bases(X, top: int):
@@ -143,3 +153,130 @@ def _f2_degree_iso(n, bA, bX, dA, dX, fM):
     surj = span.dim == len(kerX)  # span of image + boundaries vs all cycles
     info = {"dim_source": dimHA, "dim_target": dimHX, "surjective": surj}
     return (dimHA == dimHX and surj), info
+
+
+# --- reports ----------------------------------------------------------------
+
+
+class HomologyReport(Record):
+    """Per-degree homology groups, exact."""
+
+    _fields = ("subject", "coeff", "max_deg", "groups")
+
+    def __init__(self, subject: str, coeff: str, max_deg: int, groups: list | None = None):
+        self.subject = subject
+        self.coeff = coeff
+        self.max_deg = max_deg
+        self.groups = [] if groups is None else groups
+
+    def to_json(self):
+        return {
+            "subject": self.subject,
+            "coeff": self.coeff,
+            "max_deg": self.max_deg,
+            "groups": self.groups,
+        }
+
+    def lines(self):
+        out = []
+        for g in self.groups:
+            n = g["degree"]
+            if self.coeff == "f2":
+                out.append(f"H_{n} (mod 2): dimension {g['dim']}")
+            else:
+                parts = ["Z"] * g["betti"] + [f"Z/{d}" for d in g["torsion"]]
+                out.append(f"H_{n}: " + (" + ".join(parts) if parts else "0"))
+        return out
+
+
+# --- homology and chain isomorphisms ----------------------------------------
+
+
+def _homology(X, coeff: str, max_deg: Optional[int], subject: str) -> HomologyReport:
+    # the body of `homology.homology`
+    if coeff not in ("z", "f2"):
+        raise ValueError(f"unknown coefficients {coeff!r}")
+    if max_deg is None:
+        max_deg = X.D - 1
+    if max_deg > X.D - 1:
+        raise TruncationError(f"degree {max_deg} needs level {max_deg + 1} cells, truncation is {X.D}")
+    if max_deg < 0:
+        raise ValueError("max_deg must be >= 0")
+    top = max_deg + 1
+    bases, pos = _nondeg_bases(X, top)
+    cols = {n: _boundary_columns(X, n, bases[n], pos[n - 1]) for n in range(1, top + 1)}
+    rep = HomologyReport(subject or getattr(X, "name", "") or "space", coeff, max_deg)
+    if coeff != "f2":
+        from .integer import _check_snf_budget, _dense
+
+        def boundary_snf(n):
+            rows = len(bases[n - 1])
+            _check_snf_budget(rows, len(bases[n]))
+            return smith_normal_form(_dense(cols[n], rows))
+
+    for n in range(max_deg + 1):
+        dim_n = len(bases[n])
+        if coeff == "f2":
+            rk_out = _F2Space(_f2_masks(cols[n])).dim if n >= 1 else 0
+            rk_in = _F2Space(_f2_masks(cols[n + 1])).dim
+            rep.groups.append({"degree": n, "dim": dim_n - rk_out - rk_in})
+        else:
+            rk_out = boundary_snf(n)[3] if n >= 1 and bases[n - 1] and bases[n] else 0
+            if bases[n + 1] and dim_n:
+                diag, _, _, rk_in = boundary_snf(n + 1)
+                torsion = [d for d in diag[:rk_in] if d > 1]
+            else:
+                rk_in, torsion = 0, []
+            rep.groups.append(
+                {"degree": n, "betti": dim_n - rk_out - rk_in, "torsion": torsion}
+            )
+    return rep
+
+
+def _induced_chain_iso(f: SimplicialMap, coeff: str, max_deg: Optional[int]) -> CheckReport:
+    # the body of `homology.induced_chain_iso`
+    A, X = f.source, f.target
+    if coeff == "f2":
+        degree_iso = _f2_degree_iso
+    elif coeff == "z":
+        from .integer import _z_degree_iso as degree_iso
+    else:
+        raise ValueError(f"unknown coefficients {coeff!r}")
+    if max_deg is None:
+        max_deg = min(A.D, X.D) - 1
+    if max_deg > min(A.D, X.D) - 1 or max_deg > f.L - 1:
+        raise TruncationError("degree out of range for this map's truncations")
+    top = max_deg + 1
+    bA, pA = _nondeg_bases(A, top)
+    bX, pX = _nondeg_bases(X, top)
+    dA = {n: _boundary_columns(A, n, bA[n], pA[n - 1]) for n in range(1, top + 1)}
+    dX = {n: _boundary_columns(X, n, bX[n], pX[n - 1]) for n in range(1, top + 1)}
+    fM = {n: _chain_matrix_columns(f, n, bA[n], pX[n]) for n in range(top + 1)}
+
+    check = CheckReport(check=f"induced_chain_iso[{coeff}]", verdict="pass")
+    check.bounds["max_deg"] = max_deg
+    # chain-map property: boundary after f equals f after boundary, read
+    # off the columns above; a column of fM is empty where f(x) is
+    # degenerate and holds one entry otherwise
+    for n in range(1, top + 1):
+        for c, x in enumerate(bA[n]):
+            lhs: dict[int, int] = {}
+            for r in fM[n][c]:
+                lhs = dX[n][r]
+            rhs: dict[int, int] = {}
+            for r, v in dA[n][c].items():
+                for rr in fM[n - 1][r]:
+                    rhs[rr] = rhs.get(rr, 0) + v
+            if lhs != {k: v for k, v in rhs.items() if v}:
+                check.verdict = "fail"
+                check.witnesses.append(
+                    {"reason": "not a chain map", "degree": n, "cell": x}
+                )
+                return check
+    for n in range(max_deg + 1):
+        ok, info = degree_iso(n, bA, bX, dA, dX, fM)
+        check.bounds[f"H{n}"] = info
+        if not ok:
+            check.verdict = "fail"
+            check.witnesses.append({"degree": n, **info})
+    return check

@@ -33,12 +33,16 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .bisset import BisimplicialSet, MarkedBisimplicialSet
-from .cat import RelativeSimplicialCategory, SimplicialCategory, path_poset
+from .bisimplicial import BisimplicialSet
+from .cat import RelativeSimplicialCategory, SimplicialCategory
+from .coherent import _WITNESS_CAP
 from .comparison import _cell_from_plan, _collapse_row, _collapse_table, _table_pairs, _theta_plan, hc_constant
-from .nerves import _WITNESS_CAP, coherent_nerve, levelwise_nerve_marked
+from .marked import MarkedBisimplicialSet, levelwise_nerve_marked
+from .nerves import coherent_nerve
+from .posets import path_poset
 from .reporting import CheckReport
-from .sset import ProductSset, SimplicialSet, TruncationError, enumerate_maps, materialize, standard_simplex
+from .spaces import ProductSset, materialize
+from .sset import SimplicialSet, TruncationError, enumerate_maps, standard_simplex
 
 
 # --- classification diagram --------------------------------------------------

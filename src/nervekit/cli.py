@@ -15,21 +15,14 @@ import json
 import sys
 import time
 
-from .bisset import BisimplicialSet, MarkedBisimplicialSet, diagonal, diagonal_marked
-from .cat import RelativeSimplicialCategory, SimplicialCategory, level_category, nerve_cat
+from .bisset import diagonal
+from .cat import RelativeSimplicialCategory, SimplicialCategory, nerve_cat
 from .generators import build_example, example_names
 from .homology import homology, induced_chain_iso
-from .nerves import (
-    classifying_space,
-    coherent_nerve,
-    comparison_map,
-    consistency_check,
-    levelwise_nerve,
-    levelwise_nerve_marked,
-)
+from .nerves import classifying_space, coherent_nerve, comparison_map, consistency_check, levelwise_nerve
 from .serialize import SchemaError, canonical_json, digest, to_json
 from .sset import SimplicialSet, TruncationError, validate_map
-from .verify import horn_check, pi0
+from .verify import horn_check
 
 COMMANDS = (
     "validate",
@@ -175,6 +168,8 @@ def run(argv: list[str]) -> tuple[dict, int, str | None]:
 
     if cmd == "validate":
         from .axioms import validate_bisset, validate_relative, validate_simplicial_category, validate_sset
+        from .bisimplicial import BisimplicialSet
+        from .marked import MarkedBisimplicialSet
 
         value, inputs = _load_input(args)
         reps = []
@@ -193,6 +188,8 @@ def run(argv: list[str]) -> tuple[dict, int, str | None]:
         failed = any(not r.ok for r in reps)
 
     elif cmd == "nerve":
+        from .discrete import level_category
+
         value, inputs = _load_input(args)
         SC = _as_cat(value)
         L = _level_bound(args, SC.D)
@@ -206,6 +203,8 @@ def run(argv: list[str]) -> tuple[dict, int, str | None]:
         SC = _as_cat(value)
         P, Q = _bidegrees(args, SC.D, SC.D)
         if isinstance(value, RelativeSimplicialCategory):
+            from .marked import levelwise_nerve_marked
+
             M = levelwise_nerve_marked(value, P, Q)
             results["cells"] = [list(r) for r in M.space.counts()]
             results["marked"] = [sum(1 for (q, _) in M.marked if q == qq) for qq in range(Q + 1)]
@@ -234,6 +233,9 @@ def run(argv: list[str]) -> tuple[dict, int, str | None]:
         _maybe_artifact(args, results, B)
 
     elif cmd == "diag":
+        from .bisimplicial import BisimplicialSet
+        from .marked import MarkedBisimplicialSet, diagonal_marked, levelwise_nerve_marked
+
         value, inputs = _load_input(args)
         if isinstance(value, (RelativeSimplicialCategory, SimplicialCategory)):
             SC = _as_cat(value)
@@ -301,6 +303,8 @@ def run(argv: list[str]) -> tuple[dict, int, str | None]:
         results["homology"] = rep.to_json()
 
     elif cmd == "pi0":
+        from .components import pi0
+
         value, inputs = _load_input(args)
         if isinstance(value, (RelativeSimplicialCategory, SimplicialCategory)):
             SC = _as_cat(value)

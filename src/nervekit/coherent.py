@@ -1,0 +1,280 @@
+"""The coherent nerve, the comparison map into it, and the check of the
+comparison routes: the bodies of `nerves.coherent_nerve`,
+`nerves.comparison_map` and `nerves.consistency_check`.
+
+`_hc_level` enumerates the cells of one coherent-nerve level, and
+everything here reads cells through the cell formulas, plans and folds
+of `nervekit.comparison`, looked up there when called. The traced entry
+points of `nervekit.nerves` these bodies call are bound when this
+module loads, so a traced run sees them nested as the calls are.
+`nervekit.nerves` imports this module when one of its entry points is
+first called.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from . import comparison
+from .cat import SimplicialCategory
+from .nerves import classifying_space, coherent_nerve, levelwise_nerve
+from .reporting import CheckReport
+from .sset import SimplicialMap, SimplicialSet, TruncationError, act_table
+
+
+def _hc_level(SC: SimplicialCategory, n: int) -> list[tuple]:
+    """Every coherent-nerve n-cell, as the tuple (objects, values).
+
+    Per object tuple, a search assigns the stored generator chains one
+    at a time: pair by span, then level, then chain. A chain at level 0
+    takes any vertex of its hom; one at level m > 0 takes, in ascending
+    order, every cell whose faces are the values the chain's faces
+    already have. Once a pair's chains at one level are assigned, its
+    degenerate chains at that level are filled from the level below.
+    The search runs on an explicit stack, as `sset.enumerate_maps` does,
+    so its depth, one step per stored chain, is not bounded by Python's
+    recursion limit; ``tests/test_nerves.py`` keeps the recursive search
+    as the oracle.
+    """
+    D = SC.D
+    slots, _ = comparison._generator_slots(n, D)
+    pairs = [(i, j) for s in range(1, n + 1) for i in range(n + 1 - s) for j in [i + s]]
+    # one step per nondegenerate generator chain, and after each step the
+    # (pair, level) segments it completes, whose degenerate chains it fills
+    steps: list[tuple] = []
+    fills: list[list] = [[]]
+    for i, j in pairs:
+        per_level = comparison.generator_chains(i, j, D)
+        for m in range(D + 1):
+            for c in per_level[m]:
+                if not comparison._chain_is_degenerate(c):
+                    steps.append((i, j, m, c))
+                    fills.append([])
+            fills[-1].append((i, j, m))
+    results: list[tuple] = []
+    for objs in itertools.product(SC.objects, repeat=n + 1):
+        if any(SC.hom(objs[i], objs[j]).card(0) == 0 for (i, j) in pairs):
+            continue
+        values = {}
+        for i in range(n + 1):
+            d = {}
+            for m, level in enumerate(comparison.generator_chains(i, i, D)):
+                for c in level:
+                    d[c] = SC.identity_cell(objs[i], m)
+            values[(i, i)] = d
+        for (i, j) in pairs:
+            values[(i, j)] = {}
+
+        def value_of(i, j, m, chain):
+            bottom = chain[0]
+            if bottom == ((i,) if i == j else (i, j)):
+                return values[(i, j)][chain]
+            t = bottom[1]
+            left = tuple(tuple(v for v in S if v <= t) for S in chain)
+            right = tuple(tuple(v for v in S if v >= t) for S in chain)
+            return SC.compose(
+                objs[i], objs[t], objs[j], m,
+                value_of(t, j, m, right), value_of(i, t, m, left),
+            )
+
+        def fill_degenerate(i, j, m):
+            # unconditional recompute: a later branch of the search must
+            # not see values filled from an abandoned one
+            if m == 0:
+                return
+            H = SC.hom(objs[i], objs[j])
+            d = values[(i, j)]
+            for c in comparison.generator_chains(i, j, D)[m]:
+                for t in range(m):
+                    if c[t] == c[t + 1]:
+                        lower = c[:t] + c[t + 1 :]
+                        d[c] = H.degen(m - 1, t, d[lower])
+                        break
+
+        def candidates(b):
+            # the values step b may take, given those of the steps before it
+            i, j, m, c = steps[b]
+            H = SC.hom(objs[i], objs[j])
+            if m == 0:
+                return range(H.card(0))
+            want = [value_of(i, j, m - 1, c[:r] + c[r + 1 :]) for r in range(m + 1)]
+            return [v for v in range(H.card(m)) if all(H.face(m, r, v) == want[r] for r in range(m + 1))]
+
+        def emit():
+            results.append((objs, tuple(values[(i, j)][c] for i, j, _, c in slots)))
+
+        for segment in fills[0]:
+            fill_degenerate(*segment)
+        if not steps:
+            emit()
+            continue
+        cands = [candidates(0)] + [()] * (len(steps) - 1)
+        pos = [0] * len(steps)
+        b = 0
+        while b >= 0:
+            if pos[b] == len(cands[b]):
+                b -= 1
+                continue
+            i, j, _, c = steps[b]
+            values[(i, j)][c] = cands[b][pos[b]]
+            pos[b] += 1
+            for segment in fills[b + 1]:
+                fill_degenerate(*segment)
+            if b + 1 == len(steps):
+                emit()
+                continue
+            b += 1
+            cands[b] = candidates(b)
+            pos[b] = 0
+    return results
+
+
+# --- the coherent nerve, the comparison map and its consistency check -------
+
+
+def _coherent_nerve(SC: SimplicialCategory, L: int, name: str) -> SimplicialSet:
+    # the body of `nerves.coherent_nerve`
+    if L > SC.D + 1:
+        raise TruncationError(f"level {L} cells need hom level {L - 1}, truncation is {SC.D}")
+    levels = [_hc_level(SC, n) for n in range(L + 1)]
+    index = [{cell: x for x, cell in enumerate(lvl)} for lvl in levels]
+    faces: list[list[list[int]]] = [[]]
+    for nl in range(1, L + 1):
+        faces.append(
+            [[index[nl - 1][comparison.hc_face(SC, cell, i)] for cell in levels[nl]] for i in range(nl + 1)]
+        )
+    degens = [
+        [[index[nl + 1][comparison.hc_degen(SC, cell, i)] for cell in levels[nl]] for i in range(nl + 1)]
+        if nl < L
+        else []
+        for nl in range(L + 1)
+    ]
+    return SimplicialSet(
+        L, [len(lvl) for lvl in levels], faces, degens, labels=levels, name=name or f"hc({SC.name})"
+    )
+
+
+def _comparison_map(SC: SimplicialCategory, L: int) -> SimplicialMap:
+    """The body of `nerves.comparison_map`: a level's cells are folded
+    block by block (`_cells_from_plan`)."""
+    B = classifying_space(SC, L)
+    hc = coherent_nerve(SC, L)
+    memo: dict = {}
+    vals = []
+    for k in range(L + 1):
+        row = [0] * B.card(k)
+        for x, cell in comparison._cells_from_plan(SC, B.labels[k], k, comparison._comparison_plan(k, SC.D), memo):
+            row[x] = hc.index_of(k, cell)
+        vals.append(row)
+    return SimplicialMap(B, hc, values=vals, L=L)
+
+
+# a check report keeps at most this many witnesses
+_WITNESS_CAP = 9
+
+
+def _consistency_check(SC: SimplicialCategory, f: SimplicialMap) -> CheckReport:
+    """The body of `nerves.consistency_check`.
+
+    One memo holds the fold tables for (a), (b) and (c), shared by the
+    batched fold `_cells_from_plan`, which evaluates (a) level by level,
+    and the single-cell `_cell_from_plan`. Every instance of (b) and (c)
+    is checked and counted, but each distinct input is evaluated once: a
+    boolean verdict is looked up under a key holding exactly what the
+    two sides read, so reusing it is exact for any input. The keys of a
+    block of at most `_BLOCK` cells are zipped from the block's label
+    columns. In (b) the verdicts are kept per (p, q, i), which fixes the
+    collapse plan, under the objects at the plan's columns and the
+    (source, target, cell) of each hop the plan reads; a vertex chain
+    reads no hop and its columns are all i, so the objects include the
+    one `hc_constant` reads. In (c) they are kept per m, under (z,
+    objects, vertex-i cells): the left side reads only the restricted
+    cell z at (m, m), from one `act_table` per (m, n, i), the right side
+    only the level-0 restriction, whose hop cells come from one vertex
+    table ``act_table(SC.hom(a, b), n, (i,))`` per (a, b, n, i).
+    """
+    L = f.L
+    if L > SC.D:
+        raise TruncationError(f"level {L} beyond hom truncation {SC.D}")
+    X = levelwise_nerve(SC, L, L)
+    check = CheckReport(check="consistency", verdict="pass")
+    counts = {"diagonal": 0, "vertex_slices": 0, "row_restrictions": 0}
+    memo: dict = {}
+    B, hc = f.source, f.target
+
+    def fail(witness) -> None:
+        check.verdict = "fail"
+        if len(check.witnesses) < _WITNESS_CAP:
+            check.witnesses.append(witness)
+
+    def check_block(block, keys, seen, verdict, witness) -> int:
+        # keys[i][pos] is the key of vertex i of cell block[pos]; a key
+        # missing from seen[i] is evaluated once, by verdict(i, x, key)
+        # on one cell x that has it
+        failing = [set() for _ in keys]
+        for i, vertex_keys in enumerate(keys):
+            for key, x in dict(zip(vertex_keys, block)).items():
+                ok = seen[i].get(key)
+                if ok is None:
+                    ok = seen[i][key] = verdict(i, x, key)
+                if not ok:
+                    failing[i].add(key)
+        if any(failing):
+            for pos, x in enumerate(block):
+                for i, vertex_keys in enumerate(keys):
+                    if vertex_keys[pos] in failing[i]:
+                        fail(witness(x, i))
+        return len(block) * len(keys)
+
+    for k in range(L + 1):
+        plan = comparison._theta_plan(k, k, tuple((t, t) for t in range(k + 1)), SC.D)
+        failed = [x for x, cell in comparison._cells_from_plan(SC, B.labels[k], k, plan, memo) if cell != hc.label(k, f.apply(k, x))]
+        counts["diagonal"] += B.card(k)
+        for x in sorted(failed):
+            fail({"reason": "diagonal route", "level": k, "cell": x})
+    for p in range(L + 1):
+        for q in range(L + 1):
+            slices = [comparison._theta_plan(p, q, tuple((i, b) for b in range(q + 1)), SC.D) for i in range(p + 1)]
+            seen = [{} for _ in slices]
+            labels = X.labels[p][q]
+
+            def verdict(i, x, key):
+                # the vertex chain at i starts in column i: key[0] is the object at i
+                return comparison._cell_from_plan(SC, labels[x], q, slices[i], memo) == comparison.hc_constant(SC, key[0], q)
+
+            for block, objs, cells in comparison._label_blocks(labels):
+                keys = [
+                    list(zip(*[objs[c] for c in cols], *[col for t in hops for col in (objs[t - 1], objs[t], cells[t - 1])]))
+                    for cols, hops, _ in slices
+                ]
+                counts["vertex_slices"] += check_block(
+                    block, keys, seen, verdict, lambda x, i: {"reason": "vertex slice", "bidegree": [p, q], "cell": x, "vertex": i}
+                )
+    vertex_tables: dict = {}
+    for m in range(L + 1):
+        col = X.column(m)
+        seen = [{}] * (L + 1)  # the key holds all the sides read, so every row and vertex shares one
+
+        def verdict(i, x, key):
+            z, ob, cs = key[0], key[1 : m + 2], key[m + 2 :]
+            level0 = (ob[0], tuple((ob[t], ob[t + 1], (ob[t], ob[t + 1], c)) for t, c in enumerate(cs)))
+            return comparison._comparison_cell(SC, X.label(m, m, z), m, memo) == comparison.hc_from_level0_chain(SC, level0, m)
+
+        for n in range(L + 1):
+            restrictions = [act_table(col, n, (i,) * (m + 1)) for i in range(n + 1)]
+            for block, objs, cells in comparison._label_blocks(X.labels[m][n]):
+                pairs = [list(zip(objs[t], objs[t + 1])) for t in range(m)]
+                keys = []
+                for i, restriction in enumerate(restrictions):
+                    tables = vertex_tables.setdefault((n, i), {})
+                    vertex_cells = []
+                    for hop, hop_cells in zip(pairs, cells):
+                        for a, b in set(hop) - tables.keys():
+                            tables[a, b] = act_table(SC.hom(a, b), n, (i,))
+                        vertex_cells.append([tables[ab][c] for ab, c in zip(hop, hop_cells)])
+                    keys.append(list(zip(restriction[block.start : block.stop], *objs, *vertex_cells)))
+                counts["row_restrictions"] += check_block(
+                    block, keys, seen, verdict, lambda x, i: {"reason": "row restriction", "bidegree": [m, n], "cell": x, "vertex": i}
+                )
+    check.bounds.update(counts)
+    return check

@@ -4,8 +4,9 @@ A coherent-nerve n-cell is the tuple (objects, values): one value per
 generator chain (chain whose first subset is the two-point one) of the
 pair's unforced levels, in the order of `_generator_slots`. Identity
 pairs and higher levels are forced (`_cell_value`), and a value on any
-other hom chain folds out of these by composition. `_hc_level`
-enumerates the cells of one level and the `hc_*` operators act on them.
+other hom chain folds out of these by composition. The `hc_*`
+operators act on them; `coherent._hc_level` enumerates the cells of
+one level.
 
 A comparison or grid-collapse cell is a plan folded over a chain of
 level-q morphisms: on each generator chain, every hop acts by a tuple
@@ -24,18 +25,29 @@ evaluate single cells and stop early, so they use it, as does
 `_cells_from_plan` for an object tuple with fewer than `_MIN_BATCH`
 chains (every one in a poset). Each fold is the other's test oracle.
 
-`nervekit.nerves` imports this module inside the functions that use it
-(and `nervekit.classification`, itself loaded on first use, at its
-top), so a process that builds no coherent-nerve or comparison cell
-does not compile it.
+`comparison_cell` gives a diagonal chain cell's comparison image in
+closed form: on each generator chain, every hop acts by the tuple of
+largest subset elements strictly below it, and the hops fold by
+composition. That is the chain functor precomposed with
+`cat.comparison_functor`, evaluated without building either; the
+functor route (`chain_functor` and `hc_from_simplicial_functor`) is
+kept in ``tests/test_nerves.py`` as the oracle for these closed forms.
+
+The coherent nerve, the comparison map and the consistency check that
+read these formulas live in `nervekit.coherent` (and the
+classification diagram and theta in `nervekit.classification`), so a
+process that builds no coherent-nerve or comparison cell does not
+compile this module.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from typing import Sequence
 
-from .cat import SimplicialCategory, _check_grid_chain, path_poset
+from .cat import SimplicialCategory
+from .posets import path_poset
 from .sset import act_table
 
 
@@ -155,89 +167,6 @@ def hc_from_level0_chain(SC: SimplicialCategory, label, n: int) -> tuple:
             per_level[(i, j)] = cells
     slots, _ = _generator_slots(n, SC.D)
     return objs, tuple(per_level[(i, j)][m] for i, j, m, _ in slots)
-
-# --- coherent nerve enumeration ---------------------------------------------
-
-
-def _hc_level(SC: SimplicialCategory, n: int) -> list[tuple]:
-    D = SC.D
-    slots, _ = _generator_slots(n, D)
-    pairs = [(i, j) for s in range(1, n + 1) for i in range(n + 1 - s) for j in [i + s]]
-    segments = []
-    for (i, j) in pairs:
-        per_level = generator_chains(i, j, D)
-        for m in range(D + 1):
-            nondeg = [c for c in per_level[m] if not _chain_is_degenerate(c)]
-            segments.append((i, j, m, nondeg))
-    results: list[tuple] = []
-    for objs in itertools.product(SC.objects, repeat=n + 1):
-        if any(SC.hom(objs[i], objs[j]).card(0) == 0 for (i, j) in pairs):
-            continue
-        values = {}
-        for i in range(n + 1):
-            d = {}
-            for m, level in enumerate(generator_chains(i, i, D)):
-                for c in level:
-                    d[c] = SC.identity_cell(objs[i], m)
-            values[(i, i)] = d
-        for (i, j) in pairs:
-            values[(i, j)] = {}
-
-        def value_of(i, j, m, chain):
-            bottom = chain[0]
-            if bottom == ((i,) if i == j else (i, j)):
-                return values[(i, j)][chain]
-            t = bottom[1]
-            left = tuple(tuple(v for v in S if v <= t) for S in chain)
-            right = tuple(tuple(v for v in S if v >= t) for S in chain)
-            return SC.compose(
-                objs[i], objs[t], objs[j], m,
-                value_of(t, j, m, right), value_of(i, t, m, left),
-            )
-
-        def fill_degenerate(i, j, m):
-            # unconditional recompute: a later branch of the search must
-            # not see values filled from an abandoned one
-            if m == 0:
-                return
-            H = SC.hom(objs[i], objs[j])
-            d = values[(i, j)]
-            for c in generator_chains(i, j, D)[m]:
-                for t in range(m):
-                    if c[t] == c[t + 1]:
-                        lower = c[:t] + c[t + 1 :]
-                        d[c] = H.degen(m - 1, t, d[lower])
-                        break
-
-        def rec(k: int):
-            if k == len(segments):
-                results.append((objs, tuple(values[(i, j)][c] for i, j, _, c in slots)))
-                return
-            i, j, m, chains = segments[k]
-            H = SC.hom(objs[i], objs[j])
-
-            def assign(idx: int):
-                if idx == len(chains):
-                    fill_degenerate(i, j, m)
-                    rec(k + 1)
-                    return
-                c = chains[idx]
-                if m == 0:
-                    for v in range(H.card(0)):
-                        values[(i, j)][c] = v
-                        assign(idx + 1)
-                    return
-                want = [value_of(i, j, m - 1, c[:r] + c[r + 1 :]) for r in range(m + 1)]
-                for v in range(H.card(m)):
-                    if all(H.face(m, r, v) == want[r] for r in range(m + 1)):
-                        values[(i, j)][c] = v
-                        assign(idx + 1)
-
-            assign(0)
-
-        rec(0)
-    return results
-
 
 # --- the comparison plan and the fold ----------------------------------------
 
@@ -401,6 +330,18 @@ def _comparison_cell(SC: SimplicialCategory, label, k: int, memo: dict) -> tuple
     return _cell_from_plan(SC, label, k, _comparison_plan(k, SC.D), memo)
 
 
+def comparison_cell(SC: SimplicialCategory, label, k: int) -> tuple:
+    """Comparison image of one diagonal chain cell, as a coherent-nerve cell.
+
+    On a generator chain of pair (i, j), hop t in (i, j] acts by the
+    tuple of largest elements strictly below t of the chain's subsets;
+    this is the chain functor (the test oracle `chain_functor` in
+    ``tests/test_nerves.py``) after `comparison_functor`, evaluated
+    without building either.
+    """
+    return _comparison_cell(SC, label, k, {})
+
+
 # --- grid collapse ----------------------------------------------------------
 
 
@@ -463,6 +404,19 @@ def _collapse_plan(tau: tuple, D: int) -> tuple:
         per_subset = [row[position(S)] for S in c]
         entries.append((m, a, tuple(zip(*per_subset))))
     return cols, tuple(sorted(hops)), tuple(entries)
+
+
+def _check_grid_chain(p: int, q: int, tau: Sequence) -> tuple:
+    tau = tuple((int(a), int(b)) for a, b in tau)
+    if not tau:
+        raise ValueError("grid chain must be nonempty")
+    for a, b in tau:
+        if not (0 <= a <= p and 0 <= b <= q):
+            raise ValueError(f"grid vertex {(a, b)} outside [{p}]x[{q}]")
+    for t in range(len(tau) - 1):
+        if tau[t][0] > tau[t + 1][0] or tau[t][1] > tau[t + 1][1]:
+            raise ValueError(f"grid chain not weakly increasing at {t}: {tau}")
+    return tau
 
 
 def _theta_plan(p: int, q: int, tau, D: int) -> tuple:

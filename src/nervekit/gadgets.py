@@ -31,8 +31,10 @@ import itertools
 from functools import lru_cache
 from typing import Sequence
 
-from .cat import SimplicialCategory, SimplicialFunctor, path_poset
-from .sset import SimplicialMap, _DegeneracyTest, enumerate_maps, poset_nerve, standard_simplex, vertex_induced_map
+from .cat import SimplicialCategory
+from .functors import SimplicialFunctor
+from .posets import path_poset, poset_nerve, vertex_induced_map
+from .sset import SimplicialMap, _DegeneracyTest, enumerate_maps, standard_simplex
 
 
 @lru_cache(maxsize=None)

@@ -14,22 +14,35 @@ nerve constructions and the verification engine:
   relation ``a<b`` (e.g. ``poset:0<1,0<2,3``); marking = identities.
 * ``two-object-interval``: the free-living morphism, hom(0,1) a point;
   marking = identities.
+
+Only ``bg:z<m>`` is built here; the other examples are discrete
+categories, built in `nervekit.discrete` when one is asked for.
 """
 
 from __future__ import annotations
 
-from .cat import (
-    FiniteCategory,
-    RelativeSimplicialCategory,
-    SimplicialCategory,
-    cyclic_group_category,
-    discrete_simplicial_category,
-    nerve_cat,
-    poset_category,
-)
-from .sset import FinitePoset
+from .cat import RelativeSimplicialCategory, SimplicialCategory, cyclic_group_category, nerve_cat
 
 __all__ = ["build_example", "example_names"]
+
+# The most table entries bg:z<m> may hold: per level n <= D, the
+# composition table (m^(2n) entries) and the nerve's faces and
+# degeneracies (at most 2(n + 1) m^n). `build_example` refuses a larger
+# request before building anything. The largest bg:z<m> any test, pin
+# or benchmark workload builds is bg:z5 at D = 4, 414323 entries.
+MAX_TABLE_ENTRIES = 4_000_000
+
+
+def _group_table_entries(m: int, D: int) -> int:
+    """The table entries of bg:z<m> at truncation D, counted up to the
+    first level that takes them past `MAX_TABLE_ENTRIES`."""
+    entries, cells = 0, 1
+    for n in range(D + 1):
+        entries += cells * cells + 2 * (n + 1) * cells
+        if entries > MAX_TABLE_ENTRIES:
+            break
+        cells *= m
+    return entries
 
 EXAMPLE_NAMES = (
     "bg:z<m>",
@@ -62,38 +75,6 @@ def _cyclic_group_example(m: int, D: int) -> SimplicialCategory:
     )
 
 
-def _parse_poset(desc: str) -> FinitePoset:
-    elements: list = []
-    relations = []
-
-    def intern(tok: str):
-        tok = tok.strip()
-        if not tok:
-            raise ValueError("empty poset element")
-        val = int(tok) if tok.lstrip("-").isdigit() else tok
-        if val not in elements:
-            elements.append(val)
-        return val
-
-    for item in desc.split(","):
-        if "<" in item:
-            lo, hi = item.split("<", 1)
-            relations.append((intern(lo), intern(hi)))
-        else:
-            intern(item)
-    if not elements:
-        raise ValueError("poset description names no elements")
-    elements.sort(key=str)
-    return FinitePoset(elements, relations)
-
-
-_CHAINS = {
-    "poset01": "0<1",
-    "poset012": "0<1,1<2",
-    "antichain3": "0,1,2",
-}
-
-
 def build_example(name: str, max_dim: int = 2) -> RelativeSimplicialCategory:
     """Resolve a generator name at the given truncation.
 
@@ -105,29 +86,17 @@ def build_example(name: str, max_dim: int = 2) -> RelativeSimplicialCategory:
         suffix = name[4:]
         if not suffix.isdigit() or int(suffix) < 1:
             raise ValueError(f"unknown example {name!r}: the group order must be a positive integer")
-        SC = _cyclic_group_example(int(suffix), max_dim)
+        m = int(suffix)
+        if _group_table_entries(m, max_dim) > MAX_TABLE_ENTRIES:
+            raise ValueError(
+                f"{name} at max_dim {max_dim} needs more than the {MAX_TABLE_ENTRIES} table entries an example "
+                f"may hold: its level-{max_dim} composition table alone has {m}^{2 * max_dim}"
+            )
+        SC = _cyclic_group_example(m, max_dim)
         return RelativeSimplicialCategory.whole(SC)
-    if name.startswith("discrete:"):
-        key = name[len("discrete:") :]
-        if key not in _CHAINS:
-            raise ValueError(f"unknown example {name!r}: discrete examples are "
-                             + ", ".join(sorted(_CHAINS)))
-        P = _parse_poset(_CHAINS[key])
-        SC = discrete_simplicial_category(poset_category(P, name=key), max_dim)
-        SC.name = name
-        return RelativeSimplicialCategory.identities_only(SC)
-    if name.startswith("poset:"):
-        P = _parse_poset(name[len("poset:") :])
-        SC = discrete_simplicial_category(poset_category(P, name=name), max_dim)
-        return RelativeSimplicialCategory.identities_only(SC)
-    if name == "two-object-interval":
-        C = FiniteCategory(
-            [0, 1],
-            {(0, 0): ["id0"], (0, 1): ["walk"], (1, 1): ["id1"]},
-            {abc: [0] for abc in [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]},
-            {0: "id0", 1: "id1"},
-            name=name,
-        )
-        SC = discrete_simplicial_category(C, max_dim)
-        return RelativeSimplicialCategory.identities_only(SC)
+    from .discrete import _discrete_example
+
+    R = _discrete_example(name, max_dim)
+    if R is not None:
+        return R
     raise ValueError(f"unknown example {name!r}: try one of {', '.join(EXAMPLE_NAMES)}")

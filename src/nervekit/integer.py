@@ -1,19 +1,145 @@
-"""The integer route of `nervekit.homology`: dense matrices and exact solves.
+"""The integer route of `nervekit.homology`: Smith normal form, dense
+matrices and exact solves.
 
-`_dense` turns sparse columns into the dense rows `smith_normal_form`
-reads; `_kernel_basis` and `_IntSolver` read kernels and solutions off
-one Smith decomposition, and `_z_degree_iso` decides one degree of
-`homology.induced_chain_iso` over the integers.
+`_smith_normal_form` is the body of `homology.smith_normal_form`,
+within the transform budget `_check_snf_budget` enforces. `_dense`
+turns sparse columns into the dense rows it reads; `_kernel_basis` and
+`_IntSolver` read kernels and solutions off one Smith decomposition,
+and `_z_degree_iso` decides one degree of `homology.induced_chain_iso`
+over the integers. They call the traced entry point
+`homology.smith_normal_form`, bound when this module loads.
 
-`nervekit.homology` imports this module only when the coefficients are
-Z, so a mod-2 run does not compile it.
+`nervekit.homology` and `nervekit.chains` import this module only when
+the coefficients are Z, so a mod-2 run does not compile it.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .homology import smith_normal_form
+from .homology import SNF_MAX_TRANSFORM_ENTRIES, smith_normal_form
+from .sset import TruncationError
+
+
+# --- Smith normal form with transforms --------------------------------------
+
+
+def _check_snf_budget(rows: int, cols: int) -> None:
+    """Refuse a rows x cols Smith normal form whose transforms would hold
+    more than `homology.SNF_MAX_TRANSFORM_ENTRIES` entries; callers check
+    the shape before they build the dense matrix."""
+    if rows * rows + cols * cols > SNF_MAX_TRANSFORM_ENTRIES:
+        raise TruncationError(
+            f"Smith normal form of a {rows} x {cols} matrix needs {rows * rows + cols * cols} transform "
+            f"entries, above the budget of {SNF_MAX_TRANSFORM_ENTRIES}"
+        )
+
+
+def _smith_normal_form(A: list[list[int]]):
+    # the body of `homology.smith_normal_form`
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    _check_snf_budget(rows, cols)
+    M = [list(r) for r in A]
+    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def row_op(i, j, q):  # row i -= q * row j
+        Mi, Mj = M[i], M[j]
+        for c in range(cols):
+            Mi[c] -= q * Mj[c]
+        Ui, Uj = U[i], U[j]
+        for c in range(rows):
+            Ui[c] -= q * Uj[c]
+
+    def col_op(i, j, q):  # col i -= q * col j
+        for r in range(rows):
+            M[r][i] -= q * M[r][j]
+        for r in range(cols):
+            V[r][i] -= q * V[r][j]
+
+    def swap_rows(i, j):
+        M[i], M[j] = M[j], M[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for r in range(rows):
+            M[r][i], M[r][j] = M[r][j], M[r][i]
+        for r in range(cols):
+            V[r][i], V[r][j] = V[r][j], V[r][i]
+
+    t = 0
+    while t < rows and t < cols:
+        # pick the entry of least nonzero magnitude as pivot
+        best = None
+        for r in range(t, rows):
+            Mr = M[r]
+            for c in range(t, cols):
+                v = Mr[c]
+                if v:
+                    if best is None or abs(v) < best[0]:
+                        best = (abs(v), r, c)
+                        if abs(v) == 1:
+                            break
+            if best is not None and best[0] == 1:
+                break
+        if best is None:
+            break
+        _, r, c = best
+        if r != t:
+            swap_rows(t, r)
+        if c != t:
+            swap_cols(t, c)
+        while True:
+            # clear column t
+            dirty = False
+            for r in range(t + 1, rows):
+                if M[r][t]:
+                    q = M[r][t] // M[t][t]
+                    row_op(r, t, q)
+                    if M[r][t]:
+                        swap_rows(t, r)
+                        dirty = True
+            if dirty:
+                continue
+            for c in range(t + 1, cols):
+                if M[t][c]:
+                    q = M[t][c] // M[t][t]
+                    col_op(c, t, q)
+                    if M[t][c]:
+                        swap_cols(t, c)
+                        dirty = True
+            if dirty:
+                continue
+            break
+        # pivot must divide the rest of the submatrix
+        p = M[t][t]
+        offender = None
+        for r in range(t + 1, rows):
+            Mr = M[r]
+            for c in range(t + 1, cols):
+                if Mr[c] % p:
+                    offender = (r, c)
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            # pull the bad column into the pivot column; clearing then
+            # leaves a remainder < |p|, so the pivot strictly shrinks
+            col_op(t, offender[1], -1)
+            continue
+        if p < 0:
+            for c in range(cols):
+                M[t][c] = -M[t][c]
+            for c in range(rows):
+                U[t][c] = -U[t][c]
+        t += 1
+    diag = [M[i][i] for i in range(min(rows, cols))]
+    rank = sum(1 for d in diag if d)
+    return diag, U, V, rank
+
+
+# --- dense matrices and exact solves ----------------------------------------
 
 
 def _dense(cols: list[dict], rows: int) -> list[list[int]]:

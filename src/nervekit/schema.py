@@ -16,9 +16,10 @@ from __future__ import annotations
 import json
 
 from .axioms import validate_bisset, validate_relative, validate_simplicial_category, validate_sset
-from .bisset import BisimplicialSet, MarkedBisimplicialSet
+from .bisimplicial import BisimplicialSet, _bisset_families
 from .cat import RelativeSimplicialCategory, SimplicialCategory
-from .serialize import SchemaError, _bisset_families, _obj_lookup, _okey
+from .marked import MarkedBisimplicialSet
+from .serialize import SchemaError, _obj_lookup, _okey
 from .sset import SimplicialSet
 
 

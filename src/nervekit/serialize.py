@@ -17,11 +17,14 @@ Three document kinds, distinguished by their top-level keys:
   ``{"marked": [[1, q, cell], ...]}`` for a marked one.
 
 This module writes documents: `to_json`, `save`, `canonical_json` and
-`digest`. The readers (`load`, `from_json` and one per kind), which
-validate what they read, live in `nervekit.schema`, loaded on first
-use. Canonical bytes are sorted-key JSON with minimal separators and
-one trailing newline, so identical values round-trip bit-exactly and
-`digest` is stable.
+`digest`. Canonical bytes are sorted-key JSON with minimal separators
+and one trailing newline, so identical values round-trip bit-exactly
+and `digest` is stable. ``import nervekit`` loads it: every verb
+digests its input, and a traced benchmark run wraps `to_json` and
+`digest` here (``bench/trace_child.py`` ``TRACED``). The bisimplicial
+writer, `bisset_to_json`, lives in `nervekit.bisimplicial` and
+resolves from here on first use; the readers, which validate what they
+read, live in `nervekit.schema`.
 
 Cell labels are not serialized; every construction downstream of a
 loaded object works from indices and operator tables alone.
@@ -32,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .bisset import BisimplicialSet, MarkedBisimplicialSet
+from ._lazy import lazy
 from .cat import RelativeSimplicialCategory, SimplicialCategory
 
 __all__ = [
@@ -115,45 +118,6 @@ def relative_to_json(R: RelativeSimplicialCategory) -> dict:
     return doc
 
 
-# -- bisimplicial sets -------------------------------------------------------
-
-
-def _bisset_families(P: int, Q: int) -> tuple:
-    """The four operator families of a (P, Q)-truncated bisimplicial set.
-
-    Each is (key, rows, dp, dq): its table at (p, q) holds ``rows(p, q)``
-    rows, one per operator index and none at the edge the family leaves,
-    and its entries are cells at (p + dp, q + dq).
-    """
-    return (
-        ("hface", lambda p, q: p + 1 if p else 0, -1, 0),
-        ("hdegen", lambda p, q: p + 1 if p < P else 0, 1, 0),
-        ("vface", lambda p, q: q + 1 if q else 0, 0, -1),
-        ("vdegen", lambda p, q: q + 1 if q < Q else 0, 0, 1),
-    )
-
-
-def bisset_to_json(B) -> dict:
-    marked = None
-    if isinstance(B, MarkedBisimplicialSet):
-        marked = sorted(B.marked)
-        B = B.space
-    P, Q = B.P, B.Q
-
-    def grid(op, rows):
-        return [
-            [[[op(p, q, i, x) for x in range(B.card(p, q))] for i in range(rows(p, q))] for q in range(Q + 1)]
-            for p in range(P + 1)
-        ]
-
-    doc = {"dims": [P, Q], "cells": [[B.card(p, q) for q in range(Q + 1)] for p in range(P + 1)]}
-    for key, rows, _, _ in _bisset_families(P, Q):
-        doc[key] = grid(getattr(B, key), rows)
-    if marked is not None:
-        doc["marked"] = [[1, q, x] for (q, x) in marked]
-    return doc
-
-
 # -- files -------------------------------------------------------------------
 
 
@@ -163,7 +127,10 @@ def to_json(value) -> dict:
         return relative_to_json(value)
     if isinstance(value, SimplicialCategory):
         return cat_to_json(value)
-    if isinstance(value, (BisimplicialSet, MarkedBisimplicialSet)):
+    if hasattr(value, "hface") or hasattr(getattr(value, "space", None), "hface"):
+        # a bisimplicial set, or a marked one
+        from .bisimplicial import bisset_to_json
+
         return bisset_to_json(value)
     if hasattr(value, "face") and hasattr(value, "degen"):
         return sset_to_json(value)
@@ -174,3 +141,5 @@ def save(path, value) -> None:
     with open(path, "w") as fh:
         fh.write(canonical_json(to_json(value)))
 
+
+__getattr__ = lazy(__name__, {"bisset_to_json": "bisimplicial"})

@@ -21,19 +21,25 @@ Conventions
 * Every nerve of a category (simplices, posets, `cat.nerve_cat`, the
   rows of `nerves.levelwise_nerve`) is built by `chain_index_nerve`.
 
-`validate_sset`, the check of every simplicial identity, lives in
-`nervekit.axioms`, and the lazy power `PowerSset` in `nervekit.gadgets`;
-both load on first use. `validate_map` stays here.
+``import nervekit`` loads this module with what every verb runs: the
+tables, `act_table`, the chain-index nerves, horns and `enumerate_maps`,
+and the traced `validate_map`, whose body loads from `nervekit.maps` on
+first call (``bench/trace_child.py`` ``TRACED``). The rest resolves
+from here on first use: `act`, `vertices`, products and `materialize`
+(`nervekit.spaces`), posets (`nervekit.posets`), `compose_maps`
+(`nervekit.maps`) and `MarkedSimplicialSet` (`nervekit.marked`).
+`validate_sset` lives in `nervekit.axioms`, `PowerSset` in
+`nervekit.gadgets`.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache, partial
-from operator import itemgetter, ne
-from typing import Any, Optional, Sequence
+from operator import itemgetter
+from typing import Optional, Sequence
 
-from .reporting import Record, ValidationReport
+from ._lazy import lazy
 
 
 class TruncationError(Exception):
@@ -197,92 +203,6 @@ class SimplicialSet(_DegeneracyTest):
         return f"<SimplicialSet{tag} D={self.D} cards={self.cards}>"
 
 
-def materialize(V, name: str = "") -> SimplicialSet:
-    """Copy any cell-table interface (e.g. a lazy view) into explicit tables."""
-    D = V.D
-    cards = [V.card(n) for n in range(D + 1)]
-    faces = [[] for _ in range(D + 1)]
-    degens = [[] for _ in range(D + 1)]
-    for n in range(1, D + 1):
-        faces[n] = [[V.face(n, i, x) for x in range(cards[n])] for i in range(n + 1)]
-    for n in range(D):
-        degens[n] = [[V.degen(n, i, x) for x in range(cards[n])] for i in range(n + 1)]
-    labels = None
-    if getattr(V, "labels", None) is not None or hasattr(V, "label"):
-        try:
-            labels = [[V.label(n, x) for x in range(cards[n])] for n in range(D + 1)]
-        except (ValueError, NotImplementedError):
-            labels = None
-    if labels is not None and all(l is None for lvl in labels for l in lvl):
-        labels = None
-    return SimplicialSet(D, cards, faces, degens, labels=labels, name=name or getattr(V, "name", ""))
-
-
-class ProductSset(_DegeneracyTest):
-    """Lazy levelwise product of two cell-table interfaces.
-
-    The pair (a, b) at level n is the single index a * B.card(n) + b,
-    so the first factor is the major digit. Operators act
-    componentwise.
-    """
-
-    def __init__(self, A, B, name: str = ""):
-        self.A = A
-        self.B = B
-        self.D = min(A.D, B.D)
-        self.name = name
-
-    def card(self, n: int) -> int:
-        return self.A.card(n) * self.B.card(n)
-
-    def split(self, n: int, x: int) -> tuple[int, int]:
-        b = self.B.card(n)
-        return x // b, x % b
-
-    def pair(self, n: int, a: int, b: int) -> int:
-        return a * self.B.card(n) + b
-
-    def face(self, n: int, i: int, x: int) -> int:
-        a, b = self.split(n, x)
-        return self.A.face(n, i, a) * self.B.card(n - 1) + self.B.face(n, i, b)
-
-    def degen(self, n: int, i: int, x: int) -> int:
-        a, b = self.split(n, x)
-        return self.A.degen(n, i, a) * self.B.card(n + 1) + self.B.degen(n, i, b)
-
-    def label(self, n: int, x: int):
-        a, b = self.split(n, x)
-        la, lb = self.A.label(n, a), self.B.label(n, b)
-        if la is None and lb is None:
-            return None
-        return (la, lb)
-
-
-def product(X, Y, name: str = "") -> SimplicialSet:
-    """Materialized levelwise product."""
-    return materialize(ProductSset(X, Y), name=name)
-
-
-def act(X, n: int, x: int, f: Sequence[int]) -> int:
-    """Apply an arbitrary monotone operator to a cell.
-
-    ``f`` is a weakly increasing tuple of length m+1 with values in
-    0..n, read as a map [m] -> [n]; the result is the image of ``x``
-    under the induced map level n -> level m. The operator is factored
-    into faces (one per value missing from the image, largest first)
-    followed by degeneracies (doubled positions, smallest first), which
-    is exactly the unique surjection-after-injection factorization
-    (`_factored`). ``tests/test_sset.py`` keeps a recursive
-    factoring and a label formula as oracles.
-    """
-    faces, degens = _steps(X, n, f)
-    for k, j in faces:
-        x = X.face(k, j, x)
-    for k, t in degens:
-        x = X.degen(k, t, x)
-    return x
-
-
 @lru_cache(maxsize=None)
 def _factored(n: int, f: tuple) -> tuple:
     """The steps of ``f`` into [n], after checking it is monotone.
@@ -342,11 +262,6 @@ def act_table(X, n: int, f: Sequence[int]) -> list[int]:
     for k, t in degens:
         out = map(X.degen_map(k, t), out)
     return list(out)
-
-
-def vertices(X, n: int, x: int) -> tuple[int, ...]:
-    """Vertex tuple of a cell, via the operators picking out each value."""
-    return tuple(act(X, n, x, (t,)) for t in range(n + 1))
 
 
 def _extend(index: list[int], image, firsts, ends, offsets) -> list[int]:
@@ -440,69 +355,6 @@ def standard_simplex(n: int, D: int) -> SimplicialSet:
     X = _chain_nerve([[a <= b for b in range(n + 1)] for a in range(n + 1)], range(n + 1), D)
     X.name = f"simplex({n})"
     return X
-
-
-class FinitePoset:
-    """A finite poset given by generating relations.
-
-    Elements keep their given order (used for canonical cell order in
-    the nerve). The reflexive-transitive closure of the relations is
-    computed up front; antisymmetry failures raise ``ValueError``.
-    """
-
-    def __init__(self, elements: Sequence, relations=()):
-        self.elements = list(elements)
-        self._idx = {e: i for i, e in enumerate(self.elements)}
-        if len(self._idx) != len(self.elements):
-            raise ValueError("duplicate poset elements")
-        m = len(self.elements)
-        leq = [[i == j for j in range(m)] for i in range(m)]
-        for a, b in relations:
-            leq[self._idx[a]][self._idx[b]] = True
-        for k in range(m):
-            for i in range(m):
-                if leq[i][k]:
-                    row_i, row_k = leq[i], leq[k]
-                    for j in range(m):
-                        if row_k[j]:
-                            row_i[j] = True
-        for i in range(m):
-            for j in range(i + 1, m):
-                if leq[i][j] and leq[j][i]:
-                    raise ValueError(
-                        f"antisymmetry fails: {self.elements[i]!r} and {self.elements[j]!r}"
-                    )
-        self._leq = leq
-
-    def __len__(self):
-        return len(self.elements)
-
-    def index(self, e) -> int:
-        return self._idx[e]
-
-    def leq(self, a, b) -> bool:
-        return self._leq[self._idx[a]][self._idx[b]]
-
-
-def poset_nerve(P: FinitePoset, D: int, name: str = "") -> SimplicialSet:
-    """Nerve of a finite poset: level n cells are weakly increasing chains."""
-    X = _chain_nerve(P._leq, P.elements, D)
-    X.name = name or "poset_nerve"
-    return X
-
-
-def vertex_induced_map(NP: SimplicialSet, NQ: SimplicialSet, vfun) -> "SimplicialMap":
-    """Map of chain nerves induced by applying ``vfun`` to every chain entry.
-
-    Both arguments must be labelled with chains (tuples); ``vfun`` must
-    be monotone for the result to be simplicial.
-    """
-    if NQ.D < NP.D:
-        raise TruncationError("target truncated below source")
-    vals = []
-    for n in range(NP.D + 1):
-        vals.append([NQ.index_of(n, tuple(vfun(a) for a in NP.label(n, x))) for x in range(NP.card(n))])
-    return SimplicialMap(NP, NQ, values=vals)
 
 
 def subcomplex(X: SimplicialSet, seeds) -> tuple[SimplicialSet, "SimplicialMap"]:
@@ -613,12 +465,6 @@ class SimplicialMap:
         return f"<SimplicialMap L={self.L}>"
 
 
-def compose_maps(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
-    L = min(f.L, g.L)
-    vals = [[g.apply(n, f.apply(n, x)) for x in range(f.source.card(n))] for n in range(L + 1)]
-    return SimplicialMap(f.source, g.target, values=vals, L=L)
-
-
 def validate_map(f: SimplicialMap, subject: str = "map") -> ValidationReport:
     """Check that a map commutes with every face and degeneracy in range.
 
@@ -628,35 +474,9 @@ def validate_map(f: SimplicialMap, subject: str = "map") -> ValidationReport:
     the cells where they differ are evaluated again, for the message.
     Every cell of every square counts towards ``checked``.
     """
-    rep = ValidationReport(subject)
-    A, X = f.source, f.target
-    L = f.L
-    values = [list(map(f.apply, itertools.repeat(n), range(A.card(n)))) for n in range(L + 1)]
-    for n, row in enumerate(values):
-        c = X.card(n)
-        for x, v in enumerate(row):
-            if not 0 <= v < c:
-                rep.add("value range", (n, x), f"value {v} outside target level {n}")
-    if rep.violations:
-        return rep
+    from .maps import _validate_map
 
-    def square(law, n, i, m, op_A, op_X):
-        # f at level m after op_A against op_X after f at level n
-        cells = range(A.card(n))
-        differ = map(ne, map(values[m].__getitem__, map(op_A, cells)), map(op_X, values[n]))
-        for x in itertools.compress(cells, differ):
-            rep.add(law, (n, i, x), f"{values[m][op_A(x)]} != {op_X(values[n][x])}")
-        rep.checked += len(cells)
-
-    for n in range(1, L + 1):
-        for i in range(n + 1):
-            square("f d_i = d_i f", n, i, n - 1, A.face_map(n, i), X.face_map(n, i))
-    for n in range(min(L, A.D - 1, X.D - 1) + 1):
-        if n + 1 > f.L:
-            break
-        for i in range(n + 1):
-            square("f s_i = s_i f", n, i, n + 1, A.degen_map(n, i), X.degen_map(n, i))
-    return rep
+    return _validate_map(f, subject)
 
 
 def enumerate_maps(A, X) -> list[SimplicialMap]:
@@ -801,26 +621,12 @@ def enumerate_maps(A, X) -> list[SimplicialMap]:
     ]
 
 
-class MarkedSimplicialSet(Record):
-    """A simplicial set with a distinguished set of level-1 cells."""
-
-    _fields = ("space", "marked")
-
-    def __init__(self, space: SimplicialSet, marked: frozenset[int]):
-        self.space = space
-        self.marked = marked
-
-    def validate(self, subject: str = "marked simplicial set") -> ValidationReport:
-        rep = ValidationReport(subject)
-        if self.space.D < 1:
-            rep.add("marking level", (), "marking needs level 1 data")
-            return rep
-        for e in self.marked:
-            if not 0 <= e < self.space.card(1):
-                rep.add("marked cell range", (1, e), "marked cell out of range")
-        for e in range(self.space.card(1)):
-            rep.checked += 1
-            if self.space.is_degenerate(1, e) and e not in self.marked:
-                rep.add("degenerate edges marked", (1, e), "identity edge left unmarked")
-        return rep
-
+__getattr__ = lazy(
+    __name__,
+    {
+        **dict.fromkeys(("FinitePoset", "poset_nerve", "vertex_induced_map"), "posets"),
+        **dict.fromkeys(("ProductSset", "act", "materialize", "product", "vertices"), "spaces"),
+        "compose_maps": "maps",
+        "MarkedSimplicialSet": "marked",
+    },
+)

@@ -13,7 +13,8 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from .cat import comparison_functor, compose_functors, functors_equal
+from .cat import comparison_functor, compose_functors
+from .functors import functors_equal
 from .gadgets import (
     coherent_path_category,
     enumerate_simplicial_functors,

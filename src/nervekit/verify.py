@@ -1,43 +1,24 @@
-"""Exact verification engine.
+"""Exact verification engine: `horn_check`.
 
 Everything here either passes exactly or fails with a witness; nothing
-is sampled and nothing is approximated. This module holds the
-point-set verifications of a single object: `pi0` and `horn_check`.
-`homology` and `induced_chain_iso` (homology of a map) live in
-`nervekit.homology`, and `consistency_check` (diagonal and
-vertex-restriction routes) in `nervekit.nerves`; the kernels those
-run (`nervekit.chains`, `nervekit.integer`, `nervekit.comparison`)
-load on their first call, so `horn_check` runs without compiling
-them. The checks only a few verbs run live in modules of their own,
-which ``import nervekit`` does not load up front: `nervekit.axioms`
-(the whole-object validators, run by ``validate`` and by loading a
-document), `nervekit.segal` (`segal_column_check`, the column formula
-and strict Segal pullback of the levelwise nerve, and `fiber_check`,
-its hom fibers of column 1) and `nervekit.uniqueness`
-(`uniqueness_search`, which enumerates every natural family of
-functors from the path gadgets to the chain gadgets up to a
-cosimplicial truncation).
+is sampled and nothing is approximated. ``import nervekit`` loads this
+module because a traced benchmark run wraps `horn_check` where it is
+defined (``bench/trace_child.py`` ``TRACED``). `pi0` lives in
+`nervekit.components` and resolves from here on first use. The
+homology checks live in `nervekit.homology`, `consistency_check` in
+`nervekit.nerves`, the whole-object validators in `nervekit.axioms`,
+the Segal and fiber checks in `nervekit.segal` and the uniqueness
+search in `nervekit.uniqueness`; each loads only in a verb that runs
+it.
 """
 
 from __future__ import annotations
 
-from .cat import _pi0_classes
+from ._lazy import lazy
 from .reporting import CheckReport
 from .sset import TruncationError, act_table, enumerate_maps, horn
 
 __all__ = ["horn_check", "pi0"]
-
-
-def pi0(X) -> list[list[int]]:
-    """Partition of the vertices by the 1-cell endpoint relation.
-
-    Classes are sorted internally and listed by smallest member.
-    """
-    roots = _pi0_classes(X)
-    groups: dict[int, list[int]] = {}
-    for v, r in enumerate(roots):
-        groups.setdefault(r, []).append(v)
-    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
 
 
 def _lab(X, n: int, x: int):
@@ -88,3 +69,6 @@ def horn_check(X, n: int, k: int, max_witnesses: int = 8) -> CheckReport:
         witnesses=witnesses,
         bounds={"n": n, "k": k, "horn_maps": len(maps), "unfillable": unfillable},
     )
+
+
+__getattr__ = lazy(__name__, {"pi0": "components"})

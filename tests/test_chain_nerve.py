@@ -20,7 +20,7 @@ from nervekit import (
     poset_nerve,
     standard_simplex,
 )
-from nervekit.generators import _parse_poset
+from nervekit.discrete import _parse_poset
 from test_nerves import _random_poset, _s3_category, category_by_rule
 
 

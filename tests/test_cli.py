@@ -213,6 +213,9 @@ DIGEST_PINS = [
 ]
 
 
+UNIQUENESS_FAILURE_PIN = "0c30d141ceabb3ca1b978095b6b0cb853925c0a4c7da2c4a5881a966cfb54795"
+
+
 @pytest.mark.parametrize("command, want", DIGEST_PINS)
 def test_report_digest_is_pinned(command, want):
     rep, code, _ = run(command.split())
@@ -220,12 +223,53 @@ def test_report_digest_is_pinned(command, want):
     assert rep["digest"] == want
 
 
+# one small run per verb, with its exit code; a run listed in DIGEST_PINS
+# must also reproduce its pin
+FRESH_RUNS = [
+    ("validate --in tests/fixtures/clean_bisset.json", 0),
+    ("nerve --example two-object-interval --max-dim 4 --emit-cells", 0),
+    ("binerve --example two-object-interval --max-dim 3 --emit-cells", 0),
+    ("hcnerve --example bg:z3 --max-dim 3 --emit-cells", 0),
+    ("bspace --example bg:z3 --max-dim 3", 0),
+    ("diag --example two-object-interval --max-dim 2", 0),
+    ("compare --example two-object-interval --max-dim 2", 0),
+    ("cls --example bg:z2 --max-dim 2 --emit-cells", 0),
+    ("theta --example two-object-interval --max-dim 3", 0),
+    ("homology --example bg:z2 --max-dim 3", 0),
+    ("pi0 --example discrete:antichain3 --max-dim 1", 0),
+    ("horncheck --example discrete:poset012 --max-dim 4", 0),
+    ("uniq-check --max-cosimplicial 1", 1),
+    ("example --example discrete:poset012 --max-dim 3 --emit-cells", 0),
+]
+
+
+def test_fresh_runs_cover_every_verb():
+    assert sorted(command.split()[0] for command, _ in FRESH_RUNS) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("command, code", FRESH_RUNS)
+def test_every_verb_runs_in_a_fresh_interpreter(command, code):
+    # in one test process an earlier test may have loaded a module that a
+    # verb imports only on first use; a fresh interpreter loads only what
+    # the verb itself imports
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    p = subprocess.run(
+        [sys.executable, "-m", "nervekit.cli", *command.split()], cwd=root, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert p.returncode == code, p.stderr
+    assert "Traceback" not in p.stderr, p.stderr
+    pins = dict(DIGEST_PINS, **{"uniq-check --max-cosimplicial 1": UNIQUENESS_FAILURE_PIN})
+    if command in pins:
+        assert json.loads(p.stdout)["digest"] == pins[command]
+
+
 def test_failing_uniqueness_digest_is_pinned():
     # at N = 1 the search finds more than the canonical family; this is
     # the one pinned report whose witnesses print vertex signatures
     rep, code, _ = run(["uniq-check", "--max-cosimplicial", "1"])
     assert code == 1 and rep["results"]["uniqueness"]["verdict"] == "fail"
-    assert rep["digest"] == "0c30d141ceabb3ca1b978095b6b0cb853925c0a4c7da2c4a5881a966cfb54795"
+    assert rep["digest"] == UNIQUENESS_FAILURE_PIN
 
 
 def test_compare_builds_each_comparison_cell_once(comparison_cell_calls):
@@ -257,6 +301,27 @@ def test_theta_checks_each_grid_chain_once_per_bidegree(monkeypatch):
         assert code == 0
         per_input[example] = (len(calls), rep["results"]["theta"]["bounds"]["direct_squares"])
     assert per_input == {"bg:z2": (1589, 2436), "bg:z3": (1589, 5102)}
+
+
+def test_example_refuses_an_oversized_group_table(capsys):
+    # the level-D composition table of bg:z<m> has m^(2D) entries; past
+    # the budget the request exits 2, naming the size, before anything is
+    # built
+    from nervekit.generators import MAX_TABLE_ENTRIES, _group_table_entries
+
+    # the largest example a test builds, bg:z5 at D = 4, is well inside
+    assert 5 * _group_table_entries(5, 4) <= MAX_TABLE_ENTRIES
+    for argv, size in (
+        (["example", "--example", "bg:z2", "--max-dim", "30"], "2^60"),
+        (["example", "--example", "bg:z99999999999", "--max-dim", "1"], "99999999999^2"),
+        (["horncheck", "--example", "bg:z2", "--max-dim", "11"], "2^22"),
+        (["example", "--example", "bg:z1", "--max-dim", "1000000000"], "1^2000000000"),
+    ):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert not out and size in err and str(MAX_TABLE_ENTRIES) in err, err
+    assert main(["example", "--example", "bg:z2", "--max-dim", "10"]) == 0
+    capsys.readouterr()
 
 
 def test_example_and_in_are_exclusive(tmp_path, capsys):

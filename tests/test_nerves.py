@@ -37,6 +37,134 @@ def test_coherent_nerve_of_discrete_is_ordinary_nerve(poset012):
     assert validate_sset(hc).ok
 
 
+def _hc_level_by_recursion(SC, n: int) -> list[tuple]:
+    """The cells of one coherent-nerve level by the recursive search,
+    two frames per generator chain: the oracle of `coherent._hc_level`."""
+    from nervekit.comparison import _chain_is_degenerate, _generator_slots, generator_chains
+
+    D = SC.D
+    slots, _ = _generator_slots(n, D)
+    pairs = [(i, j) for s in range(1, n + 1) for i in range(n + 1 - s) for j in [i + s]]
+    segments = []
+    for (i, j) in pairs:
+        per_level = generator_chains(i, j, D)
+        for m in range(D + 1):
+            nondeg = [c for c in per_level[m] if not _chain_is_degenerate(c)]
+            segments.append((i, j, m, nondeg))
+    results: list[tuple] = []
+    for objs in itertools.product(SC.objects, repeat=n + 1):
+        if any(SC.hom(objs[i], objs[j]).card(0) == 0 for (i, j) in pairs):
+            continue
+        values = {}
+        for i in range(n + 1):
+            d = {}
+            for m, level in enumerate(generator_chains(i, i, D)):
+                for c in level:
+                    d[c] = SC.identity_cell(objs[i], m)
+            values[(i, i)] = d
+        for (i, j) in pairs:
+            values[(i, j)] = {}
+
+        def value_of(i, j, m, chain):
+            bottom = chain[0]
+            if bottom == ((i,) if i == j else (i, j)):
+                return values[(i, j)][chain]
+            t = bottom[1]
+            left = tuple(tuple(v for v in S if v <= t) for S in chain)
+            right = tuple(tuple(v for v in S if v >= t) for S in chain)
+            return SC.compose(
+                objs[i], objs[t], objs[j], m,
+                value_of(t, j, m, right), value_of(i, t, m, left),
+            )
+
+        def fill_degenerate(i, j, m):
+            # unconditional recompute: a later branch of the search must
+            # not see values filled from an abandoned one
+            if m == 0:
+                return
+            H = SC.hom(objs[i], objs[j])
+            d = values[(i, j)]
+            for c in generator_chains(i, j, D)[m]:
+                for t in range(m):
+                    if c[t] == c[t + 1]:
+                        lower = c[:t] + c[t + 1 :]
+                        d[c] = H.degen(m - 1, t, d[lower])
+                        break
+
+        def rec(k: int):
+            if k == len(segments):
+                results.append((objs, tuple(values[(i, j)][c] for i, j, _, c in slots)))
+                return
+            i, j, m, chains = segments[k]
+            H = SC.hom(objs[i], objs[j])
+
+            def assign(idx: int):
+                if idx == len(chains):
+                    fill_degenerate(i, j, m)
+                    rec(k + 1)
+                    return
+                c = chains[idx]
+                if m == 0:
+                    for v in range(H.card(0)):
+                        values[(i, j)][c] = v
+                        assign(idx + 1)
+                    return
+                want = [value_of(i, j, m - 1, c[:r] + c[r + 1 :]) for r in range(m + 1)]
+                for v in range(H.card(m)):
+                    if all(H.face(m, r, v) == want[r] for r in range(m + 1)):
+                        values[(i, j)][c] = v
+                        assign(idx + 1)
+
+            assign(0)
+
+        rec(0)
+    return results
+
+
+# (example, truncation, top level): every level up to the top is compared
+HC_LEVEL_INPUTS = [
+    ("bg:z2", 3, 4),
+    ("bg:z3", 3, 3),
+    ("discrete:poset012", 4, 5),
+    ("discrete:antichain3", 2, 3),
+    ("two-object-interval", 3, 4),
+    ("poset:a<b,a<c,b<d,c<d", 4, 4),
+]
+
+
+@pytest.mark.parametrize("name, D, top", HC_LEVEL_INPUTS)
+def test_hc_level_matches_the_recursive_search(name, D, top):
+    from nervekit.coherent import _hc_level
+
+    SC = build_example(name, max_dim=D).cat
+    for n in range(top + 1):
+        assert _hc_level(SC, n) == _hc_level_by_recursion(SC, n), (name, n)
+
+
+@pytest.mark.parametrize("name", ["bg:z2", "discrete:poset012", "poset:a<b,a<c,b<d,c<d"])
+def test_hc_level_search_is_not_bounded_by_the_recursion_limit(name):
+    # the recursive search needs about 130 frames for a 4-cell at D = 3;
+    # the explicit stack needs a few, for the composites of `value_of`
+    import sys
+
+    from nervekit.coherent import _hc_level
+
+    SC = build_example(name, max_dim=3).cat
+    want = _hc_level_by_recursion(SC, 4)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        with pytest.raises(RecursionError):
+            _hc_level_by_recursion(SC, 4)
+        got = _hc_level(SC, 4)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want
+
+
 def test_binerve_row_is_level_nerve(z2_rel):
     from nervekit import level_category, nerve_cat
 
@@ -590,6 +718,7 @@ def test_consistency_check_catches_a_swapped_column_entry(poset012, monkeypatch)
     # which reads the homs directly; on bg:z<m> every constant operator
     # passes through the single cell of row 0, so no swap there moves z
     # for some instances and not others
+    import nervekit.coherent as coherent_mod
     import nervekit.nerves as nerves_mod
 
     build = nerves_mod.levelwise_nerve
@@ -599,7 +728,9 @@ def test_consistency_check_catches_a_swapped_column_entry(poset012, monkeypatch)
         _swap_first_differing([row for col in X.vfaces for per_q in col for row in per_q])
         return X
 
-    monkeypatch.setattr(nerves_mod, "levelwise_nerve", mutated)
+    # the check's body binds the entry point when its module loads
+    for mod in (nerves_mod, coherent_mod):
+        monkeypatch.setattr(mod, "levelwise_nerve", mutated)
     rep = _assert_matches_instance_route(poset012.cat, comparison_map(poset012.cat, 2))
     assert rep.verdict == "fail"
     assert {w["reason"] for w in rep.witnesses} == {"row restriction"}
@@ -1071,7 +1202,8 @@ def test_fold_calls_no_compose_or_act(z2_rel_d3, monkeypatch):
     import collections
     import sys
 
-    import nervekit.nerves as nerves_mod
+    import nervekit.coherent as coherent_mod
+    import nervekit.spaces as spaces_mod
     import nervekit.sset as sset_mod
     from nervekit.cat import SimplicialCategory
 
@@ -1087,8 +1219,9 @@ def test_fold_calls_no_compose_or_act(z2_rel_d3, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(SimplicialCategory, "compose", counted("compose", SimplicialCategory.compose))
-    monkeypatch.setattr(sset_mod, "act", counted("act", sset_mod.act))
-    for mod in (nerves_mod, comparison_mod):
+    # act is defined beside vertices; the check's body is in coherent
+    monkeypatch.setattr(spaces_mod, "act", counted("act", spaces_mod.act))
+    for mod in (coherent_mod, comparison_mod):
         monkeypatch.setattr(mod, "act_table", counted("act_table", sset_mod.act_table))
     SC = z2_rel_d3.cat
     rep = consistency_check(SC, comparison_map(SC, 3))
@@ -1100,7 +1233,7 @@ def test_fold_calls_no_compose_or_act(z2_rel_d3, monkeypatch):
     # `vertices` still applies `act` one cell at a time
     assert callers["compose"]["hc_from_level0_chain"] > 0
     assert callers["act_table"]["_resolved_plan"] > 0
-    assert callers["act_table"]["consistency_check"] > 0
+    assert callers["act_table"]["_consistency_check"] > 0
     assert not callers["act"]
     sset_mod.vertices(SC.hom(SC.objects[0], SC.objects[0]), 2, 0)
     assert sum(callers["act"].values()) == 3

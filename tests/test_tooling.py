@@ -134,8 +134,9 @@ def test_package_import_loads_every_traced_module():
         assert mod == "cli" or f"nervekit.{mod}" in loaded, qual
 
 
-# the modules only `validate`, `--in`, `cls`, `theta` and `uniq-check`
-# need, with the public names the package resolves from them
+# the modules only `validate`, `--in`, `cls`, `theta`, `uniq-check` and
+# the verbs on discrete, marked or product inputs need, with the public
+# names the package resolves from them
 LAZY_MODULES = {
     "axioms": (
         "validate_bisset",
@@ -146,6 +147,9 @@ LAZY_MODULES = {
         "validate_sset",
     ),
     "classification": ("classification_comparison", "classification_diagram", "theta_cell_value"),
+    "components": ("pi0",),
+    "discrete": ("discrete_simplicial_category", "level_category"),
+    "functors": ("SimplicialFunctor", "functors_equal"),
     "gadgets": (
         "coherent_path_category",
         "enumerate_simplicial_functors",
@@ -153,8 +157,10 @@ LAZY_MODULES = {
         "simplex_power_category",
         "simplex_power_transform",
     ),
+    "marked": ("MarkedBisimplicialSet", "MarkedSimplicialSet", "diagonal_marked", "levelwise_nerve_marked"),
     "schema": ("load",),
     "segal": ("fiber_check", "segal_column_check"),
+    "spaces": ("ProductSset", "act", "materialize", "product", "vertices"),
     "uniqueness": ("uniqueness_report", "uniqueness_search"),
 }
 
@@ -187,11 +193,25 @@ def test_gated_verbs_load_no_lazy_module():
     assert "nervekit.classification" in _cli_modules(["cls", "--example", "bg:z2", "--max-dim", "1"])
     loaded = _cli_modules(["validate", "--in", str(ROOT / "tests" / "fixtures" / "clean_relative.json")])
     assert {"nervekit.schema", "nervekit.axioms"} <= loaded, sorted(loaded & lazy)
+    loaded = _cli_modules(["binerve", "--example", "discrete:poset01", "--max-dim", "2"])
+    assert {"nervekit.discrete", "nervekit.marked"} <= loaded, sorted(loaded & lazy)
+    assert "nervekit.discrete" in _cli_modules(["nerve", "--example", "bg:z2"])
+    loaded = _cli_modules(["uniq-check", "--max-cosimplicial", "2"])
+    assert {"nervekit.functors", "nervekit.uniqueness"} <= loaded, sorted(loaded & lazy)
 
 
-# the cell formulas and kernels the nerves and homology entry points
-# import when first called; no public name resolves to them
-FIRST_CALL_MODULES = ("comparison", "chains", "integer")
+# the modules the entry points of `nerves`, `homology`, `bisset`, `cat`
+# and `sset` import when first called (their bodies, the cell formulas
+# and the kernels), with the public names the package resolves from them
+FIRST_CALL_MODULES = {
+    "bisimplicial": ("BisimplicialSet",),
+    "chains": ("HomologyReport",),
+    "coherent": (),
+    "comparison": ("comparison_cell",),
+    "integer": (),
+    "maps": ("compose_maps",),
+    "posets": ("FinitePoset", "path_poset", "poset_category", "poset_nerve"),
+}
 
 
 def test_cell_formulas_and_kernels_load_on_first_call():
@@ -200,9 +220,28 @@ def test_cell_formulas_and_kernels_load_on_first_call():
     loaded = _cli_modules(["horncheck", "--example", "bg:z3", "--max-dim", "4"])
     assert "nervekit.verify" in loaded and not loaded & first_call, sorted(loaded & first_call)
     loaded = _cli_modules(["compare", "--example", "bg:z2", "--max-dim", "3", "--coeff", "f2"])
-    assert loaded & first_call == {"nervekit.comparison", "nervekit.chains"}
+    assert loaded & first_call == {
+        f"nervekit.{m}" for m in ("bisimplicial", "chains", "coherent", "comparison", "maps", "posets")
+    }
     loaded = _cli_modules(["homology", "--example", "bg:z2", "--max-dim", "2"])
-    assert loaded & first_call == {"nervekit.chains", "nervekit.integer"}
+    assert loaded & first_call == {"nervekit.bisimplicial", "nervekit.chains", "nervekit.integer"}
+
+
+def _compiled_bytes(argv: list) -> int:
+    """Source bytes of the ``nervekit`` modules a fresh ``python -m
+    nervekit.cli`` run leaves in ``sys.modules``, with `cli.py`, which
+    runs as ``__main__``."""
+    package = ROOT / "src" / "nervekit"
+    names = {m.partition(".")[2] or "__init__" for m in _cli_modules(argv) if m.split(".")[0] == "nervekit"}
+    return sum((package / f"{name}.py").stat().st_size for name in names | {"cli"})
+
+
+def test_gated_verbs_compile_little_source():
+    # the benchmark host sets PYTHONDONTWRITEBYTECODE=1, so a gated
+    # process compiles every module it loads; horncheck compiled 118.6 KB
+    # when the traced modules held every construction
+    assert _compiled_bytes(["horncheck", "--example", "bg:z3", "--max-dim", "4"]) <= 80 * 1024
+    assert _compiled_bytes(["compare", "--example", "bg:z2", "--max-dim", "3", "--coeff", "f2"]) <= 138.9 * 1024
 
 
 def test_tracer_reaches_functions_loaded_on_first_call(tmp_path):
@@ -210,46 +249,106 @@ def test_tracer_reaches_functions_loaded_on_first_call(tmp_path):
     # tracer wrapped: the consistency check builds its levelwise nerve,
     # and the integer chain check runs Smith normal forms, inside spans
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+    def traced_spans(name, argv):
+        out = tmp_path / f"trace-{name}.json"
+        subprocess.run([sys.executable, str(TRACE_CHILD), str(out), *argv], env=env, capture_output=True, check=True, timeout=120)
+        return {sid: (parent, name) for sid, parent, name, _, _ in json.loads(out.read_text())["spans"]}
+
+    def under(spans, name, ancestor):
+        found = False
+        for parent, span_name in spans.values():
+            if span_name != name:
+                continue
+            while parent is not None and spans[parent][1] != ancestor:
+                parent = spans[parent][0]
+            found = found or parent is not None
+        return found
+
     for coeff in ("f2", "z"):
-        out = tmp_path / f"trace-{coeff}.json"
-        subprocess.run(
-            [sys.executable, str(TRACE_CHILD), str(out), "compare", "--example", "bg:z2", "--max-dim", "2", "--coeff", coeff],
-            env=env, capture_output=True, check=True, timeout=120,
-        )
-        spans = {sid: (parent, name) for sid, parent, name, _, _ in json.loads(out.read_text())["spans"]}
-
-        def under(name, ancestor):
-            found = False
-            for parent, span_name in spans.values():
-                if span_name != name:
-                    continue
-                while parent is not None and spans[parent][1] != ancestor:
-                    parent = spans[parent][0]
-                found = found or parent is not None
-            return found
-
-        assert under("nerves.levelwise_nerve", "nerves.consistency_check"), coeff
-        assert under("homology.smith_normal_form", "homology.induced_chain_iso") == (coeff == "z")
+        spans = traced_spans(coeff, ["compare", "--example", "bg:z2", "--max-dim", "2", "--coeff", coeff])
+        assert under(spans, "nerves.levelwise_nerve", "nerves.consistency_check"), coeff
+        assert under(spans, "homology.smith_normal_form", "homology.induced_chain_iso") == (coeff == "z")
+        # the bodies loaded on first call bind the traced entry points
+        assert under(spans, "nerves.coherent_nerve", "nerves.comparison_map"), coeff
+        assert under(spans, "bisset.diagonal", "nerves.comparison_map"), coeff
+    spans = traced_spans("horncheck", ["horncheck", "--example", "bg:z3", "--max-dim", "2"])
+    assert under(spans, "sset.enumerate_maps", "verify.horn_check")
+    spans = traced_spans("homology", ["homology", "--example", "bg:z2", "--max-dim", "2"])
+    assert under(spans, "homology.smith_normal_form", "homology.homology")
 
 
 def test_moved_names_import_from_the_package():
     import nervekit
 
-    for module, names in LAZY_MODULES.items():
+    by_module = {**LAZY_MODULES, **FIRST_CALL_MODULES}
+    for module, names in by_module.items():
         mod = importlib.import_module(f"nervekit.{module}")
         for name in names:
             assert getattr(nervekit, name) is getattr(mod, name)
             assert name in vars(nervekit)  # resolved once, then a plain attribute
-    assert sorted(nervekit._LAZY) == sorted(n for ns in LAZY_MODULES.values() for n in ns)
+    assert sorted(nervekit._LAZY) == sorted(n for ns in by_module.values() for n in ns)
     names = sorted(nervekit._LAZY)
     loaded = _fresh_modules(f"from nervekit import {', '.join(names)}")
-    assert {f"nervekit.{m}" for m in LAZY_MODULES} <= loaded
+    assert {f"nervekit.{m}" for m, ns in by_module.items() if ns} <= loaded
     try:
         nervekit.no_such_name
     except AttributeError as exc:
         assert "no_such_name" in str(exc)
     else:
         raise AssertionError("unknown names must raise AttributeError")
+
+
+# the public names that moved out of the modules `import nervekit` loads,
+# which still resolve from there
+MOVED_NAMES = {
+    "bisset": ("BisimplicialSet", "MarkedBisimplicialSet", "diagonal_marked"),
+    "cat": (
+        "SimplicialFunctor",
+        "constant_sset",
+        "discrete_simplicial_category",
+        "functors_equal",
+        "level_category",
+        "path_poset",
+        "poset_category",
+    ),
+    "homology": ("HomologyReport",),
+    "nerves": ("comparison_cell", "levelwise_nerve_marked"),
+    "serialize": ("bisset_to_json",),
+    "sset": (
+        "FinitePoset",
+        "MarkedSimplicialSet",
+        "ProductSset",
+        "act",
+        "compose_maps",
+        "materialize",
+        "poset_nerve",
+        "product",
+        "vertex_induced_map",
+        "vertices",
+    ),
+    "verify": ("pi0",),
+}
+
+
+def test_thinned_modules_resolve_their_moved_names():
+    for home, names in MOVED_NAMES.items():
+        mod = importlib.import_module(f"nervekit.{home}")
+        for name in names:
+            value = getattr(mod, name)
+            assert value.__module__ != mod.__name__, (home, name)
+            assert value is getattr(importlib.import_module(value.__module__), name), (home, name)
+        try:
+            getattr(mod, "no_such_name")
+        except AttributeError as exc:
+            assert "no_such_name" in str(exc)
+        else:
+            raise AssertionError("unknown names must raise AttributeError")
+    # none of them is compiled by `import nervekit`
+    code = "import nervekit\n" + "".join(
+        f"assert not {{{', '.join(map(repr, names))}}} & set(vars(nervekit.{home}))\n" for home, names in MOVED_NAMES.items()
+    )
+    _fresh_modules(code)
 
 
 def _parse_stderr(parser, argv: list) -> tuple:
