@@ -32,9 +32,6 @@ from .sset import (
     TruncationError,
     act_table,
     enumerate_maps,
-    horn,
-    standard_simplex,
-    subcomplex,
     validate_map,
 )
 from .verify import horn_check
@@ -58,6 +55,7 @@ _LAZY = {
         "functors": "SimplicialFunctor functors_equal",
         "gadgets": "coherent_path_category enumerate_simplicial_functors path_functor "
         "simplex_power_category simplex_power_transform",
+        "horns": "horn standard_simplex subcomplex",
         "maps": "compose_maps",
         "marked": "MarkedBisimplicialSet MarkedSimplicialSet diagonal_marked levelwise_nerve_marked",
         "posets": "FinitePoset path_poset poset_category poset_nerve",

@@ -37,12 +37,13 @@ from .bisimplicial import BisimplicialSet
 from .cat import RelativeSimplicialCategory, SimplicialCategory
 from .coherent import _WITNESS_CAP
 from .comparison import _cell_from_plan, _collapse_row, _collapse_table, _table_pairs, _theta_plan, hc_constant
+from .horns import standard_simplex
 from .marked import MarkedBisimplicialSet, levelwise_nerve_marked
 from .nerves import coherent_nerve
 from .posets import path_poset
 from .reporting import CheckReport
 from .spaces import ProductSset, materialize
-from .sset import SimplicialSet, TruncationError, enumerate_maps, standard_simplex
+from .sset import SimplicialSet, TruncationError, enumerate_maps
 
 
 # --- classification diagram --------------------------------------------------

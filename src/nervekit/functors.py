@@ -20,8 +20,9 @@ from typing import Sequence
 
 from .cat import SimplicialCategory
 from .comparison import _check_grid_chain
+from .horns import standard_simplex
 from .maps import compose_maps
-from .sset import SimplicialMap, standard_simplex
+from .sset import SimplicialMap
 
 
 class SimplicialFunctor:

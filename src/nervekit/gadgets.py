@@ -33,8 +33,9 @@ from typing import Sequence
 
 from .cat import SimplicialCategory
 from .functors import SimplicialFunctor
+from .horns import standard_simplex
 from .posets import path_poset, poset_nerve, vertex_induced_map
-from .sset import SimplicialMap, _DegeneracyTest, enumerate_maps, standard_simplex
+from .sset import SimplicialMap, _DegeneracyTest, enumerate_maps
 
 
 @lru_cache(maxsize=None)

@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .cat import FiniteCategory
-from .sset import SimplicialMap, SimplicialSet, TruncationError, _chain_nerve
+from .sset import SimplicialMap, SimplicialSet, TruncationError
 
 
 class FinitePoset:
@@ -67,6 +67,8 @@ class FinitePoset:
 
 def poset_nerve(P: FinitePoset, D: int, name: str = "") -> SimplicialSet:
     """Nerve of a finite poset: level n cells are weakly increasing chains."""
+    from .horns import _chain_nerve
+
     X = _chain_nerve(P._leq, P.elements, D)
     X.name = name or "poset_nerve"
     return X

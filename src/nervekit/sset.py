@@ -22,12 +22,14 @@ Conventions
   rows of `nerves.levelwise_nerve`) is built by `chain_index_nerve`.
 
 ``import nervekit`` loads this module with what every verb runs: the
-tables, `act_table`, the chain-index nerves, horns and `enumerate_maps`,
-and the traced `validate_map`, whose body loads from `nervekit.maps` on
-first call (``bench/trace_child.py`` ``TRACED``). The rest resolves
-from here on first use: `act`, `vertices`, products and `materialize`
-(`nervekit.spaces`), posets (`nervekit.posets`), `compose_maps`
-(`nervekit.maps`) and `MarkedSimplicialSet` (`nervekit.marked`).
+tables, `act_table`, the chain-index nerves, and the traced
+`validate_map` and `enumerate_maps` (``bench/trace_child.py``
+``TRACED``), whose bodies load from `nervekit.maps` and
+`nervekit.horns` on first call. The rest resolves from here on first
+use: `act`, `vertices`, products and `materialize` (`nervekit.spaces`),
+posets (`nervekit.posets`), `compose_maps` (`nervekit.maps`),
+`MarkedSimplicialSet` (`nervekit.marked`), simplices and horns
+(`nervekit.horns`).
 `validate_sset` lives in `nervekit.axioms`, `PowerSset` in
 `nervekit.gadgets`.
 """
@@ -56,11 +58,13 @@ class _DegeneracyTest:
     def nondegenerate_cells(self, n: int) -> list[int]:
         return [x for x in range(self.card(n)) if not self.is_degenerate(n, x)]
 
-    def face_index(self, n: int) -> dict:
-        """The cells of level n >= 1 keyed by their face tuple, each list ascending."""
-        index: dict[tuple[int, ...], list[int]] = {}
+    def face_index(self, n: int, positions: Sequence[int] = ()) -> dict:
+        """The cells of level n >= 1, ascending, keyed by their faces at
+        ``positions`` (all by default) as ``itemgetter`` reads them."""
+        key = itemgetter(*(positions or range(n + 1)))
+        index: dict = {}
         for v in range(self.card(n)):
-            index.setdefault(tuple(self.face(n, i, v) for i in range(n + 1)), []).append(v)
+            index.setdefault(key([self.face(n, i, v) for i in range(n + 1)]), []).append(v)
         return index
 
     def face_map(self, n: int, i: int):
@@ -111,7 +115,7 @@ class SimplicialSet(_DegeneracyTest):
         self.name = name
         self._nondeg: list[Optional[list[bool]]] = [None] * (D + 1)
         self._label_idx: list[Optional[dict]] = [None] * (D + 1)
-        self._face_idx: list[Optional[dict]] = [None] * (D + 1)
+        self._face_idx: dict[tuple[int, tuple[int, ...]], dict] = {}
 
     @classmethod
     def empty(cls, D: int, name: str = "empty") -> "SimplicialSet":
@@ -167,14 +171,20 @@ class SimplicialSet(_DegeneracyTest):
             flags = self._nondeg[n] = [test(n, y) for y in range(self.cards[n])]
         return flags[x]
 
-    def face_index(self, n: int) -> dict:
-        """`_DegeneracyTest.face_index`, built once per level and shared by
-        every caller: treat it as immutable."""
+    def face_index(self, n: int, positions: Sequence[int] = ()) -> dict:
+        """`_DegeneracyTest.face_index` from the stored rows, built once per
+        level and positions and shared by every caller: treat it as
+        immutable."""
         if n > self.D:
             raise TruncationError(f"level {n} beyond truncation {self.D}")
-        if self._face_idx[n] is None:
-            self._face_idx[n] = super().face_index(n)
-        return self._face_idx[n]
+        key = (n, tuple(positions))
+        index = self._face_idx.get(key)
+        if index is None:
+            rows = [self.faces[n][i] for i in positions or range(n + 1)]
+            index = self._face_idx[key] = {}
+            for v, faces in enumerate(rows[0] if len(rows) == 1 else zip(*rows)):
+                index.setdefault(faces, []).append(v)
+        return index
 
     def counts(self) -> tuple[int, ...]:
         return tuple(self.cards)
@@ -333,86 +343,6 @@ def chain_index_nerve(cards, comp, ids, D: int) -> tuple:
     return counts, faces, degens, ends, firsts
 
 
-def _chain_nerve(order, names: Sequence, D: int) -> SimplicialSet:
-    # order[a][b] is true when a <= b, counting the one morphism a -> b,
-    # so an n-chain is its n + 1 elements; its label is their names
-    counts, faces, degens, ends, _ = chain_index_nerve(order, lambda a, b, c: [0], [0] * len(order), D)
-    above = [[y for y, le in zip(names, row) if le] for row in order]
-    labels = [[(y,) for y in names]]
-    for n in range(D):
-        labels.append([c + (y,) for c, e in zip(labels[n], ends[n]) for y in above[e]])
-    return SimplicialSet(D, counts, faces, degens, labels=labels)
-
-
-@lru_cache(maxsize=None)
-def standard_simplex(n: int, D: int) -> SimplicialSet:
-    """The n-simplex truncated at level D.
-
-    Cells at level k are the weakly increasing (k+1)-tuples with values
-    in 0..n, in lexicographic order; the label of a cell is that tuple.
-    The result is cached and must be treated as immutable.
-    """
-    X = _chain_nerve([[a <= b for b in range(n + 1)] for a in range(n + 1)], range(n + 1), D)
-    X.name = f"simplex({n})"
-    return X
-
-
-def subcomplex(X: SimplicialSet, seeds) -> tuple[SimplicialSet, "SimplicialMap"]:
-    """Smallest subobject containing the seed cells, with its inclusion.
-
-    ``seeds`` is an iterable of (level, cell). Closure takes two passes
-    over the levels: faces downward from the top, then degeneracies
-    upward from level 0. The result is closed under faces too, since a
-    face of a degeneracy of x is x or a degeneracy of a face of x.
-    """
-    keep: list[set[int]] = [set() for _ in range(X.D + 1)]
-    for n, x in seeds:
-        keep[int(n)].add(int(x))
-    for n in range(X.D, 0, -1):
-        for row in X.faces[n]:
-            keep[n - 1].update(row[x] for x in keep[n])
-    for n in range(X.D):
-        for row in X.degens[n]:
-            keep[n + 1].update(row[x] for x in keep[n])
-    old = [sorted(keep[n]) for n in range(X.D + 1)]
-    new_idx = [{x: i for i, x in enumerate(old[n])} for n in range(X.D + 1)]
-    cards = [len(old[n]) for n in range(X.D + 1)]
-    faces: list[list[list[int]]] = [[] for _ in range(X.D + 1)]
-    degens: list[list[list[int]]] = [[] for _ in range(X.D + 1)]
-    for n in range(1, X.D + 1):
-        faces[n] = [[new_idx[n - 1][X.face(n, i, x)] for x in old[n]] for i in range(n + 1)]
-    for n in range(X.D):
-        degens[n] = [[new_idx[n + 1][X.degen(n, i, x)] for x in old[n]] for i in range(n + 1)]
-    labels = None
-    if X.labels is not None:
-        labels = [[X.label(n, x) for x in old[n]] for n in range(X.D + 1)]
-    S = SimplicialSet(X.D, cards, faces, degens, labels=labels, name=f"sub({X.name})")
-    incl = SimplicialMap(S, X, values=old)
-    return S, incl
-
-
-@lru_cache(maxsize=None)
-def horn(n: int, k: int, D: Optional[int] = None) -> SimplicialSet:
-    """The (n, k)-horn: cells whose vertices miss some value other than k.
-
-    The result is cached and must be treated as immutable.
-    """
-    if not 0 <= k <= n:
-        raise ValueError("horn index out of range")
-    if D is None:
-        D = max(n - 1, 0)
-    Delta = standard_simplex(n, D)
-    seeds = [
-        (m, x)
-        for m in range(D + 1)
-        for x in range(Delta.card(m))
-        if any(j != k and j not in Delta.label(m, x) for j in range(n + 1))
-    ]
-    S, _ = subcomplex(Delta, seeds)
-    S.name = f"horn({n},{k})"
-    return S
-
-
 class SimplicialMap:
     """A levelwise map of truncated simplicial sets.
 
@@ -482,143 +412,20 @@ def validate_map(f: SimplicialMap, subject: str = "map") -> ValidationReport:
 def enumerate_maps(A, X) -> list[SimplicialMap]:
     """All simplicial maps A -> X, in canonical order, by backtracking.
 
-    The search follows one plan that lists every cell of A after its
-    faces. It is built depth-first from the nondegenerate cells, top
-    level first, so each simplex is checked as soon as its faces are
-    set; degenerate cells no face of a nondegenerate cell needs come
-    last. A nondegenerate cell is a branch step: its candidates are
-    read from the face index of X (``X.face_index(n)``, a per-level
-    dict from face tuples to the cells with those faces in ascending
-    order, which a `SimplicialSet` builds once and keeps for every
-    later search), keyed by the values already given to its faces. A
-    degenerate cell a branch step reads is a forced step, the
-    degeneracy of its witness's value, read from a degeneracy table of
-    X fetched once. So the search space is exactly the nondegenerate
-    cells. The search runs on an explicit stack, so its depth is not
-    bounded by Python's recursion limit.
-
-    The output order is lexicographic in the full value tables
-    (level-major, then cell index); the finished tables are sorted into
-    it, since the plan assigns cells in another order. The degenerate
-    cells no branch step reads are filled only after the sort, each from
-    one placed cell through one composite degeneracy table. Each comes
-    after that placed cell in the level-major order, so two full tables
-    first differ at a placed cell, and the partial tables sort as the
-    full ones do.
+    It branches only on the maximal cells of A (nondegenerate and no
+    face of a nondegenerate cell), top level first, with candidates
+    from ``X.face_index(n, positions)`` keyed by the faces already
+    assigned. A value chosen forces the cell's face closure through X's
+    face tables: an unassigned face is set and its faces forced, an
+    assigned one checked unless X's simplicial identities imply it, and
+    a degenerate cell reached checked against its witness. The cells
+    left are degenerate, each filled from its witness once the branch
+    step owning that passes. The tables are sorted into lexicographic
+    level-major order.
     """
-    if X.D < A.D:
-        raise TruncationError("target truncated below source")
-    D = A.D
-    # cell (n, x) of A is slot base[n] + x of one flat value vector, so
-    # the vectors sort in the order of their level-major tables
-    base = [0] * (D + 2)
-    for n in range(D + 1):
-        base[n + 1] = base[n] + A.card(n)
+    from .horns import _enumerate_maps
 
-    # every degenerate cell is x = s_i(y) for some y at level n; its
-    # witness (n, i, y) has the smallest such i, and the search forces x
-    # from y
-    witness: dict[int, tuple[int, int, int]] = {}
-    for n in range(D):
-        for i in range(n + 1):
-            for y in range(A.card(n)):
-                witness.setdefault(base[n + 1] + A.degen(n, i, y), (n, i, y))
-
-    tables: dict[tuple[tuple[int, int], ...], list[int]] = {}
-
-    def degen_table(steps: tuple[tuple[int, int], ...]) -> list[int]:
-        # the degeneracies (m, i) in steps, innermost first, as one table of X
-        t = tables.get(steps)
-        if t is None:
-            m, i = steps[-1]
-            if len(steps) == 1:
-                t = [X.degen(m, i, v) for v in range(X.card(m))]
-            else:
-                last = degen_table(steps[-1:])
-                t = [last[v] for v in degen_table(steps[:-1])]
-            tables[steps] = t
-        return t
-
-    placed = [False] * base[D + 1]
-    branches: list[tuple[int, int, tuple[int, ...]]] = []
-    # forced[b] holds the forced steps taken right after branch step b;
-    # none can come first, since every witness chain ends at a branch
-    forced: list[list[tuple[int, list[int], int]]] = []
-
-    def place(n: int, x: int) -> None:
-        # recursion one level down per call, so at most D + 1 frames deep
-        s = base[n] + x
-        if placed[s]:
-            return
-        placed[s] = True
-        if s in witness:
-            m, i, y = witness[s]
-            place(m, y)
-            forced[-1].append((s, degen_table(((m, i),)), base[m] + y))
-            return
-        faces = [A.face(n, i, x) for i in range(n + 1)] if n else []
-        for y in faces:
-            place(n - 1, y)
-        branches.append((s, n, tuple(base[n - 1] + y for y in faces)))
-        forced.append([])
-
-    for n in range(D, -1, -1):
-        for x in range(A.card(n)):
-            if base[n] + x not in witness:
-                place(n, x)
-    # the rest are degenerate cells no branch step reads; each one's
-    # witness is one level down, so placed or met earlier in this loop,
-    # and its witness chain ends at the placed cell it is filled from
-    chains: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
-    fill: list[tuple[int, int, list[int]]] = []
-    for s, (m, i, y) in witness.items():
-        if not placed[s]:
-            w = base[m] + y
-            root, steps = chains.get(w, (w, ()))
-            chains[s] = (root, steps + ((m, i),))
-            fill.append((s, root, degen_table(chains[s][1])))
-
-    index = {n: X.face_index(n) for _, n, _ in branches if n}
-    points = list(range(X.card(0)))
-    vals = [0] * base[D + 1]
-    # branch step b at level n >= 1 reads the values of its faces with
-    # one getter and looks them up in the face index of level n
-    finders = [(None, None) if n == 0 else (index[n], itemgetter(*faces)) for _, n, faces in branches]
-
-    out: list[list[int]] = []
-    B = len(branches)
-    if B == 0:
-        out.append(vals[:])
-    else:
-        # branch step 0 is a vertex: every branch step comes after its faces
-        cands: list[Sequence[int]] = [points] * B
-        pos = [0] * B
-        b = 0
-        while b >= 0:
-            j = pos[b]
-            c = cands[b]
-            if j == len(c):
-                b -= 1
-                continue
-            pos[b] = j + 1
-            vals[branches[b][0]] = c[j]
-            for s, t, w in forced[b]:
-                vals[s] = t[vals[w]]
-            if b + 1 == B:
-                out.append(vals[:])
-                continue
-            b += 1
-            lvl, get = finders[b]
-            if get is not None:
-                cands[b] = lvl.get(get(vals), ())
-            pos[b] = 0
-    out.sort()
-    for vec in out:
-        for s, w, t in fill:
-            vec[s] = t[vec[w]]
-    return [
-        SimplicialMap(A, X, values=[vec[base[n] : base[n + 1]] for n in range(D + 1)]) for vec in out
-    ]
+    return _enumerate_maps(A, X)
 
 
 __getattr__ = lazy(
@@ -626,6 +433,7 @@ __getattr__ = lazy(
     {
         **dict.fromkeys(("FinitePoset", "poset_nerve", "vertex_induced_map"), "posets"),
         **dict.fromkeys(("ProductSset", "act", "materialize", "product", "vertices"), "spaces"),
+        **dict.fromkeys(("horn", "standard_simplex", "subcomplex"), "horns"),
         "compose_maps": "maps",
         "MarkedSimplicialSet": "marked",
     },

@@ -14,9 +14,11 @@ it.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from ._lazy import lazy
 from .reporting import CheckReport
-from .sset import TruncationError, act_table, enumerate_maps, horn
+from .sset import TruncationError, act_table, enumerate_maps
 
 __all__ = ["horn_check", "pi0"]
 
@@ -29,29 +31,33 @@ def _lab(X, n: int, x: int):
 def horn_check(X, n: int, k: int, max_witnesses: int = 8) -> CheckReport:
     """Does every map from the (n, k)-horn into X extend to an n-cell?
 
-    All horn maps are enumerated by `enumerate_maps`. Every horn cell
-    is a face or a degeneracy of a top nondegenerate one, a face d_j of
-    the n-simplex with j != k, so a horn map is determined by its values
-    on those faces, and an n-cell z fills h iff d_j z is the value of h
-    on the face d_j for each of them. So the restrictions of the n-cells
+    All horn maps are enumerated by `enumerate_maps`, which branches on
+    the top horn cells, the faces d_j of the n-simplex with j != k, and
+    forces the rest. So an n-cell z fills h iff d_j z is the value of h
+    on the face d_j for each of them. The restrictions of the n-cells
     of X, each the tuple of those faces, are built once as a set (one
     single-face `act_table` per top horn cell), and h is fillable iff
-    its value tuple on the same cells is in that set.
+    its values on those cells, one `itemgetter` read, are in that set.
     The report gives fillability only, not the number of fillers.
     Failures are reported as labelled assignments on every
     nondegenerate horn cell.
     """
     if not 1 <= n <= X.D:
         raise TruncationError(f"horn extension at level {n} needs truncation >= {n}, have {X.D}")
+    from .horns import horn
+
     H = horn(n, k)
-    top = H.nondegenerate_cells(n - 1)
-    restrictions = set(zip(*(act_table(X, n, H.label(n - 1, c)) for c in top)))
+    faces = [tuple(i for i in range(n + 1) if i != j) for j in range(n + 1) if j != k]
+    cols = [act_table(X, n, f) for f in faces]
+    # one top cell (n = 1) reads as a value, several as a tuple
+    restrictions = set(zip(*cols) if len(cols) > 1 else cols[0])
+    read = itemgetter(*(H.index_of(n - 1, f) for f in faces))
     maps = enumerate_maps(H, X)
     nd = None  # the horn's nondegenerate cells, listed at the first witness
     witnesses = []
     unfillable = 0
     for h in maps:
-        if tuple(h.apply(n - 1, c) for c in top) not in restrictions:
+        if read(h.values[n - 1]) not in restrictions:
             unfillable += 1
             if len(witnesses) < max_witnesses:
                 if nd is None:

@@ -288,6 +288,27 @@ def test_horn_is_built_once_and_left_intact():
     assert (horn(3, 1).labels, horn(3, 1).name) == (fresh.labels, fresh.name)
 
 
+def _horn_by_labels(n, k, D):
+    """The (n, k)-horn as `horn` seeded it before it went by table: every
+    cell whose label misses some value other than k."""
+    Delta = standard_simplex(n, D)
+    seeds = [
+        (m, x)
+        for m in range(D + 1)
+        for x in range(Delta.card(m))
+        if any(j != k and j not in Delta.label(m, x) for j in range(n + 1))
+    ]
+    return subcomplex(Delta, seeds)[0]
+
+
+def test_horn_matches_the_label_seeded_horn():
+    for n in range(5):
+        for k in range(n + 1):
+            for D in range(6):
+                H, want = horn(n, k, D), _horn_by_labels(n, k, D)
+                assert (H.data_key(), H.labels) == (want.data_key(), want.labels), (n, k, D)
+
+
 def test_subcomplex_inclusion_validates():
     X = standard_simplex(2, 2)
     e01 = X.index_of(1, (0, 1))
@@ -425,22 +446,48 @@ def test_face_index_is_built_once_per_level(monkeypatch):
 
     monkeypatch.setattr(sset_mod.SimplicialSet, "face", face)
     before = [f.key() for f in enumerate_maps(horn(3, 1), X)]
-    assert sorted(set(calls)) == [1, 2]
-    # later searches into X read the kept index: no face of X is taken
-    calls.clear()
-    assert [f.key() for f in enumerate_maps(horn(3, 1), X)] == before
-    assert len(enumerate_maps(horn(2, 0), X)) == 9
+    # horn(3, 1) branches on its top cells (0,1,2), (0,1,3) and (1,2,3):
+    # the second finds d_2 assigned, the third d_1 and d_2; the indexes
+    # and the forced faces read the stored rows of X, taking no face
+    assert sorted(X._face_idx) == [(2, (1, 2)), (2, (2,))]
     assert calls == []
+    kept = dict(X._face_idx)
+    # later searches into X read the kept indexes
+    assert [f.key() for f in enumerate_maps(horn(3, 1), X)] == before
+    # horn(2, 0) branches on (0,1), then on (0,2) keyed by its d_1
+    assert len(enumerate_maps(horn(2, 0), X)) == 9
+    assert sorted(X._face_idx) == [(1, (1,)), (2, (1, 2)), (2, (2,))]
+    assert all(X._face_idx[key] is index for key, index in kept.items())
+    # an index lists the cells by their faces at its positions, one
+    # position keying by the face itself
+    for (n, P), index in X._face_idx.items():
+        want = {}
+        for v in range(X.card(n)):
+            faces = [real(X, n, i, v) for i in P]
+            want.setdefault(faces[0] if len(P) == 1 else tuple(faces), []).append(v)
+        assert index == want, (n, P)
     assert X.face_index(2) is X.face_index(2)
+    assert X.face_index(2) == X.face_index(2, (0, 1, 2))
     with pytest.raises(TruncationError):
         X.face_index(4)
 
 
-def _enumerate_maps_by_forced_steps(A, X):
-    """All maps A -> X by the search `enumerate_maps` ran before its
-    forced steps read prefetched tables: every degenerate cell, those no
-    branch step reads included, is forced with ``X.degen`` right after a
-    branch step, and the full tables are sorted."""
+def test_face_index_of_a_lazy_set_matches_the_stored_one():
+    P = PowerSset(standard_simplex(1, 3), 2)
+    M = materialize(P)
+    for n in (1, 2, 3):
+        for positions in [()] + [c for r in (1, 2) for c in itertools.combinations(range(n + 1), r)]:
+            assert P.face_index(n, positions) == M.face_index(n, positions), (n, positions)
+
+
+def _enumerate_maps_bottom_up(A, X):
+    """All maps A -> X by the search `enumerate_maps` ran before it
+    branched on maximal cells only: a plan that lists every cell of A
+    after its faces, built depth-first from the nondegenerate cells, top
+    level first, each nondegenerate cell a branch step keyed by all its
+    faces, each degenerate cell a branch step reads forced from its
+    witness, and the degenerate cells no branch step reads filled after
+    the sort. Its face index is built here, not read from X."""
     D = A.D
     base = [0] * (D + 2)
     for n in range(D + 1):
@@ -450,6 +497,20 @@ def _enumerate_maps_by_forced_steps(A, X):
         for i in range(n + 1):
             for y in range(A.card(n)):
                 witness.setdefault(base[n + 1] + A.degen(n, i, y), (n, i, y))
+    tables = {}
+
+    def degen_table(steps):
+        t = tables.get(steps)
+        if t is None:
+            m, i = steps[-1]
+            if len(steps) == 1:
+                t = [X.degen(m, i, v) for v in range(X.card(m))]
+            else:
+                last = degen_table(steps[-1:])
+                t = [last[v] for v in degen_table(steps[:-1])]
+            tables[steps] = t
+        return t
+
     placed = [False] * base[D + 1]
     branches, forced = [], []
 
@@ -461,7 +522,7 @@ def _enumerate_maps_by_forced_steps(A, X):
         if s in witness:
             m, i, y = witness[s]
             place(m, y)
-            forced[-1].append((s, m, i, base[m] + y))
+            forced[-1].append((s, degen_table(((m, i),)), base[m] + y))
             return
         faces = [A.face(n, i, x) for i in range(n + 1)] if n else []
         for y in faces:
@@ -473,29 +534,25 @@ def _enumerate_maps_by_forced_steps(A, X):
         for x in range(A.card(n)):
             if base[n] + x not in witness:
                 place(n, x)
+    chains, fill = {}, []
     for s, (m, i, y) in witness.items():
         if not placed[s]:
-            forced[-1].append((s, m, i, base[m] + y))
+            w = base[m] + y
+            root, steps = chains.get(w, (w, ()))
+            chains[s] = (root, steps + ((m, i),))
+            fill.append((s, root, degen_table(chains[s][1])))
     index = {}
     for n in {n for _, n, _ in branches if n}:
         lvl = index[n] = {}
         for v in range(X.card(n)):
             lvl.setdefault(tuple(X.face(n, i, v) for i in range(n + 1)), []).append(v)
     vals = [0] * base[D + 1]
-
-    def candidates(b):
-        _, n, faces = branches[b]
-        if n == 0:
-            return range(X.card(0))
-        return index[n].get(tuple(vals[s] for s in faces), ())
-
     out = []
     B = len(branches)
     if B == 0:
         out.append(vals[:])
     else:
-        cands, pos = [()] * B, [0] * B
-        cands[0] = candidates(0)
+        cands, pos = [range(X.card(0))] * B, [0] * B
         b = 0
         while b >= 0:
             j = pos[b]
@@ -504,74 +561,99 @@ def _enumerate_maps_by_forced_steps(A, X):
                 continue
             pos[b] = j + 1
             vals[branches[b][0]] = cands[b][j]
-            for s, m, i, w in forced[b]:
-                vals[s] = X.degen(m, i, vals[w])
+            for s, t, w in forced[b]:
+                vals[s] = t[vals[w]]
             if b + 1 == B:
                 out.append(vals[:])
                 continue
             b += 1
-            cands[b] = candidates(b)
+            _, n, faces = branches[b]
+            if n:
+                cands[b] = index[n].get(tuple(vals[s] for s in faces), ())
             pos[b] = 0
     out.sort()
+    for vec in out:
+        for s, w, t in fill:
+            vec[s] = t[vec[w]]
     return [[vec[base[n] : base[n + 1]] for n in range(D + 1)] for vec in out]
 
 
 def _forced_step_cases():
-    """Horns into group and poset nerves, group nerves into each other,
-    and grids built above their top nondegenerate level into coherent
-    nerves, where most cells are degenerate cells no branch step reads."""
-    from test_nerves import _random_poset
+    """Four kinds of input: horns into group, poset, random poset and S₃
+    nerves; group nerves into each other, where two face words of one
+    cell hit one cell (nerve(z2) -> nerve(z3)); grids built above their
+    top nondegenerate level into coherent nerves, whose nondegenerate
+    cells have degenerate faces and most cells are degenerate cells no
+    branch reaches; and the empty cases."""
+    from nervekit.discrete import _parse_poset
+    from test_nerves import _random_poset, _s3_category
 
     targets = [nerve_cat(cyclic_group_category(m), 4) for m in (2, 3)]
     targets += [poset_nerve(FinitePoset([0, 1, 2], [(0, 1), (1, 2)]), 4)]
     targets += [poset_nerve(FinitePoset(["a", "b", "c"], [("a", "b"), ("a", "c")]), 4)]
+    targets += [poset_nerve(_parse_poset(_random_poset(seed)[len("poset:") :]), 4, name=f"random{seed}") for seed in (0, 1)]
     for X in targets:
         for n in range(1, 5):
             for k in sorted({0, n // 2, n}):
                 yield f"horn({n},{k})->{X.name}", horn(n, k), X
+    s3 = nerve_cat(_s3_category(), 3)
+    for n in range(1, 4):
+        for k in range(n + 1):
+            yield f"horn({n},{k})->s3", horn(n, k), s3
     # group nerves have nondegenerate cells with degenerate faces, so
     # their forced steps run between branch steps
     for A in targets[:2]:
         for X in targets[:2]:
             yield f"{A.name}->{X.name}", A, X
+    yield "z2->s3", nerve_cat(cyclic_group_category(2), 3), s3
     inputs = ["bg:z2", "two-object-interval", "discrete:poset012"] + [_random_poset(seed) for seed in range(5)]
     for name in inputs:
         hc = coherent_nerve(build_example(name, max_dim=3).cat, 3)
         for p, q in ((0, 1), (1, 1), (1, 2), (2, 1)):
             if p + q < 3 or name == "bg:z2":
                 yield f"grid({p},{q})->hc({name})", _product_pair(p, q, 3), hc
+    z3 = nerve_cat(cyclic_group_category(3), 2)
+    empty = SimplicialSet.empty(2)
+    yield "empty->z3", empty, z3
+    yield "z3->empty", z3, empty
+    yield "empty->empty", empty, empty
 
 
 def test_enumerate_maps_matches_forced_step_search():
     cases = 0
     for name, A, X in _forced_step_cases():
         got = [f.values for f in enumerate_maps(A, X)]
-        assert got == _enumerate_maps_by_forced_steps(A, X), name
+        assert got == _enumerate_maps_bottom_up(A, X), name
         cases += 1
-    assert cases == 66
+    assert cases == 101
 
 
 def test_enumerate_maps_catches_a_wrong_fill_table(monkeypatch):
-    # every level-3 cell of the grid is degenerate and read by no branch
-    # step, so it is filled after the sort through the tables of the
-    # level-2 degeneracies; one wrong entry there shows against the oracle
+    # every level-3 cell of the grid is degenerate and reached by no
+    # branch cell, so it is filled through tables of the level-2
+    # degeneracies of X, each entry read once per search through
+    # X.degen; one wrong entry there shows against the oracle, at level
+    # 3 only
     import nervekit.sset as sset_mod
 
     hc = coherent_nerve(build_example("bg:z2", max_dim=3).cat, 3)
     A = _product_pair(1, 1, 3)
-    want = _enumerate_maps_by_forced_steps(A, hc)
+    want = _enumerate_maps_bottom_up(A, hc)
     real = SimplicialSet.degen
-    planted = []
+    reads = []
 
     def degen(self, n, i, x):
-        if self is hc and n == 2 and x == 0 and not planted:
-            planted.append((n, i))
-            return real(self, n, (i + 1) % (n + 1), 1)
+        if self is hc:
+            reads.append((n, i, x))
+            if (n, i, x) == (2, 0, 0):
+                return real(self, n, i, 1)
         return real(self, n, i, x)
 
     monkeypatch.setattr(sset_mod.SimplicialSet, "degen", degen)
     got = [f.values for f in enumerate_maps(A, hc)]
-    assert planted and got != want
+    assert (2, 0, 0) in reads and len(reads) == len(set(reads))
+    assert got != want
+    assert [vals[:3] for vals in got] == [vals[:3] for vals in want]
 
 
 def _key_by_apply(f):
@@ -627,7 +709,7 @@ def test_subcomplex_matches_stack_closure():
             for seeds in seed_sets:
                 S, incl = subcomplex(Delta, seeds)
                 assert incl.values == _closure_by_stack(Delta, seeds), (n, D, seeds)
-                assert validate_sset(S).ok
+                assert validate_sset(S).ok and validate_map(incl).ok
                 cases += 1
     assert cases == 145
 
