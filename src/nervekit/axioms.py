@@ -11,14 +11,14 @@ the comparison map, stays with the maps (its body in `nervekit.maps`).
 
 from __future__ import annotations
 
-from .bisimplicial import BisimplicialSet
+from .bisimplicial import BisimplicialSet, _bisset_families
 from .cat import FiniteCategory, RelativeSimplicialCategory, SimplicialCategory
 from .components import _pi0_classes
 from .discrete import discrete_simplicial_category
 from .functors import SimplicialFunctor
 from .reporting import ValidationReport
 from .spaces import ProductSset, vertices
-from .sset import SimplicialMap, SimplicialSet, validate_map
+from .sset import SimplicialMap, SimplicialSet, _families, validate_map
 
 
 def validate_sset(X, subject: str = "") -> ValidationReport:
@@ -32,30 +32,24 @@ def validate_sset(X, subject: str = "") -> ValidationReport:
     D = X.D
     ranged = True
     if isinstance(X, SimplicialSet):
-        for n in range(1, D + 1):
-            if len(X.faces[n]) != n + 1 or any(len(r) != X.cards[n] for r in X.faces[n]):
-                rep.add("table shape", (n,), "face tables misshapen")
-                ranged = False
-        for n in range(D):
-            if len(X.degens[n]) != n + 1 or any(len(r) != X.cards[n] for r in X.degens[n]):
-                rep.add("table shape", (n,), "degeneracy tables misshapen")
-                ranged = False
+        families = [
+            (getattr(X, kind + "s"), "face" if step < 0 else "degeneracy", symbol, rows, step)
+            for kind, symbol, rows, step in _families(D)
+        ]
+        for tables, noun, _, rows, _ in families:
+            for n in range(D + 1):
+                if rows(n) and (len(tables[n]) != rows(n) or any(len(r) != X.cards[n] for r in tables[n])):
+                    rep.add("table shape", (n,), f"{noun} tables misshapen")
+                    ranged = False
         if not ranged:
             return rep
-        for n in range(1, D + 1):
-            for i in range(n + 1):
-                for x in range(X.cards[n]):
-                    v = X.faces[n][i][x]
-                    if not 0 <= v < X.cards[n - 1]:
-                        rep.add("face range", (n, i, x), f"d_{i} lands at {v}")
-                        ranged = False
-        for n in range(D):
-            for i in range(n + 1):
-                for x in range(X.cards[n]):
-                    v = X.degens[n][i][x]
-                    if not 0 <= v < X.cards[n + 1]:
-                        rep.add("degeneracy range", (n, i, x), f"s_{i} lands at {v}")
-                        ranged = False
+        for tables, noun, symbol, rows, step in families:
+            for n in range(D + 1):
+                for i in range(rows(n)):
+                    for x, v in enumerate(tables[n][i]):
+                        if not 0 <= v < X.cards[n + step]:
+                            rep.add(f"{noun} range", (n, i, x), f"{symbol}_{i} lands at {v}")
+                            ranged = False
         if not ranged:
             return rep
     for n in range(2, D + 1):
@@ -106,41 +100,24 @@ def validate_bisset(X: BisimplicialSet, subject: str = "") -> ValidationReport:
         rep.merge(validate_sset(X.column(p), subject=f"column {p}"), f"column {p}: ")
     if not rep.ok:
         return rep
+    families = _bisset_families(X.P, X.Q)
+    # each horizontal family against each vertical one
+    squares = [
+        (getattr(X, h), hrows, dp, getattr(X, v), vrows, dq, f"{vs}_j {hs}_i = {hs}_i {vs}_j")
+        for h, hs, hrows, dp, _ in families[:2]
+        for v, vs, vrows, _, dq in families[2:]
+    ]
     for p in range(X.P + 1):
         for q in range(X.Q + 1):
             for x in range(X.card(p, q)):
-                if p >= 1 and q >= 1:
-                    for i in range(p + 1):
-                        for j in range(q + 1):
+                for hop, hrows, dp, vop, vrows, dq, law in squares:
+                    for i in range(hrows(p, q)):
+                        for j in range(vrows(p, q)):
                             rep.checked += 1
-                            lhs = X.vface(p - 1, q, j, X.hface(p, q, i, x))
-                            rhs = X.hface(p, q - 1, i, X.vface(p, q, j, x))
+                            lhs = vop(p + dp, q, j, hop(p, q, i, x))
+                            rhs = hop(p, q + dq, i, vop(p, q, j, x))
                             if lhs != rhs:
-                                rep.add("d^v_j d^h_i = d^h_i d^v_j", (p, q, i, j, x), f"{lhs} != {rhs}")
-                if p >= 1 and q < X.Q:
-                    for i in range(p + 1):
-                        for j in range(q + 1):
-                            rep.checked += 1
-                            lhs = X.vdegen(p - 1, q, j, X.hface(p, q, i, x))
-                            rhs = X.hface(p, q + 1, i, X.vdegen(p, q, j, x))
-                            if lhs != rhs:
-                                rep.add("s^v_j d^h_i = d^h_i s^v_j", (p, q, i, j, x), f"{lhs} != {rhs}")
-                if p < X.P and q >= 1:
-                    for i in range(p + 1):
-                        for j in range(q + 1):
-                            rep.checked += 1
-                            lhs = X.vface(p + 1, q, j, X.hdegen(p, q, i, x))
-                            rhs = X.hdegen(p, q - 1, i, X.vface(p, q, j, x))
-                            if lhs != rhs:
-                                rep.add("d^v_j s^h_i = s^h_i d^v_j", (p, q, i, j, x), f"{lhs} != {rhs}")
-                if p < X.P and q < X.Q:
-                    for i in range(p + 1):
-                        for j in range(q + 1):
-                            rep.checked += 1
-                            lhs = X.vdegen(p + 1, q, j, X.hdegen(p, q, i, x))
-                            rhs = X.hdegen(p, q + 1, i, X.vdegen(p, q, j, x))
-                            if lhs != rhs:
-                                rep.add("s^v_j s^h_i = s^h_i s^v_j", (p, q, i, j, x), f"{lhs} != {rhs}")
+                                rep.add(law, (p, q, i, j, x), f"{lhs} != {rhs}")
     return rep
 
 
@@ -235,7 +212,8 @@ def validate_relative(R: RelativeSimplicialCategory, subject: str = "") -> Valid
     Covers: index validity, closure of each sub hom under faces and
     degeneracies, presence of identities, closure under composition,
     and wideness (each sub hom is exactly the set of cells living in a
-    union of connected components).
+    union of connected components). A sub list of the wrong length or
+    holding a cell out of range ends the check there.
     """
     rep = ValidationReport(subject or R.name)
     SC = R.cat
@@ -244,25 +222,23 @@ def validate_relative(R: RelativeSimplicialCategory, subject: str = "") -> Valid
             rep.add("sub pair exists", (a, b), "sub on an empty hom")
             continue
         H = SC.hom(a, b)
+        # the checks below would read a missing level or a stray cell
         if len(per_level) != SC.D + 1:
             rep.add("sub shape", (a, b), "per-level list has wrong length")
-            continue
-        for n in range(SC.D + 1):
-            for x in per_level[n]:
-                if not 0 <= x < H.card(n):
-                    rep.add("sub cell range", (a, b, n, x), "cell out of range")
-        for n in range(1, SC.D + 1):
-            for x in per_level[n]:
-                for i in range(n + 1):
-                    rep.checked += 1
-                    if H.face(n, i, x) not in per_level[n - 1]:
-                        rep.add("sub closed under faces", (a, b, n, i, x), "face escapes sub")
-        for n in range(SC.D):
-            for x in per_level[n]:
-                for i in range(n + 1):
-                    rep.checked += 1
-                    if H.degen(n, i, x) not in per_level[n + 1]:
-                        rep.add("sub closed under degeneracies", (a, b, n, i, x), "degeneracy escapes sub")
+            return rep
+        stray = [(n, x) for n in range(SC.D + 1) for x in per_level[n] if not 0 <= x < H.card(n)]
+        for n, x in stray:
+            rep.add("sub cell range", (a, b, n, x), "cell out of range")
+        if stray:
+            return rep
+        for kind, _, rows, step in _families(SC.D):
+            noun, nouns = ("face", "faces") if step < 0 else ("degeneracy", "degeneracies")
+            for n in range(SC.D + 1):
+                for x in per_level[n]:
+                    for i in range(rows(n)):
+                        rep.checked += 1
+                        if getattr(H, kind)(n, i, x) not in per_level[n + step]:
+                            rep.add(f"sub closed under {nouns}", (a, b, n, i, x), f"{noun} escapes sub")
     for a in SC.objects:
         for n in range(SC.D + 1):
             rep.checked += 1
@@ -295,11 +271,17 @@ def validate_functor(F: SimplicialFunctor, subject: str = "functor") -> Validati
     rep = ValidationReport(subject)
     S, T = F.source, F.target
     L = S.D
+    in_range = True
     for (a, b), H in S.homs.items():
         if (a, b) not in F.homs:
             rep.add("hom map present", (a, b), "missing hom component")
             return rep
-        rep.merge(validate_map(F.homs[(a, b)], subject=f"hom({a},{b})"), f"hom({a},{b}) simplicial: ")
+        sub = validate_map(F.homs[(a, b)], subject=f"hom({a},{b})")
+        rep.merge(sub, f"hom({a},{b}) simplicial: ")
+        in_range = in_range and all(v.identity != "value range" for v in sub.violations)
+    if not in_range:
+        # the identity and composition checks would compose the stray values
+        return rep
     for a in S.objects:
         rep.checked += 1
         if F.apply_hom(a, a, 0, S.identity_cell(a, 0)) != T.identity_cell(F.obj[a], 0):

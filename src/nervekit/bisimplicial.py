@@ -15,9 +15,8 @@ operators act on each hom cell.
 
 ``import nervekit`` does not load this module up front. The traced
 entry points `bisset.diagonal` and `nerves.levelwise_nerve` import
-their bodies from here when first called, and `nervekit.bisset`
-resolves `BisimplicialSet` from here, so only a verb that builds a
-bisimplicial set compiles this module. The marked kinds live in
+their bodies from here when first called, so only a verb that builds
+a bisimplicial set compiles this module. The marked kinds live in
 `nervekit.marked`.
 """
 
@@ -27,7 +26,7 @@ import itertools
 from typing import Sequence
 
 from .cat import SimplicialCategory, _chain_labels
-from .sset import SimplicialSet, TruncationError, _extend, chain_index_nerve
+from .sset import SimplicialSet, TruncationError, _extend, _families, chain_index_nerve
 
 
 class BisimplicialSet:
@@ -206,17 +205,17 @@ def _levelwise_nerve(SC: SimplicialCategory, P: int, Q: int, name: str) -> Bisim
 
 
 def _bisset_families(P: int, Q: int) -> tuple:
-    """The four operator families of a (P, Q)-truncated bisimplicial set.
+    """The four operator families of a (P, Q)-truncated bisimplicial set,
+    `sset._families` on each axis, horizontal first.
 
-    Each is (key, rows, dp, dq): its table at (p, q) holds ``rows(p, q)``
-    rows, one per operator index and none at the edge the family leaves,
-    and its entries are cells at (p + dp, q + dq).
+    Each is (key, symbol, rows, dp, dq): its table at (p, q) holds
+    ``rows(p, q)`` rows, one per operator index, and its entries are
+    cells at (p + dp, q + dq).
     """
-    return (
-        ("hface", lambda p, q: p + 1 if p else 0, -1, 0),
-        ("hdegen", lambda p, q: p + 1 if p < P else 0, 1, 0),
-        ("vface", lambda p, q: q + 1 if q else 0, 0, -1),
-        ("vdegen", lambda p, q: q + 1 if q < Q else 0, 0, 1),
+    return tuple(
+        ("h" + kind, symbol + "^h", lambda p, q, rows=rows: rows(p), step, 0) for kind, symbol, rows, step in _families(P)
+    ) + tuple(
+        ("v" + kind, symbol + "^v", lambda p, q, rows=rows: rows(q), 0, step) for kind, symbol, rows, step in _families(Q)
     )
 
 
@@ -234,7 +233,7 @@ def bisset_to_json(B) -> dict:
         ]
 
     doc = {"dims": [P, Q], "cells": [[B.card(p, q) for q in range(Q + 1)] for p in range(P + 1)]}
-    for key, rows, _, _ in _bisset_families(P, Q):
+    for key, _, rows, _, _ in _bisset_families(P, Q):
         doc[key] = grid(getattr(B, key), rows)
     if marked is not None:
         doc["marked"] = [[1, q, x] for (q, x) in marked]

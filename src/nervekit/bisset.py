@@ -4,14 +4,10 @@
 functions a traced benchmark run wraps where it is defined
 (``bench/trace_child.py`` ``TRACED``). The body of `diagonal` and
 `BisimplicialSet` live in `nervekit.bisimplicial`, which loads when a
-verb first builds a bisimplicial set, and `MarkedBisimplicialSet` and
-`diagonal_marked` in `nervekit.marked`; their names resolve from here
-on first use.
+verb first builds a bisimplicial set.
 """
 
 from __future__ import annotations
-
-from ._lazy import lazy
 
 
 def diagonal(X: BisimplicialSet, name: str = "") -> SimplicialSet:
@@ -23,8 +19,3 @@ def diagonal(X: BisimplicialSet, name: str = "") -> SimplicialSet:
     from .bisimplicial import _diagonal
 
     return _diagonal(X, name)
-
-
-__getattr__ = lazy(
-    __name__, {"BisimplicialSet": "bisimplicial", "MarkedBisimplicialSet": "marked", "diagonal_marked": "marked"}
-)

@@ -12,11 +12,7 @@ maps out of the lazy power homs (see `SimplicialMap`).
 build an example, and with `comparison_functor`, `grid_collapse` and
 `compose_functors`, which a traced benchmark run wraps where they are
 defined (``bench/trace_child.py`` ``TRACED``). The last two import
-their bodies from `nervekit.functors` when first called. The names
-that moved out resolve from here on first use: `SimplicialFunctor`
-and `functors_equal` (`nervekit.functors`), the poset categories and
-`path_poset` (`nervekit.posets`), the discrete and level categories
-(`nervekit.discrete`).
+their bodies from `nervekit.functors` when first called.
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from ._lazy import lazy
 from .sset import SimplicialSet, chain_index_nerve
 
 
@@ -237,17 +232,3 @@ def grid_collapse(p: int, q: int, tau: Sequence, D: int) -> SimplicialFunctor:
     from .functors import _grid_collapse
 
     return _grid_collapse(p, q, tau, D)
-
-
-__getattr__ = lazy(
-    __name__,
-    {
-        "SimplicialFunctor": "functors",
-        "functors_equal": "functors",
-        "constant_sset": "discrete",
-        "discrete_simplicial_category": "discrete",
-        "level_category": "discrete",
-        "path_poset": "posets",
-        "poset_category": "posets",
-    },
-)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .bisimplicial import BisimplicialSet
+from .bisimplicial import BisimplicialSet, _bisset_families
 from .cat import RelativeSimplicialCategory, SimplicialCategory
 from .coherent import _WITNESS_CAP
 from .comparison import _cell_from_plan, _collapse_row, _collapse_table, _table_pairs, _theta_plan, hc_constant
@@ -43,7 +43,7 @@ from .nerves import coherent_nerve
 from .posets import path_poset
 from .reporting import CheckReport
 from .spaces import ProductSset, materialize
-from .sset import SimplicialSet, TruncationError, enumerate_maps
+from .sset import SimplicialSet, TruncationError, _vertex_map, enumerate_maps
 
 
 # --- classification diagram --------------------------------------------------
@@ -111,13 +111,10 @@ def classification_diagram(R: RelativeSimplicialCategory, P: int, Q: int, name: 
             labels[p][q] = [k for k in keys if all_marked(k, slices)]
             cells[(p, q)] = {k: x for x, k in enumerate(labels[p][q])}
 
-    def family(kind, present):
-        # horizontal operators at (p, q) are indexed by p, vertical ones by q
+    def family(kind, rows):
         tables = [[[] for _ in range(Q + 1)] for _ in range(P + 1)]
         for (p, q), G in grids.items():
-            if not present(p, q):
-                continue
-            for i in range((p if kind[0] == "h" else q) + 1):
+            for i in range(rows(p, q)):
                 (p2, q2), vp, vq = _grid_op(p, q, kind, i)
                 g = _grid_gather(G, grids[(p2, q2)], vp, vq)
                 index = cells[(p2, q2)]
@@ -128,8 +125,7 @@ def classification_diagram(R: RelativeSimplicialCategory, P: int, Q: int, name: 
 
     space = BisimplicialSet(
         P, Q, [[len(labels[p][q]) for q in range(Q + 1)] for p in range(P + 1)],
-        family("hface", lambda p, q: p >= 1), family("hdegen", lambda p, q: p < P),
-        family("vface", lambda p, q: q >= 1), family("vdegen", lambda p, q: q < Q),
+        *(family(kind, rows) for kind, _, rows, _, _ in _bisset_families(P, Q)),
         labels=labels, name=name or f"cls({R.name})",
     )
     marked = set()
@@ -203,28 +199,15 @@ def _grid_op(p, q, kind, i):
     Returns the operator's source bidegree and the two monotone vertex
     maps embedding/collapsing its grid into the (p, q) grid.
     """
-    if kind == "hface":
-        return (p - 1, q), tuple(t if t < i else t + 1 for t in range(p)), tuple(range(q + 1))
-    if kind == "hdegen":
-        return (p + 1, q), tuple(t if t <= i else t - 1 for t in range(p + 2)), tuple(range(q + 1))
-    if kind == "vface":
-        return (p, q - 1), tuple(range(p + 1)), tuple(t if t < i else t + 1 for t in range(q))
-    return (p, q + 1), tuple(range(p + 1)), tuple(t if t <= i else t - 1 for t in range(q + 2))
+    for key, _, _, dp, dq in _bisset_families(p, q):
+        if key == kind:
+            return (p + dp, q + dq), _vertex_map(p, i, dp), _vertex_map(q, i, dq)
 
 
 def _ops_at(X: BisimplicialSet, p: int, q: int):
-    if p >= 1:
-        for i in range(p + 1):
-            yield "hface", i, X.hface
-    if p < X.P:
-        for i in range(p + 1):
-            yield "hdegen", i, X.hdegen
-    if q >= 1:
-        for j in range(q + 1):
-            yield "vface", j, X.vface
-    if q < X.Q:
-        for j in range(q + 1):
-            yield "vdegen", j, X.vdegen
+    for kind, _, rows, _, _ in _bisset_families(X.P, X.Q):
+        for i in range(rows(p, q)):
+            yield kind, i, getattr(X, kind)
 
 
 def _chain_tuple(label) -> tuple:

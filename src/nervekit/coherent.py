@@ -19,7 +19,7 @@ from . import comparison
 from .cat import SimplicialCategory
 from .nerves import classifying_space, coherent_nerve, levelwise_nerve
 from .reporting import CheckReport
-from .sset import SimplicialMap, SimplicialSet, TruncationError, act_table
+from .sset import SimplicialMap, SimplicialSet, TruncationError, _families, _vertex_map, act_table
 
 
 def _hc_level(SC: SimplicialCategory, n: int) -> list[tuple]:
@@ -143,17 +143,16 @@ def _coherent_nerve(SC: SimplicialCategory, L: int, name: str) -> SimplicialSet:
         raise TruncationError(f"level {L} cells need hom level {L - 1}, truncation is {SC.D}")
     levels = [_hc_level(SC, n) for n in range(L + 1)]
     index = [{cell: x for x, cell in enumerate(lvl)} for lvl in levels]
-    faces: list[list[list[int]]] = [[]]
-    for nl in range(1, L + 1):
-        faces.append(
-            [[index[nl - 1][comparison.hc_face(SC, cell, i)] for cell in levels[nl]] for i in range(nl + 1)]
-        )
-    degens = [
-        [[index[nl + 1][comparison.hc_degen(SC, cell, i)] for cell in levels[nl]] for i in range(nl + 1)]
-        if nl < L
-        else []
-        for nl in range(L + 1)
-    ]
+    faces, degens = (
+        [
+            [
+                [index[n + step][comparison._precompose_vertex_map(SC, cell, _vertex_map(n, i, step))] for cell in levels[n]]
+                for i in range(rows(n))
+            ]
+            for n in range(L + 1)
+        ]
+        for _, _, rows, step in _families(L)
+    )
     return SimplicialSet(
         L, [len(lvl) for lvl in levels], faces, degens, labels=levels, name=name or f"hc({SC.name})"
     )

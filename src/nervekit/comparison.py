@@ -4,9 +4,9 @@ A coherent-nerve n-cell is the tuple (objects, values): one value per
 generator chain (chain whose first subset is the two-point one) of the
 pair's unforced levels, in the order of `_generator_slots`. Identity
 pairs and higher levels are forced (`_cell_value`), and a value on any
-other hom chain folds out of these by composition. The `hc_*`
-operators act on them; `coherent._hc_level` enumerates the cells of
-one level.
+other hom chain folds out of these by composition. An operator
+precomposes a cell with its vertex map (`_precompose_vertex_map`);
+`coherent._hc_level` enumerates the cells of one level.
 
 A comparison or grid-collapse cell is a plan folded over a chain of
 level-q morphisms: on each generator chain, every hop acts by a tuple
@@ -128,16 +128,6 @@ def _precompose_vertex_map(SC: SimplicialCategory, cell, f: tuple) -> tuple:
             for a, b, m, c in slots
         ),
     )
-
-
-def hc_face(SC: SimplicialCategory, cell, i: int) -> tuple:
-    n = len(cell[0]) - 1
-    return _precompose_vertex_map(SC, cell, tuple(t if t < i else t + 1 for t in range(n)))
-
-
-def hc_degen(SC: SimplicialCategory, cell, i: int) -> tuple:
-    n = len(cell[0]) - 1
-    return _precompose_vertex_map(SC, cell, tuple(t if t <= i else t - 1 for t in range(n + 2)))
 
 
 def hc_constant(target: SimplicialCategory, obj, n: int) -> tuple:

@@ -3,8 +3,8 @@
 `pi0` partitions the vertices of a simplicial set by its edges;
 `RelativeSimplicialCategory.from_level_labels` keeps, in each hom, the
 components meeting the chosen vertices. ``import nervekit`` does not
-load this module up front: `nervekit.verify` resolves `pi0` from here
-on first use.
+load this module up front: the package resolves `pi0` from here on
+first use.
 """
 
 from __future__ import annotations

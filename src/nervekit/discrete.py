@@ -6,7 +6,7 @@ level-q cells of a simplicial category, whose nerve the ``nerve`` verb
 builds. `_discrete_example` builds the ``discrete:``, ``poset:`` and
 ``two-object-interval`` examples of `generators.build_example`.
 
-``import nervekit`` does not load this module up front: `nervekit.cat`
+``import nervekit`` does not load this module up front: the package
 resolves these names from here on first use, and `build_example`
 imports it for a discrete example.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .cat import FiniteCategory, RelativeSimplicialCategory, SimplicialCategory
 from .posets import FinitePoset, poset_category
-from .sset import SimplicialSet, TruncationError
+from .sset import SimplicialSet, TruncationError, _families
 
 
 def level_category(SC: SimplicialCategory, q: int) -> FiniteCategory:
@@ -35,8 +35,7 @@ def level_category(SC: SimplicialCategory, q: int) -> FiniteCategory:
 def constant_sset(k: int, D: int, labels=None, name: str = "") -> SimplicialSet:
     """k cells at every level with all operators the identity."""
     cards = [k] * (D + 1)
-    faces = [[] if n == 0 else [list(range(k)) for _ in range(n + 1)] for n in range(D + 1)]
-    degens = [[list(range(k)) for _ in range(n + 1)] if n < D else [] for n in range(D + 1)]
+    faces, degens = ([[list(range(k)) for _ in range(rows(n))] for n in range(D + 1)] for _, _, rows, _ in _families(D))
     lab = None if labels is None else [list(labels) for _ in range(D + 1)]
     return SimplicialSet(D, cards, faces, degens, labels=lab, name=name or f"constant({k})")
 

@@ -10,8 +10,8 @@ evaluate instead live in `nervekit.comparison`.
 
 ``import nervekit`` does not load this module up front: `nervekit.cat`
 keeps the traced entry points `compose_functors` and `grid_collapse`,
-which import their bodies from here when first called, and resolves
-the other names from here on first use.
+which import their bodies from here when first called, and the
+package resolves the other names from here on first use.
 """
 
 from __future__ import annotations

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ._lazy import lazy
-
 # The most entries the two dense transforms of `smith_normal_form` may
 # hold together, rows² + cols². The largest matrix any test or pinned
 # report reaches is 540 x 360 (421200), in the integer homology of the
@@ -68,6 +66,3 @@ def induced_chain_iso(f: SimplicialMap, coeff: str = "f2", max_deg: Optional[int
     from .chains import _induced_chain_iso
 
     return _induced_chain_iso(f, coeff, max_deg)
-
-
-__getattr__ = lazy(__name__, {"HomologyReport": "chains"})

@@ -7,7 +7,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .sset import SimplicialMap, SimplicialSet, TruncationError, chain_index_nerve
+from .sset import SimplicialMap, SimplicialSet, TruncationError, _families, chain_index_nerve
 
 
 def _chain_nerve(order, names: Sequence, D: int) -> SimplicialSet:
@@ -45,12 +45,11 @@ def subcomplex(X: SimplicialSet, seeds) -> tuple[SimplicialSet, SimplicialMap]:
     keep: list[set[int]] = [set() for _ in range(X.D + 1)]
     for n, x in seeds:
         keep[int(n)].add(int(x))
-    for n in range(X.D, 0, -1):
-        for row in X.faces[n]:
-            keep[n - 1].update(map(row.__getitem__, keep[n]))
-    for n in range(X.D):
-        for row in X.degens[n]:
-            keep[n + 1].update(map(row.__getitem__, keep[n]))
+    families = [(getattr(X, kind + "s"), rows, step) for kind, _, rows, step in _families(X.D)]
+    for tables, rows, step in families:
+        for n in range(X.D + 1)[::step]:
+            for i in range(rows(n)):
+                keep[n + step].update(map(tables[n][i].__getitem__, keep[n]))
     old = [sorted(cells) for cells in keep]
     new = [dict(zip(cells, range(len(cells)))).__getitem__ for cells in old]
 
@@ -58,8 +57,9 @@ def subcomplex(X: SimplicialSet, seeds) -> tuple[SimplicialSet, SimplicialMap]:
         return [list(map(renumber, map(row.__getitem__, cells))) for row in rows]
 
     top = X.D
-    faces = [gather(X.faces[n], new[n - 1], old[n]) if n else [] for n in range(top + 1)]
-    degens = [gather(X.degens[n], new[n + 1], old[n]) if n < top else [] for n in range(top + 1)]
+    faces, degens = (
+        [gather(tables[n], new[n + step], old[n]) if rows(n) else [] for n in range(top + 1)] for tables, rows, step in families
+    )
     labels = None if X.labels is None else [list(map(X.labels[n].__getitem__, old[n])) for n in range(top + 1)]
     S = SimplicialSet(top, list(map(len, old)), faces, degens, labels=labels, name=f"sub({X.name})")
     return S, SimplicialMap(S, X, values=old)

@@ -2,8 +2,7 @@
 
 `_validate_map` is the body of `sset.validate_map`, the traced entry
 point ``import nervekit`` loads; it imports this module when first
-called, so only a verb that checks a map compiles it. `compose_maps`
-resolves from `nervekit.sset` on first use.
+called, so only a verb that checks a map compiles it.
 """
 
 from __future__ import annotations

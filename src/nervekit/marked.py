@@ -5,12 +5,11 @@ bisimplicial set some column-1 cells. `levelwise_nerve_marked` marks
 the single-morphism chains of a relative category's subcategory, and
 `diagonal_marked` keeps the marked (1, 1) cells as marked edges.
 
-``import nervekit`` does not load this module up front: `nervekit.sset`,
-`nervekit.bisset` and `nervekit.nerves` resolve these names from here
-on first use, so only the marked verbs (``binerve`` and ``diag`` of a
-relative category, ``cls``, ``theta``) compile it. It binds the traced
-entry points `nerves.levelwise_nerve` and `bisset.diagonal` when it
-loads, so a traced run sees them nested.
+``import nervekit`` does not load this module up front: the package
+resolves these names from here on first use, so only the marked verbs
+(``binerve`` and ``diag`` of a relative category, ``cls``, ``theta``)
+compile it. It binds the traced entry points `nerves.levelwise_nerve`
+and `bisset.diagonal` when it loads, so a traced run sees them nested.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from .bisset import diagonal
 from .cat import RelativeSimplicialCategory
 from .nerves import levelwise_nerve
 from .reporting import FrozenRecord, Record, ValidationReport
-from .sset import SimplicialSet, TruncationError
+from .sset import SimplicialSet, TruncationError, _families
 
 
 class MarkedSimplicialSet(Record):
@@ -73,17 +72,14 @@ class MarkedBisimplicialSet(FrozenRecord):
             if not (0 <= q <= X.Q and 0 <= x < X.card(1, q)):
                 rep.add("marking range", (q, x), "marked cell out of range")
                 return rep
+        families = _families(X.Q)
         for (q, x) in self.marked:
-            if q >= 1:
-                for j in range(q + 1):
+            for kind, _, rows, step in families:
+                noun, nouns = ("face", "faces") if step < 0 else ("degeneracy", "degeneracies")
+                for j in range(rows(q)):
                     rep.checked += 1
-                    if (q - 1, X.vface(1, q, j, x)) not in self.marked:
-                        rep.add("marking closed under faces", (q, j, x), "vertical face escapes marking")
-            if q < X.Q:
-                for j in range(q + 1):
-                    rep.checked += 1
-                    if (q + 1, X.vdegen(1, q, j, x)) not in self.marked:
-                        rep.add("marking closed under degeneracies", (q, j, x), "vertical degeneracy escapes marking")
+                    if (q + step, getattr(X, "v" + kind)(1, q, j, x)) not in self.marked:
+                        rep.add(f"marking closed under {nouns}", (q, j, x), f"vertical {noun} escapes marking")
         for q in range(X.Q + 1):
             for y in range(X.card(0, q)):
                 rep.checked += 1

@@ -15,13 +15,11 @@ wraps these five functions where they are defined
 (``bench/trace_child.py`` ``TRACED``). Each keeps its signature and
 docstring here; all but `classifying_space` import their bodies when
 first called, from `nervekit.comparison` (with the cell formulas and
-`comparison_cell`) and `nervekit.bisimplicial`. `levelwise_nerve_marked`
-lives in `nervekit.marked`; both names resolve from here.
+`comparison_cell`) and `nervekit.bisimplicial`.
 """
 
 from __future__ import annotations
 
-from ._lazy import lazy
 from .bisset import diagonal
 from .sset import TruncationError
 
@@ -96,6 +94,3 @@ def consistency_check(SC: SimplicialCategory, f: SimplicialMap) -> CheckReport:
     from .coherent import _consistency_check
 
     return _consistency_check(SC, f)
-
-
-__getattr__ = lazy(__name__, {"comparison_cell": "comparison", "levelwise_nerve_marked": "marked"})

@@ -7,8 +7,8 @@ and the index set of the comparison cell formulas; `poset_category`
 is the ordinary category of a poset, and `vertex_induced_map` the map
 of chain nerves induced by a monotone map of their entries.
 
-``import nervekit`` does not load this module up front: `nervekit.sset`
-and `nervekit.cat` resolve these names from here on first use, so only
+``import nervekit`` does not load this module up front: the package
+resolves all but `vertex_induced_map` from here on first use, so only
 a verb that reads a poset (a ``discrete:`` or ``poset:`` example, the
 comparison cell formulas, the gadgets) compiles it.
 """

@@ -20,7 +20,7 @@ from .bisimplicial import BisimplicialSet, _bisset_families
 from .cat import RelativeSimplicialCategory, SimplicialCategory
 from .marked import MarkedBisimplicialSet
 from .serialize import SchemaError, _obj_lookup, _okey
-from .sset import SimplicialSet
+from .sset import SimplicialSet, _families
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -55,13 +55,12 @@ def sset_from_json(data, name: str = "") -> SimplicialSet:
         _require(isinstance(data[key], list) and len(data[key]) == D + 1, f"{key} must hold one table per level")
     tables = {"face": [], "degen": []}
     for n in range(D + 1):
-        # rows per operator index, and the level their cells lie in
-        for key, want, m in (("face", n + 1 if n else 0, n - 1), ("degen", n + 1 if n < D else 0, n + 1)):
+        for key, _, rows, step in _families(D):
             t = _int_table(data[key][n], f"{key}[{n}] must be nested integer arrays")
-            _require(len(t) == want, f"{key}[{n}] must hold {want} rows")
+            _require(len(t) == rows(n), f"{key}[{n}] must hold {rows(n)} rows")
             _require(all(len(r) == cards[n] for r in t), f"{key}[{n}] rows must match the level size")
             for r in t:
-                _require(all(0 <= v < cards[m] for v in r), f"{key}[{n}] has an out-of-range cell")
+                _require(all(0 <= v < cards[n + step] for v in r), f"{key}[{n}] has an out-of-range cell")
             tables[key].append(t)
     X = SimplicialSet(D, cards, tables["face"], tables["degen"], name=name)
     validate_sset(X, subject=name or "loaded simplicial set").raise_if_failed()
@@ -165,7 +164,7 @@ def bisset_from_json(data, name: str = ""):
         "cells must be a (P+1) x (Q+1) grid of sizes",
     )
 
-    def grid(key, rows, dp, dq):
+    def grid(key, _, rows, dp, dq):
         doc = data[key]
         _require(isinstance(doc, list) and len(doc) == P + 1, f"{key} must hold one row per column degree")
         out = []

@@ -19,7 +19,7 @@ import itertools
 from .cat import RelativeSimplicialCategory
 from .nerves import levelwise_nerve
 from .reporting import CheckReport
-from .sset import TruncationError
+from .sset import TruncationError, _families
 
 # each check keeps the first witnesses it finds, up to this many
 MAX_WITNESSES = 8
@@ -59,6 +59,7 @@ def segal_column_check(R, n_max: int, Q: int) -> CheckReport:
     if n_max < 1:
         raise ValueError("need at least one column")
     NB = levelwise_nerve(SC, n_max, Q)
+    families = _families(Q)
     witnesses = []
     cells_checked = 0
     op_instances = 0
@@ -96,20 +97,14 @@ def segal_column_check(R, n_max: int, Q: int) -> CheckReport:
                 note("column count mismatch", n, q, NB.card(n, q), total)
             for x in range(NB.card(n, q)):
                 t = fac[(n, q, x)]
-                if q >= 1:
-                    for j in range(q + 1):
-                        y = NB.vface(n, q, j, x)
-                        want = tuple((a, b, SC.hom(a, b).face(q, j, c)) for a, b, c in t)
+                for kind, _, rows, step in families:
+                    noun = "face" if step < 0 else "degeneracy"
+                    for j in range(rows(q)):
+                        y = getattr(NB, "v" + kind)(n, q, j, x)
+                        want = tuple((a, b, getattr(SC.hom(a, b), kind)(q, j, c)) for a, b, c in t)
                         op_instances += 1
-                        if fac[(n, q - 1, y)] != want:
-                            note("vertical face vs factors", n, q, j, x)
-                if q < Q:
-                    for j in range(q + 1):
-                        y = NB.vdegen(n, q, j, x)
-                        want = tuple((a, b, SC.hom(a, b).degen(q, j, c)) for a, b, c in t)
-                        op_instances += 1
-                        if fac[(n, q + 1, y)] != want:
-                            note("vertical degeneracy vs factors", n, q, j, x)
+                        if fac[(n, q + step, y)] != want:
+                            note(f"vertical {noun} vs factors", n, q, j, x)
 
     for n in range(2, n_max + 1):
         for q in range(Q + 1):
@@ -163,6 +158,7 @@ def fiber_check(R) -> CheckReport:
     SC = R.cat if isinstance(R, RelativeSimplicialCategory) else R
     D = SC.D
     NB = levelwise_nerve(SC, 1, D)
+    families = _families(D)
     witnesses = []
     cells_checked = 0
 
@@ -193,18 +189,12 @@ def fiber_check(R) -> CheckReport:
                     note("fiber not in bijection with hom", X, Y, q, sorted(got.values()))
                     continue
                 for y, c in got.items():
-                    if q >= 1:
-                        for j in range(q + 1):
-                            yy = NB.vface(1, q, j, y)
-                            _, ms = NB.label(1, q - 1, yy)
-                            if ms[0][2][2] != H.face(q, j, c):
-                                note("fiber vs vertical face", X, Y, q, j, y)
-                    if q < D:
-                        for j in range(q + 1):
-                            yy = NB.vdegen(1, q, j, y)
-                            _, ms = NB.label(1, q + 1, yy)
-                            if ms[0][2][2] != H.degen(q, j, c):
-                                note("fiber vs vertical degeneracy", X, Y, q, j, y)
+                    for kind, _, rows, step in families:
+                        noun = "face" if step < 0 else "degeneracy"
+                        for j in range(rows(q)):
+                            _, ms = NB.label(1, q + step, getattr(NB, "v" + kind)(1, q, j, y))
+                            if ms[0][2][2] != getattr(H, kind)(q, j, c):
+                                note(f"fiber vs vertical {noun}", X, Y, q, j, y)
     return CheckReport(
         check=f"hom fibers of column 1 for {SC.name or 'category'}",
         verdict="pass" if not witnesses else "fail",

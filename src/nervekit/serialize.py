@@ -22,9 +22,8 @@ and one trailing newline, so identical values round-trip bit-exactly
 and `digest` is stable. ``import nervekit`` loads it: every verb
 digests its input, and a traced benchmark run wraps `to_json` and
 `digest` here (``bench/trace_child.py`` ``TRACED``). The bisimplicial
-writer, `bisset_to_json`, lives in `nervekit.bisimplicial` and
-resolves from here on first use; the readers, which validate what they
-read, live in `nervekit.schema`.
+writer, `bisset_to_json`, lives in `nervekit.bisimplicial`; the
+readers, which validate what they read, live in `nervekit.schema`.
 
 Cell labels are not serialized; every construction downstream of a
 loaded object works from indices and operator tables alone.
@@ -35,12 +34,11 @@ from __future__ import annotations
 import hashlib
 import json
 
-from ._lazy import lazy
 from .cat import RelativeSimplicialCategory, SimplicialCategory
+from .sset import _families
 
 __all__ = [
     "SchemaError",
-    "bisset_to_json",
     "canonical_json",
     "cat_to_json",
     "digest",
@@ -66,18 +64,11 @@ def digest(value) -> str:
 
 def sset_to_json(X) -> dict:
     D = X.D
-    return {
-        "dim": D,
-        "cells": [X.card(n) for n in range(D + 1)],
-        "face": [
-            [[X.face(n, i, x) for x in range(X.card(n))] for i in range(n + 1)] if n else []
-            for n in range(D + 1)
-        ],
-        "degen": [
-            [[X.degen(n, i, x) for x in range(X.card(n))] for i in range(n + 1)] if n < D else []
-            for n in range(D + 1)
-        ],
-    }
+    doc = {"dim": D, "cells": [X.card(n) for n in range(D + 1)]}
+    for kind, _, rows, _ in _families(D):
+        op = getattr(X, kind)
+        doc[kind] = [[[op(n, i, x) for x in range(X.card(n))] for i in range(rows(n))] for n in range(D + 1)]
+    return doc
 
 
 # -- simplicial categories ---------------------------------------------------
@@ -140,6 +131,3 @@ def to_json(value) -> dict:
 def save(path, value) -> None:
     with open(path, "w") as fh:
         fh.write(canonical_json(to_json(value)))
-
-
-__getattr__ = lazy(__name__, {"bisset_to_json": "bisimplicial"})

@@ -6,14 +6,16 @@
   interfaces, `materialize` copies any such interface into explicit
   tables, and `product` does both.
 
-``import nervekit`` does not load this module up front: `nervekit.sset`
-resolves these names from here on first use.
+``import nervekit`` does not load this module up front: the package
+resolves these names from here on first use (`act` also from
+`nervekit.sset`).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from .serialize import sset_to_json
 from .sset import SimplicialSet, _DegeneracyTest, _steps
 
 
@@ -45,13 +47,8 @@ def vertices(X, n: int, x: int) -> tuple[int, ...]:
 def materialize(V, name: str = "") -> SimplicialSet:
     """Copy any cell-table interface (e.g. a lazy view) into explicit tables."""
     D = V.D
-    cards = [V.card(n) for n in range(D + 1)]
-    faces = [[] for _ in range(D + 1)]
-    degens = [[] for _ in range(D + 1)]
-    for n in range(1, D + 1):
-        faces[n] = [[V.face(n, i, x) for x in range(cards[n])] for i in range(n + 1)]
-    for n in range(D):
-        degens[n] = [[V.degen(n, i, x) for x in range(cards[n])] for i in range(n + 1)]
+    doc = sset_to_json(V)
+    cards = doc["cells"]
     labels = None
     if getattr(V, "labels", None) is not None or hasattr(V, "label"):
         try:
@@ -60,7 +57,7 @@ def materialize(V, name: str = "") -> SimplicialSet:
             labels = None
     if labels is not None and all(l is None for lvl in labels for l in lvl):
         labels = None
-    return SimplicialSet(D, cards, faces, degens, labels=labels, name=name or getattr(V, "name", ""))
+    return SimplicialSet(D, cards, doc["face"], doc["degen"], labels=labels, name=name or getattr(V, "name", ""))
 
 
 class ProductSset(_DegeneracyTest):

@@ -20,18 +20,16 @@ Conventions
   operator tables; labels are documentation and are ignored.
 * Every nerve of a category (simplices, posets, `cat.nerve_cat`, the
   rows of `nerves.levelwise_nerve`) is built by `chain_index_nerve`.
+* Which faces and degeneracies exist is `_families`, and the vertex
+  map of each is `_vertex_map`; every validator, reader, writer and
+  grid map reads them.
 
 ``import nervekit`` loads this module with what every verb runs: the
 tables, `act_table`, the chain-index nerves, and the traced
 `validate_map` and `enumerate_maps` (``bench/trace_child.py``
 ``TRACED``), whose bodies load from `nervekit.maps` and
-`nervekit.horns` on first call. The rest resolves from here on first
-use: `act`, `vertices`, products and `materialize` (`nervekit.spaces`),
-posets (`nervekit.posets`), `compose_maps` (`nervekit.maps`),
-`MarkedSimplicialSet` (`nervekit.marked`), simplices and horns
-(`nervekit.horns`).
-`validate_sset` lives in `nervekit.axioms`, `PowerSset` in
-`nervekit.gadgets`.
+`nervekit.horns` on first call. `validate_sset` lives in
+`nervekit.axioms`, `PowerSset` in `nervekit.gadgets`.
 """
 
 from __future__ import annotations
@@ -120,8 +118,7 @@ class SimplicialSet(_DegeneracyTest):
     @classmethod
     def empty(cls, D: int, name: str = "empty") -> "SimplicialSet":
         z = [0] * (D + 1)
-        faces = [[[] for _ in range(n + 1)] if n else [] for n in range(D + 1)]
-        degens = [[[] for _ in range(n + 1)] if n < D else [] for n in range(D + 1)]
+        faces, degens = ([[[] for _ in range(rows(n))] for n in range(D + 1)] for _, _, rows, _ in _families(D))
         return cls(D, z, faces, degens, labels=[[] for _ in z], name=name)
 
     def card(self, n: int) -> int:
@@ -211,6 +208,21 @@ class SimplicialSet(_DegeneracyTest):
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
         return f"<SimplicialSet{tag} D={self.D} cards={self.cards}>"
+
+
+def _families(D: int) -> tuple:
+    """The operator families of a D-truncated simplicial set, as
+    (kind, symbol, rows(n), step): d_i on levels n >= 1 and s_i on
+    levels n < D, i = 0..n, landing at level n + step."""
+    return ("face", "d", lambda n: n + 1 if n else 0, -1), ("degen", "s", lambda n: n + 1 if n < D else 0, 1)
+
+
+def _vertex_map(n: int, i: int, step: int) -> tuple:
+    """The vertex map [n + step] -> [n] of d_i (step -1) or s_i (step 1)
+    on level n; the identity for step 0."""
+    if step < 0:
+        return tuple(t + (t >= i) for t in range(n))
+    return tuple(t - (t > i) for t in range(n + 2)) if step else tuple(range(n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -428,13 +440,5 @@ def enumerate_maps(A, X) -> list[SimplicialMap]:
     return _enumerate_maps(A, X)
 
 
-__getattr__ = lazy(
-    __name__,
-    {
-        **dict.fromkeys(("FinitePoset", "poset_nerve", "vertex_induced_map"), "posets"),
-        **dict.fromkeys(("ProductSset", "act", "materialize", "product", "vertices"), "spaces"),
-        **dict.fromkeys(("horn", "standard_simplex", "subcomplex"), "horns"),
-        "compose_maps": "maps",
-        "MarkedSimplicialSet": "marked",
-    },
-)
+# ``bench/trace_child.py`` imports these two from here
+__getattr__ = lazy(__name__, {"act": "spaces", "horn": "horns"})

@@ -4,23 +4,21 @@ Everything here either passes exactly or fails with a witness; nothing
 is sampled and nothing is approximated. ``import nervekit`` loads this
 module because a traced benchmark run wraps `horn_check` where it is
 defined (``bench/trace_child.py`` ``TRACED``). `pi0` lives in
-`nervekit.components` and resolves from here on first use. The
-homology checks live in `nervekit.homology`, `consistency_check` in
-`nervekit.nerves`, the whole-object validators in `nervekit.axioms`,
-the Segal and fiber checks in `nervekit.segal` and the uniqueness
-search in `nervekit.uniqueness`; each loads only in a verb that runs
-it.
+`nervekit.components`, the homology checks in `nervekit.homology`,
+`consistency_check` in `nervekit.nerves`, the whole-object validators
+in `nervekit.axioms`, the Segal and fiber checks in `nervekit.segal`
+and the uniqueness search in `nervekit.uniqueness`; each loads only in
+a verb that runs it.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
 
-from ._lazy import lazy
 from .reporting import CheckReport
 from .sset import TruncationError, act_table, enumerate_maps
 
-__all__ = ["horn_check", "pi0"]
+__all__ = ["horn_check"]
 
 
 def _lab(X, n: int, x: int):
@@ -75,6 +73,3 @@ def horn_check(X, n: int, k: int, max_witnesses: int = 8) -> CheckReport:
         witnesses=witnesses,
         bounds={"n": n, "k": k, "horn_maps": len(maps), "unfillable": unfillable},
     )
-
-
-__getattr__ = lazy(__name__, {"pi0": "components"})

@@ -264,6 +264,40 @@ def test_every_verb_runs_in_a_fresh_interpreter(command, code):
         assert json.loads(p.stdout)["digest"] == pins[command]
 
 
+# `validate --in` on each fixture, run from the repository root: the
+# exit code, and the report digest of a clean file or the message a
+# broken one is refused with
+FIXTURE_PINS = [
+    ("clean_bisset.json", 0, "773f1125209cad9eb4b8c3880d6dd89ae576585266ad50ad97c56b53b6239607"),
+    ("clean_relative.json", 0, "917084c0b814cffa5222af1826e0501fbbd068eae06d087a58f715bb545ca292"),
+    ("clean_sset.json", 0, "4efb138b6f03dcb27b218de7e1bb27d3c541c95fadf8196e674e77a169ee50c9"),
+    ("broken_commutation_bisset.json", 1, "2 violation(s); first: row 1: d_j s_j = id = d_{j+1} s_j at (1, 0, 0, 0) 1 != 0"),
+    ("broken_identity_sset.json", 1, "3 violation(s); first: d_i d_j = d_{j-1} d_i at (2, 0, 1, 0) 0 != 1"),
+    ("broken_marking.json", 1, "5 violation(s); first: marking closed under faces at (1, 0, 0) vertical face escapes marking"),
+    ("broken_unit_cat.json", 1, "4 violation(s); first: left unit at ('x', 'x', 1, 1) id after f differs from f"),
+    ("non_wide.json", 1, "4 violation(s); first: wideness at ('x', 'x', 1, 1) cell in a marked component but not in sub"),
+]
+
+
+def test_fixture_pins_cover_every_fixture(fixtures_dir):
+    assert sorted(name for name, _, _ in FIXTURE_PINS) == sorted(p.name for p in fixtures_dir.glob("*.json"))
+
+
+@pytest.mark.parametrize("name, code, want", FIXTURE_PINS)
+def test_fixture_validation_is_pinned(name, code, want):
+    root = pathlib.Path(__file__).resolve().parent.parent
+    path = f"tests/fixtures/{name}"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    p = subprocess.run(
+        [sys.executable, "-m", "nervekit.cli", "validate", "--in", path], cwd=root, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert p.returncode == code, p.stderr
+    if code == 0:
+        assert json.loads(p.stdout)["digest"] == want
+    else:
+        assert p.stderr == f"nervekit: input failed validation: {path}: {want}\n"
+
+
 def test_failing_uniqueness_digest_is_pinned():
     # at N = 1 the search finds more than the canonical family; this is
     # the one pinned report whose witnesses print vertex signatures

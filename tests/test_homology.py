@@ -15,7 +15,7 @@ from nervekit import (
     smith_normal_form,
     standard_simplex,
 )
-from nervekit.sset import FinitePoset
+from nervekit.posets import FinitePoset
 from sset_helpers import boundary_simplex, identity_map, yoneda_map
 
 

@@ -1235,7 +1235,7 @@ def test_fold_calls_no_compose_or_act(z2_rel_d3, monkeypatch):
     assert callers["act_table"]["_resolved_plan"] > 0
     assert callers["act_table"]["_consistency_check"] > 0
     assert not callers["act"]
-    sset_mod.vertices(SC.hom(SC.objects[0], SC.objects[0]), 2, 0)
+    spaces_mod.vertices(SC.hom(SC.objects[0], SC.objects[0]), 2, 0)
     assert sum(callers["act"].values()) == 3
 
 
