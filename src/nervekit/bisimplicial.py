@@ -125,25 +125,12 @@ def _diagonal(X: BisimplicialSet, name: str = "") -> SimplicialSet:
     # the body of `bisset.diagonal`
     D = min(X.P, X.Q)
     cards = [X.card(n, n) for n in range(D + 1)]
-    faces: list[list[list[int]]] = [[]]
-    for n in range(1, D + 1):
-        faces.append(
-            [
-                [X.vface(n - 1, n, i, X.hface(n, n, i, x)) for x in range(cards[n])]
-                for i in range(n + 1)
-            ]
-        )
-    degens = []
-    for n in range(D + 1):
-        if n == D:
-            degens.append([])
-        else:
-            degens.append(
-                [
-                    [X.vdegen(n + 1, n, i, X.hdegen(n, n, i, x)) for x in range(cards[n])]
-                    for i in range(n + 1)
-                ]
-            )
+    # d_i is d^v_i after d^h_i, and s_i is s^v_i after s^h_i
+    ops = []
+    for kind, _, rows, step in _families(D):
+        h, v = getattr(X, "h" + kind), getattr(X, "v" + kind)
+        ops.append([[[v(n + step, n, i, h(n, n, i, x)) for x in range(cards[n])] for i in range(rows(n))] for n in range(D + 1)])
+    faces, degens = ops
     labels = None
     if X.labels is not None:
         labels = [[X.labels[n][n][x] for x in range(cards[n])] for n in range(D + 1)]

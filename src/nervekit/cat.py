@@ -95,13 +95,9 @@ def _chain_labels(objects: Sequence, homs, ends, D: int) -> list[list[tuple]]:
     return labels
 
 
-_EMPTY_CACHE: dict[int, SimplicialSet] = {}
-
-
+@lru_cache(maxsize=None)
 def _empty(D: int) -> SimplicialSet:
-    if D not in _EMPTY_CACHE:
-        _EMPTY_CACHE[D] = SimplicialSet.empty(D)
-    return _EMPTY_CACHE[D]
+    return SimplicialSet.empty(D)
 
 
 class SimplicialCategory:

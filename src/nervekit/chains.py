@@ -177,17 +177,6 @@ class HomologyReport(Record):
             "groups": self.groups,
         }
 
-    def lines(self):
-        out = []
-        for g in self.groups:
-            n = g["degree"]
-            if self.coeff == "f2":
-                out.append(f"H_{n} (mod 2): dimension {g['dim']}")
-            else:
-                parts = ["Z"] * g["betti"] + [f"Z/{d}" for d in g["torsion"]]
-                out.append(f"H_{n}: " + (" + ".join(parts) if parts else "0"))
-        return out
-
 
 # --- homology and chain isomorphisms ----------------------------------------
 

@@ -157,21 +157,34 @@ def _maybe_artifact(args, results: dict, value) -> None:
         results["artifact"] = to_json(value)
 
 
-def run(argv: list[str]) -> tuple[dict, int, str | None]:
-    """Execute one command line; return (report, exit code, --out path)."""
-    args = _parser(argv[0] if argv else None).parse_args(argv)
-    t0 = time.perf_counter()
-    results: dict = {}
-    inputs: dict = {}
-    failed = False
-    cmd = args.command
+def _space_summary(args, results: dict, X) -> None:
+    """The level counts of a built simplicial set, and its tables with --emit-cells."""
+    results["levels"] = list(X.counts())
+    _maybe_artifact(args, results, X)
 
+
+def _marked_summary(args, results: dict, M) -> None:
+    """The cell counts of a marked bisimplicial set, its marked cells per
+    row, and its tables with --emit-cells."""
+    results["cells"] = [list(r) for r in M.space.counts()]
+    results["marked"] = [sum(1 for (q, _) in M.marked if q == qq) for qq in range(M.space.Q + 1)]
+    _maybe_artifact(args, results, M)
+
+
+def _homs(SC: SimplicialCategory) -> list:
+    """The ((a, b), hom) pairs of ``SC``, ordered by ``str((a, b))``."""
+    return sorted(SC.homs.items(), key=lambda kv: str(kv[0]))
+
+
+def _run_verb(args, value, results: dict) -> bool:
+    """Run the verb of ``args`` on its loaded input ``value``, filling
+    ``results``; return whether a check failed."""
+    cmd = args.command
     if cmd == "validate":
         from .axioms import validate_bisset, validate_relative, validate_simplicial_category, validate_sset
         from .bisimplicial import BisimplicialSet
         from .marked import MarkedBisimplicialSet
 
-        value, inputs = _load_input(args)
         reps = []
         if isinstance(value, RelativeSimplicialCategory):
             reps.append(validate_relative(value))
@@ -185,144 +198,98 @@ def run(argv: list[str]) -> tuple[dict, int, str | None]:
         else:
             reps.append(validate_sset(value, subject="input"))
         results["validation"] = [r.to_json() for r in reps]
-        failed = any(not r.ok for r in reps)
+        return any(not r.ok for r in reps)
 
-    elif cmd == "nerve":
-        from .discrete import level_category
-
-        value, inputs = _load_input(args)
+    elif cmd in ("nerve", "hcnerve", "bspace"):
         SC = _as_cat(value)
-        L = _level_bound(args, SC.D)
-        N = nerve_cat(level_category(SC, 0), L)
-        results["levels"] = list(N.counts())
-        results["nondegenerate"] = list(N.nondeg_counts())
-        _maybe_artifact(args, results, N)
+        L = _level_bound(args, SC.D, ceiling=SC.D + 1 if cmd == "hcnerve" else None)
+        if cmd == "nerve":
+            from .discrete import level_category
+
+            X = nerve_cat(level_category(SC, 0), L)
+        else:
+            X = (coherent_nerve if cmd == "hcnerve" else classifying_space)(SC, L)
+        results["nondegenerate"] = list(X.nondeg_counts())
+        _space_summary(args, results, X)
 
     elif cmd == "binerve":
-        value, inputs = _load_input(args)
         SC = _as_cat(value)
         P, Q = _bidegrees(args, SC.D, SC.D)
         if isinstance(value, RelativeSimplicialCategory):
             from .marked import levelwise_nerve_marked
 
-            M = levelwise_nerve_marked(value, P, Q)
-            results["cells"] = [list(r) for r in M.space.counts()]
-            results["marked"] = [sum(1 for (q, _) in M.marked if q == qq) for qq in range(Q + 1)]
-            _maybe_artifact(args, results, M)
+            _marked_summary(args, results, levelwise_nerve_marked(value, P, Q))
         else:
             B = levelwise_nerve(SC, P, Q)
             results["cells"] = [list(r) for r in B.counts()]
             _maybe_artifact(args, results, B)
 
-    elif cmd == "hcnerve":
-        value, inputs = _load_input(args)
-        SC = _as_cat(value)
-        L = _level_bound(args, SC.D, ceiling=SC.D + 1)
-        hc = coherent_nerve(SC, L)
-        results["levels"] = list(hc.counts())
-        results["nondegenerate"] = list(hc.nondeg_counts())
-        _maybe_artifact(args, results, hc)
-
-    elif cmd == "bspace":
-        value, inputs = _load_input(args)
-        SC = _as_cat(value)
-        L = _level_bound(args, SC.D)
-        B = classifying_space(SC, L)
-        results["levels"] = list(B.counts())
-        results["nondegenerate"] = list(B.nondeg_counts())
-        _maybe_artifact(args, results, B)
-
     elif cmd == "diag":
         from .bisimplicial import BisimplicialSet
         from .marked import MarkedBisimplicialSet, diagonal_marked, levelwise_nerve_marked
 
-        value, inputs = _load_input(args)
-        if isinstance(value, (RelativeSimplicialCategory, SimplicialCategory)):
-            SC = _as_cat(value)
-            if isinstance(value, RelativeSimplicialCategory):
-                value = levelwise_nerve_marked(value, SC.D, SC.D)
-            else:
-                value = levelwise_nerve(SC, SC.D, SC.D)
+        if isinstance(value, RelativeSimplicialCategory):
+            value = levelwise_nerve_marked(value, value.cat.D, value.cat.D)
+        elif isinstance(value, SimplicialCategory):
+            value = levelwise_nerve(value, value.D, value.D)
         if isinstance(value, MarkedBisimplicialSet):
             Dg = diagonal_marked(value)
-            results["levels"] = list(Dg.space.counts())
             results["marked_edges"] = len(Dg.marked)
-            _maybe_artifact(args, results, Dg.space)
+            _space_summary(args, results, Dg.space)
         elif isinstance(value, BisimplicialSet):
-            Dg = diagonal(value)
-            results["levels"] = list(Dg.counts())
-            _maybe_artifact(args, results, Dg)
+            _space_summary(args, results, diagonal(value))
         else:
             raise UsageError("diag needs a bisimplicial set or category input")
 
     elif cmd == "compare":
-        value, inputs = _load_input(args)
         SC = _as_cat(value)
-        L = _level_bound(args, SC.D)
-        f = comparison_map(SC, L)
+        f = comparison_map(SC, _level_bound(args, SC.D))
         vrep = validate_map(f, subject="comparison map")
         iso = induced_chain_iso(f, coeff=args.coeff)
         cons = consistency_check(SC, f)
         results["map_simplicial"] = vrep.to_json()
         results["chain_iso"] = iso.to_json()
         results["consistency"] = cons.to_json()
-        failed = not (vrep.ok and iso.ok and cons.ok)
+        return not (vrep.ok and iso.ok and cons.ok)
 
-    elif cmd == "cls":
-        from .classification import classification_diagram
+    elif cmd in ("cls", "theta"):
+        from .classification import classification_comparison, classification_diagram
 
-        value, inputs = _load_input(args)
         R = _as_relative(value)
         P, Q = _marked_bidegrees(args, R.cat.D)
-        M = classification_diagram(R, P, Q)
-        results["cells"] = [list(r) for r in M.space.counts()]
-        results["marked"] = [sum(1 for (q, _) in M.marked if q == qq) for qq in range(Q + 1)]
-        _maybe_artifact(args, results, M)
+        if cmd == "cls":
+            _marked_summary(args, results, classification_diagram(R, P, Q))
+        else:
+            rep = classification_comparison(R, P, Q)
+            results["theta"] = rep.to_json()
+            return not rep.ok
 
-    elif cmd == "theta":
-        from .classification import classification_comparison
-
-        value, inputs = _load_input(args)
-        R = _as_relative(value)
-        P, Q = _marked_bidegrees(args, R.cat.D)
-        rep = classification_comparison(R, P, Q)
-        results["theta"] = rep.to_json()
-        failed = not rep.ok
-
-    elif cmd == "homology":
-        value, inputs = _load_input(args)
+    elif cmd in ("homology", "pi0"):
         if isinstance(value, (RelativeSimplicialCategory, SimplicialCategory)):
             SC = _as_cat(value)
-            value = classifying_space(SC, _level_bound(args, SC.D))
+            value = classifying_space(SC, _level_bound(args, SC.D) if cmd == "homology" else SC.D)
             results["space"] = "classifying space"
         X = _as_sset(value)
-        # degrees above X.D - 1 lack the boundary needed for an exact answer
-        exact = max(X.D - 1, 0)
-        max_deg = min(args.max_dim, exact) if args.max_dim is not None else exact
-        rep = homology(X, coeff=args.coeff, max_deg=max_deg)
-        results["homology"] = rep.to_json()
+        if cmd == "pi0":
+            from .components import pi0
 
-    elif cmd == "pi0":
-        from .components import pi0
-
-        value, inputs = _load_input(args)
-        if isinstance(value, (RelativeSimplicialCategory, SimplicialCategory)):
-            SC = _as_cat(value)
-            value = classifying_space(SC, SC.D)
-            results["space"] = "classifying space"
-        X = _as_sset(value)
-        classes = pi0(X)
-        results["classes"] = classes
-        results["count"] = len(classes)
+            results["classes"] = pi0(X)
+            results["count"] = len(results["classes"])
+        elif args.max_dim is not None and args.max_dim < 0:
+            raise TruncationError(f"degree bound {args.max_dim} is negative")
+        else:
+            # degrees above X.D - 1 lack the boundary needed for an exact answer
+            exact = max(X.D - 1, 0)
+            max_deg = min(args.max_dim, exact) if args.max_dim is not None else exact
+            results["homology"] = homology(X, coeff=args.coeff, max_deg=max_deg).to_json()
 
     elif cmd == "horncheck":
-        value, inputs = _load_input(args)
         if isinstance(value, (RelativeSimplicialCategory, SimplicialCategory)):
-            SC = _as_cat(value)
-            targets = [(f"hom({a},{b})", H) for (a, b), H in sorted(SC.homs.items(), key=lambda kv: str(kv[0]))]
+            targets = [(f"hom({a},{b})", H) for (a, b), H in _homs(_as_cat(value))]
         else:
             targets = [("input", _as_sset(value))]
         results["horns"] = []
+        failed = False
         for tag, X in targets:
             bound = min(args.max_dim if args.max_dim is not None else 3, X.D)
             for n in range(1, bound + 1):
@@ -330,8 +297,28 @@ def run(argv: list[str]) -> tuple[dict, int, str | None]:
                     rep = horn_check(X, n, k)
                     results["horns"].append({"subject": tag, **rep.to_json()})
                     failed = failed or not rep.ok
+        return failed
 
-    elif cmd == "uniq-check":
+    elif cmd == "example":
+        R = _as_relative(value)
+        results["objects"] = [str(o) for o in R.cat.objects]
+        results["hom_levels"] = {f"{a},{b}": list(H.counts()) for (a, b), H in _homs(R.cat)}
+        results["marked_cells"] = {
+            f"{a},{b}": [len(R.sub_cells(a, b, n)) for n in range(R.cat.D + 1)]
+            for (a, b) in sorted(R.sub.keys(), key=lambda p: (str(p[0]), str(p[1])))
+        }
+        _maybe_artifact(args, results, R)
+    return False
+
+
+def run(argv: list[str]) -> tuple[dict, int, str | None]:
+    """Execute one command line; return (report, exit code, --out path)."""
+    args = _parser(argv[0] if argv else None).parse_args(argv)
+    t0 = time.perf_counter()
+    results: dict = {}
+    inputs: dict = {}
+    cmd = args.command
+    if cmd == "uniq-check":
         from .uniqueness import uniqueness_report
 
         if args.max_cosimplicial < 1:
@@ -339,22 +326,12 @@ def run(argv: list[str]) -> tuple[dict, int, str | None]:
         rep = uniqueness_report(args.max_cosimplicial)
         results["uniqueness"] = rep.to_json()
         failed = not rep.ok
-
-    elif cmd == "example":
-        if args.example is None:
-            results["available"] = list(example_names())
-        else:
-            value, inputs = _load_input(args)
-            R = _as_relative(value)
-            results["objects"] = [str(o) for o in R.cat.objects]
-            results["hom_levels"] = {
-                f"{a},{b}": list(H.counts()) for (a, b), H in sorted(R.cat.homs.items(), key=lambda kv: str(kv[0]))
-            }
-            results["marked_cells"] = {
-                f"{a},{b}": [len(R.sub_cells(a, b, n)) for n in range(R.cat.D + 1)]
-                for (a, b) in sorted(R.sub.keys(), key=lambda p: (str(p[0]), str(p[1])))
-            }
-            _maybe_artifact(args, results, R)
+    elif cmd == "example" and args.example is None:
+        results["available"] = list(example_names())
+        failed = False
+    else:
+        value, inputs = _load_input(args)
+        failed = _run_verb(args, value, results)
 
     core = {"command": [cmd] + argv[1:], "inputs": inputs, "results": results}
     report = dict(core)

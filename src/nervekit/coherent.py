@@ -29,10 +29,9 @@ def _hc_level(SC: SimplicialCategory, n: int) -> list[tuple]:
     at a time: pair by span, then level, then chain. A chain at level 0
     takes any vertex of its hom; one at level m > 0 takes, in ascending
     order, every cell whose faces are the values the chain's faces
-    already have, read from the hom's kept face index when it is a
-    `SimplicialSet` and found by a scan of the level otherwise. Once a
-    pair's chains at one level are assigned, its degenerate chains at
-    that level are filled from the level below.
+    already have, read from the hom's face index. Once a pair's chains
+    at one level are assigned, its degenerate chains at that level are
+    filled from the level below.
     The search runs on an explicit stack, as `sset.enumerate_maps` does,
     so its depth, one step per stored chain, is not bounded by Python's
     recursion limit; ``tests/test_nerves.py`` keeps the recursive search
@@ -99,11 +98,8 @@ def _hc_level(SC: SimplicialCategory, n: int) -> list[tuple]:
             H = SC.hom(objs[i], objs[j])
             if m == 0:
                 return range(H.card(0))
-            want = [value_of(i, j, m - 1, c[:r] + c[r + 1 :]) for r in range(m + 1)]
-            if isinstance(H, SimplicialSet):
-                return H.face_index(m).get(tuple(want), ())
-            # a lazy hom keeps no index, and would build one per call
-            return [v for v in range(H.card(m)) if all(H.face(m, r, v) == want[r] for r in range(m + 1))]
+            want = tuple(value_of(i, j, m - 1, c[:r] + c[r + 1 :]) for r in range(m + 1))
+            return H.face_index(m).get(want, ())
 
         def emit():
             results.append((objs, tuple(values[(i, j)][c] for i, j, _, c in slots)))

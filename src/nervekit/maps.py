@@ -11,7 +11,7 @@ import itertools
 from operator import ne
 
 from .reporting import ValidationReport
-from .sset import SimplicialMap
+from .sset import SimplicialMap, _families
 
 
 def _validate_map(f: SimplicialMap, subject: str) -> ValidationReport:
@@ -36,14 +36,12 @@ def _validate_map(f: SimplicialMap, subject: str) -> ValidationReport:
             rep.add(law, (n, i, x), f"{values[m][op_A(x)]} != {op_X(values[n][x])}")
         rep.checked += len(cells)
 
-    for n in range(1, L + 1):
-        for i in range(n + 1):
-            square("f d_i = d_i f", n, i, n - 1, A.face_map(n, i), X.face_map(n, i))
-    for n in range(min(L, A.D - 1, X.D - 1) + 1):
-        if n + 1 > f.L:
-            break
-        for i in range(n + 1):
-            square("f s_i = s_i f", n, i, n + 1, A.degen_map(n, i), X.degen_map(n, i))
+    # degeneracies only below the top level of L, A and X
+    for kind, symbol, rows, step in _families(min(L, A.D, X.D)):
+        for n in range(L + 1):
+            for i in range(rows(n)):
+                op_A, op_X = (getattr(Y, kind + "_map")(n, i) for Y in (A, X))
+                square(f"f {symbol}_i = {symbol}_i f", n, i, n + step, op_A, op_X)
     return rep
 
 

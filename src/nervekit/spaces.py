@@ -51,10 +51,7 @@ def materialize(V, name: str = "") -> SimplicialSet:
     cards = doc["cells"]
     labels = None
     if getattr(V, "labels", None) is not None or hasattr(V, "label"):
-        try:
-            labels = [[V.label(n, x) for x in range(cards[n])] for n in range(D + 1)]
-        except (ValueError, NotImplementedError):
-            labels = None
+        labels = [[V.label(n, x) for x in range(cards[n])] for n in range(D + 1)]
     if labels is not None and all(l is None for lvl in labels for l in lvl):
         labels = None
     return SimplicialSet(D, cards, doc["face"], doc["degen"], labels=labels, name=name or getattr(V, "name", ""))

@@ -199,6 +199,7 @@ def test_criterion_10_validation_soundness(fixtures_dir):
         "broken_identity_sset.json": "d_i d_j",
         "broken_unit_cat.json": "unit",
         "broken_commutation_bisset.json": "violation",
+        "broken_square_bisset.json": "s^v_j d^h_i",
         "broken_marking.json": "mark",
         "non_wide.json": "wide",
     }

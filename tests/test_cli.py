@@ -14,6 +14,9 @@ from nervekit.schema import from_json
 from nervekit.serialize import canonical_json, to_json
 
 
+CLEAN_SSET = str(pathlib.Path(__file__).resolve().parent / "fixtures" / "clean_sset.json")
+
+
 def invoke(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
@@ -154,6 +157,9 @@ def test_verb_help_is_that_of_the_full_parser(verb):
         ["theta", "--example", "bg:z2", "-d", "2", "--cols", "-1"],
         ["binerve", "--example", "bg:z2", "-d", "2", "--rows", "-1"],
         ["uniq-check", "--max-cosimplicial", "0"],
+        # a negative degree bound on a simplicial set, as on a category
+        ["homology", "--in", CLEAN_SSET, "--max-dim", "-1"],
+        ["homology", "--in", CLEAN_SSET, "--max-dim", "-1", "--coeff", "f2"],
     ],
 )
 def test_out_of_range_bounds_are_usage_errors(argv, capsys):
@@ -272,6 +278,7 @@ FIXTURE_PINS = [
     ("clean_relative.json", 0, "917084c0b814cffa5222af1826e0501fbbd068eae06d087a58f715bb545ca292"),
     ("clean_sset.json", 0, "4efb138b6f03dcb27b218de7e1bb27d3c541c95fadf8196e674e77a169ee50c9"),
     ("broken_commutation_bisset.json", 1, "2 violation(s); first: row 1: d_j s_j = id = d_{j+1} s_j at (1, 0, 0, 0) 1 != 0"),
+    ("broken_square_bisset.json", 1, "14 violation(s); first: s^v_j d^h_i = d^h_i s^v_j at (2, 1, 0, 0, 3) 0 != 1"),
     ("broken_identity_sset.json", 1, "3 violation(s); first: d_i d_j = d_{j-1} d_i at (2, 0, 1, 0) 0 != 1"),
     ("broken_marking.json", 1, "5 violation(s); first: marking closed under faces at (1, 0, 0) vertical face escapes marking"),
     ("broken_unit_cat.json", 1, "4 violation(s); first: left unit at ('x', 'x', 1, 1) id after f differs from f"),

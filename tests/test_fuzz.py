@@ -20,6 +20,7 @@ FIXTURES = (
     "broken_commutation_bisset.json",
     "broken_identity_sset.json",
     "broken_marking.json",
+    "broken_square_bisset.json",
     "broken_unit_cat.json",
     "clean_bisset.json",
     "clean_relative.json",

@@ -157,6 +157,7 @@ def test_loaded_category_holds_the_document_comp_tables(fixtures_dir):
         ("broken_identity_sset.json", "d_i d_j"),
         ("broken_unit_cat.json", "unit"),
         ("broken_commutation_bisset.json", "violation"),
+        ("broken_square_bisset.json", "s^v_j d^h_i"),
         ("broken_marking.json", "mark"),
         ("non_wide.json", "wide"),
     ],

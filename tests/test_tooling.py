@@ -131,6 +131,19 @@ def test_names_resolve_from_the_package_or_their_defining_module():
     assert sorted(ast.literal_eval(call.args[1])) == ["act", "horn"]
 
 
+def test_inputs_load_once_and_gated_builders_read_the_families():
+    # every verb with an input loads it at one call site, and the gated
+    # builders take their faces and degeneracies from `sset._families`
+    package = ROOT / "src" / "nervekit"
+    cli = ast.parse((package / "cli.py").read_text())
+    loads = [n for n in ast.walk(cli) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_load_input"]
+    assert len(loads) == 1
+    for module, function in (("bisimplicial.py", "_diagonal"), ("maps.py", "_validate_map")):
+        tree = ast.parse((package / module).read_text())
+        (body,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+        assert "_families" in {n.id for n in ast.walk(body) if isinstance(n, ast.Name)}, function
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # dataclasses pulls in inspect, dis, ast and tokenize: about 15 ms of
     # every nervekit process
@@ -258,8 +271,8 @@ def test_gated_verbs_compile_little_source():
     # process compiles every module it loads; horncheck compiled 118.6 KB
     # when the traced modules held every construction, and compare
     # 132.9 KB while `sset` held the horns
-    assert _compiled_bytes(["horncheck", "--example", "bg:z3", "--max-dim", "4"]) <= 80 * 1024
-    assert _compiled_bytes(["compare", "--example", "bg:z2", "--max-dim", "3", "--coeff", "f2"]) <= 125.9 * 1024
+    assert _compiled_bytes(["horncheck", "--example", "bg:z3", "--max-dim", "4"]) <= 77.7 * 1024
+    assert _compiled_bytes(["compare", "--example", "bg:z2", "--max-dim", "3", "--coeff", "f2"]) <= 122.5 * 1024
 
 
 def test_tracer_reaches_functions_loaded_on_first_call(tmp_path):
