@@ -44,7 +44,7 @@ __version__ = "0.1.0"
 _LAZY = {
     name: module
     for module, names in {
-        "axioms": "validate_bisset validate_category validate_functor validate_relative "
+        "axioms": "validate_bisset validate_functor validate_relative "
         "validate_simplicial_category validate_sset",
         "bisimplicial": "BisimplicialSet",
         "chains": "HomologyReport",

@@ -1,6 +1,6 @@
 """Whole-object validators: every axiom of a simplicial set, bisimplicial
-set, category, simplicial category, relative category or functor,
-checked by enumeration with the witnessing cell named.
+set, simplicial category, relative category or functor, checked by
+enumeration with the witnessing cell named.
 
 Only the ``validate`` verb, loading a document (`nervekit.schema`) and
 the functor search (`nervekit.gadgets`) run these, so ``import
@@ -12,9 +12,8 @@ the comparison map, stays with the maps (its body in `nervekit.maps`).
 from __future__ import annotations
 
 from .bisimplicial import BisimplicialSet, _bisset_families
-from .cat import FiniteCategory, RelativeSimplicialCategory, SimplicialCategory
+from .cat import RelativeSimplicialCategory, SimplicialCategory
 from .components import _pi0_classes
-from .discrete import discrete_simplicial_category
 from .functors import SimplicialFunctor
 from .reporting import ValidationReport
 from .spaces import ProductSset, vertices
@@ -119,15 +118,6 @@ def validate_bisset(X: BisimplicialSet, subject: str = "") -> ValidationReport:
                             if lhs != rhs:
                                 rep.add(law, (p, q, i, j, x), f"{lhs} != {rhs}")
     return rep
-
-
-def validate_category(C: FiniteCategory, subject: str = "") -> ValidationReport:
-    """Check identities, composition ranges, units and associativity.
-
-    These are the checks of `validate_simplicial_category` on the level-0
-    discrete category of C, which holds C's tables as they are.
-    """
-    return validate_simplicial_category(discrete_simplicial_category(C, 0), subject or C.name or "category")
 
 
 def validate_simplicial_category(SC: SimplicialCategory, subject: str = "") -> ValidationReport:

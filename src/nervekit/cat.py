@@ -45,17 +45,6 @@ class FiniteCategory:
     def hom_labels(self, a, b) -> list:
         return self.homs.get((a, b), [])
 
-    def identity(self, a) -> tuple:
-        return (a, a, self.ids[a])
-
-    def compose(self, g: tuple, f: tuple) -> tuple:
-        if f[1] != g[0]:
-            raise ValueError(f"not composable: {f} then {g}")
-        a, b, c = f[0], f[1], g[1]
-        F, G = self.hom_labels(a, b), self.hom_labels(b, c)
-        k = self.comps[(a, b, c)][G.index(g[2]) * len(F) + F.index(f[2])]
-        return (a, c, self.hom_labels(a, c)[k])
-
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
         return f"<FiniteCategory{tag} objects={len(self.objects)}>"

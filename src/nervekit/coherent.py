@@ -25,90 +25,69 @@ from .sset import SimplicialMap, SimplicialSet, TruncationError, _families, _ver
 def _hc_level(SC: SimplicialCategory, n: int) -> list[tuple]:
     """Every coherent-nerve n-cell, as the tuple (objects, values).
 
-    Per object tuple, a search assigns the stored generator chains one
-    at a time: pair by span, then level, then chain. A chain at level 0
-    takes any vertex of its hom; one at level m > 0 takes, in ascending
-    order, every cell whose faces are the values the chain's faces
-    already have, read from the hom's face index. Once a pair's chains
-    at one level are assigned, its degenerate chains at that level are
-    filled from the level below.
+    Per object tuple, a search assigns the cell's own values, the slots
+    of `comparison._generator_slots`: pair by span, and in a pair by
+    colex order of the chain's subsets, so each chain comes right after
+    its faces and a degenerate chain after the chain without its repeat.
+    A chain at level 0 takes any vertex of its hom. A degenerate chain
+    is a forced step: the degeneracy of the slot below it. A
+    nondegenerate chain at level m > 0 takes, in ascending order, every
+    cell of the hom's face index under its faces' values: faces r > 0
+    are slots of the same pair, and face 0 folds the values
+    (`comparison._cell_value`) of the hops of its bottom subset, later
+    hops on the left. Each object tuple's cells are then sorted by their
+    values read pair by span, then level and chain, so a cell's index
+    does not depend on the search order.
     The search runs on an explicit stack, as `sset.enumerate_maps` does,
-    so its depth, one step per stored chain, is not bounded by Python's
+    so its depth, one step per slot, is not bounded by Python's
     recursion limit; ``tests/test_nerves.py`` keeps the recursive search
     as the oracle.
     """
-    D = SC.D
-    slots, _ = comparison._generator_slots(n, D)
-    pairs = [(i, j) for s in range(1, n + 1) for i in range(n + 1 - s) for j in [i + s]]
-    # one step per nondegenerate generator chain, and after each step the
-    # (pair, level) segments it completes, whose degenerate chains it fills
-    steps: list[tuple] = []
-    fills: list[list] = [[]]
-    for i, j in pairs:
-        per_level = comparison.generator_chains(i, j, D)
-        for m in range(D + 1):
-            for c in per_level[m]:
-                if not comparison._chain_is_degenerate(c):
-                    steps.append((i, j, m, c))
-                    fills.append([])
-            fills[-1].append((i, j, m))
+    if n == 0:
+        return [((x,), ()) for x in SC.objects]
+    slots, position = comparison._generator_slots(n, SC.D)
+    pairs = [(i, j) for i, j, m, _ in slots if m == 0]
+    by_span = sorted(range(len(slots)), key=lambda s: slots[s][1] - slots[s][0])
+    # per step, (slot, i, j, m, t, rule): t is the first repeat of a
+    # degenerate chain and rule the slot of the chain without it; at a
+    # nondegenerate level m > 0, rule holds the hops of face 0 and the
+    # slots of faces r > 0
+    steps = []
+    for s in sorted(range(len(slots)), key=lambda s: _search_key(*slots[s])):
+        i, j, m, c = slots[s]
+        t = next((t for t in range(m) if c[t] == c[t + 1]), None)
+        rule = None
+        if t is not None:
+            rule = position[(i, j, c[:t] + c[t + 1 :])]
+        elif m:
+            bottom = c[1]
+            rule = (
+                [(a, b, tuple(tuple(v for v in S if a <= v <= b) for S in c[1:])) for a, b in zip(bottom, bottom[1:])],
+                [position[(i, j, c[:r] + c[r + 1 :])] for r in range(1, m + 1)],
+            )
+        steps.append((s, i, j, m, t, rule))
     results: list[tuple] = []
     for objs in itertools.product(SC.objects, repeat=n + 1):
-        if any(SC.hom(objs[i], objs[j]).card(0) == 0 for (i, j) in pairs):
+        if any(SC.hom(objs[i], objs[j]).card(0) == 0 for i, j in pairs):
             continue
-        values = {}
-        for i in range(n + 1):
-            d = {}
-            for m, level in enumerate(comparison.generator_chains(i, i, D)):
-                for c in level:
-                    d[c] = SC.identity_cell(objs[i], m)
-            values[(i, i)] = d
-        for (i, j) in pairs:
-            values[(i, j)] = {}
-
-        def value_of(i, j, m, chain):
-            bottom = chain[0]
-            if bottom == ((i,) if i == j else (i, j)):
-                return values[(i, j)][chain]
-            t = bottom[1]
-            left = tuple(tuple(v for v in S if v <= t) for S in chain)
-            right = tuple(tuple(v for v in S if v >= t) for S in chain)
-            return SC.compose(
-                objs[i], objs[t], objs[j], m,
-                value_of(t, j, m, right), value_of(i, t, m, left),
-            )
-
-        def fill_degenerate(i, j, m):
-            # unconditional recompute: a later branch of the search must
-            # not see values filled from an abandoned one
-            if m == 0:
-                return
-            H = SC.hom(objs[i], objs[j])
-            d = values[(i, j)]
-            for c in comparison.generator_chains(i, j, D)[m]:
-                for t in range(m):
-                    if c[t] == c[t + 1]:
-                        lower = c[:t] + c[t + 1 :]
-                        d[c] = H.degen(m - 1, t, d[lower])
-                        break
+        values = [0] * len(slots)
 
         def candidates(b):
             # the values step b may take, given those of the steps before it
-            i, j, m, c = steps[b]
+            _, i, j, m, t, rule = steps[b]
             H = SC.hom(objs[i], objs[j])
             if m == 0:
                 return range(H.card(0))
-            want = tuple(value_of(i, j, m - 1, c[:r] + c[r + 1 :]) for r in range(m + 1))
-            return H.face_index(m).get(want, ())
+            if t is not None:
+                return (H.degen(m - 1, t, values[rule]),)
+            hops, faces = rule
+            acc = None
+            for lo, hi, chain in hops:
+                w = comparison._cell_value(SC, (objs, values), lo, hi, m - 1, chain)
+                acc = w if acc is None else SC.compose(objs[i], objs[lo], objs[hi], m - 1, w, acc)
+            return H.face_index(m).get((acc, *[values[f] for f in faces]), ())
 
-        def emit():
-            results.append((objs, tuple(values[(i, j)][c] for i, j, _, c in slots)))
-
-        for segment in fills[0]:
-            fill_degenerate(*segment)
-        if not steps:
-            emit()
-            continue
+        found = []
         cands = [candidates(0)] + [()] * (len(steps) - 1)
         pos = [0] * len(steps)
         b = 0
@@ -116,18 +95,23 @@ def _hc_level(SC: SimplicialCategory, n: int) -> list[tuple]:
             if pos[b] == len(cands[b]):
                 b -= 1
                 continue
-            i, j, _, c = steps[b]
-            values[(i, j)][c] = cands[b][pos[b]]
+            values[steps[b][0]] = cands[b][pos[b]]
             pos[b] += 1
-            for segment in fills[b + 1]:
-                fill_degenerate(*segment)
             if b + 1 == len(steps):
-                emit()
+                found.append((objs, tuple(values)))
                 continue
             b += 1
             cands[b] = candidates(b)
             pos[b] = 0
+        results += sorted(found, key=lambda cell: [cell[1][s] for s in by_span])
     return results
+
+
+def _search_key(i: int, j: int, m: int, chain) -> tuple:
+    # colex order of a chain's subsets, each subset ordered as in
+    # `posets.path_poset`: a chain comes after every chain it contains,
+    # and a degenerate chain after the chain without its repeat
+    return j - i, i, [(len(S), S) for S in reversed(chain)]
 
 
 # --- the coherent nerve, the comparison map and its consistency check -------

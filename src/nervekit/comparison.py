@@ -5,8 +5,10 @@ generator chain (chain whose first subset is the two-point one) of the
 pair's unforced levels, in the order of `_generator_slots`. Identity
 pairs and higher levels are forced (`_cell_value`), and a value on any
 other hom chain folds out of these by composition. An operator
-precomposes a cell with its vertex map (`_precompose_vertex_map`);
-`coherent._hc_level` enumerates the cells of one level.
+precomposes a cell with its vertex map (`_precompose_vertex_map`).
+`coherent._hc_level` enumerates the cells of one level by assigning
+these values slot by slot, each chain after its faces; face 0 of a
+chain folds the `_cell_value` of the hops of its bottom subset.
 
 A comparison or grid-collapse cell is a plan folded over a chain of
 level-q morphisms: on each generator chain, every hop acts by a tuple
@@ -65,10 +67,6 @@ def generator_chains(i: int, j: int, D: int) -> tuple:
         chains = [c + (t,) for c in chains for t in P.elements if set(c[-1]) <= set(t)]
         per_level.append(tuple(chains))
     return tuple(per_level)
-
-
-def _chain_is_degenerate(chain) -> bool:
-    return any(chain[t] == chain[t + 1] for t in range(len(chain) - 1))
 
 
 def _pair_limit(i: int, j: int, D: int) -> int:

@@ -28,12 +28,19 @@ from nervekit import (
     simplex_power_category,
     simplex_power_transform,
     standard_simplex,
-    validate_category,
     validate_functor,
     validate_relative,
     validate_simplicial_category,
 )
 from nervekit.gadgets import interval_power_category
+from test_chain_nerve import compose_morphisms
+
+
+def validate_category(C: FiniteCategory):
+    """Identities, composition ranges, units and associativity of C: the
+    checks of `validate_simplicial_category` on the level-0 discrete
+    category of C, which holds C's tables as they are."""
+    return validate_simplicial_category(discrete_simplicial_category(C, 0), C.name or "category")
 
 
 def test_cyclic_group_category():
@@ -44,7 +51,7 @@ def test_cyclic_group_category():
     Z3 = cyclic_group_category(3)
     # composition adds exponents mod 3
     g2 = ("x", "x", Z3.hom_labels("x", "x")[2])
-    composite = Z3.compose(g2, g2)
+    composite = compose_morphisms(Z3, g2, g2)
     assert composite == ("x", "x", Z3.hom_labels("x", "x")[1])
 
 

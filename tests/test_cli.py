@@ -187,7 +187,8 @@ def test_marked_verbs_run_at_truncation_one(capsys):
 # collapse rule from one table; those of the last three `cls` runs before
 # its operators became gathers along grid maps; those of `nerve` and of
 # the last `binerve` run before nerves were built by chain index; those of
-# `example` before compositions were stored as per-level tables)
+# `example` before compositions were stored as per-level tables; that of
+# `hcnerve bg:z3 -d 4` before its search ran on the cell's own slots)
 DIGEST_PINS = [
     ("compare --example bg:z2 --max-dim 3 --coeff f2", "2d0bcd5c0308c6738f3b7c0e5291c7a33101183d717d86adc5f3fae643c30eab"),
     ("compare --example bg:z2 --max-dim 3", "a04862a7efd985e5e160086d4066bcf7de576c37418322a66a2d0daf0c6f8a59"),
@@ -203,6 +204,7 @@ DIGEST_PINS = [
     ("cls --example two-object-interval --max-dim 4 --emit-cells", "9357d15663800d0a945577f3927593e959ed1df8a22f531e80c6e33154778aed"),
     ("cls --example poset:a<b,a<c,b<d,c<d --max-dim 3 --emit-cells", "15dc5823c18f7d6379d593ecef1f08872149791e708aa2869c0ca81b0b5bac51"),
     ("hcnerve --example bg:z3 --max-dim 3 --emit-cells", "49d0b16961fdda7ad19cc2f2a1699693b308fefa6880a4892226e2947771bd39"),
+    ("hcnerve --example bg:z3 --max-dim 4 --emit-cells", "279d72e943205e61ca2b7c147446bcbafa3fb1de74f4aa36a609efb12161a070"),
     ("binerve --example bg:z2 --max-dim 2 --emit-cells", "789263b3654c83e0ad64393f193a92b7601b45904b5ebe5712049a3f71e73c20"),
     ("binerve --example two-object-interval --max-dim 3 --emit-cells", "333c11e7935758515f1252b92219b6b2810cd4ea190401c0c27494970219b36c"),
     ("horncheck --example bg:z3 --max-dim 4", "c17d8e1963ef3cb58ac2a8f069c6d85ea01d7347ff75eaecaee667e6131f9986"),

@@ -40,7 +40,7 @@ def test_coherent_nerve_of_discrete_is_ordinary_nerve(poset012):
 def _hc_level_by_recursion(SC, n: int) -> list[tuple]:
     """The cells of one coherent-nerve level by the recursive search,
     two frames per generator chain: the oracle of `coherent._hc_level`."""
-    from nervekit.comparison import _chain_is_degenerate, _generator_slots, generator_chains
+    from nervekit.comparison import _generator_slots, generator_chains
 
     D = SC.D
     slots, _ = _generator_slots(n, D)
@@ -49,7 +49,7 @@ def _hc_level_by_recursion(SC, n: int) -> list[tuple]:
     for (i, j) in pairs:
         per_level = generator_chains(i, j, D)
         for m in range(D + 1):
-            nondeg = [c for c in per_level[m] if not _chain_is_degenerate(c)]
+            nondeg = [c for c in per_level[m] if len(set(c)) == len(c)]
             segments.append((i, j, m, nondeg))
     results: list[tuple] = []
     for objs in itertools.product(SC.objects, repeat=n + 1):
@@ -129,6 +129,7 @@ HC_LEVEL_INPUTS = [
     ("discrete:antichain3", 2, 3),
     ("two-object-interval", 3, 4),
     ("poset:a<b,a<c,b<d,c<d", 4, 4),
+    ("discrete:s3", 3, 4),  # the one input whose composition does not commute
 ]
 
 
@@ -136,15 +137,26 @@ HC_LEVEL_INPUTS = [
 def test_hc_level_matches_the_recursive_search(name, D, top):
     from nervekit.coherent import _hc_level
 
-    SC = build_example(name, max_dim=D).cat
+    SC = _category(name, D)
     for n in range(top + 1):
         assert _hc_level(SC, n) == _hc_level_by_recursion(SC, n), (name, n)
+
+
+@pytest.mark.parametrize("m, top", [(2, 5), (3, 4)])
+def test_hc_level_counts_of_cyclic_groups(m, top):
+    # the hom of bg:z<m> is the nerve of Z/m, with one vertex, so an
+    # n-cell is free on one edge for each pair of span 2 or more: level n
+    # has m^(n(n-1)/2) cells
+    from nervekit.coherent import _hc_level
+
+    SC = build_example(f"bg:z{m}", max_dim=top - 1).cat
+    assert [len(_hc_level(SC, n)) for n in range(top + 1)] == [m ** (n * (n - 1) // 2) for n in range(top + 1)]
 
 
 @pytest.mark.parametrize("name", ["bg:z2", "discrete:poset012", "poset:a<b,a<c,b<d,c<d"])
 def test_hc_level_search_is_not_bounded_by_the_recursion_limit(name):
     # the recursive search needs about 130 frames for a 4-cell at D = 3;
-    # the explicit stack needs a few, for the composites of `value_of`
+    # the explicit stack needs a few, for `_cell_value` on face 0's hops
     import sys
 
     from nervekit.coherent import _hc_level
