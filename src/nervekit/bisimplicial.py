@@ -139,6 +139,11 @@ def _diagonal(X: BisimplicialSet, name: str = "") -> SimplicialSet:
 
 # -- the levelwise nerve ---------------------------------------------------
 
+# The most cells `_levelwise_nerve` builds, counted over every row first.
+# bg:z2 at (4, 4), the largest any test builds, has 74963; bg:z3 at
+# (4, 4) and bg:z2 at (5, 5) would start rows of 3^16 and 2^25 cells.
+MAX_LEVELWISE_CELLS = 1_000_000
+
 
 def _levelwise_nerve(SC: SimplicialCategory, P: int, Q: int, name: str) -> BisimplicialSet:
     # the body of `nerves.levelwise_nerve`
@@ -146,9 +151,17 @@ def _levelwise_nerve(SC: SimplicialCategory, P: int, Q: int, name: str) -> Bisim
         raise TruncationError(f"row {Q} beyond hom truncation {SC.D}")
     obs = SC.objects
     homs = [[SC.hom(a, b) for b in obs] for a in obs]
+    level_cards = [[[H.card(q) for H in row] for row in homs] for q in range(Q + 1)]
+    total = 0
+    for cards in level_cards:  # the p-chains ending at each object, p = 0..P
+        ending = [1] * len(obs)
+        for _ in range(P + 1):
+            total += sum(ending)
+            ending = [sum(e * row[b] for e, row in zip(ending, cards)) for b in range(len(obs))]
+    if total > MAX_LEVELWISE_CELLS:
+        raise TruncationError(f"the levelwise nerve at ({P}, {Q}) has {total} cells, above the bound of {MAX_LEVELWISE_CELLS}")
     rows = []
-    for q in range(Q + 1):
-        cards = [[H.card(q) for H in row] for row in homs]
+    for q, cards in enumerate(level_cards):
 
         def comp(a, b, c, q=q):
             return SC.comps[(obs[a], obs[b], obs[c])][q]

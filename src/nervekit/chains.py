@@ -1,12 +1,11 @@
-"""Chain-complex kernels of normalized chains, and mod-2 elimination.
+"""Normalized chains and mod-2 ranks.
 
 A chain group is free on the nondegenerate cells of a level, its basis
 from `_nondeg_bases`. A boundary or chain map is kept as columns, one
 dict row -> coefficient per basis cell (`_boundary_columns`,
-`_chain_matrix_columns`). Mod-2 linear algebra runs on bitmasks:
-`_F2Space` is a row-reduced span and `_f2_kernel_basis` carries
-coefficient combinations through elimination; `_f2_degree_iso` decides
-one degree of `homology.induced_chain_iso` over F2.
+`_chain_matrix_columns`). Mod-2 linear algebra is one routine,
+`_f2_rank` on bitmask columns: mod-2 homology and chain checks read
+ranks only.
 
 The bodies of `homology.homology` and `homology.induced_chain_iso`
 live here too, with `HomologyReport`. `nervekit.homology` imports them
@@ -74,85 +73,19 @@ def _f2_masks(cols: list[dict]) -> list[int]:
     return out
 
 
-class _F2Space:
-    """Row-reduced span of bit vectors with membership and reduction."""
-
-    def __init__(self, vecs=()):
-        self.pivots: dict[int, int] = {}
-        for v in vecs:
-            self.add(v)
-
-    def reduce(self, v: int) -> int:
+def _f2_rank(masks) -> int:
+    """Rank over F2 of the bit vectors ``masks``: each is reduced by the
+    pivots kept so far, highest bit first, and kept if anything is left."""
+    pivots: dict[int, int] = {}
+    for v in masks:
         while v:
-            h = v.bit_length() - 1
-            p = self.pivots.get(h)
+            h = v.bit_length()
+            p = pivots.get(h)
             if p is None:
-                return v
+                pivots[h] = v
+                break
             v ^= p
-        return 0
-
-    def add(self, v: int) -> bool:
-        v = self.reduce(v)
-        if v:
-            self.pivots[v.bit_length() - 1] = v
-            return True
-        return False
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
-
-
-def _f2_kernel_basis(masks: list[int], ncols: int) -> list[int]:
-    """Kernel of the matrix with the given columns, as coefficient bitmasks."""
-    # carry (column, coefficient-combo) pairs through elimination
-    rows: list[tuple[int, int]] = []
-    basis = []
-    for j, m in enumerate(masks):
-        combo = 1 << j
-        v = m
-        for pm, pc in rows:
-            if v and (v ^ pm) < v:
-                v ^= pm
-                combo ^= pc
-        if v:
-            rows.append((v, combo))
-            rows.sort(key=lambda t: -t[0])
-        else:
-            basis.append(combo)
-    return basis
-
-
-def _f2_degree_iso(n, bA, bX, dA, dX, fM):
-    nA, nX = len(bA[n]), len(bX[n])
-    kerA = (
-        _f2_kernel_basis(_f2_masks(dA[n]), nA) if n >= 1 else [1 << j for j in range(nA)]
-    )
-    kerX = (
-        _f2_kernel_basis(_f2_masks(dX[n]), nX) if n >= 1 else [1 << j for j in range(nX)]
-    )
-    dimHA = len(kerA) - _F2Space(_f2_masks(dA[n + 1])).dim
-    # boundaries of X, then the image of f's cycles added to their span
-    span = _F2Space(_f2_masks(dX[n + 1]))
-    dimHX = len(kerX) - span.dim
-    # image of f on chains, as masks over X rows
-    fmask = _f2_masks(fM[n])
-
-    def push(combo: int) -> int:
-        v = 0
-        j = 0
-        while combo:
-            if combo & 1:
-                v ^= fmask[j]
-            combo >>= 1
-            j += 1
-        return v
-
-    for c in kerA:
-        span.add(push(c))
-    surj = span.dim == len(kerX)  # span of image + boundaries vs all cycles
-    info = {"dim_source": dimHA, "dim_target": dimHX, "surjective": surj}
-    return (dimHA == dimHX and surj), info
+    return len(pivots)
 
 
 # --- reports ----------------------------------------------------------------
@@ -195,7 +128,10 @@ def _homology(X, coeff: str, max_deg: Optional[int], subject: str) -> HomologyRe
     bases, pos = _nondeg_bases(X, top)
     cols = {n: _boundary_columns(X, n, bases[n], pos[n - 1]) for n in range(1, top + 1)}
     rep = HomologyReport(subject or getattr(X, "name", "") or "space", coeff, max_deg)
-    if coeff != "f2":
+    if coeff == "f2":
+        # each boundary eliminated once; d_0 is zero
+        ranks = [0] + [_f2_rank(_f2_masks(cols[n])) for n in range(1, top + 1)]
+    else:
         from .integer import _check_snf_budget, _dense
 
         def boundary_snf(n):
@@ -206,9 +142,7 @@ def _homology(X, coeff: str, max_deg: Optional[int], subject: str) -> HomologyRe
     for n in range(max_deg + 1):
         dim_n = len(bases[n])
         if coeff == "f2":
-            rk_out = _F2Space(_f2_masks(cols[n])).dim if n >= 1 else 0
-            rk_in = _F2Space(_f2_masks(cols[n + 1])).dim
-            rep.groups.append({"degree": n, "dim": dim_n - rk_out - rk_in})
+            rep.groups.append({"degree": n, "dim": dim_n - ranks[n] - ranks[n + 1]})
         else:
             rk_out = boundary_snf(n)[3] if n >= 1 and bases[n - 1] and bases[n] else 0
             if bases[n + 1] and dim_n:
@@ -225,11 +159,9 @@ def _homology(X, coeff: str, max_deg: Optional[int], subject: str) -> HomologyRe
 def _induced_chain_iso(f: SimplicialMap, coeff: str, max_deg: Optional[int]) -> CheckReport:
     # the body of `homology.induced_chain_iso`
     A, X = f.source, f.target
-    if coeff == "f2":
-        degree_iso = _f2_degree_iso
-    elif coeff == "z":
-        from .integer import _z_degree_iso as degree_iso
-    else:
+    if coeff == "z":
+        from .integer import _z_degree_iso
+    elif coeff != "f2":
         raise ValueError(f"unknown coefficients {coeff!r}")
     if max_deg is None:
         max_deg = min(A.D, X.D) - 1
@@ -262,8 +194,26 @@ def _induced_chain_iso(f: SimplicialMap, coeff: str, max_deg: Optional[int]) -> 
                     {"reason": "not a chain map", "degree": n, "cell": x}
                 )
                 return check
+    if coeff == "f2":
+        # each boundary as bit vectors, eliminated once; d_0 is zero
+        mA = [[0] * len(bA[0])] + [_f2_masks(dA[n]) for n in range(1, top + 1)]
+        mX = [[0] * len(bX[0])] + [_f2_masks(dX[n]) for n in range(1, top + 1)]
+        rA, rX = [_f2_rank(m) for m in mA], [_f2_rank(m) for m in mX]
     for n in range(max_deg + 1):
-        ok, info = degree_iso(n, bA, bX, dA, dX, fM)
+        if coeff == "z":
+            ok, info = _z_degree_iso(n, bA, bX, dA, dX, fM)
+        else:
+            # the cone block K_n: (a, x) -> (d a, f a + d x), X_n in the low
+            # bits. Its image projects onto B_{n-1}A with kernel
+            # f(Z_n A) + B_n X, so f_* is onto iff that sum is Z_n X.
+            nX = len(bX[n])
+            K = [m << nX | c for m, c in zip(mA[n], _f2_masks(fM[n]))] + mX[n + 1]
+            info = {
+                "dim_source": len(bA[n]) - rA[n] - rA[n + 1],
+                "dim_target": nX - rX[n] - rX[n + 1],
+                "surjective": _f2_rank(K) - rA[n] == nX - rX[n],
+            }
+            ok = info["dim_source"] == info["dim_target"] and info["surjective"]
         check.bounds[f"H{n}"] = info
         if not ok:
             check.verdict = "fail"

@@ -74,7 +74,9 @@ def _parse_poset(desc: str) -> FinitePoset:
 
     for item in desc.split(","):
         if "<" in item:
-            lo, hi = item.split("<", 1)
+            if item.count("<") > 1:
+                raise ValueError(f"poset item {item.strip()!r} has more than one '<': write a<b,b<c")
+            lo, hi = item.split("<")
             relations.append((intern(lo), intern(hi)))
         else:
             intern(item)

@@ -12,9 +12,9 @@ n homology needs n <= D - 1; higher degrees raise `TruncationError`.
 ``import nervekit`` loads this module because a traced benchmark run
 wraps its three entry points where they are defined
 (``bench/trace_child.py`` ``TRACED``). Each imports its body when first
-called: `homology` and `induced_chain_iso`, with `HomologyReport` and
-the chain and mod-2 kernels, from `nervekit.chains`; the Smith normal
-form, with the integer route, from `nervekit.integer`.
+called: `homology` and `induced_chain_iso`, with `HomologyReport`,
+chains and mod-2 ranks, from `nervekit.chains`; the Smith normal form,
+with the integer route, from `nervekit.integer`.
 """
 
 from __future__ import annotations
@@ -58,10 +58,10 @@ def induced_chain_iso(f: SimplicialMap, coeff: str = "f2", max_deg: Optional[int
 
     Verifies the normalized chain map commutes with boundaries, then
     per degree up to ``max_deg`` decides isomorphism exactly: over mod-2
-    coefficients by dimension count plus surjectivity rank, over the
-    integers by surjectivity and injectivity of the induced map between
-    presented quotients. Witnesses carry the failing degree and the
-    computed groups.
+    coefficients by ranks, of the boundaries and of the mapping-cone
+    block (a, x) -> (d a, f a + d x), over the integers by surjectivity
+    and injectivity of the induced map between presented quotients.
+    Witnesses carry the failing degree and the computed groups.
     """
     from .chains import _induced_chain_iso
 

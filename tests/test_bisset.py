@@ -20,6 +20,25 @@ def test_binerve_counts(z2_rel_d3):
     assert validate_bisset(NB).ok
 
 
+def test_levelwise_nerve_is_counted_before_it_is_built(monkeypatch, capsys, z2_rel_d4):
+    import nervekit.bisimplicial as bisimplicial_mod
+    from nervekit import TruncationError, build_example
+    from nervekit.cli import main
+
+    # bg:z2 at (4, 4), the largest levelwise nerve any test builds, is
+    # admitted
+    NB = levelwise_nerve(z2_rel_d4.cat, 4, 4)
+    assert sum(map(sum, NB.cards)) == 74963 <= bisimplicial_mod.MAX_LEVELWISE_CELLS
+    # above the bound no row is built
+    built = []
+    monkeypatch.setattr(bisimplicial_mod, "chain_index_nerve", lambda *args: built.append(args))
+    with pytest.raises(TruncationError, match="has 44144193 cells"):
+        levelwise_nerve(build_example("bg:z3", max_dim=4).cat, 4, 4)
+    assert main(["bspace", "--example", "bg:z2", "--max-dim", "5"]) == 2
+    assert "has 35794197 cells, above the bound" in capsys.readouterr().err
+    assert built == []
+
+
 def test_binerve_rows_and_columns_are_simplicial(z2_rel):
     NB = levelwise_nerve(z2_rel.cat, 2, 2)
     for q in range(3):

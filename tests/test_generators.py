@@ -43,6 +43,9 @@ def test_poset_parser_shapes():
     assert lone.cat.objects == ["a"]
     with pytest.raises(ValueError):
         build_example("poset:", max_dim=1)
+    # one relation per item: a chain is written a<b,b<c
+    with pytest.raises(ValueError, match="more than one '<'"):
+        build_example("poset:a<b<c", max_dim=1)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])

@@ -2,11 +2,16 @@
 import pytest
 
 from nervekit import (
+    SimplicialMap,
     TruncationError,
     build_example,
     classifying_space,
+    comparison_map,
     diagonal,
+    digest,
+    enumerate_maps,
     homology,
+    horn,
     induced_chain_iso,
     levelwise_nerve,
     nerve_cat,
@@ -207,3 +212,128 @@ def test_chain_iso_z_detects_cycles_that_die():
     assert rep.bounds["H0"]["injective"] is True
     assert rep.bounds["H1"]["injective"] is False
     assert rep.bounds["H1"]["source"] == {"betti": 1, "torsion": []}
+
+
+def test_chain_iso_pins_a_map_with_equal_dimensions_that_is_not_onto():
+    # the constant self-map of the group nerve: H1 and H2 have the same
+    # size on both sides, and the map kills both
+    N = nerve_cat(cyclic_group_category(2), 3)
+    f = SimplicialMap(N, N, fn=lambda n, x: 0)
+    rep = induced_chain_iso(f, coeff="f2", max_deg=2)
+    missed = {"dim_source": 1, "dim_target": 1, "surjective": False}
+    assert rep.bounds == {"max_deg": 2, "H0": {**missed, "surjective": True}, "H1": missed, "H2": missed}
+    assert rep.witnesses == [{"degree": 1, **missed}, {"degree": 2, **missed}]
+    assert digest(rep.to_json()) == "7ae66cda1ef86a36265b7675faa93ecc0bc97e0dd04cbe7a5b0e30971f096de1"
+    rep = induced_chain_iso(f, coeff="z", max_deg=2)
+    assert rep.bounds["H1"] == {
+        "source": {"betti": 0, "torsion": [2]}, "target": {"betti": 0, "torsion": [2]}, "surjective": False
+    }
+    assert rep.bounds["H2"]["surjective"] and rep.bounds["H2"]["injective"]
+    assert [w["degree"] for w in rep.witnesses] == [1]
+    assert digest(rep.to_json()) == "b8adda124d04c215ea68229ffa80336ed1a590e505f1603caf0e47e6e4bc6f66"
+
+
+# --- the mod-2 chain check against the kernel-and-push route ----------------
+
+
+def _f2_span_add(pivots: dict, v: int) -> None:
+    while v:
+        h = v.bit_length()
+        if h not in pivots:
+            pivots[h] = v
+            return
+        v ^= pivots[h]
+
+
+def _f2_kernel(masks: list) -> list:
+    """Kernel of the matrix with the given columns, as coefficient bitmasks."""
+    rows, basis = [], []
+    for j, v in enumerate(masks):
+        combo = 1 << j
+        for pm, pc in rows:
+            if v and (v ^ pm) < v:
+                v, combo = v ^ pm, combo ^ pc
+        if v:
+            rows.append((v, combo))
+            rows.sort(key=lambda t: -t[0])
+        else:
+            basis.append(combo)
+    return basis
+
+
+def _kernel_and_push_f2(f, max_deg: int) -> dict:
+    """The mod-2 bounds of `induced_chain_iso`, degree by degree, by kernel
+    bases: f_* is onto when the images of the source cycles and the
+    target boundaries span the target cycles."""
+    from nervekit.chains import _boundary_columns, _chain_matrix_columns, _f2_masks, _nondeg_bases
+
+    (bA, pA), (bX, pX) = _nondeg_bases(f.source, max_deg + 1), _nondeg_bases(f.target, max_deg + 1)
+
+    def boundary(Y, b, p, n):
+        return _f2_masks(_boundary_columns(Y, n, b[n], p[n - 1]))
+
+    out = {}
+    for n in range(max_deg + 1):
+        kerA = _f2_kernel(boundary(f.source, bA, pA, n)) if n else [1 << j for j in range(len(bA[0]))]
+        kerX = _f2_kernel(boundary(f.target, bX, pX, n)) if n else [1 << j for j in range(len(bX[0]))]
+        spanA, span = {}, {}
+        for v in boundary(f.source, bA, pA, n + 1):
+            _f2_span_add(spanA, v)
+        for v in boundary(f.target, bX, pX, n + 1):
+            _f2_span_add(span, v)
+        dim_target = len(kerX) - len(span)
+        fmask = _f2_masks(_chain_matrix_columns(f, n, bA[n], pX[n]))
+        for combo in kerA:
+            image = 0
+            for j, m in enumerate(fmask):
+                if combo >> j & 1:
+                    image ^= m
+            _f2_span_add(span, image)
+        out[f"H{n}"] = {
+            "dim_source": len(kerA) - len(spanA),
+            "dim_target": dim_target,
+            "surjective": len(span) == len(kerX),
+        }
+    return out
+
+
+def _oracle_sample() -> list:
+    """The comparison maps of the six generators, and up to 15 seeded maps
+    between each ordered pair of small spaces."""
+    import random
+
+    maps = []
+    for name, L in [
+        ("bg:z2", 3),
+        ("discrete:poset01", 3),
+        ("discrete:poset012", 3),
+        ("discrete:antichain3", 3),
+        ("poset:a<b,a<c,b<d,c<d", 3),
+        ("two-object-interval", 3),
+    ]:
+        maps.append(comparison_map(build_example(name, max_dim=L).cat, L))
+    spaces = [
+        horn(2, 0, 2),
+        horn(2, 1, 2),
+        standard_simplex(1, 2),
+        standard_simplex(2, 2),
+        nerve_cat(cyclic_group_category(2), 2),
+    ]
+    rng = random.Random(1)
+    for A in spaces:
+        for X in spaces:
+            found = enumerate_maps(A, X)
+            maps += rng.sample(found, min(15, len(found)))
+    return maps
+
+
+def test_f2_chain_iso_matches_the_kernel_and_push_route():
+    equal_but_not_onto = 0
+    for f in _oracle_sample():
+        rep = induced_chain_iso(f, coeff="f2")
+        max_deg = rep.bounds.pop("max_deg")
+        assert rep.bounds == _kernel_and_push_f2(f, max_deg), f
+        for info in rep.bounds.values():
+            equal_but_not_onto += info["dim_source"] == info["dim_target"] and not info["surjective"]
+    # the sample reaches the case where a dimension count alone would pass
+    assert equal_but_not_onto
