@@ -47,18 +47,18 @@ _LAZY = {
         "axioms": "validate_bisset validate_functor validate_relative "
         "validate_simplicial_category validate_sset",
         "bisimplicial": "BisimplicialSet",
-        "chains": "HomologyReport",
         "classification": "classification_comparison classification_diagram theta_cell_value",
         "comparison": "comparison_cell",
         "components": "pi0",
-        "discrete": "discrete_simplicial_category level_category",
+        "discrete": "discrete_simplicial_category level_category poset_category",
         "functors": "SimplicialFunctor functors_equal",
+        "groups": "HomologyReport",
         "gadgets": "coherent_path_category enumerate_simplicial_functors path_functor "
-        "simplex_power_category simplex_power_transform",
+        "poset_nerve simplex_power_category simplex_power_transform",
         "horns": "horn standard_simplex subcomplex",
         "maps": "compose_maps",
         "marked": "MarkedBisimplicialSet MarkedSimplicialSet diagonal_marked levelwise_nerve_marked",
-        "posets": "FinitePoset path_poset poset_category poset_nerve",
+        "posets": "FinitePoset path_poset",
         "schema": "load",
         "segal": "fiber_check segal_column_check",
         "spaces": "ProductSset act materialize product vertices",

@@ -11,7 +11,8 @@ the comparison map, stays with the maps (its body in `nervekit.maps`).
 
 from __future__ import annotations
 
-from .bisimplicial import BisimplicialSet, _bisset_families
+from .bisimplicial import BisimplicialSet
+from .bitables import _bisset_families
 from .cat import RelativeSimplicialCategory, SimplicialCategory
 from .components import _pi0_classes
 from .functors import SimplicialFunctor

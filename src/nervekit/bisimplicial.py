@@ -1,12 +1,13 @@
-"""Truncated bisimplicial sets: tables, rows, columns, diagonal, and the
+"""Truncated bisimplicial sets: tables, columns, diagonal, and the
 levelwise nerve.
 
 Bidegree (p, q) means column p, row q. Columns are simplicial sets in
 the row index and vice versa; the diagonal restricts to p = q. All
 operator tables are stored exhaustively, as in `SimplicialSet`;
 `axioms.validate_bisset` checks both directions plus every commutation
-square within the truncation. `bisset_to_json` writes the schema
-document of a plain or marked one (see `nervekit.serialize`).
+square within the truncation. The four operator families, the schema
+document, rows and the transpose live in `nervekit.bitables`, which
+`compare` never loads.
 
 The levelwise nerve of a simplicial category has column p at row q the
 set of p-chains of level-q morphisms, one `sset.chain_index_nerve` per
@@ -83,13 +84,10 @@ class BisimplicialSet:
         return tuple(tuple(row) for row in self.cards)
 
     def row(self, q: int) -> SimplicialSet:
-        cards = [self.cards[p][q] for p in range(self.P + 1)]
-        faces = [self.hfaces[p][q] for p in range(self.P + 1)]
-        degens = [self.hdegens[p][q] if p < self.P else [] for p in range(self.P + 1)]
-        labels = None
-        if self.labels is not None:
-            labels = [list(self.labels[p][q]) for p in range(self.P + 1)]
-        return SimplicialSet(self.P, cards, faces, degens, labels=labels, name=f"{self.name}[row {q}]")
+        """Row q, the simplicial set of the horizontal operators."""
+        from .bitables import _row
+
+        return _row(self, q)
 
     def column(self, p: int) -> SimplicialSet:
         cards = list(self.cards[p])
@@ -99,22 +97,10 @@ class BisimplicialSet:
         return SimplicialSet(self.Q, cards, faces, degens, labels=labels, name=f"{self.name}[col {p}]")
 
     def transpose(self) -> "BisimplicialSet":
-        # new (p, q) reads the old (q, p); rows become columns
-        flip = lambda tbl: [
-            [tbl[b][a] for b in range(self.P + 1)] for a in range(self.Q + 1)
-        ]
-        labels = None if self.labels is None else flip(self.labels)
-        return BisimplicialSet(
-            self.Q,
-            self.P,
-            flip(self.cards),
-            flip(self.vfaces),
-            flip(self.vdegens),
-            flip(self.hfaces),
-            flip(self.hdegens),
-            labels=labels,
-            name=f"transpose({self.name})",
-        )
+        """The bisimplicial set with (p, q) and (q, p) swapped."""
+        from .bitables import _transpose
+
+        return _transpose(self)
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
@@ -199,42 +185,3 @@ def _levelwise_nerve(SC: SimplicialCategory, P: int, Q: int, name: str) -> Bisim
         by_column([vertical(q, q + 1) for q in range(Q + 1)]),
         labels=by_column([row[3] for row in rows]), name=name or f"chains({SC.name})",
     )
-
-
-# -- the schema document ----------------------------------------------------
-
-
-def _bisset_families(P: int, Q: int) -> tuple:
-    """The four operator families of a (P, Q)-truncated bisimplicial set,
-    `sset._families` on each axis, horizontal first.
-
-    Each is (key, symbol, rows, dp, dq): its table at (p, q) holds
-    ``rows(p, q)`` rows, one per operator index, and its entries are
-    cells at (p + dp, q + dq).
-    """
-    return tuple(
-        ("h" + kind, symbol + "^h", lambda p, q, rows=rows: rows(p), step, 0) for kind, symbol, rows, step in _families(P)
-    ) + tuple(
-        ("v" + kind, symbol + "^v", lambda p, q, rows=rows: rows(q), 0, step) for kind, symbol, rows, step in _families(Q)
-    )
-
-
-def bisset_to_json(B) -> dict:
-    marked = None
-    if not hasattr(B, "hface"):  # a marked bisimplicial set
-        marked = sorted(B.marked)
-        B = B.space
-    P, Q = B.P, B.Q
-
-    def grid(op, rows):
-        return [
-            [[[op(p, q, i, x) for x in range(B.card(p, q))] for i in range(rows(p, q))] for q in range(Q + 1)]
-            for p in range(P + 1)
-        ]
-
-    doc = {"dims": [P, Q], "cells": [[B.card(p, q) for q in range(Q + 1)] for p in range(P + 1)]}
-    for key, _, rows, _, _ in _bisset_families(P, Q):
-        doc[key] = grid(getattr(B, key), rows)
-    if marked is not None:
-        doc["marked"] = [[1, q, x] for (q, x) in marked]
-    return doc

@@ -7,20 +7,19 @@ dict row -> coefficient per basis cell (`_boundary_columns`,
 `_f2_rank` on bitmask columns: mod-2 homology and chain checks read
 ranks only.
 
-The bodies of `homology.homology` and `homology.induced_chain_iso`
-live here too, with `HomologyReport`. `nervekit.homology` imports them
-when first called, so a process that computes no homology does not
-compile this module. It binds the traced `homology.smith_normal_form`
-when it loads, so a traced run sees the eliminations of the integer
-route nested in their entry point.
+The body of `homology.induced_chain_iso` lives here too, with its
+chain-map check `_chain_map_defect`. `nervekit.homology` imports it
+when first called, so a process that checks no chain map and computes
+no homology does not compile this module. Homology groups, with
+`HomologyReport`, live in `nervekit.groups`, which `compare` never
+loads.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .homology import smith_normal_form
-from .reporting import CheckReport, Record
+from .reporting import CheckReport
 from .sset import SimplicialMap, TruncationError
 
 
@@ -88,72 +87,29 @@ def _f2_rank(masks) -> int:
     return len(pivots)
 
 
-# --- reports ----------------------------------------------------------------
+# --- chain maps and isomorphisms -------------------------------------------
 
 
-class HomologyReport(Record):
-    """Per-degree homology groups, exact."""
-
-    _fields = ("subject", "coeff", "max_deg", "groups")
-
-    def __init__(self, subject: str, coeff: str, max_deg: int, groups: list | None = None):
-        self.subject = subject
-        self.coeff = coeff
-        self.max_deg = max_deg
-        self.groups = [] if groups is None else groups
-
-    def to_json(self):
-        return {
-            "subject": self.subject,
-            "coeff": self.coeff,
-            "max_deg": self.max_deg,
-            "groups": self.groups,
-        }
+def _column_sum(cols: list[dict], col: dict) -> dict:
+    """The sum, over the entries r -> v of ``col``, of v times ``cols[r]``,
+    zeros dropped: ``col`` read through the matrix with columns ``cols``."""
+    out: dict[int, int] = {}
+    for r, v in col.items():
+        for rr, w in cols[r].items():
+            out[rr] = out.get(rr, 0) + v * w
+    return {r: v for r, v in out.items() if v}
 
 
-# --- homology and chain isomorphisms ----------------------------------------
-
-
-def _homology(X, coeff: str, max_deg: Optional[int], subject: str) -> HomologyReport:
-    # the body of `homology.homology`
-    if coeff not in ("z", "f2"):
-        raise ValueError(f"unknown coefficients {coeff!r}")
-    if max_deg is None:
-        max_deg = X.D - 1
-    if max_deg > X.D - 1:
-        raise TruncationError(f"degree {max_deg} needs level {max_deg + 1} cells, truncation is {X.D}")
-    if max_deg < 0:
-        raise ValueError("max_deg must be >= 0")
-    top = max_deg + 1
-    bases, pos = _nondeg_bases(X, top)
-    cols = {n: _boundary_columns(X, n, bases[n], pos[n - 1]) for n in range(1, top + 1)}
-    rep = HomologyReport(subject or getattr(X, "name", "") or "space", coeff, max_deg)
-    if coeff == "f2":
-        # each boundary eliminated once; d_0 is zero
-        ranks = [0] + [_f2_rank(_f2_masks(cols[n])) for n in range(1, top + 1)]
-    else:
-        from .integer import _check_snf_budget, _dense
-
-        def boundary_snf(n):
-            rows = len(bases[n - 1])
-            _check_snf_budget(rows, len(bases[n]))
-            return smith_normal_form(_dense(cols[n], rows))
-
-    for n in range(max_deg + 1):
-        dim_n = len(bases[n])
-        if coeff == "f2":
-            rep.groups.append({"degree": n, "dim": dim_n - ranks[n] - ranks[n + 1]})
-        else:
-            rk_out = boundary_snf(n)[3] if n >= 1 and bases[n - 1] and bases[n] else 0
-            if bases[n + 1] and dim_n:
-                diag, _, _, rk_in = boundary_snf(n + 1)
-                torsion = [d for d in diag[:rk_in] if d > 1]
-            else:
-                rk_in, torsion = 0, []
-            rep.groups.append(
-                {"degree": n, "betti": dim_n - rk_out - rk_in, "torsion": torsion}
-            )
-    return rep
+def _chain_map_defect(dA: dict, dX: dict, fM: dict, top: int):
+    """The first (n, c), n = 1..top, where d f and f d differ on the c-th
+    basis n-cell of the source, or None if the columns of ``fM`` are a
+    chain map between the boundaries ``dA`` and ``dX``. Both sides sum
+    coefficient times column."""
+    for n in range(1, top + 1):
+        for c, col in enumerate(dA[n]):
+            if _column_sum(dX[n], fM[n][c]) != _column_sum(fM[n - 1], col):
+                return n, c
+    return None
 
 
 def _induced_chain_iso(f: SimplicialMap, coeff: str, max_deg: Optional[int]) -> CheckReport:
@@ -176,24 +132,12 @@ def _induced_chain_iso(f: SimplicialMap, coeff: str, max_deg: Optional[int]) -> 
 
     check = CheckReport(check=f"induced_chain_iso[{coeff}]", verdict="pass")
     check.bounds["max_deg"] = max_deg
-    # chain-map property: boundary after f equals f after boundary, read
-    # off the columns above; a column of fM is empty where f(x) is
-    # degenerate and holds one entry otherwise
-    for n in range(1, top + 1):
-        for c, x in enumerate(bA[n]):
-            lhs: dict[int, int] = {}
-            for r in fM[n][c]:
-                lhs = dX[n][r]
-            rhs: dict[int, int] = {}
-            for r, v in dA[n][c].items():
-                for rr in fM[n - 1][r]:
-                    rhs[rr] = rhs.get(rr, 0) + v
-            if lhs != {k: v for k, v in rhs.items() if v}:
-                check.verdict = "fail"
-                check.witnesses.append(
-                    {"reason": "not a chain map", "degree": n, "cell": x}
-                )
-                return check
+    bad = _chain_map_defect(dA, dX, fM, top)
+    if bad is not None:
+        n, c = bad
+        check.verdict = "fail"
+        check.witnesses.append({"reason": "not a chain map", "degree": n, "cell": bA[n][c]})
+        return check
     if coeff == "f2":
         # each boundary as bit vectors, eliminated once; d_0 is zero
         mA = [[0] * len(bA[0])] + [_f2_masks(dA[n]) for n in range(1, top + 1)]

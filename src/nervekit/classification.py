@@ -33,7 +33,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .bisimplicial import BisimplicialSet, _bisset_families
+from .bisimplicial import BisimplicialSet
+from .bitables import _bisset_families
 from .cat import RelativeSimplicialCategory, SimplicialCategory
 from .coherent import _WITNESS_CAP
 from .comparison import _cell_from_plan, _collapse_row, _collapse_table, _table_pairs, _theta_plan, hc_constant

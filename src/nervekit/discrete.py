@@ -1,7 +1,8 @@
 """Simplicial categories made from ordinary ones, and back.
 
 `discrete_simplicial_category` gives a finite category constant homs
-(`constant_sset`); `level_category` is the ordinary category of the
+(`constant_sset`); `poset_category` is the ordinary category of a
+poset; `level_category` is the ordinary category of the
 level-q cells of a simplicial category, whose nerve the ``nerve`` verb
 builds. `_discrete_example` builds the ``discrete:``, ``poset:`` and
 ``two-object-interval`` examples of `generators.build_example`.
@@ -14,7 +15,7 @@ imports it for a discrete example.
 from __future__ import annotations
 
 from .cat import FiniteCategory, RelativeSimplicialCategory, SimplicialCategory
-from .posets import FinitePoset, poset_category
+from .posets import FinitePoset
 from .sset import SimplicialSet, TruncationError, _families
 
 
@@ -30,6 +31,14 @@ def level_category(SC: SimplicialCategory, q: int) -> FiniteCategory:
     comps = {abc: tables[q] for abc, tables in SC.comps.items()}
     ids = {a: (a, a, SC.identity_cell(a, q)) for a in SC.objects}
     return FiniteCategory(SC.objects, homs, comps, ids, name=f"{SC.name}_lvl{q}")
+
+
+def poset_category(P: FinitePoset, name: str = "") -> FiniteCategory:
+    """The ordinary category of a poset: one morphism a -> b when a <= b."""
+    els = P.elements
+    homs = {(a, b): [0] for a in els for b in els if P.leq(a, b)}
+    comps = {(a, b, c): [0] for a, b in homs for c in els if P.leq(b, c)}
+    return FiniteCategory(els, homs, comps, {a: 0 for a in els}, name=name or "poset")
 
 
 def constant_sset(k: int, D: int, labels=None, name: str = "") -> SimplicialSet:

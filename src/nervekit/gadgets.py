@@ -1,8 +1,9 @@
 """The cosimplicial gadget categories and the functor search over them.
 
 * ``coherent_path_category(n, D)``: objects 0..n, hom(i, j) the nerve
-  of the poset of subsets of {i..j} with fixed min and max, ordered by
-  inclusion, composed by union. Simplicial functors out of it are the
+  (`poset_nerve`) of the poset of subsets of {i..j} with fixed min and
+  max, ordered by inclusion, composed by union; `vertex_induced_map`
+  is the map of such nerves a monotone map of their entries induces. Simplicial functors out of it are the
   cells of the coherent nerve. `path_functor` is its cosimplicial
   structure.
 * ``interval_power_category(n, K)``: objects 0..n, hom(i, j) the lazy
@@ -33,9 +34,30 @@ from typing import Sequence
 
 from .cat import SimplicialCategory
 from .functors import SimplicialFunctor
-from .horns import standard_simplex
-from .posets import path_poset, poset_nerve, vertex_induced_map
-from .sset import SimplicialMap, _DegeneracyTest, enumerate_maps
+from .horns import _chain_nerve, standard_simplex
+from .posets import FinitePoset, path_poset
+from .sset import SimplicialMap, SimplicialSet, TruncationError, _DegeneracyTest, enumerate_maps
+
+
+def poset_nerve(P: FinitePoset, D: int, name: str = "") -> SimplicialSet:
+    """Nerve of a finite poset: level n cells are weakly increasing chains."""
+    X = _chain_nerve(P._leq, P.elements, D)
+    X.name = name or "poset_nerve"
+    return X
+
+
+def vertex_induced_map(NP: SimplicialSet, NQ: SimplicialSet, vfun) -> "SimplicialMap":
+    """Map of chain nerves induced by applying ``vfun`` to every chain entry.
+
+    Both arguments must be labelled with chains (tuples); ``vfun`` must
+    be monotone for the result to be simplicial.
+    """
+    if NQ.D < NP.D:
+        raise TruncationError("target truncated below source")
+    vals = []
+    for n in range(NP.D + 1):
+        vals.append([NQ.index_of(n, tuple(vfun(a) for a in NP.label(n, x))) for x in range(NP.card(n))])
+    return SimplicialMap(NP, NQ, values=vals)
 
 
 @lru_cache(maxsize=None)

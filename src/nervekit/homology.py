@@ -12,9 +12,10 @@ n homology needs n <= D - 1; higher degrees raise `TruncationError`.
 ``import nervekit`` loads this module because a traced benchmark run
 wraps its three entry points where they are defined
 (``bench/trace_child.py`` ``TRACED``). Each imports its body when first
-called: `homology` and `induced_chain_iso`, with `HomologyReport`,
-chains and mod-2 ranks, from `nervekit.chains`; the Smith normal form,
-with the integer route, from `nervekit.integer`.
+called: `homology`, with `HomologyReport`, from `nervekit.groups`;
+`induced_chain_iso`, with the chains and mod-2 ranks both use, from
+`nervekit.chains`; the Smith normal form, with the integer route, from
+`nervekit.integer`.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def homology(X, coeff: str = "z", max_deg: Optional[int] = None, subject: str = 
     whose Smith normal form is over the budget is refused before it is
     densified.
     """
-    from .chains import _homology
+    from .groups import _homology
 
     return _homology(X, coeff, max_deg, subject)
 

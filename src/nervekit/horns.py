@@ -1,5 +1,7 @@
-"""Standard simplices, subcomplexes, horns and the body of
-`sset.enumerate_maps`, loaded on first use (never by `compare`)."""
+"""Standard simplices, subcomplexes, horns, and the bodies of
+`sset.enumerate_maps` and `verify.horn_check`, loaded on first use
+(never by `compare`). `_horn_check` enumerates horn maps through the
+traced `sset.enumerate_maps`, bound when this module loads."""
 
 from __future__ import annotations
 
@@ -7,7 +9,8 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .sset import SimplicialMap, SimplicialSet, TruncationError, _families, chain_index_nerve
+from .reporting import CheckReport
+from .sset import SimplicialMap, SimplicialSet, TruncationError, _families, act_table, chain_index_nerve, enumerate_maps
 
 
 def _chain_nerve(order, names: Sequence, D: int) -> SimplicialSet:
@@ -203,3 +206,43 @@ def _enumerate_maps(A, X) -> list[SimplicialMap]:
     out.sort()
     levels = [slice(base[n], base[n + 1]) for n in range(D + 1)]
     return [SimplicialMap(A, X, values=list(map(vec.__getitem__, levels))) for vec in out]
+
+
+def _lab(X, n: int, x: int):
+    lab = X.label(n, x)
+    return x if lab is None else lab
+
+
+def _horn_check(X, n: int, k: int, max_witnesses: int) -> CheckReport:
+    # the body of `verify.horn_check`
+    if not 1 <= n <= X.D:
+        raise TruncationError(f"horn extension at level {n} needs truncation >= {n}, have {X.D}")
+    H = horn(n, k)
+    faces = [tuple(i for i in range(n + 1) if i != j) for j in range(n + 1) if j != k]
+    cols = [act_table(X, n, f) for f in faces]
+    # one top cell (n = 1) reads as a value, several as a tuple
+    restrictions = set(zip(*cols) if len(cols) > 1 else cols[0])
+    read = itemgetter(*(H.index_of(n - 1, f) for f in faces))
+    maps = enumerate_maps(H, X)
+    nd = None  # the horn's nondegenerate cells, listed at the first witness
+    witnesses = []
+    unfillable = 0
+    for h in maps:
+        if read(h.values[n - 1]) not in restrictions:
+            unfillable += 1
+            if len(witnesses) < max_witnesses:
+                if nd is None:
+                    nd = [(m, c) for m in range(H.D + 1) for c in H.nondegenerate_cells(m)]
+                witnesses.append(
+                    {
+                        "assignment": [
+                            (H.label(m, c), _lab(X, m, h.apply(m, c))) for m, c in nd
+                        ]
+                    }
+                )
+    return CheckReport(
+        check=f"horn({n},{k}) extension in {X.name or 'sset'}",
+        verdict="pass" if unfillable == 0 else "fail",
+        witnesses=witnesses,
+        bounds={"n": n, "k": k, "horn_maps": len(maps), "unfillable": unfillable},
+    )

@@ -1,16 +1,17 @@
-"""Finite posets, their nerves and their categories.
+"""Finite posets and the path posets.
 
 `FinitePoset` keeps its elements in the given order, which fixes the
-cell order of `poset_nerve`; `path_poset(i, j)` is the poset of
+cell order of `gadgets.poset_nerve`; `path_poset(i, j)` is the poset of
 subsets of {i..j} containing both ends, the hom of the path gadgets
-and the index set of the comparison cell formulas; `poset_category`
-is the ordinary category of a poset, and `vertex_induced_map` the map
-of chain nerves induced by a monotone map of their entries.
+and the index set of the comparison cell formulas. The ordinary
+category of a poset, `poset_category`, lives in `nervekit.discrete`;
+its nerve `poset_nerve` and the map of chain nerves `vertex_induced_map`
+live in `nervekit.gadgets`. `compare` reads only `path_poset`.
 
 ``import nervekit`` does not load this module up front: the package
-resolves all but `vertex_induced_map` from here on first use, so only
-a verb that reads a poset (a ``discrete:`` or ``poset:`` example, the
-comparison cell formulas, the gadgets) compiles it.
+resolves its names from here on first use, so only a verb that reads
+a poset (a ``discrete:`` or ``poset:`` example, the comparison cell
+formulas, the gadgets) compiles it.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from typing import Sequence
-
-from .cat import FiniteCategory
-from .sset import SimplicialMap, SimplicialSet, TruncationError
 
 
 class FinitePoset:
@@ -63,36 +61,6 @@ class FinitePoset:
 
     def leq(self, a, b) -> bool:
         return self._leq[self._idx[a]][self._idx[b]]
-
-
-def poset_nerve(P: FinitePoset, D: int, name: str = "") -> SimplicialSet:
-    """Nerve of a finite poset: level n cells are weakly increasing chains."""
-    from .horns import _chain_nerve
-
-    X = _chain_nerve(P._leq, P.elements, D)
-    X.name = name or "poset_nerve"
-    return X
-
-
-def vertex_induced_map(NP: SimplicialSet, NQ: SimplicialSet, vfun) -> "SimplicialMap":
-    """Map of chain nerves induced by applying ``vfun`` to every chain entry.
-
-    Both arguments must be labelled with chains (tuples); ``vfun`` must
-    be monotone for the result to be simplicial.
-    """
-    if NQ.D < NP.D:
-        raise TruncationError("target truncated below source")
-    vals = []
-    for n in range(NP.D + 1):
-        vals.append([NQ.index_of(n, tuple(vfun(a) for a in NP.label(n, x))) for x in range(NP.card(n))])
-    return SimplicialMap(NP, NQ, values=vals)
-
-
-def poset_category(P: FinitePoset, name: str = "") -> FiniteCategory:
-    els = P.elements
-    homs = {(a, b): [0] for a in els for b in els if P.leq(a, b)}
-    comps = {(a, b, c): [0] for a, b in homs for c in els if P.leq(b, c)}
-    return FiniteCategory(els, homs, comps, {a: 0 for a in els}, name=name or "poset")
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,8 @@ from __future__ import annotations
 import json
 
 from .axioms import validate_bisset, validate_relative, validate_simplicial_category, validate_sset
-from .bisimplicial import BisimplicialSet, _bisset_families
+from .bisimplicial import BisimplicialSet
+from .bitables import _bisset_families
 from .cat import RelativeSimplicialCategory, SimplicialCategory
 from .marked import MarkedBisimplicialSet
 from .serialize import SchemaError, _obj_lookup, _okey

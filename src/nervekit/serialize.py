@@ -22,7 +22,7 @@ and one trailing newline, so identical values round-trip bit-exactly
 and `digest` is stable. ``import nervekit`` loads it: every verb
 digests its input, and a traced benchmark run wraps `to_json` and
 `digest` here (``bench/trace_child.py`` ``TRACED``). The bisimplicial
-writer, `bisset_to_json`, lives in `nervekit.bisimplicial`; the
+writer, `bisset_to_json`, lives in `nervekit.bitables`; the
 readers, which validate what they read, live in `nervekit.schema`.
 
 Cell labels are not serialized; every construction downstream of a
@@ -120,7 +120,7 @@ def to_json(value) -> dict:
         return cat_to_json(value)
     if hasattr(value, "hface") or hasattr(getattr(value, "space", None), "hface"):
         # a bisimplicial set, or a marked one
-        from .bisimplicial import bisset_to_json
+        from .bitables import bisset_to_json
 
         return bisset_to_json(value)
     if hasattr(value, "face") and hasattr(value, "degen"):

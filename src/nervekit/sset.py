@@ -47,7 +47,12 @@ class TruncationError(Exception):
 
 
 class _DegeneracyTest:
-    """Degeneracy queries for any class with ``card``, ``face`` and ``degen``."""
+    """Degeneracy queries for any class with ``card``, ``face`` and ``degen``.
+
+    `SimplicialSet` marks the images of its s_i rows instead, which is the
+    same wherever d_{i+1} s_i = id, as on every valid set; the tests
+    compare the two.
+    """
 
     def is_degenerate(self, n: int, x: int) -> bool:
         # x is degenerate iff s_i(d_{i+1} x) == x for some i
@@ -111,7 +116,7 @@ class SimplicialSet(_DegeneracyTest):
         self.degens = [[list(row) for row in degens[n]] for n in range(D + 1)]
         self.labels = None if labels is None else [list(l) for l in labels]
         self.name = name
-        self._nondeg: list[Optional[list[bool]]] = [None] * (D + 1)
+        self._degenerate_flags: list[Optional[list[bool]]] = [None] * (D + 1)
         self._label_idx: list[Optional[dict]] = [None] * (D + 1)
         self._face_idx: dict[tuple[int, tuple[int, ...]], dict] = {}
 
@@ -162,11 +167,20 @@ class SimplicialSet(_DegeneracyTest):
         return self._label_idx[n][label]
 
     def is_degenerate(self, n: int, x: int) -> bool:
-        flags = self._nondeg[n]
+        return self._degenerate(n)[x]
+
+    def nondegenerate_cells(self, n: int) -> list[int]:
+        return [x for x, d in enumerate(self._degenerate(n)) if not d]
+
+    def _degenerate(self, n: int) -> list[bool]:
+        # per n-cell, whether an s_i row of level n - 1 hits it
+        flags = self._degenerate_flags[n]
         if flags is None:
-            test = super().is_degenerate
-            flags = self._nondeg[n] = [test(n, y) for y in range(self.cards[n])]
-        return flags[x]
+            flags = self._degenerate_flags[n] = [False] * self.cards[n]
+            for row in self.degens[n - 1] if n else ():
+                for y in row:
+                    flags[y] = True
+        return flags
 
     def face_index(self, n: int, positions: Sequence[int] = ()) -> dict:
         """`_DegeneracyTest.face_index` from the stored rows, built once per

@@ -2,9 +2,37 @@ import pathlib
 
 import pytest
 
-from nervekit import build_example
+from nervekit import SimplicialSet, build_example
+from nervekit.sset import _DegeneracyTest
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def degeneracy_oracle():
+    """Check every simplicial set the tests build as it is built: on each
+    level n where d_{i+1} s_i = id for the stored rows, the degenerate
+    cells `SimplicialSet` reads off its s_i rows are those of the
+    per-cell test s_i d_{i+1} x == x (`_DegeneracyTest.is_degenerate`).
+    The flags are dropped afterwards, so the set computes them as usual."""
+    init = SimplicialSet.__init__
+
+    def checked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        for n in range(1, self.D + 1):
+            faces, degens = self.faces[n], self.degens[n - 1]
+            try:
+                sections = all(faces[i + 1][s] == y for i, row in enumerate(degens) for y, s in enumerate(row))
+            except IndexError:  # a deliberately broken table
+                continue
+            if sections and len(degens) == n:
+                oracle = [_DegeneracyTest.is_degenerate(self, n, x) for x in range(self.cards[n])]
+                assert self._degenerate(n) == oracle, (self, n)
+                self._degenerate_flags[n] = None
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SimplicialSet, "__init__", checked)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -185,6 +185,23 @@ def test_chain_iso_rejects_a_map_that_is_not_a_chain_map(coeff):
     assert induced_chain_iso(SimplicialMap(D1, D1, values=[[0, 1], [0, 1, 2]]), coeff=coeff, max_deg=0).ok
 
 
+def test_chain_map_check_weighs_every_entry_by_its_coefficient():
+    # an edge e from v0 to v1, d e = v1 - v0; degree-0 columns are the identity
+    from nervekit.chains import _chain_map_defect
+
+    dA = {1: [{1: 1, 0: -1}]}
+    f0 = [{0: 1}, {1: 1}]
+    # f = -id on the edge over id on the vertices: d f e = v0 - v1 but f d e = v1 - v0
+    assert _chain_map_defect(dA, dA, {0: f0, 1: [{0: -1}]}, 1) == (1, 0)
+    assert _chain_map_defect(dA, dA, {0: f0, 1: [{0: 1}]}, 1) is None
+    # two parallel edges e0, e1 from v0 to v1; e goes to a two-entry column
+    dX = {1: [{1: 1, 0: -1}, {1: 1, 0: -1}]}
+    # e0 + e1 has boundary 2 (v1 - v0), twice f d e: the square breaks
+    assert _chain_map_defect(dA, dX, {0: f0, 1: [{0: 1, 1: 1}]}, 1) == (1, 0)
+    # 2 e0 - e1 has boundary v1 - v0: the square holds
+    assert _chain_map_defect(dA, dX, {0: f0, 1: [{0: 2, 1: -1}]}, 1) is None
+
+
 def test_chain_iso_z_coefficients(z2_rel):
     B = classifying_space(z2_rel.cat, 2)
     rep = induced_chain_iso(identity_map(B), coeff="z", max_deg=1)

@@ -5,7 +5,7 @@ import pytest
 
 from nervekit import SchemaError, build_example, canonical_json, digest, load, save
 from nervekit.schema import bisset_from_json, cat_from_json, from_json, relative_from_json, sset_from_json
-from nervekit.bisimplicial import bisset_to_json
+from nervekit.bitables import bisset_to_json
 from nervekit.serialize import cat_to_json, relative_to_json, sset_to_json, to_json
 from nervekit import (
     FinitePoset,

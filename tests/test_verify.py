@@ -27,7 +27,7 @@ from nervekit import (
     uniqueness_search,
 )
 from nervekit.sset import act, act_table
-from nervekit.verify import _lab
+from nervekit.horns import _lab
 from sset_helpers import boundary_simplex
 
 
@@ -120,16 +120,16 @@ def test_horn_check_matches_filler_scan():
 
 def test_horn_check_catches_a_restriction_on_the_wrong_face(monkeypatch):
     # the restriction to the top horn cell d_0 is built on d_1 instead
-    import nervekit.verify as verify_mod
+    import nervekit.horns as horns_mod
 
-    real = verify_mod.act_table
+    real = horns_mod.act_table
 
     def act_table(X, n, f):
         if tuple(f) == tuple(range(1, n + 1)):
             f = (0,) + tuple(range(2, n + 1))
         return real(X, n, f)
 
-    monkeypatch.setattr(verify_mod, "act_table", act_table)
+    monkeypatch.setattr(horns_mod, "act_table", act_table)
     mismatches, _ = _horn_scan_mismatches()
     assert mismatches
 
