@@ -49,7 +49,7 @@ _LAZY = {
         "bisimplicial": "BisimplicialSet",
         "classification": "classification_comparison classification_diagram theta_cell_value",
         "comparison": "comparison_cell",
-        "components": "pi0",
+        "components": "from_level_labels pi0",
         "discrete": "discrete_simplicial_category level_category poset_category",
         "functors": "SimplicialFunctor functors_equal",
         "groups": "HomologyReport",

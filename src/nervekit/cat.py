@@ -169,18 +169,6 @@ class RelativeSimplicialCategory:
             sub[(a, a)] = [frozenset([cat.identity_cell(a, n)]) for n in range(cat.D + 1)]
         return cls(cat, sub, name=cat.name + "+ids")
 
-    @classmethod
-    def from_level_labels(cls, cat: SimplicialCategory, chosen: dict) -> "RelativeSimplicialCategory":
-        """Subcategory spanned by the given vertex sets, closed under everything.
-
-        ``chosen[(a, b)]`` is a set of vertices of hom(a, b); the sub
-        simplicial sets are the full unions of the connected components
-        meeting them (plus identity components).
-        """
-        from .components import _component_sub
-
-        return cls(cat, _component_sub(cat, chosen))
-
 
 def compose_functors(G: SimplicialFunctor, F: SimplicialFunctor) -> SimplicialFunctor:
     """G after F, each hom map G's applied to every entry of F's table."""

@@ -26,18 +26,17 @@ def _hc_level(SC: SimplicialCategory, n: int) -> list[tuple]:
     """Every coherent-nerve n-cell, as the tuple (objects, values).
 
     Per object tuple, a search assigns the cell's own values, the slots
-    of `comparison._generator_slots`: pair by span, and in a pair by
-    colex order of the chain's subsets, so each chain comes right after
-    its faces and a degenerate chain after the chain without its repeat.
-    A chain at level 0 takes any vertex of its hom. A degenerate chain
-    is a forced step: the degeneracy of the slot below it. A
-    nondegenerate chain at level m > 0 takes, in ascending order, every
-    cell of the hom's face index under its faces' values: faces r > 0
-    are slots of the same pair, and face 0 folds the values
-    (`comparison._cell_value`) of the hops of its bottom subset, later
-    hops on the left. Each object tuple's cells are then sorted by their
-    values read pair by span, then level and chain, so a cell's index
-    does not depend on the search order.
+    of `comparison._generator_slots` (the nondegenerate generator
+    chains): pair by span, and in a pair by colex order of the chain's
+    subsets, so each chain comes right after its faces. A chain at level
+    0 takes any vertex of its hom. A chain at level m > 0 takes, in
+    ascending order, every cell of the hom's face index under its faces'
+    values: faces r > 0 are slots of the same pair, and face 0 folds the
+    values (`comparison._cell_value`, which also gives a degenerate
+    chain's value) of the hops of its bottom subset, later hops on the
+    left. Each object tuple's cells are then sorted by their values read
+    pair by span, then level and chain, so a cell's index does not
+    depend on the search order.
     The search runs on an explicit stack, as `sset.enumerate_maps` does,
     so its depth, one step per slot, is not bounded by Python's
     recursion limit; ``tests/test_nerves.py`` keeps the recursive search
@@ -48,24 +47,19 @@ def _hc_level(SC: SimplicialCategory, n: int) -> list[tuple]:
     slots, position = comparison._generator_slots(n, SC.D)
     pairs = [(i, j) for i, j, m, _ in slots if m == 0]
     by_span = sorted(range(len(slots)), key=lambda s: slots[s][1] - slots[s][0])
-    # per step, (slot, i, j, m, t, rule): t is the first repeat of a
-    # degenerate chain and rule the slot of the chain without it; at a
-    # nondegenerate level m > 0, rule holds the hops of face 0 and the
-    # slots of faces r > 0
+    # per step, (slot, i, j, m, rule): at level m > 0, rule holds the hops
+    # of face 0 and the slots of faces r > 0
     steps = []
     for s in sorted(range(len(slots)), key=lambda s: _search_key(*slots[s])):
         i, j, m, c = slots[s]
-        t = next((t for t in range(m) if c[t] == c[t + 1]), None)
         rule = None
-        if t is not None:
-            rule = position[(i, j, c[:t] + c[t + 1 :])]
-        elif m:
+        if m:
             bottom = c[1]
             rule = (
                 [(a, b, tuple(tuple(v for v in S if a <= v <= b) for S in c[1:])) for a, b in zip(bottom, bottom[1:])],
                 [position[(i, j, c[:r] + c[r + 1 :])] for r in range(1, m + 1)],
             )
-        steps.append((s, i, j, m, t, rule))
+        steps.append((s, i, j, m, rule))
     results: list[tuple] = []
     for objs in itertools.product(SC.objects, repeat=n + 1):
         if any(SC.hom(objs[i], objs[j]).card(0) == 0 for i, j in pairs):
@@ -74,12 +68,10 @@ def _hc_level(SC: SimplicialCategory, n: int) -> list[tuple]:
 
         def candidates(b):
             # the values step b may take, given those of the steps before it
-            _, i, j, m, t, rule = steps[b]
+            _, i, j, m, rule = steps[b]
             H = SC.hom(objs[i], objs[j])
             if m == 0:
                 return range(H.card(0))
-            if t is not None:
-                return (H.degen(m - 1, t, values[rule]),)
             hops, faces = rule
             acc = None
             for lo, hi, chain in hops:
@@ -109,8 +101,7 @@ def _hc_level(SC: SimplicialCategory, n: int) -> list[tuple]:
 
 def _search_key(i: int, j: int, m: int, chain) -> tuple:
     # colex order of a chain's subsets, each subset ordered as in
-    # `posets.path_poset`: a chain comes after every chain it contains,
-    # and a degenerate chain after the chain without its repeat
+    # `posets.path_poset`: a chain comes after every chain it contains
     return j - i, i, [(len(S), S) for S in reversed(chain)]
 
 

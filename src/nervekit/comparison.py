@@ -1,11 +1,11 @@
 """The cell formulas of the coherent nerve and of the comparison map.
 
 A coherent-nerve n-cell is the tuple (objects, values): one value per
-generator chain (chain whose first subset is the two-point one) of the
-pair's unforced levels, in the order of `_generator_slots`. Identity
-pairs and higher levels are forced (`_cell_value`), and a value on any
-other hom chain folds out of these by composition. An operator
-precomposes a cell with its vertex map (`_precompose_vertex_map`).
+nondegenerate generator chain (strictly increasing, first subset the
+two-point one), in the order of `_generator_slots`.
+Identity pairs and degenerate chains are forced (`_cell_value`), and a
+value on any other hom chain folds out of these by composition. An
+operator precomposes a cell with its vertex map (`_precompose_vertex_map`).
 `coherent._hc_level` enumerates the cells of one level by assigning
 these values slot by slot, each chain after its faces; face 0 of a
 chain folds the `_cell_value` of the hops of its bottom subset.
@@ -58,38 +58,33 @@ from .sset import act_table
 
 @lru_cache(maxsize=None)
 def generator_chains(i: int, j: int, D: int) -> tuple:
-    """Per level, the hom chains of pair (i, j) starting at the bottom subset."""
+    """Per level, the strictly increasing hom chains of pair (i, j)
+    starting at the bottom subset: none above level j - i - 1."""
     P = path_poset(i, j)
     bottom = P.elements[0]
     per_level = [((bottom,),)]
     chains = [(bottom,)]
     for _ in range(D):
-        chains = [c + (t,) for c in chains for t in P.elements if set(c[-1]) <= set(t)]
+        chains = [c + (t,) for c in chains for t in P.elements if set(c[-1]) < set(t)]
         per_level.append(tuple(chains))
     return tuple(per_level)
-
-
-def _pair_limit(i: int, j: int, D: int) -> int:
-    # a strictly increasing generator chain of span s has at most s - 1
-    # steps, so everything above is a forced degeneracy
-    return min(D, j - i - 1)
 
 
 @lru_cache(maxsize=None)
 def _generator_slots(n: int, D: int) -> tuple:
     """The stored generator chains of an n-cell and their positions.
 
-    Returns the (i, j, m, chain) slots, pair (i, j) with i < j first,
-    then level m <= `_pair_limit`, then chain, and a lookup from
+    Returns the (i, j, m, chain) slots of `generator_chains`, pair
+    (i, j) with i < j first, then level m, then chain, and a lookup from
     (i, j, chain) to the slot's position. A coherent-nerve n-cell is the
     tuple (objects, values) with one value per slot; identity pairs and
-    higher levels are forced (see `_cell_value`).
+    degenerate chains are forced (see `_cell_value`).
     """
     slots = tuple(
         (i, j, m, c)
         for i in range(n + 1)
         for j in range(i + 1, n + 1)
-        for m, level in enumerate(generator_chains(i, j, D)[: _pair_limit(i, j, D) + 1])
+        for m, level in enumerate(generator_chains(i, j, D))
         for c in level
     )
     return slots, {(i, j, c): s for s, (i, j, _, c) in enumerate(slots)}
@@ -98,18 +93,19 @@ def _generator_slots(n: int, D: int) -> tuple:
 def _cell_value(SC: SimplicialCategory, cell, i: int, j: int, m: int, chain) -> int:
     """A cell's value on a generator chain of pair (i, j) at level m.
 
-    Identity pairs take identity cells, stored levels are looked up, and
-    above the pair's stored levels the chain is degenerate, so the value
-    extends a lower one by degeneracy. Generator chains are all that
-    precomposition by a monotone vertex map f asks for: a chain whose
-    first subset is {a, b} goes to one whose first subset is
-    {f(a), f(b)}.
+    Identity pairs take identity cells, slots are looked up, and a
+    degenerate chain takes s_t of the value on the chain without its
+    first repeat t: the one place this rule is written. Generator
+    chains are all that precomposition by a monotone vertex map f asks
+    for: a chain whose first subset is {a, b} goes to one whose first
+    subset is {f(a), f(b)}.
     """
     objects, values = cell
     if i == j:
         return SC.identity_cell(objects[i], m)
-    if m <= _pair_limit(i, j, SC.D):
-        return values[_generator_slots(len(objects) - 1, SC.D)[1][(i, j, chain)]]
+    s = _generator_slots(len(objects) - 1, SC.D)[1].get((i, j, chain))
+    if s is not None:
+        return values[s]
     t = next(t for t in range(m) if chain[t] == chain[t + 1])
     lower = _cell_value(SC, cell, i, j, m - 1, chain[:t] + chain[t + 1 :])
     return SC.hom(objects[i], objects[j]).degen(m - 1, t, lower)
@@ -147,14 +143,12 @@ def hc_from_level0_chain(SC: SimplicialCategory, label, n: int) -> tuple:
         acc = SC.identity_cell(objs[i], 0)
         for j in range(i + 1, n + 1):
             a, b, lab = ms[j - 1]
-            acc = SC.compose(objs[i], a, b, 0, lab[2], acc)
-            H = SC.hom(objs[i], objs[j])
-            cells = [acc]
-            for m in range(_pair_limit(i, j, SC.D)):
-                cells.append(H.degen(m, 0, cells[-1]))
-            per_level[(i, j)] = cells
+            acc = per_level[(i, j, 0)] = SC.compose(objs[i], a, b, 0, lab[2], acc)
     slots, _ = _generator_slots(n, SC.D)
-    return objs, tuple(per_level[(i, j)][m] for i, j, m, _ in slots)
+    for i, j, m, _ in slots:
+        if (i, j, m) not in per_level:
+            per_level[(i, j, m)] = SC.hom(objs[i], objs[j]).degen(m - 1, 0, per_level[(i, j, m - 1)])
+    return objs, tuple(per_level[(i, j, m)] for i, j, m, _ in slots)
 
 # --- the comparison plan and the fold ----------------------------------------
 

@@ -1,10 +1,9 @@
 """Connected components: `pi0`, and the subcategory they span.
 
 `pi0` partitions the vertices of a simplicial set by its edges;
-`RelativeSimplicialCategory.from_level_labels` keeps, in each hom, the
-components meeting the chosen vertices. ``import nervekit`` does not
-load this module up front: the package resolves `pi0` from here on
-first use.
+`from_level_labels` keeps, in each hom, the components meeting the
+chosen vertices. ``import nervekit`` does not load this module up
+front: the package resolves both names from here on first use.
 """
 
 from __future__ import annotations
@@ -39,8 +38,15 @@ def pi0(X) -> list[list[int]]:
     return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
 
 
-def _component_sub(cat, chosen: dict) -> dict:
-    """The ``sub`` of `RelativeSimplicialCategory.from_level_labels`."""
+def from_level_labels(cat, chosen: dict):
+    """The `RelativeSimplicialCategory` spanned by the given vertex sets,
+    closed under everything.
+
+    ``chosen[(a, b)]`` is a set of vertices of hom(a, b); the sub
+    simplicial sets are the full unions of the connected components
+    meeting them (plus identity components).
+    """
+    from .cat import RelativeSimplicialCategory
     from .spaces import vertices
 
     sub = {}
@@ -57,4 +63,4 @@ def _component_sub(cat, chosen: dict) -> dict:
             )
             per_level.append(cells)
         sub[(a, b)] = per_level
-    return sub
+    return RelativeSimplicialCategory(cat, sub)

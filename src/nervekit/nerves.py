@@ -2,7 +2,8 @@
 
 * `coherent_nerve`: level n cells are simplicial functors out of
   `gadgets.coherent_path_category(n, D)`, stored and labelled as the
-  tuple (objects, values) of `comparison._generator_slots`.
+  tuple (objects, values) over the nondegenerate generator chains,
+  `comparison._generator_slots`.
 * `levelwise_nerve`: the bisimplicial set whose column p at row q is
   the set of p-chains of level-q morphisms; `classifying_space` is its
   diagonal.
@@ -29,8 +30,8 @@ def coherent_nerve(SC: SimplicialCategory, L: int, name: str = "") -> Simplicial
 
     Needs L <= D + 1: an L-cell's generator chains live at levels up to
     L - 1, which must fit inside the hom truncation. Each cell's label
-    is the cell itself, the tuple (objects, values) of
-    `comparison._generator_slots`.
+    is the cell itself, the tuple (objects, values) with one value per
+    nondegenerate generator chain (`comparison._generator_slots`).
     """
     from .coherent import _coherent_nerve
 

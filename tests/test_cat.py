@@ -307,8 +307,10 @@ def test_relative_constructions(z2_rel, poset01):
 
 
 def test_relative_from_level_labels(z2_rel):
+    from nervekit import from_level_labels
+
     SC = z2_rel.cat
-    R = RelativeSimplicialCategory.from_level_labels(SC, {("x", "x"): {0}})
+    R = from_level_labels(SC, {("x", "x"): {0}})
     # seeding any vertex of a connected hom recovers the whole marking
     assert validate_relative(R).ok
     for n in range(SC.D + 1):

@@ -193,6 +193,7 @@ DIGEST_PINS = [
     ("compare --example bg:z2 --max-dim 3 --coeff f2", "2d0bcd5c0308c6738f3b7c0e5291c7a33101183d717d86adc5f3fae643c30eab"),
     ("compare --example bg:z2 --max-dim 3", "a04862a7efd985e5e160086d4066bcf7de576c37418322a66a2d0daf0c6f8a59"),
     ("compare --example bg:z3 --max-dim 2 --coeff f2", "52e009ad064ee8cb8e5c18694ddf1b6cec72fb505bc50690b777e15b9486579c"),
+    ("compare --example bg:z3 --max-dim 3 --coeff f2", "40d1e0e0053b7efc0caffd494e46740585a9b88404427fd09316d6e9d70338f1"),
     ("compare --example discrete:poset012 --max-dim 3", "d536c0ec3091b6b01e3fd5dd46d6bba6201709c6e888696ce94b66bae67673b3"),
     ("compare --example two-object-interval --max-dim 2", "269fbff00c72824318fd281d87729759dcccd01fbf3e45b73912e57bd7660538"),
     ("compare --example poset:a<b,a<c,b<d,c<d --max-dim 3", "baa713f0882e4f4ca0b5de94d7839e9294e27c437262953af97608c8ab6fbabe"),

@@ -1,4 +1,5 @@
 """Nerve constructions and the comparison machinery between them."""
+import functools
 import itertools
 
 import pytest
@@ -37,17 +38,36 @@ def test_coherent_nerve_of_discrete_is_ordinary_nerve(poset012):
     assert validate_sset(hc).ok
 
 
-def _hc_level_by_recursion(SC, n: int) -> list[tuple]:
+@functools.lru_cache(maxsize=None)
+def _weak_generator_chains(i: int, j: int, D: int) -> tuple:
+    """Per level up to D, every weakly increasing hom chain of pair (i, j)
+    starting at the bottom subset, degenerate chains included."""
+    from nervekit.posets import path_poset
+
+    P = path_poset(i, j)
+    per_level = [((P.elements[0],),)]
+    for _ in range(D):
+        per_level.append(tuple(c + (t,) for c in per_level[-1] for t in P.elements if set(c[-1]) <= set(t)))
+    return tuple(per_level)
+
+
+def _hc_level_by_recursion(SC, n: int, filled: list | None = None) -> list[tuple]:
     """The cells of one coherent-nerve level by the recursive search,
-    two frames per generator chain: the oracle of `coherent._hc_level`."""
-    from nervekit.comparison import _generator_slots, generator_chains
+    two frames per generator chain: the oracle of `coherent._hc_level`.
+
+    Each pair keeps a value on every weakly increasing generator chain
+    up to D, the degenerate ones filled by `fill_degenerate`. When
+    ``filled`` is a list, it gets, per cell, those values as a dict from
+    (i, j, chain) to value, identity pairs included.
+    """
+    from nervekit.comparison import _generator_slots
 
     D = SC.D
     slots, _ = _generator_slots(n, D)
     pairs = [(i, j) for s in range(1, n + 1) for i in range(n + 1 - s) for j in [i + s]]
     segments = []
     for (i, j) in pairs:
-        per_level = generator_chains(i, j, D)
+        per_level = _weak_generator_chains(i, j, D)
         for m in range(D + 1):
             nondeg = [c for c in per_level[m] if len(set(c)) == len(c)]
             segments.append((i, j, m, nondeg))
@@ -58,7 +78,7 @@ def _hc_level_by_recursion(SC, n: int) -> list[tuple]:
         values = {}
         for i in range(n + 1):
             d = {}
-            for m, level in enumerate(generator_chains(i, i, D)):
+            for m, level in enumerate(_weak_generator_chains(i, i, D)):
                 for c in level:
                     d[c] = SC.identity_cell(objs[i], m)
             values[(i, i)] = d
@@ -84,7 +104,7 @@ def _hc_level_by_recursion(SC, n: int) -> list[tuple]:
                 return
             H = SC.hom(objs[i], objs[j])
             d = values[(i, j)]
-            for c in generator_chains(i, j, D)[m]:
+            for c in _weak_generator_chains(i, j, D)[m]:
                 for t in range(m):
                     if c[t] == c[t + 1]:
                         lower = c[:t] + c[t + 1 :]
@@ -94,6 +114,8 @@ def _hc_level_by_recursion(SC, n: int) -> list[tuple]:
         def rec(k: int):
             if k == len(segments):
                 results.append((objs, tuple(values[(i, j)][c] for i, j, _, c in slots)))
+                if filled is not None:
+                    filled.append({(i, j, c): v for (i, j), d in values.items() for c, v in d.items()})
                 return
             i, j, m, chains = segments[k]
             H = SC.hom(objs[i], objs[j])
@@ -133,13 +155,74 @@ HC_LEVEL_INPUTS = [
 ]
 
 
+def _cell_value_misses(SC, cells, filled) -> list:
+    """The (cell, i, j, chain) where `comparison._cell_value` differs from
+    the oracle's filled value, over every weakly increasing generator
+    chain up to D."""
+    import nervekit.comparison as comparison_mod
+
+    return [
+        (cell, i, j, c)
+        for cell, values in zip(cells, filled)
+        for (i, j, c), v in values.items()
+        if comparison_mod._cell_value(SC, cell, i, j, len(c) - 1, c) != v
+    ]
+
+
 @pytest.mark.parametrize("name, D, top", HC_LEVEL_INPUTS)
 def test_hc_level_matches_the_recursive_search(name, D, top):
+    # the cells store only nondegenerate chains; `_cell_value` must give
+    # the oracle's value on every chain, degenerate ones included
     from nervekit.coherent import _hc_level
 
     SC = _category(name, D)
     for n in range(top + 1):
-        assert _hc_level(SC, n) == _hc_level_by_recursion(SC, n), (name, n)
+        filled = []
+        want = _hc_level_by_recursion(SC, n, filled)
+        assert _hc_level(SC, n) == want, (name, n)
+        assert _cell_value_misses(SC, want, filled) == [], (name, n)
+
+
+def test_cell_value_that_skips_the_degeneracy_is_caught(monkeypatch):
+    # a degenerate chain planted to take the value of the chain without
+    # its repeat, where s_t of that value is due
+    import nervekit.comparison as comparison_mod
+
+    value = comparison_mod._cell_value
+
+    def skipped(SC, cell, i, j, m, chain):
+        if i != j and (i, j, chain) not in comparison_mod._generator_slots(len(cell[0]) - 1, SC.D)[1]:
+            t = next(t for t in range(m) if chain[t] == chain[t + 1])
+            return skipped(SC, cell, i, j, m - 1, chain[:t] + chain[t + 1 :])
+        return value(SC, cell, i, j, m, chain)
+
+    SC = _category("bg:z3", 3)
+    filled = []
+    cells = _hc_level_by_recursion(SC, 3, filled)
+    monkeypatch.setattr(comparison_mod, "_cell_value", skipped)
+    assert _cell_value_misses(SC, cells, filled) != []
+
+
+def test_generator_slots_are_the_nondegenerate_chains():
+    from nervekit.comparison import _generator_slots
+
+    counts = {1: 1, 2: 4, 3: 13, 4: 48, 5: 233}
+    for n, count in counts.items():
+        for D in (n - 1, n + 1):
+            want = [
+                (i, j, m, c)
+                for i in range(n + 1)
+                for j in range(i + 1, n + 1)
+                for m, level in enumerate(_weak_generator_chains(i, j, D))
+                for c in level
+                if len(set(c)) == len(c)
+            ]
+            slots, position = _generator_slots(n, D)
+            assert list(slots) == want and len(slots) == count, (n, D)
+            assert all(position[(i, j, c)] == s for s, (i, j, _, c) in enumerate(slots))
+    hc = coherent_nerve(_category("discrete:poset012", 4), 5)
+    for n, count in counts.items():
+        assert {len(hc.label(n, x)[1]) for x in range(hc.card(n))} == {count}, n
 
 
 @pytest.mark.parametrize("m, top", [(2, 5), (3, 4)])
@@ -367,17 +450,18 @@ def chain_functor(SC, label, p, q):
 def hc_from_simplicial_functor(F, n, target):
     """The coherent-nerve cell (objects, values) of a functor out of the path gadget.
 
-    Walks pairs i < j, the pair's unforced levels and their generator
-    chains in that order, so it also pins the slot order of the cells.
+    Walks pairs i < j, then level and the nondegenerate generator chains
+    of `comparison.generator_chains` in that order, so it also pins the
+    slot order of the cells.
     """
-    from nervekit.comparison import _pair_limit, generator_chains
+    from nervekit.comparison import generator_chains
 
     D = target.D
     values = []
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
             H = F.source.hom(i, j)
-            for m, level in enumerate(generator_chains(i, j, D)[: _pair_limit(i, j, D) + 1]):
+            for m, level in enumerate(generator_chains(i, j, D)):
                 for c in level:
                     values.append(F.homs[(i, j)].apply(m, H.index_of(m, c)))
     return tuple(F.obj[i] for i in range(n + 1)), tuple(values)
