@@ -5,16 +5,12 @@ deterministic part (command echo, input digests, results) is digested
 so identical runs are byte-comparable. Timings sit outside the
 digested section. Exit codes: 0 success, 1 a check or validation
 failed, 2 usage or input error.
-
-This module parses the command line, loads the input at its one call
-site, and writes and digests the report. What each verb does lives in
-its handler ``nervekit.verbs.<verb>``, imported once the line is
-parsed, so a run compiles its own verb's branch and no other.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import sys
@@ -45,16 +41,12 @@ COMMANDS = (
 
 
 def _parser(verb: str | None = None) -> argparse.ArgumentParser:
-    """The parser for a command line whose first word is ``verb``.
-
-    One run parses one verb, so when ``verb`` is a verb only its
-    subparser is built, under a metavar naming every verb so that the
-    usage and the errors read as those of the full parser. Otherwise
-    (``-h``, no verb or an unknown one) every subparser is built, so the
-    help and the errors are those of the full parser.
+    """The parser for a command line whose first word is ``verb``: only
+    that verb's subparser when ``verb`` is a verb, named by a metavar of
+    every verb so that usage and errors read as the full parser's;
+    every subparser otherwise (``-h``, no verb or an unknown one).
     """
-    # the help reads the first two paragraphs of the docstring, not the layout
-    top = argparse.ArgumentParser(prog="nervekit", description="\n\n".join(__doc__.split("\n\n")[:2]))
+    top = argparse.ArgumentParser(prog="nervekit", description=__doc__)
     one = verb in COMMANDS
     metavar = "{" + ",".join(COMMANDS) + "}" if one else None
     sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
@@ -90,7 +82,8 @@ def _load_input(args):
         from .schema import load
 
         try:
-            raw = open(args.infile, "rb").read()
+            with open(args.infile, "rb") as fh:
+                raw = fh.read()
         except OSError as exc:
             raise UsageError(f"cannot read {args.infile}: {exc}") from exc
         try:
@@ -126,17 +119,21 @@ def run(argv: list[str]) -> tuple[dict, int, str | None]:
 
 def _emit(report: dict, out: str | None) -> None:
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         report, code, out = run(argv)
+        _emit(report, out)
     except UsageError as exc:
         print(f"nervekit: {exc}", file=sys.stderr)
         return 2
@@ -152,11 +149,19 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits with its own code; normalize usage errors to 2
         return 2 if exc.code not in (0, None) else 0
-    _emit(report, out)
     if code != 0:
         print("nervekit: checks failed", file=sys.stderr)
     return code
 
 
+def program() -> None:
+    """`main` as the program: once the report is written, move every
+    tracked object to the collector's permanent generation, which the
+    collections at shutdown skip, and exit with `main`'s code."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    program()

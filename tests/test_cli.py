@@ -14,7 +14,22 @@ from nervekit.schema import from_json
 from nervekit.serialize import canonical_json, to_json
 
 
-CLEAN_SSET = str(pathlib.Path(__file__).resolve().parent / "fixtures" / "clean_sset.json")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CLEAN_SSET = str(ROOT / "tests" / "fixtures" / "clean_sset.json")
+GATED = (
+    ["compare", "--example", "bg:z2", "--max-dim", "3", "--coeff", "f2"],
+    ["horncheck", "--example", "bg:z3", "--max-dim", "4"],
+)
+
+
+def fresh(argv, code=None):
+    """``python -m nervekit.cli`` on ``argv`` in a new interpreter, run from
+    the repository root; with ``code``, ``python -c code`` on ``argv``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    head = ["-m", "nervekit.cli"] if code is None else ["-c", code]
+    return subprocess.run(
+        [sys.executable, *head, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 def invoke(argv, capsys):
@@ -67,12 +82,7 @@ def test_integer_homology_over_the_transform_budget_exits_2():
     # degree 3 of bg:z2 at level 4 is a 469 x 63577 boundary, whose dense
     # Smith transforms would hold about 4e9 entries; the run must stop
     # with a truncation error, not a MemoryError traceback
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "nervekit.cli", "homology", "--example", "bg:z2", "--max-dim", "4"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = fresh(["homology", "--example", "bg:z2", "--max-dim", "4"])
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "budget" in proc.stderr and not proc.stdout
@@ -261,11 +271,7 @@ def test_every_verb_runs_in_a_fresh_interpreter(command, code):
     # in one test process an earlier test may have loaded a module that a
     # verb imports only on first use; a fresh interpreter loads only what
     # the verb itself imports
-    root = pathlib.Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
-    p = subprocess.run(
-        [sys.executable, "-m", "nervekit.cli", *command.split()], cwd=root, env=env, capture_output=True, text=True, timeout=120
-    )
+    p = fresh(command.split())
     assert p.returncode == code, p.stderr
     assert "Traceback" not in p.stderr, p.stderr
     pins = dict(DIGEST_PINS, **{"uniq-check --max-cosimplicial 1": UNIQUENESS_FAILURE_PIN})
@@ -295,12 +301,8 @@ def test_fixture_pins_cover_every_fixture(fixtures_dir):
 
 @pytest.mark.parametrize("name, code, want", FIXTURE_PINS)
 def test_fixture_validation_is_pinned(name, code, want):
-    root = pathlib.Path(__file__).resolve().parent.parent
     path = f"tests/fixtures/{name}"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
-    p = subprocess.run(
-        [sys.executable, "-m", "nervekit.cli", "validate", "--in", path], cwd=root, env=env, capture_output=True, text=True, timeout=120
-    )
+    p = fresh(["validate", "--in", path])
     assert p.returncode == code, p.stderr
     if code == 0:
         assert json.loads(p.stdout)["digest"] == want
@@ -454,6 +456,92 @@ def test_out_flag_writes_report(tmp_path, capsys):
     assert code == 0
     saved = json.loads(target.read_text())
     assert saved["results"]["count"] == 1
+
+
+def test_out_to_an_unwritable_path_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    assert main(GATED[0] + ["--out", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.startswith(f"nervekit: cannot write {target}: "), err
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("argv", GATED)
+def test_gated_runs_exit_as_they_run_in_process(argv):
+    # `python -m nervekit.cli` ends through the program entry, which
+    # freezes the collector before the exit
+    p = fresh(argv)
+    assert p.returncode == 0 and not p.stderr, p.stderr
+    rep, code, _ = run(argv)
+    assert code == 0
+    assert json.loads(p.stdout)["digest"] == rep["digest"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["horncheck", "--in", CLEAN_SSET, "--max-dim", "2"], 1, "nervekit: checks failed\n"),
+        (["nerve"], 2, "nervekit: an input is required: --example NAME or --in FILE\n"),
+        (["compare", "--bogus"], 2, "nervekit: error: unrecognized arguments: --bogus\n"),
+    ],
+)
+def test_fresh_exit_codes_of_failures(argv, code, err):
+    # a failed check prints its report before the message; a usage error prints none
+    p = fresh(argv)
+    assert p.returncode == code
+    assert p.stderr.endswith(err), p.stderr
+    assert "Traceback" not in p.stderr
+    assert bool(p.stdout) == (code == 1)
+
+
+def test_out_file_holds_the_report_stdout_prints(tmp_path):
+    target = tmp_path / "report.json"
+    argv = GATED[1] + ["--out", str(target)]
+    printed, written = fresh(GATED[1]), fresh(argv)
+    assert printed.returncode == written.returncode == 0 and not written.stdout
+    text = target.read_text()
+    got, want = json.loads(text), json.loads(printed.stdout)
+    assert text == json.dumps(got, sort_keys=True, indent=2) + "\n"
+    # the command echo names --out, so the digest is that of the same line run in process
+    assert got["command"] == want["command"] + ["--out", str(target)]
+    assert (got["inputs"], got["results"]) == (want["inputs"], want["results"])
+    assert got["digest"] == run(argv)[0]["digest"]
+    assert sorted(got) == sorted(want) == ["command", "digest", "inputs", "results", "timings"]
+
+
+def test_in_process_main_leaves_the_collector_unfrozen(capsys):
+    import gc
+
+    before = gc.get_freeze_count()
+    assert main(["horncheck", "--example", "bg:z2", "--max-dim", "2"]) == 0
+    assert main(["horncheck", "--in", CLEAN_SSET, "--max-dim", "2"]) == 1
+    assert main(["nerve"]) == 2
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+def test_program_exits_with_the_code_of_main_and_a_frozen_collector():
+    code = (
+        "import gc, sys\n"
+        "from nervekit.cli import program\n"
+        "try:\n"
+        "    program()\n"
+        "except SystemExit as exc:\n"
+        "    print('exit', exc.code, gc.get_freeze_count() > 0, file=sys.stderr)\n"
+    )
+    for argv, want in ((["pi0", "--example", "bg:z2"], 0), (["horncheck", "--in", CLEAN_SSET, "--max-dim", "2"], 1), (["nerve"], 2)):
+        p = fresh(argv, code)
+        assert p.stderr.endswith(f"exit {want} True\n"), p.stderr
+
+
+def test_script_and_main_block_call_the_same_entry():
+    import ast
+    import re
+
+    (script,) = re.findall(r'^nervekit = "nervekit\.cli:(\w+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    tree = ast.parse((ROOT / "src" / "nervekit" / "cli.py").read_text())
+    (block,) = [n for n in tree.body if isinstance(n, ast.If) and ast.unparse(n.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(n) for n in block.body] == [f"{script}()"]
 
 
 def test_run_returns_report_and_code():

@@ -87,6 +87,27 @@ def test_runtime_imports_only_the_standard_library():
                 assert module.split(".")[0] in sys.stdlib_module_names, (path.name, module)
 
 
+def test_nothing_needs_a_finalizer_at_shutdown():
+    # `cli.program` freezes the collector before the exit, and a frozen
+    # object's finalizer never runs: no class may define `__del__`, nothing
+    # may register `weakref.finalize`, and each file opened, read or
+    # written, is closed by its `with` block
+    openers = []
+    for path in sorted((ROOT / "src" / "nervekit").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        with_items = {id(item.context_expr) for n in ast.walk(tree) if isinstance(n, ast.With) for item in n.items}
+        for node in ast.walk(tree):
+            assert not (isinstance(node, ast.FunctionDef) and node.name == "__del__"), path.name
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                # the other finalizer, `weakref.finalize`
+                assert "weakref" not in [getattr(node, "module", None)] + [a.name for a in node.names], path.name
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+                assert id(node) in with_items, (path.name, node.lineno)
+                openers.append(path.name)
+    # the report and cell writers, and the `--in` digest and reader
+    assert sorted(openers) == ["cli.py", "cli.py", "schema.py", "serialize.py"]
+
+
 def _calls_with_owner(tree):
     """(innermost enclosing function, or the module, and call) for every call."""
     out = []
