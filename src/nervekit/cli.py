@@ -9,62 +9,65 @@ failed, 2 usage or input error.
 
 from __future__ import annotations
 
-import argparse
 import gc
-import hashlib
 import json
 import sys
 import time
 from importlib import import_module
+from types import SimpleNamespace
 
 from .generators import build_example
-from .serialize import SchemaError, canonical_json, digest, to_json
+from .serialize import SchemaError, digest, to_json
 from .sset import TruncationError
 from .verbs import CheckFailure, UsageError
 
 COMMANDS = (
-    "validate",
-    "nerve",
-    "binerve",
-    "hcnerve",
-    "bspace",
-    "diag",
-    "compare",
-    "cls",
-    "theta",
-    "homology",
-    "pi0",
-    "horncheck",
-    "uniq-check",
-    "example",
+    "validate", "nerve", "binerve", "hcnerve", "bspace", "diag", "compare",
+    "cls", "theta", "homology", "pi0", "horncheck", "uniq-check", "example",
 )
 
 
-def _parser(verb: str | None = None) -> argparse.ArgumentParser:
-    """The parser for a command line whose first word is ``verb``: only
-    that verb's subparser when ``verb`` is a verb, named by a metavar of
-    every verb so that usage and errors read as the full parser's;
-    every subparser otherwise (``-h``, no verb or an unknown one).
-    """
-    top = argparse.ArgumentParser(prog="nervekit", description=__doc__)
-    one = verb in COMMANDS
-    metavar = "{" + ",".join(COMMANDS) + "}" if one else None
-    sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in (verb,) if one else COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--max-dim", "-d", type=int, default=None,
-                       help="truncation: build dimension for --example, level bound for constructions")
-        p.add_argument("--rows", type=int, default=None, help="vertical bidegree bound")
-        p.add_argument("--cols", type=int, default=None, help="horizontal bidegree bound")
-        p.add_argument("--coeff", choices=("z", "f2"), default="z", help="homology coefficients")
-        p.add_argument("--in", dest="infile", default=None, help="input JSON document")
-        p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
-        p.add_argument("--emit-cells", action="store_true", help="embed the constructed cell tables")
-        p.add_argument("--example", default=None, help="generator name instead of --in")
-        if name == "uniq-check":
-            p.add_argument("--max-cosimplicial", type=int, default=2,
-                           help="cosimplicial truncation for the uniqueness search")
-    return top
+# (names, dest, type, default, choices); type None marks a flag
+_SHARED = (
+    (("--max-dim", "-d"), "max_dim", int, None, None),
+    (("--rows",), "rows", int, None, None),
+    (("--cols",), "cols", int, None, None),
+    (("--coeff",), "coeff", str, "z", ("z", "f2")),
+    (("--in",), "infile", str, None, None),
+    (("--out",), "out", str, None, None),
+    (("--emit-cells",), "emit_cells", None, False, None),
+    (("--example",), "example", str, None, None),
+)
+OPTIONS = dict.fromkeys(COMMANDS, _SHARED)
+OPTIONS["uniq-check"] = _SHARED + ((("--max-cosimplicial",), "max_cosimplicial", int, 2, None),)
+
+
+def _scan(argv: list[str]) -> SimpleNamespace | None:
+    """``argv`` parsed as argparse would, or None for argparse to parse:
+    help, errors, and any form but a verb and ``--opt value`` pairs."""
+    options = OPTIONS.get(argv[0] if argv else None)
+    if options is None:
+        return None
+    args = {"command": argv[0], **{opt[1]: opt[3] for opt in options}}
+    by_name = {name: opt for opt in options for name in opt[0]}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token not in by_name:
+            return None
+        _, dest, kind, _, choices = by_name[token]
+        if kind is None:
+            args[dest] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            args[dest] = value = kind(value)
+        except ValueError:
+            return None
+        if choices and value not in choices:
+            return None
+    return SimpleNamespace(**args)
 
 
 def _load_input(args):
@@ -79,26 +82,23 @@ def _load_input(args):
             raise UsageError(str(exc)) from exc
         return R, {"example": args.example, "max_dim": dim, "digest": digest(to_json(R))}
     if args.infile is not None:
-        from .schema import load
+        from .schema import read
 
         try:
-            with open(args.infile, "rb") as fh:
-                raw = fh.read()
+            value, sha = read(args.infile)
         except OSError as exc:
             raise UsageError(f"cannot read {args.infile}: {exc}") from exc
-        try:
-            value = load(args.infile)
         except SchemaError:
             raise
         except ValueError as exc:
             raise CheckFailure(f"input failed validation: {exc}") from exc
-        return value, {"file": args.infile, "digest": hashlib.sha256(raw).hexdigest()}
+        return value, {"file": args.infile, "digest": sha}
     raise UsageError("an input is required: --example NAME or --in FILE")
 
 
 def run(argv: list[str]) -> tuple[dict, int, str | None]:
     """Execute one command line; return (report, exit code, --out path)."""
-    args = _parser(argv[0] if argv else None).parse_args(argv)
+    args = _scan(argv) or import_module("nervekit.usage").parse(OPTIONS, __doc__, argv)
     t0 = time.perf_counter()
     results: dict = {}
     inputs: dict = {}
@@ -112,7 +112,7 @@ def run(argv: list[str]) -> tuple[dict, int, str | None]:
 
     core = {"command": [cmd] + argv[1:], "inputs": inputs, "results": results}
     report = dict(core)
-    report["digest"] = hashlib.sha256(canonical_json(core).encode()).hexdigest()
+    report["digest"] = digest(core)
     report["timings"] = {"total_s": round(time.perf_counter() - t0, 6)}
     return report, (1 if failed else 0), args.out
 

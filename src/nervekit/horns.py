@@ -5,7 +5,7 @@ traced `sset.enumerate_maps`, bound when this module loads."""
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -204,8 +204,23 @@ def _enumerate_maps(A, X) -> list[SimplicialMap]:
                 cands[b] = lookup if get is None else lookup.get(get(vals), ())
                 pos[b] = 0
     out.sort()
-    levels = [slice(base[n], base[n + 1]) for n in range(D + 1)]
-    return [SimplicialMap(A, X, values=list(map(vec.__getitem__, levels))) for vec in out]
+    shape = (A, X, D, [slice(base[n], base[n + 1]) for n in range(D + 1)])
+    return [_PackedMap(shape, vec) for vec in out]
+
+
+class _PackedMap(SimplicialMap):
+    # a found map as its flat value vector, which `key` reads; `values`
+    # is cut from it on first read
+    fn = None
+
+    def __init__(self, shape, vector):
+        self.source, self.target, self.L, self.levels = shape
+        self.vector = vector
+
+    values = cached_property(lambda self: list(map(self.vector.__getitem__, self.levels)))
+
+    def key(self):
+        return tuple(tuple(self.vector[s]) for s in self.levels)
 
 
 def _lab(X, n: int, x: int):
@@ -222,24 +237,19 @@ def _horn_check(X, n: int, k: int, max_witnesses: int) -> CheckReport:
     cols = [act_table(X, n, f) for f in faces]
     # one top cell (n = 1) reads as a value, several as a tuple
     restrictions = set(zip(*cols) if len(cols) > 1 else cols[0])
-    read = itemgetter(*(H.index_of(n - 1, f) for f in faces))
+    base = sum(map(H.card, range(n - 1)))
+    read = itemgetter(*(base + H.index_of(n - 1, f) for f in faces))
     maps = enumerate_maps(H, X)
     nd = None  # the horn's nondegenerate cells, listed at the first witness
     witnesses = []
     unfillable = 0
     for h in maps:
-        if read(h.values[n - 1]) not in restrictions:
+        if read(h.vector) not in restrictions:
             unfillable += 1
             if len(witnesses) < max_witnesses:
                 if nd is None:
                     nd = [(m, c) for m in range(H.D + 1) for c in H.nondegenerate_cells(m)]
-                witnesses.append(
-                    {
-                        "assignment": [
-                            (H.label(m, c), _lab(X, m, h.apply(m, c))) for m, c in nd
-                        ]
-                    }
-                )
+                witnesses.append({"assignment": [(H.label(m, c), _lab(X, m, h.apply(m, c))) for m, c in nd]})
     return CheckReport(
         check=f"horn({n},{k}) extension in {X.name or 'sset'}",
         verdict="pass" if unfillable == 0 else "fail",

@@ -1,10 +1,10 @@
 """Readers for the JSON documents of `nervekit.serialize`.
 
-`load` and `from_json` dispatch on a document's top-level keys to one
-reader per kind. Loading validates structure first (`SchemaError`) and
-then the full simplicial/categorical identities with the validators of
-`nervekit.axioms`, refusing any document that fails them with the
-witnessing cell named (`ValueError`).
+`load`, `read`, `loads` and `from_json` dispatch on a document's
+top-level keys to one reader per kind. Loading validates structure
+first (`SchemaError`) and then the full simplicial/categorical
+identities with the validators of `nervekit.axioms`, refusing any
+document that fails them with the witnessing cell named (`ValueError`).
 
 Only the ``--in`` option and the ``validate`` verb read documents, so
 ``import nervekit`` does not load this module up front: the package
@@ -13,6 +13,7 @@ resolves its names on first use.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 from .axioms import validate_bisset, validate_relative, validate_simplicial_category, validate_sset
@@ -218,10 +219,22 @@ def from_json(data, name: str = ""):
     raise SchemaError("document matches no schema (need dim, dims, or objects)")
 
 
+def loads(text, name: str = ""):
+    """The value of the document ``text``, a JSON string or its bytes."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"not valid JSON: {exc}") from exc
+    return from_json(data, name=name)
+
+
+def read(path, name: str = "") -> tuple:
+    """The value of the document in the file ``path``, read once, and the
+    SHA-256 hex digest of the bytes it was parsed from."""
+    with open(path, "rb") as fh:
+        text = fh.read()
+    return loads(text, name=name or str(path)), hashlib.sha256(text).hexdigest()
+
+
 def load(path, name: str = ""):
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from exc
-    return from_json(data, name=name or str(path))
+    return read(path, name)[0]

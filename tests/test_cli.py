@@ -8,10 +8,14 @@ import sys
 
 import pytest
 
-from nervekit.cli import COMMANDS, _parser, main, run
+import nervekit.cli as cli
+from nervekit.cli import COMMANDS, _scan, main, run
 from nervekit import build_example
 from nervekit.schema import from_json
 from nervekit.serialize import canonical_json, to_json
+from nervekit.usage import parser
+
+from cli_reference import VERBS, parse_outcome, reference_parser
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -30,6 +34,11 @@ def fresh(argv, code=None):
     return subprocess.run(
         [sys.executable, *head, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def _parser(verb=None):
+    """The argparse parser `nervekit.cli` falls back to for a line starting with ``verb``."""
+    return parser(cli.OPTIONS, cli.__doc__, verb)
 
 
 def invoke(argv, capsys):
@@ -137,10 +146,144 @@ def test_help_exits_zero(capsys):
 def test_every_verb_takes_the_shared_options(verb):
     argv = [verb, "--max-dim", "3", "--rows", "1", "--cols", "2", "--coeff", "f2", "--in", "a.json",
             "--out", "b.json", "--emit-cells", "--example", "bg:z2"]
-    args = _parser(verb).parse_args(argv)
-    assert (args.command, args.max_dim, args.rows, args.cols, args.coeff) == (verb, 3, 1, 2, "f2")
-    assert (args.infile, args.out, args.emit_cells, args.example) == ("a.json", "b.json", True, "bg:z2")
-    assert getattr(args, "max_cosimplicial", None) == (2 if verb == "uniq-check" else None)
+    for args in (_scan(argv), _parser(verb).parse_args(argv)):
+        assert (args.command, args.max_dim, args.rows, args.cols, args.coeff) == (verb, 3, 1, 2, "f2")
+        assert (args.infile, args.out, args.emit_cells, args.example) == ("a.json", "b.json", True, "bg:z2")
+        assert getattr(args, "max_cosimplicial", None) == (2 if verb == "uniq-check" else None)
+
+
+# every spelling of every option, with values argparse accepts; a None
+# marks a flag. Written out apart from `cli.OPTIONS`, so that a fault in
+# that table shows against the reference parser.
+SPELLINGS = {
+    "--max-dim": ["3", "0", "07", "+2", " 12 "],
+    "-d": ["4"],
+    "--rows": ["1"],
+    "--cols": ["2"],
+    "--coeff": ["z", "f2"],
+    "--in": ["a.json", "", "a b"],
+    "--out": ["b.json"],
+    "--emit-cells": None,
+    "--example": ["bg:z2", "poset:a<b", "x=1"],
+}
+
+
+def _oracle_lines() -> list:
+    """(argv, whether the table parser takes it) for every verb: each
+    option in each spelling, repeated options (the last one wins), all
+    options at once, and each form the table leaves to argparse."""
+    lines = [(argv, False) for argv in ([], ["-h"], ["--help"], ["frobnicate"], ["Compare"], ["--max-dim", "3", "compare"])]
+    for verb in VERBS:
+        spellings = dict(SPELLINGS, **({"--max-cosimplicial": ["1", "3"]} if verb == "uniq-check" else {}))
+        taken = [[verb]]
+        for name, values in spellings.items():
+            taken += [[verb, name]] if values is None else [[verb, name, v] for v in values]
+        taken += [
+            [verb, "--emit-cells", "--emit-cells"],
+            [verb, "--max-dim", "1", "-d", "4"],
+            [verb, "-d", "4", "--max-dim", "1"],
+            [verb, "--coeff", "f2", "--coeff", "z"],
+            [verb, "--example", "bg:z2", "--example", "bg:z3", "--in", "x.json"],
+            [verb] + [t for name, values in spellings.items() for t in ([name] if values is None else [name, values[0]])],
+        ]
+        declined = [
+            [verb, "-h"],
+            [verb, "--help"],
+            [verb, "--example", "bg:z2", "-h"],
+            [verb, "--max", "3"],
+            [verb, "--ex", "bg:z2"],
+            [verb, "--max-dim=3"],
+            [verb, "-d3"],
+            [verb, "--max-dim", "-1"],
+            [verb, "--cols", "-1"],
+            [verb, "--example", "-x"],
+            [verb, "--example", "-"],
+            [verb, "--max-dim", "x"],
+            [verb, "--rows", "1.5"],
+            [verb, "--coeff", "q"],
+            [verb, "--coeff", "Z"],
+            [verb, "--max-dim"],
+            [verb, "--example"],
+            [verb, "extra"],
+            [verb, "--example", "bg:z2", "extra"],
+            [verb, "--", "--example", "bg:z2"],
+            [verb, "--bogus"],
+            [verb, "--max-cosimplicial", "2" if verb != "uniq-check" else "-1"],
+        ]
+        lines += [(argv, True) for argv in taken] + [(argv, False) for argv in declined]
+    return lines
+
+
+def _table_mismatches() -> list:
+    """The oracle lines on which the table parser or the argparse builder
+    disagree with the reference parser, or the table parser takes a line
+    it must leave to argparse."""
+    ref = reference_parser()
+    built = {}
+    bad = []
+    for argv, taken in _oracle_lines():
+        got = _scan(argv)
+        if not taken:
+            if got is not None:
+                bad.append(("taken", argv))
+            continue
+        code, _, _, want = parse_outcome(ref, argv)
+        if argv[0] not in built:
+            built[argv[0]] = _parser(argv[0])
+        if code is not None or got is None or vars(got) != want or parse_outcome(built[argv[0]], argv)[3] != want:
+            bad.append(("differs", argv))
+    return bad
+
+
+def test_table_parser_agrees_with_the_reference_parser():
+    lines = _oracle_lines()
+    assert sum(taken for _, taken in lines) > 14 * 20 and sum(not taken for _, taken in lines) > 14 * 20
+    assert VERBS == COMMANDS and tuple(cli.OPTIONS) == COMMANDS
+    assert _table_mismatches() == []
+
+
+def test_table_oracle_catches_planted_faults(monkeypatch):
+    table = cli.OPTIONS
+    planted = {
+        # --rows stored under cols
+        ("differs", ("theta", "--rows", "1")): lambda o: (o[0], "cols") + o[2:] if o[1] == "rows" else o,
+        # --coeff without its choices
+        ("taken", ("homology", "--coeff", "q")): lambda o: o[:4] + (None,) if o[1] == "coeff" else o,
+        # an int option read as a string
+        ("differs", ("compare", "--cols", "2")): lambda o: o[:2] + (str,) + o[3:] if o[1] == "cols" else o,
+    }
+    for (kind, argv), fault in planted.items():
+        monkeypatch.setattr(cli, "OPTIONS", {verb: tuple(map(fault, opts)) for verb, opts in table.items()})
+        assert (kind, list(argv)) in _table_mismatches(), (kind, argv)
+    monkeypatch.setattr(cli, "OPTIONS", dict(table, compare=table["uniq-check"]))
+    assert ("taken", ["compare", "--max-cosimplicial", "2"]) in _table_mismatches()
+
+
+# lines the table parser leaves to argparse for help or a usage error
+FALLBACK_LINES = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["frobnicate"],
+    ["compare", "-h"],
+    ["uniq-check", "--help"],
+    ["compare", "--bogus"],
+    ["compare", "--max-dim", "x"],
+    ["compare", "--max-dim"],
+    ["horncheck", "extra"],
+    ["cls", "--coeff", "q"],
+    ["nerve", "--max-cosimplicial", "2"],
+    ["theta", "--max", "x"],
+]
+
+
+@pytest.mark.parametrize("argv", FALLBACK_LINES)
+def test_help_and_usage_errors_are_those_of_the_reference_parser(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err, _ = parse_outcome(reference_parser(), argv)
+    assert _scan(argv) is None and code is not None
+    assert main(argv) == (0 if code == 0 else 2)
+    assert capsys.readouterr() == (out, err)
 
 
 def _verb_help(top, verb):
@@ -424,6 +567,12 @@ def test_horncheck_failure_exit_code(fixtures_dir, capsys):
     )
     assert code == 1
     assert any(r["verdict"] == "fail" for r in rep["results"]["horns"])
+    # the witnesses read the horn maps' cells; the report names the file
+    # as given, so the pin is that of a run from the repository root
+    assert sum(len(r["witnesses"]) for r in rep["results"]["horns"]) == 2
+    p = fresh(["horncheck", "--in", "tests/fixtures/clean_sset.json", "--max-dim", "2"])
+    assert p.returncode == 1
+    assert json.loads(p.stdout)["digest"] == "2e540a2f29047c34624629455db45387bfa2ab5f93d12dc2fcea5f546cf3ff52"
 
 
 def test_emit_cells_artifact_round_trips(capsys):
@@ -542,6 +691,33 @@ def test_script_and_main_block_call_the_same_entry():
     tree = ast.parse((ROOT / "src" / "nervekit" / "cli.py").read_text())
     (block,) = [n for n in tree.body if isinstance(n, ast.If) and ast.unparse(n.test) == "__name__ == '__main__'"]
     assert [ast.unparse(n) for n in block.body] == [f"{script}()"]
+
+
+def test_in_file_is_read_once_and_digested_as_parsed(monkeypatch):
+    # the echoed digest is that of the very bytes the schema reader parsed
+    import builtins
+
+    import nervekit.schema as schema
+
+    opened, parsed = [], []
+    real_open, real_loads = builtins.open, schema.loads
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == CLEAN_SSET:
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    def recording_loads(text, name=""):
+        parsed.append(text)
+        return real_loads(text, name)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(schema, "loads", recording_loads)
+    rep, code, _ = run(["validate", "--in", CLEAN_SSET])
+    assert code == 0 and len(opened) == 1 and len(parsed) == 1
+    assert rep["inputs"] == {"file": CLEAN_SSET, "digest": hashlib.sha256(parsed[0]).hexdigest()}
+    with real_open(CLEAN_SSET, "rb") as fh:
+        assert parsed[0] == fh.read()
 
 
 def test_run_returns_report_and_code():

@@ -622,7 +622,9 @@ def _forced_step_cases():
 def test_enumerate_maps_matches_forced_step_search():
     cases = 0
     for name, A, X in _forced_step_cases():
-        got = [f.values for f in enumerate_maps(A, X)]
+        maps = enumerate_maps(A, X)
+        assert all(isinstance(f, SimplicialMap) and f.source is A and f.target is X and f.L == A.D for f in maps), name
+        got = [f.values for f in maps]
         assert got == _enumerate_maps_bottom_up(A, X), name
         cases += 1
     assert cases == 101

@@ -104,8 +104,9 @@ def test_nothing_needs_a_finalizer_at_shutdown():
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
                 assert id(node) in with_items, (path.name, node.lineno)
                 openers.append(path.name)
-    # the report and cell writers, and the `--in` digest and reader
-    assert sorted(openers) == ["cli.py", "cli.py", "schema.py", "serialize.py"]
+    # the report and cell writers, and the `--in` reader, which digests
+    # the bytes it parses
+    assert sorted(openers) == ["cli.py", "schema.py", "serialize.py"]
 
 
 def _calls_with_owner(tree):
@@ -449,12 +450,74 @@ def _parse_stderr(parser, argv: list) -> tuple:
 
 
 def test_one_verb_parser_errs_as_the_full_parser():
-    from nervekit.cli import _parser
+    import nervekit.cli as cli
+    from nervekit.usage import parser
 
-    full = _parser(None)
+    full = parser(cli.OPTIONS, cli.__doc__)
     for argv in (["compare", "--bogus"], ["compare", "--max-dim", "x"], ["horncheck", "extra"], ["cls", "--coeff", "q"]):
-        one = _parser(argv[0])
+        one = parser(cli.OPTIONS, cli.__doc__, argv[0])
         assert one.format_usage() == full.format_usage()
         code, err = _parse_stderr(one, argv)
         assert code == 2 and err
         assert (code, err) == _parse_stderr(full, argv), argv
+
+
+ARGPARSE_MODULES = {"argparse", "gettext", "locale"}
+
+
+def test_well_formed_lines_load_no_argparse():
+    # the table in `nervekit.cli` parses them; argparse, with the gettext
+    # and locale it loads, cost about 5 ms of each run
+    for argv in [
+        ["horncheck", "--example", "bg:z3", "--max-dim", "4"],
+        ["compare", "--example", "bg:z2", "--max-dim", "3", "--coeff", "f2"],
+        *VERB_RUNS.values(),
+    ]:
+        loaded = _cli_modules(argv)
+        assert "nervekit.cli" not in loaded, argv  # it runs as __main__, once
+        assert not loaded & ARGPARSE_MODULES, (argv, sorted(loaded & ARGPARSE_MODULES))
+
+
+def test_help_and_usage_errors_load_argparse_and_print_the_reference_text(monkeypatch):
+    from cli_reference import parse_outcome, reference_parser
+
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    for argv, exit_code in ((["-h"], 0), (["compare", "-h"], 0), (["compare", "--bogus"], 2)):
+        code = (
+            "import contextlib, io, json, runpy, sys\n"
+            f"sys.argv = ['nervekit'] + {argv!r}\n"
+            "out, err = io.StringIO(), io.StringIO()\n"
+            "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "    try:\n"
+            "        runpy.run_module('nervekit.cli', run_name='__main__', alter_sys=True)\n"
+            "    except SystemExit as exc:\n"
+            "        code = exc.code\n"
+            "print(json.dumps([code, out.getvalue(), err.getvalue(), sorted(sys.modules)]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60)
+        got, out, err, loaded = json.loads(proc.stdout)
+        assert ARGPARSE_MODULES <= set(loaded) and "nervekit.usage" in loaded, argv
+        assert "nervekit.cli" not in loaded, argv
+        assert (got, out, err) == (exit_code, *parse_outcome(reference_parser(), argv)[1:3]), argv
+
+
+def test_cli_imports_no_argparse():
+    # argparse loads only with `nervekit.usage`, which imports nothing from
+    # `nervekit.cli`: under `python -m nervekit.cli` that would compile
+    # and run the driver a second time
+    package = ROOT / "src" / "nervekit"
+
+    def imported(module):
+        tree = ast.parse((package / module).read_text())
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                names.add("." * node.level + (node.module or ""))
+        return names
+
+    assert "argparse" not in imported("cli.py")
+    assert "argparse" in imported("usage.py")
+    assert not imported("usage.py") & {".cli", "nervekit.cli", "."}, sorted(imported("usage.py"))
