@@ -11,7 +11,9 @@ document, rows and the transpose live in `nervekit.bitables`, which
 
 The levelwise nerve of a simplicial category has column p at row q the
 set of p-chains of level-q morphisms, one `sset.chain_index_nerve` per
-row, labelled as ``nerve_cat(level_category(SC, q), P)``; the vertical
+row. Row q is ``nerve_cat(level_category(SC, q), P)``, so a cell is
+labelled (objects, cells): its p + 1 objects, one tuple shared by the
+cells over them, and the level-q hom cell of each hop. The vertical
 operators act on each hom cell.
 
 ``import nervekit`` does not load this module up front. The traced
@@ -153,7 +155,7 @@ def _levelwise_nerve(SC: SimplicialCategory, P: int, Q: int, name: str) -> Bisim
             return SC.comps[(obs[a], obs[b], obs[c])][q]
 
         counts, faces, degens, ends, firsts = chain_index_nerve(cards, comp, [SC.identity_cell(a, q) for a in obs], P)
-        cells = [[[(x, y, c) for c in range(n)] for y, n in zip(obs, row)] for x, row in zip(obs, cards)]
+        cells = [[range(n) for n in row] for row in cards]
         rows.append((counts, faces, degens, _chain_labels(obs, cells, ends, P), cards, ends, firsts))
     index = list(range(max(max(row[0]) for row in rows)))
 

@@ -1,10 +1,9 @@
 """Finite categories, simplicial categories and relative ones.
 
 Every composition is an index table. A simplicial category stores its
-per-level tables, the ``comp`` tables of its JSON document: at level n,
-entry ``g * hom(a, b).card(n) + f`` is the index of g∘f in hom(a, c). A
-finite category stores one table per triple in the layout of one level,
-which its nerve (`nerve_cat`) reads as given. Functors store their hom
+per-level tables, the ``comp`` tables of its JSON document; a finite
+category stores one table per triple in the layout of one level, which
+its nerve (`nerve_cat`) reads as given. Functors store their hom
 maps as value tables too, except `gadgets.simplex_power_transform`'s
 maps out of the lazy power homs (see `SimplicialMap`).
 
@@ -26,13 +25,12 @@ from .sset import SimplicialSet, chain_index_nerve
 class FiniteCategory:
     """An ordinary finite category.
 
-    Morphisms are triples (source, target, label); ``homs`` maps an
-    object pair to its list of labels (missing pairs are empty), a
-    morphism's index being its position in that list, and ``ids[a]`` is
-    the label of the identity of a. ``comps[(a, b, c)]``, one per pair
-    of nonempty homs a -> b -> c, is the table of one level of
-    `SimplicialCategory.comps`: entry ``g * len(hom(a, b)) + f`` is the
-    index in hom(a, c) of g∘f, for f in hom(a, b) and g in hom(b, c).
+    ``homs`` maps an object pair to its list of morphism labels (missing
+    pairs are empty), a morphism's index being its position in that
+    list, and ``ids[a]`` is the label of the identity of a.
+    ``comps[(a, b, c)]``, one per pair of nonempty homs a -> b -> c, is
+    the table of one level of `SimplicialCategory.comps`: entry
+    ``g * len(hom(a, b)) + f`` is the index in hom(a, c) of g∘f.
     """
 
     def __init__(self, objects: Sequence, homs: dict, comps: dict, ids: dict, name: str = ""):
@@ -61,8 +59,8 @@ def cyclic_group_category(m: int, obj="x") -> FiniteCategory:
 def nerve_cat(C: FiniteCategory, D: int) -> SimplicialSet:
     """Nerve of a finite category, truncated at level D.
 
-    Level n cells are chains (x0, (m1, ..., mn)) of n composable
-    morphism triples, in the order and with the operators of
+    Level n cells are chains (objects, (l1, ..., ln)) of n composable
+    morphism labels, in the order and with the operators of
     `chain_index_nerve`, which reads the tables of ``C.comps``.
     """
     obs = C.objects
@@ -75,12 +73,14 @@ def nerve_cat(C: FiniteCategory, D: int) -> SimplicialSet:
 
 
 def _chain_labels(objects: Sequence, homs, ends, D: int) -> list[list[tuple]]:
-    """Labels (x0, (m1, ..., mn)) of the chains of `chain_index_nerve`
-    up to level D, given its ``ends`` and the hom labels by index pair."""
-    steps = [[(x, y, l) for y, h in zip(objects, row) for l in h] for x, row in zip(objects, homs)]
-    labels = [[(x, ()) for x in objects]]
+    """Labels (objects, labels) of the chains of `chain_index_nerve` up
+    to level D, given its ``ends`` and the hom labels by index pair."""
+    steps = [[(y, l) for y, h in zip(objects, row) for l in h] for row in homs]
+    labels = [[((x,), ()) for x in objects]]
     for n in range(D):
-        labels.append([(x0, ms + (m,)) for (x0, ms), e in zip(labels[n], ends[n]) for m in steps[e]])
+        shared: dict = {}  # one tuple per chain of objects
+        labels.append([(shared.setdefault(o := xs + (y,), o), ms + (l,))
+                       for (xs, ms), e in zip(labels[n], ends[n]) for y, l in steps[e]])
     return labels
 
 

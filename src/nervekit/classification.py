@@ -21,8 +21,10 @@
   chain to the chain whose hop t folds the hops s in (vp[t-1], vp[t]],
   each acted on by vq, by composition with later hops on the left, an
   empty fold being the identity cell; this is `chain_functor`
-  precomposed with the interval transform, evaluated in closed form by
-  `_reindexed_chain`.
+  precomposed with the interval transform, evaluated in closed form as
+  `comparison._cell_from_plan` on `_reindex_plan`. A levelwise-nerve
+  cell and its image are both labelled (objects, cells), so the
+  identity compares labels as they are.
 
 Only the ``cls`` and ``theta`` verbs need this module, so neither
 ``import nervekit`` nor ``nervekit.cli`` loads it up front: the package
@@ -162,14 +164,14 @@ def _nondeg_grid_chains(p: int, q: int) -> list[tuple]:
 def theta_cell_value(SC: SimplicialCategory, label, p: int, q: int, tau) -> tuple:
     """The coherent-nerve cell a chain assigns to one grid chain.
 
-    ``label`` is a p-chain of level-q morphisms and ``tau`` a weakly
-    increasing chain in the (p, q) grid; the result is a cell at level
-    len(tau) - 1 over the objects at the columns tau[t][0]. On a
-    generator chain of pair (i, j), hop t between columns tau[i][0]
-    and tau[j][0] acts by the tuple, per subset S, of the largest second
-    coordinate of tau(S) whose first coordinate is strictly below t;
-    the hops fold by composition, later hops on the left. This is the
-    chain functor (the test oracle `chain_functor` in
+    ``label`` is a p-chain (objects, cells) of level-q morphisms and
+    ``tau`` a weakly increasing chain in the (p, q) grid; the result is
+    a cell (objects, values) at level len(tau) - 1 over the objects at
+    the columns tau[t][0]. On a generator chain of pair (i, j), hop t
+    between columns tau[i][0] and tau[j][0] acts by the tuple, per
+    subset S, of the largest second coordinate of tau(S) whose first
+    coordinate is strictly below t; the hops fold by composition, later
+    hops on the left. This is the chain functor (the test oracle `chain_functor` in
     ``tests/test_nerves.py``) after `grid_collapse`, evaluated without
     building either.
     """
@@ -211,32 +213,21 @@ def _ops_at(X: BisimplicialSet, p: int, q: int):
             yield kind, i, getattr(X, kind)
 
 
-def _chain_tuple(label) -> tuple:
-    """Objects and per-hop hom cells: the full data of a chain cell."""
-    x0, ms = label
-    return (x0,) + tuple((a, b, lab[2]) for (a, b, lab) in ms)
-
-
 @lru_cache(maxsize=None)
 def _reindex_plan(vp: tuple, vq: tuple) -> tuple:
-    """The plan of `_reindexed_chain`: slot t - 1 folds the hops in (vp[t-1], vp[t]]."""
-    return vp, (), tuple((len(vq) - 1, vp[t - 1], (vq,) * (vp[t] - vp[t - 1])) for t in range(1, len(vp)))
+    """The plan of the chain a chain cell gives along the vertex maps
+    ``vp``, ``vq``.
 
-
-def _reindexed_chain(SC: SimplicialCategory, label, q: int, vp, vq, memo: dict) -> tuple:
-    """The chain a chain cell gives along the vertex maps ``vp``, ``vq``.
-
-    ``label`` is a chain of level-q morphisms; the result has the shape
-    of `_chain_tuple`, with len(vp) - 1 hops of level len(vq) - 1 cells.
-    Output hop t folds the source hops s in (vp[t-1], vp[t]]: each acts
-    its cell by ``vq``, later hops compose on the left, and an empty
-    fold is the identity cell, which is `_cell_from_plan` on
-    `_reindex_plan`. This is `chain_functor` (the test oracle in
-    ``tests/test_nerves.py``) after the interval transform of (vp, vq),
-    restricted to the top grid cell.
+    Folded over a chain of level-q morphisms by `_cell_from_plan`, it
+    gives a chain (objects, cells) with len(vp) - 1 hops of level
+    len(vq) - 1 cells: output hop t, slot t - 1, folds the source hops s
+    in (vp[t-1], vp[t]], each acting its cell by ``vq``, later hops
+    composing on the left, and an empty fold is the identity cell. This
+    is `chain_functor` (the test oracle in ``tests/test_nerves.py``)
+    after the interval transform of (vp, vq), restricted to the top grid
+    cell.
     """
-    objects, values = _cell_from_plan(SC, label, q, _reindex_plan(vp, vq), memo)
-    return (objects[0],) + tuple(zip(objects, objects[1:], values))
+    return vp, tuple((len(vq) - 1, vp[t - 1], (vq,) * (vp[t] - vp[t - 1])) for t in range(1, len(vp)))
 
 
 # operator squares at p + q up to this bound are also materialized cell by cell
@@ -251,7 +242,7 @@ def classification_comparison(R: RelativeSimplicialCategory, P: int, Q: int) -> 
     chain to the one whose hop t folds the source hops s in
     (vp[t-1], vp[t]], each acted on by vq, by composition with later
     hops on the left, an empty fold being the identity cell (see
-    `_reindexed_chain`). Per operator it checks the collapse naturality
+    `_reindex_plan`). Per operator it checks the collapse naturality
     on every nondegenerate grid chain: each pair's row of the
     `_collapse_table` the theta cells read, moved by the operator,
     equals the row of the moved chain (cell-independent, so cached);
@@ -320,8 +311,8 @@ def _theta_sweep(R, M, P, Q, check, counts) -> None:
                 label = X.label(p, q, x)
                 for kind, i, op in _ops_at(X, p, q):
                     (p2, q2), vp, vq = _grid_op(p, q, kind, i)
-                    lhs = _chain_tuple(X.label(p2, q2, op(p, q, i, x)))
-                    rhs = _reindexed_chain(SC, label, q, vp, vq, memo)
+                    lhs = X.label(p2, q2, op(p, q, i, x))
+                    rhs = _cell_from_plan(SC, label, q, _reindex_plan(vp, vq), memo)
                     counts["chain_identities"] += 1
                     if lhs != rhs and capped(
                         {"reason": "chain identity", "bidegree": [p, q], "cell": x, "op": [kind, i]}
@@ -350,9 +341,8 @@ def _theta_sweep(R, M, P, Q, check, counts) -> None:
                 plan = _theta_plan(p, q, tau, SC.D)
                 for x in range(X.card(p, q)):
                     label = X.label(p, q, x)
-                    objs = [label[0]] + [m[1] for m in label[1]]
                     counts["slice_checks"] += 1
-                    if _cell_from_plan(SC, label, q, plan, memo) != hc_constant(SC, objs[i], q) and capped(
+                    if _cell_from_plan(SC, label, q, plan, memo) != hc_constant(SC, label[0][i], q) and capped(
                         {"reason": "vertex slice value", "bidegree": [p, q], "cell": x, "vertex": i}
                     ):
                         return

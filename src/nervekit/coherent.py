@@ -159,14 +159,13 @@ def _consistency_check(SC: SimplicialCategory, f: SimplicialMap) -> CheckReport:
     two sides read, so reusing it is exact for any input. The keys of a
     block of at most `_BLOCK` cells are zipped from the block's label
     columns. In (b) the verdicts are kept per (p, q, i), which fixes the
-    collapse plan, under the objects at the plan's columns and the
-    (source, target, cell) of each hop the plan reads; a vertex chain
-    reads no hop and its columns are all i, so the objects include the
-    one `hc_constant` reads. In (c) they are kept per m, under (z,
-    objects, vertex-i cells): the left side reads only the restricted
-    cell z at (m, m), from one `act_table` per (m, n, i), the right side
-    only the level-0 restriction, whose hop cells come from one vertex
-    table ``act_table(SC.hom(a, b), n, (i,))`` per (a, b, n, i).
+    collapse plan, under the object at vertex i: a vertex chain stays in
+    column i, so its plan reads no hop and both sides read only that
+    object. In (c) they are kept per m, under (z, objects, vertex-i
+    cells): the left side reads only the restricted cell z at (m, m),
+    from one `act_table` per (m, n, i), the right side only the level-0
+    restriction, whose hop cells come from one vertex table
+    ``act_table(SC.hom(a, b), n, (i,))`` per (a, b, n, i).
     """
     L = f.L
     if L > SC.D:
@@ -214,16 +213,12 @@ def _consistency_check(SC: SimplicialCategory, f: SimplicialMap) -> CheckReport:
             labels = X.labels[p][q]
 
             def verdict(i, x, key):
-                # the vertex chain at i starts in column i: key[0] is the object at i
-                return comparison._cell_from_plan(SC, labels[x], q, slices[i], memo) == comparison.hc_constant(SC, key[0], q)
+                # key is the object at vertex i
+                return comparison._cell_from_plan(SC, labels[x], q, slices[i], memo) == comparison.hc_constant(SC, key, q)
 
-            for block, objs, cells in comparison._label_blocks(labels):
-                keys = [
-                    list(zip(*[objs[c] for c in cols], *[col for t in hops for col in (objs[t - 1], objs[t], cells[t - 1])]))
-                    for cols, hops, _ in slices
-                ]
+            for block, objs, _ in comparison._label_blocks(labels):
                 counts["vertex_slices"] += check_block(
-                    block, keys, seen, verdict, lambda x, i: {"reason": "vertex slice", "bidegree": [p, q], "cell": x, "vertex": i}
+                    block, objs, seen, verdict, lambda x, i: {"reason": "vertex slice", "bidegree": [p, q], "cell": x, "vertex": i}
                 )
     vertex_tables: dict = {}
     for m in range(L + 1):
@@ -231,9 +226,8 @@ def _consistency_check(SC: SimplicialCategory, f: SimplicialMap) -> CheckReport:
         seen = [{}] * (L + 1)  # the key holds all the sides read, so every row and vertex shares one
 
         def verdict(i, x, key):
-            z, ob, cs = key[0], key[1 : m + 2], key[m + 2 :]
-            level0 = (ob[0], tuple((ob[t], ob[t + 1], (ob[t], ob[t + 1], c)) for t, c in enumerate(cs)))
-            return comparison._comparison_cell(SC, X.label(m, m, z), m, memo) == comparison.hc_from_level0_chain(SC, level0, m)
+            level0 = key[1 : m + 2], key[m + 2 :]
+            return comparison._comparison_cell(SC, X.label(m, m, key[0]), m, memo) == comparison.hc_from_level0_chain(SC, level0, m)
 
         for n in range(L + 1):
             restrictions = [act_table(col, n, (i,) * (m + 1)) for i in range(n + 1)]

@@ -11,11 +11,12 @@ these values slot by slot, each chain after its faces; face 0 of a
 chain folds the `_cell_value` of the hops of its bottom subset.
 
 A comparison or grid-collapse cell is a plan folded over a chain of
-level-q morphisms: on each generator chain, every hop acts by a tuple
-of subset elements and the hops fold by composition. `_comparison_plan`
-writes the diagonal rule; `_collapse_plan` reads the grid-collapse
-rule, written once in `_collapse_row` and read through
-`_collapse_table`. The two rules stay separately written, so check (a)
+level-q morphisms, labelled as a levelwise-nerve cell is: the tuple
+(objects, cells), its n + 1 objects and the hom cell of each hop. On
+each generator chain, every hop acts by a tuple of subset elements and
+the hops fold by composition. `_comparison_plan` writes the diagonal
+rule; `_collapse_plan` reads the grid-collapse rule, written once in
+`_collapse_row` and read through `_collapse_table`. The two rules stay separately written, so check (a)
 of `nerves.consistency_check` compares independent routes.
 
 Two folds evaluate a plan, both from the tables `_resolved_plan` keeps
@@ -131,19 +132,18 @@ def hc_constant(target: SimplicialCategory, obj, n: int) -> tuple:
 
 
 def hc_from_level0_chain(SC: SimplicialCategory, label, n: int) -> tuple:
-    """Include a chain of level-0 morphisms as a coherent-nerve cell.
+    """Include a chain (objects, cells) of level-0 morphisms as a
+    coherent-nerve cell.
 
     Every hom chain at level m goes to the m-fold degeneracy of the
     composite vertex over its pair.
     """
-    x0, ms = label
-    objs = (x0,) + tuple(m[1] for m in ms)
+    objs, cells = label
     per_level = {}
     for i in range(n + 1):
         acc = SC.identity_cell(objs[i], 0)
         for j in range(i + 1, n + 1):
-            a, b, lab = ms[j - 1]
-            acc = per_level[(i, j, 0)] = SC.compose(objs[i], a, b, 0, lab[2], acc)
+            acc = per_level[(i, j, 0)] = SC.compose(objs[i], objs[j - 1], objs[j], 0, cells[j - 1], acc)
     slots, _ = _generator_slots(n, SC.D)
     for i, j, m, _ in slots:
         if (i, j, m) not in per_level:
@@ -157,35 +157,33 @@ def hc_from_level0_chain(SC: SimplicialCategory, label, n: int) -> tuple:
 def _comparison_plan(k: int, D: int) -> tuple:
     """The cell-independent part of `comparison_cell` at level k.
 
-    Returns the object column of each output vertex, the sorted hops
-    the slots read (every hop in (0, k]) and, per slot (i, j, m, chain)
-    of `_generator_slots`, the entry (m, i, hop coordinates): the first
-    hop's source and one coordinate per hop t in (i, j]. The coordinate
-    of hop t takes, per subset S of the chain, the largest element of S
-    strictly below t.
+    Returns the object column of each output vertex and, per slot
+    (i, j, m, chain) of `_generator_slots`, the entry (m, i, hop
+    coordinates): the first hop's source and one coordinate per hop t
+    in (i, j]. The coordinate of hop t takes, per subset S of the chain,
+    the largest element of S strictly below t.
     """
     entries = tuple(
         (m, i, tuple(tuple(max(v for v in S if v < t) for S in c) for t in range(i + 1, j + 1)))
         for i, j, m, c in _generator_slots(k, D)[0]
     )
-    return tuple(range(k + 1)), tuple(range(1, k + 1)), entries
+    return tuple(range(k + 1)), entries
 
 
 def _cell_from_plan(SC: SimplicialCategory, label, q: int, plan, memo: dict) -> tuple:
-    """Evaluate a chain of level-q morphisms on a plan's generator slots.
+    """Evaluate a chain (objects, cells) of level-q morphisms on a plan's
+    generator slots.
 
     Each value acts every hop's coordinate on that hop's cell and folds
     the results with composition, later hops on the left; an empty fold
     is an identity cell. The plan's tables are resolved once per
-    (q, plan, chain objects) into ``memo``; a cell then reads
+    (q, plan, objects) into ``memo``; a cell then reads
     ``w = T[cell]`` per distinct (hop, coordinate) and extends each
     distinct fold prefix acc once, to ``C[w * stride + acc]``.
     """
-    x0, ms = label
-    objs = (x0,) + tuple(m[1] for m in ms)
+    objs, cells = label
     resolved = memo.get((q, id(plan), objs)) or _resolved_plan(SC, q, plan, objs, memo)
     objects, acts, identities, comps, nodes, outputs = resolved
-    cells = [m[2][2] for m in ms]
     v = [T[cells[t]] for t, T in acts]
     v += identities
     for acc, w, c in nodes:
@@ -216,7 +214,7 @@ def _cells_from_plan(SC: SimplicialCategory, labels, q: int, plan, memo: dict):
     within a group, and the groups in order of first appearance.
     """
     groups: dict = {}
-    for x, objs in enumerate(zip(*_object_columns(labels))):
+    for x, (objs, _) in enumerate(labels):
         groups.setdefault(objs, []).append(x)
     for objs, xs in groups.items():
         if len(xs) < _MIN_BATCH:
@@ -229,7 +227,7 @@ def _cells_from_plan(SC: SimplicialCategory, labels, q: int, plan, memo: dict):
         for start in range(0, len(xs), _BLOCK):
             block = xs[start : start + _BLOCK]
             chains = [labels[x][1] for x in block]
-            cells = {t: [ms[t][2][2] for ms in chains] for t in hops}
+            cells = {t: [cs[t] for cs in chains] for t in hops}
             v = [list(map(T.__getitem__, cells[t])) for t, T in acts]
             v += [[u] * len(block) for u in identities]
             for acc, w, c in nodes:
@@ -240,20 +238,13 @@ def _cells_from_plan(SC: SimplicialCategory, labels, q: int, plan, memo: dict):
                 yield x, (objects, values)
 
 
-def _object_columns(labels) -> list:
-    """Per vertex t, the list of each chain label's object at t."""
-    hops = len(labels[0][1]) if labels else 0
-    return [[x0 for x0, _ in labels]] + [[ms[t][1] for _, ms in labels] for t in range(hops)]
-
-
 def _label_blocks(labels):
     """Consecutive blocks of at most `_BLOCK` chain labels of one
     bidegree: each as its range of positions, its object columns (one
-    list per vertex) and its cell columns (one list per hop)."""
+    per vertex) and its cell columns (one per hop)."""
     for start in range(0, len(labels), _BLOCK):
-        chunk = labels[start : start + _BLOCK]
-        objs = _object_columns(chunk)
-        yield range(start, start + len(chunk)), objs, [[ms[t][2][2] for _, ms in chunk] for t in range(len(objs) - 1)]
+        objs, cells = zip(*labels[start : start + _BLOCK])
+        yield range(start, start + len(objs)), list(zip(*objs)), list(zip(*cells))
 
 
 def _resolved_plan(SC: SimplicialCategory, q: int, plan, objs: tuple, memo: dict) -> tuple:
@@ -268,7 +259,7 @@ def _resolved_plan(SC: SimplicialCategory, q: int, plan, objs: tuple, memo: dict
     """
     hit = memo.get((id(plan),))
     if hit is None:
-        hit = memo[(id(plan),)] = plan, _fold_program(plan[2])
+        hit = memo[(id(plan),)] = plan, _fold_program(plan[1])
     acts, identities, comps, nodes, outputs = hit[1]
     tables = []
     for t, u in acts:
@@ -371,21 +362,17 @@ def _collapse_plan(tau: tuple, D: int) -> tuple:
     tau[t][0]; generator pair (i, j) covers the hops (a, b] between
     a = tau[i][0] and b = tau[j][0], and the coordinate of hop t takes,
     per subset S of the chain, the entry for t of the row of (i, j) in
-    `_collapse_table`. The hops read are the union of those ranges,
-    empty when tau stays in one column.
+    `_collapse_table`.
     """
     cols, rows = _collapse_table(tau)
     row_of = dict(zip(_table_pairs(len(tau) - 1), rows))
     entries = []
-    hops = set()
     for i, j, m, c in _generator_slots(len(tau) - 1, D)[0]:
-        a, b = cols[i], cols[j]
-        hops.update(range(a + 1, b + 1))
         # S sits in path_poset(i, j) where S - i sits in path_poset(0, j - i)
         row, position = row_of[(i, j)], path_poset(i, j).index
         per_subset = [row[position(S)] for S in c]
-        entries.append((m, a, tuple(zip(*per_subset))))
-    return cols, tuple(sorted(hops)), tuple(entries)
+        entries.append((m, cols[i], tuple(zip(*per_subset))))
+    return cols, tuple(entries)
 
 
 def _check_grid_chain(p: int, q: int, tau: Sequence) -> tuple:

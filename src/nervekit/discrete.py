@@ -22,14 +22,14 @@ from .sset import SimplicialSet, TruncationError, _families
 def level_category(SC: SimplicialCategory, q: int) -> FiniteCategory:
     """The ordinary category of level-q hom cells.
 
-    Morphism labels are (source, target, cell) so the same morphism is
-    addressable consistently across levels.
+    A morphism is labelled by its cell, so its nerve's chains are
+    (objects, cells), as the levelwise nerve's row q is.
     """
     if q > SC.D:
         raise TruncationError(f"level {q} beyond hom truncation {SC.D}")
-    homs = {(a, b): [(a, b, x) for x in range(H.card(q))] for (a, b), H in SC.homs.items()}
+    homs = {(a, b): list(range(H.card(q))) for (a, b), H in SC.homs.items()}
     comps = {abc: tables[q] for abc, tables in SC.comps.items()}
-    ids = {a: (a, a, SC.identity_cell(a, q)) for a in SC.objects}
+    ids = {a: SC.identity_cell(a, q) for a in SC.objects}
     return FiniteCategory(SC.objects, homs, comps, ids, name=f"{SC.name}_lvl{q}")
 
 

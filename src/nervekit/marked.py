@@ -106,8 +106,7 @@ def levelwise_nerve_marked(R: RelativeSimplicialCategory, P: int, Q: int, name: 
     marked = set()
     for q in range(Q + 1):
         for x in range(space.card(1, q)):
-            _, ms = space.label(1, q, x)
-            a, b, lab = ms[0]
-            if lab[2] in R.sub_cells(a, b, q):
+            (a, b), (c,) = space.label(1, q, x)
+            if c in R.sub_cells(a, b, q):
                 marked.add((q, x))
     return MarkedBisimplicialSet(space, frozenset(marked))

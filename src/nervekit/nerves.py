@@ -41,8 +41,8 @@ def coherent_nerve(SC: SimplicialCategory, L: int, name: str = "") -> Simplicial
 def levelwise_nerve(SC: SimplicialCategory, P: int, Q: int, name: str = "") -> BisimplicialSet:
     """Bisimplicial set of chains: column p at row q is p-chains of q-cells.
 
-    Row q is the nerve of the level-q category by `chain_index_nerve`,
-    labelled as ``nerve_cat(level_category(SC, q), P)``. A vertical
+    Row q is ``nerve_cat(level_category(SC, q), P)``, built by
+    `chain_index_nerve`, its cells labelled (objects, cells). A vertical
     operator h keeps the objects and acts on each hom cell, so in its
     target row r it sends x extended by c: e -> y to
     first_r[h(x)] + start_r[e][y] + h(c).

@@ -220,10 +220,11 @@ def from_json(data, name: str = ""):
 
 
 def loads(text, name: str = ""):
-    """The value of the document ``text``, a JSON string or its bytes."""
+    """The value of the document ``text``, a JSON string or its bytes;
+    bytes that do not decode are not valid JSON either."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
     return from_json(data, name=name)
 

@@ -27,7 +27,7 @@ MAX_WITNESSES = 8
 
 def _column_factors(NB, n: int, q: int, x: int) -> tuple:
     # restrict the column-n cell to each edge {i-1, i} by horizontal faces,
-    # then read the morphism off the column-1 label (a, ((a, b, (a, b, c)),))
+    # then read the morphism off the column-1 label ((a, b), (c,))
     out = []
     for i in range(1, n + 1):
         y, p = x, n
@@ -37,9 +37,8 @@ def _column_factors(NB, n: int, q: int, x: int) -> tuple:
         for _ in range(i - 1):
             y = NB.hface(p, q, 0, y)
             p -= 1
-        _, ms = NB.label(1, q, y)
-        a, b, mlab = ms[0]
-        out.append((a, b, mlab[2]))
+        (a, b), (c,) = NB.label(1, q, y)
+        out.append((a, b, c))
     return tuple(out)
 
 
@@ -169,17 +168,16 @@ def fiber_check(R) -> CheckReport:
     def endpoint(q, y, i):
         # i = 1 keeps vertex 0 (source), i = 0 keeps vertex 1 (target)
         z = NB.hface(1, q, i, y)
-        return NB.label(0, q, z)[0]
+        return NB.label(0, q, z)[0][0]
 
     for q in range(D + 1):
         fibers: dict = {}
         for y in range(NB.card(1, q)):
             src, tgt = endpoint(q, y, 1), endpoint(q, y, 0)
-            _, ms = NB.label(1, q, y)
-            a, b, mlab = ms[0]
+            (a, b), (c,) = NB.label(1, q, y)
             if (a, b) != (src, tgt):
                 note("label vs operator endpoints", q, y, (a, b), (src, tgt))
-            fibers.setdefault((src, tgt), {})[y] = mlab[2]
+            fibers.setdefault((src, tgt), {})[y] = c
             cells_checked += 1
         for X in SC.objects:
             for Y in SC.objects:
@@ -192,8 +190,8 @@ def fiber_check(R) -> CheckReport:
                     for kind, _, rows, step in families:
                         noun = "face" if step < 0 else "degeneracy"
                         for j in range(rows(q)):
-                            _, ms = NB.label(1, q + step, getattr(NB, "v" + kind)(1, q, j, y))
-                            if ms[0][2][2] != getattr(H, kind)(q, j, c):
+                            _, (d,) = NB.label(1, q + step, getattr(NB, "v" + kind)(1, q, j, y))
+                            if d != getattr(H, kind)(q, j, c):
                                 note(f"fiber vs vertical {noun}", X, Y, q, j, y)
     return CheckReport(
         check=f"hom fibers of column 1 for {SC.name or 'category'}",

@@ -57,32 +57,31 @@ def compose_morphisms(C, g: tuple, f: tuple) -> tuple:
 
 def nerve_cat_by_labels(C, D):
     """The nerve of a finite category by labels: level n cells are chains
-    (x0, (m1, ..., mn)) of morphism triples, each face and degeneracy is
-    built as a label through `compose_morphisms` and the identity triples
-    and looked up in a per-level dict."""
-    cells = [[(x, ()) for x in C.objects]]
+    (objects, (l1, ..., ln)) of n composable morphism labels, each face
+    and degeneracy is built as a label through `compose_morphisms` and
+    the identity labels and looked up in a per-level dict."""
+    cells = [[((x,), ()) for x in C.objects]]
     for n in range(1, D + 1):
         lvl = []
-        for x0, ms in cells[n - 1]:
-            end = ms[-1][1] if ms else x0
+        for xs, ls in cells[n - 1]:
             for y in C.objects:
-                for l in C.hom_labels(end, y):
-                    lvl.append((x0, ms + ((end, y, l),)))
+                for l in C.hom_labels(xs[-1], y):
+                    lvl.append((xs + (y,), ls + (l,)))
         cells.append(lvl)
     idx = [{c: i for i, c in enumerate(lvl)} for lvl in cells]
 
     def face(n, i, c):
-        x0, ms = c
+        xs, ls = c
         if i == 0:
-            return (ms[0][1], ms[1:])
+            return (xs[1:], ls[1:])
         if i == n:
-            return (x0, ms[:-1])
-        return (x0, ms[: i - 1] + (compose_morphisms(C, ms[i], ms[i - 1]),) + ms[i + 1 :])
+            return (xs[:-1], ls[:-1])
+        g = compose_morphisms(C, (xs[i], xs[i + 1], ls[i]), (xs[i - 1], xs[i], ls[i - 1]))
+        return (xs[:i] + xs[i + 1 :], ls[: i - 1] + (g[2],) + ls[i + 1 :])
 
     def degen(n, i, c):
-        x0, ms = c
-        at = ms[i - 1][1] if i else x0
-        return (x0, ms[:i] + ((at, at, C.ids[at]),) + ms[i:])
+        xs, ls = c
+        return (xs[: i + 1] + xs[i:], ls[:i] + (C.ids[xs[i]],) + ls[i:])
 
     cards = [len(lvl) for lvl in cells]
     faces = [[] for _ in range(D + 1)]

@@ -350,9 +350,12 @@ DIGEST_PINS = [
     ("compare --example discrete:poset012 --max-dim 3", "d536c0ec3091b6b01e3fd5dd46d6bba6201709c6e888696ce94b66bae67673b3"),
     ("compare --example two-object-interval --max-dim 2", "269fbff00c72824318fd281d87729759dcccd01fbf3e45b73912e57bd7660538"),
     ("compare --example poset:a<b,a<c,b<d,c<d --max-dim 3", "baa713f0882e4f4ca0b5de94d7839e9294e27c437262953af97608c8ab6fbabe"),
+    # every hom of the square poset is a point, so each cell takes the single-cell fold
+    ("compare --example poset:a<b,a<c,b<d,c<d --max-dim 5 --coeff f2", "8ce848b247f4ffae80cf0ef9b70d5fb47a2a24ee4fa11a6ac292b0afc064e102"),
     ("theta --example bg:z2 --max-dim 4", "df24687e8f32d8bac7d5fae482802541565e8d26d1431d5f9f1125d6436bf548"),
     ("theta --example bg:z2 --max-dim 5", "a66cbbf36676b84e36f6e2c5276a2c87fec6c0fe80507d3d668e3fe19dccd48c"),
     ("theta --example two-object-interval --max-dim 3", "52552f912a0d331768cdf886c527de73ffd2523f5c7efb69eef935368d97fec3"),
+    ("theta --example poset:a<b,a<c,b<d,c<d --max-dim 5", "e8105cf2d1431598ca375ce33c0fa7d88754d884e2a6fb024f853ea7c42f44fa"),
     ("cls --example bg:z2 --max-dim 2 --emit-cells", "c11705718a3430627f2727c39d916ed2f958a44a0ba08e0864e21d79b9554403"),
     ("cls --example bg:z3 --max-dim 3 --emit-cells", "3c943af30bdbcde32c72e3954e1aaf0ecf1614aaa9b0904c9f6a2c194fb2243a"),
     ("cls --example two-object-interval --max-dim 4 --emit-cells", "9357d15663800d0a945577f3927593e959ed1df8a22f531e80c6e33154778aed"),
@@ -526,6 +529,17 @@ def test_malformed_file_is_usage_error(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text('{"dim": 0}')
     assert invoke(["validate", "--in", str(p)], capsys)[0] == 2
+
+
+def test_undecodable_file_is_usage_error(tmp_path, capsys):
+    # a file that is not UTF-8 is not a JSON document: exit 2 before any
+    # validation, not a validation failure
+    p = tmp_path / "ff.json"
+    p.write_bytes(b"\xff")
+    assert main(["validate", "--in", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nervekit: input error: not valid JSON: 'utf-8' codec can't decode byte 0xff")
+    assert "failed validation" not in err
 
 
 def test_missing_composition_table_is_usage_error(tmp_path, capsys):

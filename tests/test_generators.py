@@ -64,8 +64,8 @@ def _check_group_composition_table(m, D):
     assert [len(t) for t in SC.comps[("x", "x", "x")]] == [N.card(n) ** 2 for n in range(SC.D + 1)]
     for n in range(SC.D + 1):
         for g in range(N.card(n)):
-            _, msg = N.label(n, g)
+            _, lg = N.label(n, g)
             for f in range(N.card(n)):
-                _, msf = N.label(n, f)
-                _, ms = N.label(n, SC.compose("x", "x", "x", n, g, f))
-                assert [c for _, _, c in ms] == [(a[2] + b[2]) % m for a, b in zip(msg, msf)]
+                _, lf = N.label(n, f)
+                _, ls = N.label(n, SC.compose("x", "x", "x", n, g, f))
+                assert list(ls) == [(a + b) % m for a, b in zip(lg, lf)]

@@ -270,6 +270,34 @@ def test_binerve_row_is_level_nerve(z2_rel):
         assert row.counts() == want.counts()
 
 
+@pytest.mark.parametrize("name", ["bg:z2", "poset:a<b,a<c,b<d,c<d"])
+def test_chain_cells_are_labelled_objects_and_cells(name):
+    # one label shape for every chain cell: (objects, cells) in the
+    # nerves of categories and the levelwise nerve, (objects, values)
+    # in the coherent nerve, the objects always n + 1 of them
+    from nervekit import comparison_cell, level_category, nerve_cat
+
+    SC = build_example(name, max_dim=3).cat
+    X = levelwise_nerve(SC, 3, 3)
+    rows = [nerve_cat(level_category(SC, q), 3) for q in range(4)]
+    for q, N in enumerate(rows):
+        row = X.row(q)
+        assert (row.cards, row.faces, row.degens, row.labels) == (N.cards, N.faces, N.degens, N.labels)
+    # the hom of bg:z2 is nerve_cat of Z/2
+    for S in rows + [coherent_nerve(SC, 3)] + ([SC.hom("x", "x")] if name == "bg:z2" else []):
+        for n in range(S.D + 1):
+            assert S.card(n) > 0 and all(len(label) == 2 and len(label[0]) == n + 1 for label in S.labels[n])
+    for p in range(4):
+        for q in range(4):
+            labels = X.labels[p][q]
+            assert all(len(objects) == p + 1 and len(cells) == p for objects, cells in labels)
+            # the cells over one objects tuple share it
+            assert len({id(objects) for objects, _ in labels}) == len({objects for objects, _ in labels})
+    for k in range(4):
+        for label in X.labels[k][k]:
+            assert comparison_cell(SC, label, k)[0] == label[0]
+
+
 def test_comparison_map_validates(z2_rel_d3, poset012):
     f = comparison_map(z2_rel_d3.cat, 3)
     assert validate_map(f).ok
@@ -419,9 +447,7 @@ def chain_functor(SC, label, p, q):
     from nervekit import SimplicialFunctor, SimplicialMap, act, standard_simplex
     from nervekit.gadgets import simplex_power_category_target
 
-    x0, ms = label
-    objs = [x0] + [m[1] for m in ms]
-    gcells = [m[2][2] for m in ms]
+    objs, gcells = label
     T = simplex_power_category_target(p, q, SC.D)
     Dq = standard_simplex(q, SC.D)
     homs = {}
@@ -556,19 +582,21 @@ def _interval_functor(D, p, q, p2, q2, vp, vq):
 
 
 def _reindexed_functor_route(SC, label, p, q, q2, J):
-    """`chain_functor` after the interval transform ``J``, on the top grid cell."""
+    """`chain_functor` after the interval transform ``J``, on the top
+    grid cell: the chain (objects, cells) it classifies."""
     F = _compose_lazily(chain_functor(SC, label, p, q), J)
-    out = [F.obj[0]]
+    cells = []
     for t in range(1, len(F.obj)):
         H = F.source.hom(t - 1, t)
         top = H.K.index_of(q2, tuple(range(q2 + 1)))
-        out.append((F.obj[t - 1], F.obj[t], F.homs[(t - 1, t)].apply(q2, H.index(q2, (top,)))))
-    return tuple(out)
+        cells.append(F.homs[(t - 1, t)].apply(q2, H.index(q2, (top,))))
+    return tuple(F.obj[t] for t in range(len(F.obj))), tuple(cells)
 
 
 @pytest.mark.parametrize("name", ["bg:z2", "discrete:s3", "paths[2]"])
 def test_reindexed_chains_match_functor_route(name):
-    from nervekit.classification import _grid_op, _ops_at, _reindexed_chain
+    from nervekit.classification import _grid_op, _ops_at, _reindex_plan
+    from nervekit.comparison import _cell_from_plan
 
     SC = _category(name, 4)
     gadgets = {}
@@ -587,7 +615,7 @@ def test_reindexed_chains_match_functor_route(name):
                         if key not in gadgets:
                             gadgets[key] = _interval_functor(SC.D, p, q, p2, q2, vp, vq)
                         want = _reindexed_functor_route(SC, label, p, q, q2, gadgets[key])
-                        assert _reindexed_chain(SC, label, q, vp, vq, memo) == want
+                        assert _cell_from_plan(SC, label, q, _reindex_plan(vp, vq), memo) == want
                         checked += 1
     assert checked > 0
 
@@ -701,7 +729,7 @@ def _consistency_check_by_instance(SC, f):
         for q in range(L + 1):
             for x in range(X.card(p, q)):
                 label = X.label(p, q, x)
-                objs = [label[0]] + [m[1] for m in label[1]]
+                objs = label[0]
                 for i in range(p + 1):
                     tau = tuple((i, b) for b in range(q + 1))
                     F = _theta_cell(comparison_mod, SC, label, p, q, tau, memo)
@@ -714,13 +742,13 @@ def _consistency_check_by_instance(SC, f):
         for n in range(L + 1):
             col = X.column(m)
             for x in range(X.card(m, n)):
-                x0, ms = X.label(m, n, x)
+                objs, cells = X.label(m, n, x)
                 for i in range(n + 1):
                     z = act(col, n, x, (i,) * (m + 1))
                     lhs = comparison_mod._comparison_cell(SC, X.label(m, m, z), m, memo)
                     level0 = (
-                        x0,
-                        tuple((a, b, (a, b, act(SC.hom(a, b), n, lab[2], (i,)))) for (a, b, lab) in ms),
+                        objs,
+                        tuple(act(SC.hom(a, b), n, c, (i,)) for a, b, c in zip(objs, objs[1:], cells)),
                     )
                     rhs = comparison_mod.hc_from_level0_chain(SC, level0, m)
                     counts["row_restrictions"] += 1
@@ -797,8 +825,8 @@ def test_consistency_check_reports_diagonal_witnesses_by_cell():
     SC = interval_power_category(2, standard_simplex(1, 2))
     f = comparison_map(SC, 2)
     groups = {}
-    for x, (x0, ms) in enumerate(f.source.labels[2]):
-        groups.setdefault((x0,) + tuple(m[1] for m in ms), []).append(x)
+    for x, (objs, _) in enumerate(f.source.labels[2]):
+        groups.setdefault(objs, []).append(x)
     order = [x for xs in groups.values() for x in xs]
     t = next(t for t in range(len(order) - 1) if order[t] > order[t + 1])
     planted = sorted(order[t : t + 2])
@@ -959,7 +987,7 @@ def test_collapse_plan_matches_the_direct_max_rule():
     D = 2
     chains = _nondeg_grid_chains(3, 3)
     for tau in chains:
-        cols, hops, entries = _collapse_plan(tau, D)
+        cols, entries = _collapse_plan(tau, D)
         slots = _generator_slots(len(tau) - 1, D)[0]
         want = [
             (
@@ -973,7 +1001,6 @@ def test_collapse_plan_matches_the_direct_max_rule():
             for i, j, m, c in slots
         ]
         assert cols == tuple(a for a, _ in tau)
-        assert hops == tuple(sorted({t for i, j, _, _ in slots for t in range(tau[i][0] + 1, tau[j][0] + 1)}))
         assert list(entries) == want
     assert len(chains) == 1007
 
@@ -1090,8 +1117,8 @@ def _table_input(name):
 
 def _translate_chain(label, q_op):
     """Apply a hom-cell operator to every morphism of a nerve chain label."""
-    x0, ms = label
-    return x0, tuple((a, b, (a, b, q_op(a, b, lab[2]))) for a, b, lab in ms)
+    objs, cells = label
+    return objs, tuple(q_op(a, b, c) for a, b, c in zip(objs, objs[1:], cells))
 
 
 def _levelwise_nerve_by_labels(SC, P, Q):
@@ -1154,14 +1181,13 @@ def _cell_from_plan_by_memo(SC, label, q, plan, memo):
     fold steps by (level, objects, operands)."""
     from nervekit import act
 
-    cols, _, entries = plan
-    x0, ms = label
-    objs = (x0,) + tuple(m[1] for m in ms)
+    cols, entries = plan
+    objs, cells = label
     values = []
     for m, a, us in entries:
         acc = None
         for t, u in enumerate(us, start=a + 1):
-            src, tgt, x = objs[t - 1], objs[t], ms[t - 1][2][2]
+            src, tgt, x = objs[t - 1], objs[t], cells[t - 1]
             hop_key = (q, src, tgt, x, u)
             if hop_key not in memo:
                 memo[hop_key] = act(SC.hom(src, tgt), q, x, u)

@@ -308,21 +308,23 @@ def test_gated_verbs_compile_little_source():
     # `from_level_labels`, and compare 132.9 KB while `sset` held the
     # horns, 121.7 KiB while `cli` held every verb and 109.6 KiB while
     # `cat` held `from_level_labels` and coherent-nerve cells stored
-    # degenerate chains
-    assert _compiled_bytes(["horncheck", "--example", "bg:z3", "--max-dim", "4"]) <= 72.0 * 1024
-    assert _compiled_bytes(["compare", "--example", "bg:z2", "--max-dim", "3", "--coeff", "f2"]) <= 108.5 * 1024
+    # degenerate chains; 71.95 and 108.1 KiB while chain cells were
+    # labelled by morphism triples
+    assert _compiled_bytes(["horncheck", "--example", "bg:z3", "--max-dim", "4"]) <= 71.9 * 1024
+    assert _compiled_bytes(["compare", "--example", "bg:z2", "--max-dim", "3", "--coeff", "f2"]) <= 107.2 * 1024
 
 
 def test_setup_probe_compiles_little_source():
     # the benchmark's set-up probe imports nervekit, then builds and
     # digests an example; it compiled 54.5 KiB before `verify.horn_check`
-    # became a delegate and 53.6 KiB while `cat` held `from_level_labels`
+    # became a delegate, 53.6 KiB while `cat` held `from_level_labels`
+    # and 53.2 KiB while chain cells were labelled by morphism triples
     code = (
         "import nervekit\n"
         "from nervekit.serialize import to_json\n"
         "nervekit.digest(to_json(nervekit.build_example('bg:z2', 3)))\n"
     )
-    assert _source_bytes(_fresh_modules(code)) <= 53.3 * 1024
+    assert _source_bytes(_fresh_modules(code)) <= 53.2 * 1024
 
 
 # one command line per verb that runs it to a zero exit
