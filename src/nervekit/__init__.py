@@ -55,13 +55,13 @@ _LAZY = {
         "groups": "HomologyReport",
         "gadgets": "coherent_path_category enumerate_simplicial_functors path_functor "
         "poset_nerve simplex_power_category simplex_power_transform",
-        "horns": "horn standard_simplex subcomplex",
+        "horns": "horn standard_simplex",
         "maps": "compose_maps",
         "marked": "MarkedBisimplicialSet MarkedSimplicialSet diagonal_marked levelwise_nerve_marked",
         "posets": "FinitePoset path_poset",
         "schema": "load",
         "segal": "fiber_check segal_column_check",
-        "spaces": "ProductSset act materialize product vertices",
+        "spaces": "ProductSset act materialize product subcomplex vertices",
         "uniqueness": "uniqueness_report uniqueness_search",
     }.items()
     for name in names.split()

@@ -60,16 +60,21 @@ def example_names() -> tuple:
 
 def _cyclic_group_example(m: int, D: int) -> SimplicialCategory:
     N = nerve_cat(cyclic_group_category(m), D)
-    # the chain index (x extended by c is x * m + c) orders the level-n
-    # cells of nerve(Z/m) as base-m numbers of their n labels, first label
-    # most significant, and composition adds labels digit by digit: the
-    # pair (g, f) at g * m^n + f composes the leading n - 1 digits one
-    # level down and adds the last digits mod m.
+    # the chain index orders the level-n cells of nerve(Z/m) as base-m
+    # numbers of their n labels, first label most significant, and
+    # composition adds labels digit by digit: row G * m + a of level n
+    # is row G one level down times m, each entry plus the last digits
+    # turned by a
+    turns = [[(a + b) % m for b in range(m)] for a in range(m)]
     vals = [[0]]
     for n in range(1, D + 1):
         prev, c = vals[-1], m ** (n - 1)
-        vals.append([prev[(g // m) * c + f // m] * m + (g % m + f % m) % m
-                     for g in range(m * c) for f in range(m * c)])
+        table = []
+        for G in range(c):
+            row = [p * m for p in prev[G * c : G * c + c]]
+            for turn in turns:
+                table += [p + t for p in row for t in turn]
+        vals.append(table)
     return SimplicialCategory(
         ["x"], {("x", "x"): N}, {("x", "x", "x"): vals}, {"x": 0}, D, name=f"bg:z{m}"
     )

@@ -1,16 +1,17 @@
-"""Standard simplices, subcomplexes, horns, and the bodies of
-`sset.enumerate_maps` and `verify.horn_check`, loaded on first use
-(never by `compare`). `_horn_check` enumerates horn maps through the
-traced `sset.enumerate_maps`, bound when this module loads."""
+"""Standard simplices, horns, and the bodies of `sset.enumerate_maps`
+and `verify.horn_check`, loaded on first use (never by `compare`).
+`_horn_check` enumerates horn maps through the traced
+`sset.enumerate_maps`, bound when this module loads."""
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from itertools import chain
 from operator import itemgetter
 from typing import Optional, Sequence
 
 from .reporting import CheckReport
-from .sset import SimplicialMap, SimplicialSet, TruncationError, _families, act_table, chain_index_nerve, enumerate_maps
+from .sset import SimplicialMap, SimplicialSet, TruncationError, act_table, chain_index_nerve, enumerate_maps
 
 
 def _chain_nerve(order, names: Sequence, D: int) -> SimplicialSet:
@@ -37,43 +38,12 @@ def standard_simplex(n: int, D: int) -> SimplicialSet:
     return X
 
 
-def subcomplex(X: SimplicialSet, seeds) -> tuple[SimplicialSet, SimplicialMap]:
-    """Smallest subobject containing the seed cells, with its inclusion.
-
-    ``seeds`` is an iterable of (level, cell). Closure takes two passes
-    over the levels: faces downward from the top, then degeneracies
-    upward from level 0 (a face of a degeneracy of x is x or a
-    degeneracy of a face of x). The tables gather the rows of X.
-    """
-    keep: list[set[int]] = [set() for _ in range(X.D + 1)]
-    for n, x in seeds:
-        keep[int(n)].add(int(x))
-    families = [(getattr(X, kind + "s"), rows, step) for kind, _, rows, step in _families(X.D)]
-    for tables, rows, step in families:
-        for n in range(X.D + 1)[::step]:
-            for i in range(rows(n)):
-                keep[n + step].update(map(tables[n][i].__getitem__, keep[n]))
-    old = [sorted(cells) for cells in keep]
-    new = [dict(zip(cells, range(len(cells)))).__getitem__ for cells in old]
-
-    def gather(rows, renumber, cells):
-        return [list(map(renumber, map(row.__getitem__, cells))) for row in rows]
-
-    top = X.D
-    faces, degens = (
-        [gather(tables[n], new[n + step], old[n]) if rows(n) else [] for n in range(top + 1)] for tables, rows, step in families
-    )
-    labels = None if X.labels is None else [list(map(X.labels[n].__getitem__, old[n])) for n in range(top + 1)]
-    S = SimplicialSet(top, list(map(len, old)), faces, degens, labels=labels, name=f"sub({X.name})")
-    return S, SimplicialMap(S, X, values=old)
-
-
 @lru_cache(maxsize=None)
 def horn(n: int, k: int, D: Optional[int] = None) -> SimplicialSet:
     """The (n, k)-horn: cells whose vertices miss some value other than k.
 
-    It is the subcomplex of Δⁿ seeded by its cells at level n - 1 (or D
-    if lower) but the face d_k, the one whose vertices are all but k.
+    At D = n - 1 (the default), every cell of Δⁿ but the face d_k. Its
+    tables gather the rows of Δⁿ on those cells, renumbered.
     The result is cached and must be treated as immutable.
     """
     if not 0 <= k <= n:
@@ -81,15 +51,14 @@ def horn(n: int, k: int, D: Optional[int] = None) -> SimplicialSet:
     if D is None:
         D = max(n - 1, 0)
     Delta = standard_simplex(n, D)
-    seeds = []
-    if n:
-        top = min(n - 1, D)
-        seeds = [(top, x) for x in range(Delta.card(top))]
-        if top == n - 1:
-            seeds.remove((top, Delta.index_of(top, tuple(j for j in range(n + 1) if j != k))))
-    S, _ = subcomplex(Delta, seeds)
-    S.name = f"horn({n},{k})"
-    return S
+    old = [[x for x, v in enumerate(labels) if len({k, *v}) <= n] for labels in Delta.labels]
+    new = [dict(zip(cells, range(len(cells)))).__getitem__ for cells in old]
+    faces, degens = (
+        [[list(map(new[m + step], map(row.__getitem__, old[m]))) for row in tables[m]] for m in range(D + 1)]
+        for tables, step in ((Delta.faces, -1), (Delta.degens, 1))
+    )
+    labels = [[Delta.labels[m][x] for x in cells] for m, cells in enumerate(old)]
+    return SimplicialSet(D, list(map(len, old)), faces, degens, labels=labels, name=f"horn({n},{k})")
 
 
 def _enumerate_maps(A, X) -> list[SimplicialMap]:
@@ -97,8 +66,7 @@ def _enumerate_maps(A, X) -> list[SimplicialMap]:
     if X.D < A.D:
         raise TruncationError("target truncated below source")
     D = A.D
-    # cell (n, x) of A is slot base[n] + x of one flat value vector, so
-    # the vectors sort in the order of their level-major tables
+    # cell (n, x) of A is slot base[n] + x, in level-major order
     base = [0] * (D + 2)
     for n in range(D + 1):
         base[n + 1] = base[n] + A.card(n)
@@ -162,19 +130,23 @@ def _enumerate_maps(A, X) -> list[SimplicialMap]:
                             k, i, y = witness[w]
                             checks.append((w, degen_table(k, i), base[k] + y))
                 level = below
-            moves.append((s, sets, checks, []))
-    # the rest are degenerate, each filled from its witness (assigned or
-    # filled before it here, one level down) when the step owning that passes
-    for s, (m, i, y) in witness.items():
-        if owner[s] < 0:
-            owner[s] = owner[base[m] + y]
-            moves[owner[s]][3].append((s, degen_table(m, i), base[m] + y))
+            moves.append((s, sets, checks))
+    # a map stores the cells the search assigned, in slot order, and reads
+    # the others through `spaces._MapLayout`, built on its first read
+    stored = [s for s, b in enumerate(owner) if b >= 0]
+    pack = _gather(stored)
+
+    @lru_cache(maxsize=None)
+    def layout():
+        from .spaces import _MapLayout
+
+        return _MapLayout(base, stored, witness, degen_table)
 
     vals = [0] * base[D + 1]
     out = []
     B = len(moves)
     if B == 0:
-        out.append(vals[:])
+        out.append(pack(vals))
     else:
         cands = [finders[0][1]] * B
         pos = [0] * B
@@ -186,7 +158,7 @@ def _enumerate_maps(A, X) -> list[SimplicialMap]:
                 b -= 1
                 continue
             pos[b] = j + 1
-            s, sets, checks, fills = moves[b]
+            s, sets, checks = moves[b]
             vals[s] = c[j]
             for w, T, u in sets:
                 vals[w] = T[vals[u]]
@@ -194,33 +166,43 @@ def _enumerate_maps(A, X) -> list[SimplicialMap]:
                 if vals[w] != T[vals[u]]:
                     break
             else:
-                for w, T, u in fills:
-                    vals[w] = T[vals[u]]
                 if b + 1 == B:
-                    out.append(vals[:])
+                    out.append(pack(vals))
                     continue
                 b += 1
                 get, lookup = finders[b]
                 cands[b] = lookup if get is None else lookup.get(get(vals), ())
                 pos[b] = 0
+    # unstored cells repeat earlier ones: packed and full vectors sort alike
     out.sort()
-    shape = (A, X, D, [slice(base[n], base[n + 1]) for n in range(D + 1)])
+    shape = (A, X, D, layout)
     return [_PackedMap(shape, vec) for vec in out]
 
 
+def _gather(idx):
+    # v -> tuple of the v[i], i in idx
+    return itemgetter(*idx) if len(idx) > 1 else lambda v: tuple(v[i] for i in idx)
+
+
 class _PackedMap(SimplicialMap):
-    # a found map as its flat value vector, which `key` reads; `values`
-    # is cut from it on first read
+    # a found map as its packed vector; `vector`, `values`, `key` and
+    # `apply` fill the other cells through the layout on each read
     fn = None
 
-    def __init__(self, shape, vector):
-        self.source, self.target, self.L, self.levels = shape
-        self.vector = vector
-
-    values = cached_property(lambda self: list(map(self.vector.__getitem__, self.levels)))
+    def __init__(self, shape, packed):
+        self.source, self.target, self.L, self.layout = shape
+        self.packed = packed
 
     def key(self):
-        return tuple(tuple(self.vector[s]) for s in self.levels)
+        return self.layout().key(self.packed)
+
+    values = property(lambda self: list(map(list, self.key())))
+    vector = property(lambda self: list(chain(*self.key())))
+
+    def apply(self, n, x):
+        if n > self.L:
+            raise TruncationError(f"map not defined at level {n}")
+        return self.layout().apply(self.packed, n, x)
 
 
 def _lab(X, n: int, x: int):
@@ -234,22 +216,18 @@ def _horn_check(X, n: int, k: int, max_witnesses: int) -> CheckReport:
         raise TruncationError(f"horn extension at level {n} needs truncation >= {n}, have {X.D}")
     H = horn(n, k)
     faces = [tuple(i for i in range(n + 1) if i != j) for j in range(n + 1) if j != k]
-    cols = [act_table(X, n, f) for f in faces]
-    # one top cell (n = 1) reads as a value, several as a tuple
-    restrictions = set(zip(*cols) if len(cols) > 1 else cols[0])
-    base = sum(map(H.card, range(n - 1)))
-    read = itemgetter(*(base + H.index_of(n - 1, f) for f in faces))
+    restrictions = set(zip(*(act_table(X, n, f) for f in faces)))
+    # a map stores the horn's nondegenerate cells, level-major, ending
+    # with its top faces in reverse order
+    nd = [(m, c) for m in range(n) for c in H.nondegenerate_cells(m)]
     maps = enumerate_maps(H, X)
-    nd = None  # the horn's nondegenerate cells, listed at the first witness
     witnesses = []
     unfillable = 0
     for h in maps:
-        if read(h.vector) not in restrictions:
+        if h.packed[: -n - 1 : -1] not in restrictions:
             unfillable += 1
             if len(witnesses) < max_witnesses:
-                if nd is None:
-                    nd = [(m, c) for m in range(H.D + 1) for c in H.nondegenerate_cells(m)]
-                witnesses.append({"assignment": [(H.label(m, c), _lab(X, m, h.apply(m, c))) for m, c in nd]})
+                witnesses.append({"assignment": [(H.label(m, c), _lab(X, m, v)) for (m, c), v in zip(nd, h.packed)]})
     return CheckReport(
         check=f"horn({n},{k}) extension in {X.name or 'sset'}",
         verdict="pass" if unfillable == 0 else "fail",

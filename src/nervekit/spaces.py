@@ -4,7 +4,10 @@
   the steps `act_table` takes for a whole level;
 * `ProductSset` is the lazy levelwise product of two cell-table
   interfaces, `materialize` copies any such interface into explicit
-  tables, and `product` does both.
+  tables, and `product` does both;
+* `subcomplex` closes a set of cells under faces and degeneracies;
+* `_MapLayout` reads the cells the maps `enumerate_maps` returns do not
+  store.
 
 ``import nervekit`` does not load this module up front: the package
 resolves these names from here on first use (`act` also from
@@ -13,10 +16,12 @@ resolves these names from here on first use (`act` also from
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import getitem
 from typing import Sequence
 
 from .serialize import sset_to_json
-from .sset import SimplicialSet, _DegeneracyTest, _steps
+from .sset import SimplicialMap, SimplicialSet, _DegeneracyTest, _families, _steps
 
 
 def act(X, n: int, x: int, f: Sequence[int]) -> int:
@@ -100,3 +105,90 @@ class ProductSset(_DegeneracyTest):
 def product(X, Y, name: str = "") -> SimplicialSet:
     """Materialized levelwise product."""
     return materialize(ProductSset(X, Y), name=name)
+
+
+def subcomplex(X: SimplicialSet, seeds) -> tuple[SimplicialSet, SimplicialMap]:
+    """Smallest subobject containing the seed cells, with its inclusion.
+
+    ``seeds`` is an iterable of (level, cell). Closure takes two passes
+    over the levels: faces downward from the top, then degeneracies
+    upward from level 0 (a face of a degeneracy of x is x or a
+    degeneracy of a face of x). The tables gather the rows of X.
+    """
+    keep: list[set[int]] = [set() for _ in range(X.D + 1)]
+    for n, x in seeds:
+        keep[int(n)].add(int(x))
+    families = [(getattr(X, kind + "s"), rows, step) for kind, _, rows, step in _families(X.D)]
+    for tables, rows, step in families:
+        for n in range(X.D + 1)[::step]:
+            for i in range(rows(n)):
+                keep[n + step].update(map(tables[n][i].__getitem__, keep[n]))
+    old = [sorted(cells) for cells in keep]
+    new = [dict(zip(cells, range(len(cells)))).__getitem__ for cells in old]
+
+    def gather(rows, renumber, cells):
+        return [list(map(renumber, map(row.__getitem__, cells))) for row in rows]
+
+    top = X.D
+    faces, degens = (
+        [gather(tables[n], new[n + step], old[n]) if rows(n) else [] for n in range(top + 1)] for tables, rows, step in families
+    )
+    labels = None if X.labels is None else [list(map(X.labels[n].__getitem__, old[n])) for n in range(top + 1)]
+    S = SimplicialSet(top, list(map(len, old)), faces, degens, labels=labels, name=f"sub({X.name})")
+    return S, SimplicialMap(S, X, values=old)
+
+
+class _Block(dict):
+    # a stored cell's value v -> the values of the cells repeating it:
+    # v, then T of entry j per step (T, j)
+    def __init__(self):
+        self.steps = []
+
+    def __missing__(self, v):
+        vals = [v]
+        for T, j in self.steps:
+            vals.append(T[vals[j]])
+        self[v] = vals = tuple(vals)
+        return vals
+
+
+class _MapLayout:
+    """How the maps one `enumerate_maps` search found read every cell.
+
+    A map stores only the cells the search assigned, by their slots
+    (cell (n, x) is slot ``base[n] + x``); they are closed under faces.
+    Any other cell is s_i of its witness one level down, so it repeats
+    one stored cell p: it is entry j of the block of p, and
+    ``where[n][x] = (p, j)``. A block keeps the entries of p per value
+    of p read so far; `key` concatenates the blocks and gathers each
+    level from them.
+    """
+
+    def __init__(self, base, stored, witness, degen_table):
+        from .horns import _gather
+
+        at = {s: p for p, s in enumerate(stored)}
+        self.blocks = [_Block() for _ in stored]
+        where = []
+        for s in range(base[-1]):
+            if s in at:
+                where.append((at[s], 0))
+            else:
+                m, i, y = witness[s]
+                p, j = where[base[m] + y]
+                steps = self.blocks[p].steps
+                steps.append((degen_table(m, i), j))
+                where.append((p, len(steps)))
+        start = list(accumulate([len(b.steps) + 1 for b in self.blocks], initial=0))
+        self.where = [where[a:b] for a, b in zip(base, base[1:])]
+        self.levels = [_gather([start[p] + j for p, j in cells]) for cells in self.where]
+
+    def key(self, packed) -> tuple:
+        flat = []
+        for block in map(getitem, self.blocks, packed):
+            flat += block
+        return tuple(get(flat) for get in self.levels)
+
+    def apply(self, packed, n: int, x: int) -> int:
+        p, j = self.where[n][x]
+        return self.blocks[p][packed[p]][j]

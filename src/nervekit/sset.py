@@ -373,13 +373,12 @@ class SimplicialMap:
     """A levelwise map of truncated simplicial sets.
 
     Values are stored as explicit per-level tables, kept as given (not
-    copied). ``fn(n, x)`` computes them instead only for the maps out of
-    lazy power homs that `gadgets._interval_transform` builds: their sources
-    are too large to tabulate (a naturality square of the comparison
-    functor at [4] reads ``simplex_power_transform(f, 4, b, 3)``, whose
-    hom (Δ⁴)⁴ has 70⁴, about 24 million, cells at level 3), and a
-    composite reads only the cells its other factor hits. ``L`` is the top level the map is
-    defined on (defaults to the source truncation).
+    copied); `enumerate_maps` keeps packed vectors instead. ``fn(n, x)``
+    computes them only for the maps out of the lazy power homs of
+    `gadgets._interval_transform`, too large to tabulate ((Δ⁴)⁴ has 70⁴
+    cells at level 3); a composite reads only the cells its other factor
+    hits. ``L`` is the top level the map is defined on (defaults to the
+    source truncation).
     """
 
     def __init__(self, source, target, values=None, fn=None, L: Optional[int] = None):
@@ -444,10 +443,9 @@ def enumerate_maps(A, X) -> list[SimplicialMap]:
     assigned. A value chosen forces the cell's face closure through X's
     face tables: an unassigned face is set and its faces forced, an
     assigned one checked unless X's simplicial identities imply it, and
-    a degenerate cell reached checked against its witness. The cells
-    left are degenerate, each filled from its witness once the branch
-    step owning that passes. The tables are sorted into lexicographic
-    level-major order.
+    a degenerate cell reached checked against its witness. A map keeps
+    the cells so assigned; the others, degenerate, are filled from their
+    witnesses when read. Maps come in lexicographic level-major order.
     """
     from .horns import _enumerate_maps
 

@@ -302,9 +302,11 @@ def _horn_by_labels(n, k, D):
 
 
 def test_horn_matches_the_label_seeded_horn():
-    for n in range(5):
+    # `horn` gathers the rows of the simplex on the cells its rule keeps;
+    # the label-seeded closure keeps the same cells at every truncation
+    for n in range(6):
         for k in range(n + 1):
-            for D in range(6):
+            for D in range(max(n + 2, 6)):
                 H, want = horn(n, k, D), _horn_by_labels(n, k, D)
                 assert (H.data_key(), H.labels) == (want.data_key(), want.labels), (n, k, D)
 
@@ -656,6 +658,128 @@ def test_enumerate_maps_catches_a_wrong_fill_table(monkeypatch):
     assert (2, 0, 0) in reads and len(reads) == len(set(reads))
     assert got != want
     assert [vals[:3] for vals in got] == [vals[:3] for vals in want]
+
+
+def _enumerate_maps_full(A, X):
+    """All maps A -> X as full value vectors, one slot per cell in
+    level-major order, by the search `enumerate_maps` ran before it
+    packed them: each degenerate cell no branch step sets is filled from
+    its witness once the step owning that passes, and the full vectors
+    are sorted. Returns the level starts and the vectors."""
+    from operator import itemgetter
+
+    D = A.D
+    base = [0] * (D + 2)
+    for n in range(D + 1):
+        base[n + 1] = base[n] + A.card(n)
+    witness = {}
+    for n in range(D):
+        for i in range(n + 1):
+            for y in range(A.card(n)):
+                witness.setdefault(base[n + 1] + A.degen(n, i, y), (n, i, y))
+    tables = {}
+
+    def degen_table(m, i):
+        if (m, i) not in tables:
+            tables[m, i] = [X.degen(m, i, v) for v in range(X.card(m))]
+        return tables[m, i]
+
+    def faces_of(m, u):
+        return [base[m - 1] + A.face(m, i, u - base[m]) for i in range(m + 1)]
+
+    owner = [-1] * base[D + 1]
+    moves, finders = [], []
+    for n in range(D, -1, -1):
+        for s in range(base[n], base[n + 1]):
+            if s in witness or owner[s] >= 0:
+                continue
+            faces = faces_of(n, s) if n else []
+            P = [i for i, w in enumerate(faces) if owner[w] >= 0]
+            get = itemgetter(*(faces[i] for i in P)) if P else None
+            finders.append((get, X.face_index(n, P) if P else range(X.card(n))))
+            owner[s] = b = len(moves)
+            sets, checks = [], []
+            level = {tuple(range(n + 1)): s}
+            for m in range(n, 0, -1):
+                T = [list(map(X.face_map(m, j), range(X.card(m)))) for j in range(m + 1)]
+                seen, below = set(), {}
+                for I, u in level.items():
+                    for j, w in enumerate(faces_of(m, u)):
+                        J = I[:j] + I[j + 1 :]
+                        if J in seen or not all(i in J for i in P):
+                            continue
+                        seen.add(J)
+                        if owner[w] >= 0:
+                            checks.append((w, T[j], u))
+                            continue
+                        owner[w] = b
+                        sets.append((w, T[j], u))
+                        below[J] = w
+                        if w in witness:
+                            k, i, y = witness[w]
+                            checks.append((w, degen_table(k, i), base[k] + y))
+                level = below
+            moves.append((s, sets, checks, []))
+    for s, (m, i, y) in witness.items():
+        if owner[s] < 0:
+            owner[s] = owner[base[m] + y]
+            moves[owner[s]][3].append((s, degen_table(m, i), base[m] + y))
+    vals = [0] * base[D + 1]
+    out = []
+    B = len(moves)
+    if B == 0:
+        out.append(vals[:])
+    else:
+        cands, pos, b = [finders[0][1]] * B, [0] * B, 0
+        while b >= 0:
+            j = pos[b]
+            if j == len(cands[b]):
+                b -= 1
+                continue
+            pos[b] = j + 1
+            s, sets, checks, fills = moves[b]
+            vals[s] = cands[b][j]
+            for w, T, u in sets:
+                vals[w] = T[vals[u]]
+            if any(vals[w] != T[vals[u]] for w, T, u in checks):
+                continue
+            for w, T, u in fills:
+                vals[w] = T[vals[u]]
+            if b + 1 == B:
+                out.append(vals[:])
+                continue
+            b += 1
+            get, lookup = finders[b]
+            cands[b] = lookup if get is None else lookup.get(get(vals), ())
+            pos[b] = 0
+    out.sort()
+    return base, out
+
+
+def _packed_map_cases():
+    """The pairs of the scan oracle, and the horns into nerve(z3) and S₃
+    that the forced-step oracle runs."""
+    yield from _scan_cases()
+    for name, A, X in _forced_step_cases():
+        if name.startswith("horn(") and name.endswith(("->nerve(z3)", "->s3")):
+            yield name, A, X
+
+
+def test_packed_maps_read_as_the_full_vector_search():
+    # a map stores only the cells the search assigns and fills the others
+    # when read; every reader sees the full vector, in the same map order
+    cases = 0
+    for name, A, X in _packed_map_cases():
+        base, want = _enumerate_maps_full(A, X)
+        got = enumerate_maps(A, X)
+        assert [f.vector for f in got] == want, name
+        for f, vec in zip(got, want):
+            levels = [vec[base[n] : base[n + 1]] for n in range(A.D + 1)]
+            assert f.values == levels, name
+            assert f.key() == tuple(map(tuple, levels)), name
+            assert [[f.apply(n, x) for x in range(A.card(n))] for n in range(A.D + 1)] == levels, name
+        cases += 1
+    assert cases == 76
 
 
 def _key_by_apply(f):

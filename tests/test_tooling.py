@@ -72,6 +72,33 @@ def test_horn_check_enumerates_once_through_module_global(monkeypatch):
             assert rep.bounds["horn_maps"] == 2 ** n - 1
 
 
+def _seed_counts(workload: str) -> dict:
+    """The traced counts ``bench/test_bench.py`` pins for a workload,
+    read from its ``SEED_COUNTS`` without importing the module."""
+    tree = ast.parse((ROOT / "bench" / "test_bench.py").read_text())
+    node = next(n.value for n in tree.body if isinstance(n, ast.Assign) and getattr(n.targets[0], "id", None) == "SEED_COUNTS")
+    return eval(compile(ast.Expression(node), "SEED_COUNTS", "eval"))[workload]
+
+
+def test_traced_horncheck_reads_the_horn_maps(tmp_path):
+    # the traced run keeps the enumerate_maps result nested under each
+    # verify.horn_check and counts the fillers of its maps through
+    # h.apply on the horn's top cells
+    out = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(TRACE_CHILD), str(out), "horncheck", "--example", "bg:z3", "--max-dim", "4"],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(out.read_text())["metrics"]
+    want = _seed_counts("horncheck-bgz3-D4")
+    names = ("horn_maps", "cells_scanned", "fill_ratio")
+    assert [want[f"verify.horn_check.{name}"] for name in names] == [542, 35970, 546 / 35970]
+    for name in names:
+        assert metrics[f"verify.horn_check.{name}"] == want[f"verify.horn_check.{name}"], name
+
+
 def test_runtime_imports_only_the_standard_library():
     sources = sorted((ROOT / "src" / "nervekit").rglob("*.py"))
     assert sources
@@ -211,7 +238,7 @@ LAZY_MODULES = {
     "marked": ("MarkedBisimplicialSet", "MarkedSimplicialSet", "diagonal_marked", "levelwise_nerve_marked"),
     "schema": ("load",),
     "segal": ("fiber_check", "segal_column_check"),
-    "spaces": ("ProductSset", "act", "materialize", "product", "vertices"),
+    "spaces": ("ProductSset", "act", "materialize", "product", "subcomplex", "vertices"),
     "uniqueness": ("uniqueness_report", "uniqueness_search"),
 }
 
@@ -262,7 +289,7 @@ FIRST_CALL_MODULES = {
     "coherent": (),
     "comparison": ("comparison_cell",),
     "groups": ("HomologyReport",),
-    "horns": ("horn", "standard_simplex", "subcomplex"),
+    "horns": ("horn", "standard_simplex"),
     "integer": (),
     "maps": ("compose_maps",),
     "posets": ("FinitePoset", "path_poset"),
@@ -309,9 +336,10 @@ def test_gated_verbs_compile_little_source():
     # horns, 121.7 KiB while `cli` held every verb and 109.6 KiB while
     # `cat` held `from_level_labels` and coherent-nerve cells stored
     # degenerate chains; 71.95 and 108.1 KiB while chain cells were
-    # labelled by morphism triples
-    assert _compiled_bytes(["horncheck", "--example", "bg:z3", "--max-dim", "4"]) <= 71.9 * 1024
-    assert _compiled_bytes(["compare", "--example", "bg:z2", "--max-dim", "3", "--coeff", "f2"]) <= 107.2 * 1024
+    # labelled by morphism triples, 71.9 and 107.2 KiB while `horns` held
+    # `subcomplex` and horn maps stored every cell
+    assert _compiled_bytes(["horncheck", "--example", "bg:z3", "--max-dim", "4"]) <= 70.67 * 1024
+    assert _compiled_bytes(["compare", "--example", "bg:z2", "--max-dim", "3", "--coeff", "f2"]) <= 107.1 * 1024
 
 
 def test_setup_probe_compiles_little_source():
@@ -319,12 +347,13 @@ def test_setup_probe_compiles_little_source():
     # digests an example; it compiled 54.5 KiB before `verify.horn_check`
     # became a delegate, 53.6 KiB while `cat` held `from_level_labels`
     # and 53.2 KiB while chain cells were labelled by morphism triples
+    # and bg:z<m> composition tables were built entry by entry
     code = (
         "import nervekit\n"
         "from nervekit.serialize import to_json\n"
         "nervekit.digest(to_json(nervekit.build_example('bg:z2', 3)))\n"
     )
-    assert _source_bytes(_fresh_modules(code)) <= 53.2 * 1024
+    assert _source_bytes(_fresh_modules(code)) <= 53.13 * 1024
 
 
 # one command line per verb that runs it to a zero exit
