@@ -95,7 +95,7 @@ class BisimplicialSet:
         cards = list(self.cards[p])
         faces = [self.vfaces[p][q] for q in range(self.Q + 1)]
         degens = [self.vdegens[p][q] if q < self.Q else [] for q in range(self.Q + 1)]
-        labels = None if self.labels is None else [list(lvl) for lvl in self.labels[p]]
+        labels = None if self.labels is None else self.labels[p]
         return SimplicialSet(self.Q, cards, faces, degens, labels=labels, name=f"{self.name}[col {p}]")
 
     def transpose(self) -> "BisimplicialSet":

@@ -59,7 +59,7 @@ def _row(B: BisimplicialSet, q: int) -> SimplicialSet:
     degens = [B.hdegens[p][q] if p < B.P else [] for p in range(B.P + 1)]
     labels = None
     if B.labels is not None:
-        labels = [list(B.labels[p][q]) for p in range(B.P + 1)]
+        labels = [B.labels[p][q] for p in range(B.P + 1)]
     return SimplicialSet(B.P, cards, faces, degens, labels=labels, name=f"{B.name}[row {q}]")
 
 

@@ -2,8 +2,9 @@
 
 * `classification_diagram`: the marked bisimplicial set of simplicial
   maps out of ``p-simplex x q-simplex`` into the coherent nerve whose
-  vertex slices stay inside the marked subcategory; its operators are
-  gathers of the maps' value tables along maps of grids.
+  vertex slices stay inside the marked subcategory, each labelled by
+  its map's packed vector; its operators read the maps along maps of
+  grids.
 * `theta_cell_value`: the coherent-nerve cell a chain of the levelwise
   nerve assigns to one grid chain, read off the grid-collapse rule of
   `comparison._collapse_row` through `comparison._collapse_plan`. That
@@ -34,6 +35,7 @@ resolves its public names on first use.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 
 from .bisimplicial import BisimplicialSet
 from .bitables import _bisset_families
@@ -67,12 +69,13 @@ def _product_pair(p: int, q: int, T: int) -> SimplicialSet:
 
 
 def _grid_gather(G: SimplicialSet, G2: SimplicialSet, vp: tuple, vq: tuple) -> list[list[int]]:
-    """Index vectors of the grid map with vertex maps (vp, vq): entry
-    ``[n][c]`` is the cell of G that cell c of G2 at level n goes to."""
+    """Index vectors of the grid map with vertex maps (vp, vq) on the
+    nondegenerate cells of G2: entry ``[n][k]`` is the cell of G that
+    the k-th nondegenerate cell of G2 at level n goes to."""
     return [
         [
             G.index_of(n, (tuple(vp[v] for v in la), tuple(vq[v] for v in lb)))
-            for la, lb in (G2.label(n, c) for c in range(G2.card(n)))
+            for la, lb in map(G2.label, repeat(n), G2.nondegenerate_cells(n))
         ]
         for n in range(G2.D + 1)
     ]
@@ -84,14 +87,14 @@ def classification_diagram(R: RelativeSimplicialCategory, P: int, Q: int, name: 
     Cells at (p, q) are simplicial maps from the (p, q) grid into the
     coherent nerve whose vertex slices {i} x q-simplex carry every edge
     into the marked edges; marked cells at column 1 carry every edge of
-    the whole grid into the marked edges. A cell's label is its value
-    table over the grid built to level P + Q (above p + q every grid
-    cell is degenerate, so those values are forced). An operator is
-    precomposition with the map of grids its vertex maps (`_grid_op`)
-    give: a cell's image is its table gathered along that map's
-    `_grid_gather` vectors, looked up among the labels of the target
-    bidegree. Needs P >= 1 for the marking. Feasible for small inputs
-    only.
+    the whole grid into the marked edges. A cell's label is its map's
+    packed vector: its values on the grid's nondegenerate cells,
+    level-major, which fix the map (every other cell is degenerate). An
+    operator is precomposition with the map of grids its vertex maps
+    (`_grid_op`) give: a cell's image is its map read on the
+    `_grid_gather` cells, the images of the nondegenerate cells of the
+    operator's source grid, looked up among the labels there. Needs
+    P >= 1 for the marking. Feasible for small inputs only.
     """
     SC = R.cat
     if P < 1:
@@ -101,18 +104,16 @@ def classification_diagram(R: RelativeSimplicialCategory, P: int, Q: int, name: 
     hc = coherent_nerve(SC, P + Q)
     marked_edges = _marked_hc_edges(R, hc)
 
-    def all_marked(key, edges) -> bool:
-        return all(key[1][e] in marked_edges for e in edges)
+    def all_marked(f, edges) -> bool:
+        return all(f.apply(1, e) in marked_edges for e in edges)
 
-    grids, cells = {}, {}
-    labels = [[None] * (Q + 1) for _ in range(P + 1)]
+    grids, maps, cells = {}, {}, {}
     for p in range(P + 1):
         for q in range(Q + 1):
             G = grids[(p, q)] = _product_pair(p, q, P + Q)
             slices = [G.index_of(1, ((i, i), (a, b))) for i in range(p + 1) for b in range(q + 1) for a in range(b)]
-            keys = [f.key() for f in enumerate_maps(G, hc)]
-            labels[p][q] = [k for k in keys if all_marked(k, slices)]
-            cells[(p, q)] = {k: x for x, k in enumerate(labels[p][q])}
+            maps[(p, q)] = [f for f in enumerate_maps(G, hc) if all_marked(f, slices)]
+            cells[(p, q)] = {f.packed: x for x, f in enumerate(maps[(p, q)])}
 
     def family(kind, rows):
         tables = [[[] for _ in range(Q + 1)] for _ in range(P + 1)]
@@ -120,22 +121,23 @@ def classification_diagram(R: RelativeSimplicialCategory, P: int, Q: int, name: 
             for i in range(rows(p, q)):
                 (p2, q2), vp, vq = _grid_op(p, q, kind, i)
                 g = _grid_gather(G, grids[(p2, q2)], vp, vq)
+                levels = [n for n, row in enumerate(g) for _ in row]
+                image = [c for row in g for c in row]
                 index = cells[(p2, q2)]
-                tables[p][q].append(
-                    [index[tuple(tuple(row[c] for c in gn) for row, gn in zip(k, g))] for k in labels[p][q]]
-                )
+                tables[p][q].append([index[tuple(map(f.apply, levels, image))] for f in maps[(p, q)]])
         return tables
 
     space = BisimplicialSet(
-        P, Q, [[len(labels[p][q]) for q in range(Q + 1)] for p in range(P + 1)],
+        P, Q, [[len(maps[(p, q)]) for q in range(Q + 1)] for p in range(P + 1)],
         *(family(kind, rows) for kind, _, rows, _, _ in _bisset_families(P, Q)),
-        labels=labels, name=name or f"cls({R.name})",
+        labels=[[[f.packed for f in maps[(p, q)]] for q in range(Q + 1)] for p in range(P + 1)],
+        name=name or f"cls({R.name})",
     )
     marked = set()
     for q in range(Q + 1):
         G = grids[(1, q)]
-        edges = [e for e in range(G.card(1)) if not G.is_degenerate(1, e)]
-        marked.update((q, x) for x, k in enumerate(labels[1][q]) if all_marked(k, edges))
+        edges = G.nondegenerate_cells(1)
+        marked.update((q, x) for x, f in enumerate(maps[(1, q)]) if all_marked(f, edges))
     return MarkedBisimplicialSet(space, frozenset(marked))
 
 

@@ -6,7 +6,6 @@ and `verify.horn_check`, loaded on first use (never by `compare`).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -132,15 +131,15 @@ def _enumerate_maps(A, X) -> list[SimplicialMap]:
                 level = below
             moves.append((s, sets, checks))
     # a map stores the cells the search assigned, in slot order, and reads
-    # the others through `spaces._MapLayout`, built on its first read
+    # the others through `spaces._map_reads`, built on its first read
     stored = [s for s, b in enumerate(owner) if b >= 0]
-    pack = _gather(stored)
+    pack = itemgetter(*stored) if len(stored) > 1 else lambda v: tuple(v[i] for i in stored)
 
     @lru_cache(maxsize=None)
-    def layout():
-        from .spaces import _MapLayout
+    def reads():
+        from .spaces import _map_reads
 
-        return _MapLayout(base, stored, witness, degen_table)
+        return _map_reads(base, stored, witness, degen_table)
 
     vals = [0] * base[D + 1]
     out = []
@@ -175,34 +174,27 @@ def _enumerate_maps(A, X) -> list[SimplicialMap]:
                 pos[b] = 0
     # unstored cells repeat earlier ones: packed and full vectors sort alike
     out.sort()
-    shape = (A, X, D, layout)
+    shape = (A, X, D, reads)
     return [_PackedMap(shape, vec) for vec in out]
 
 
-def _gather(idx):
-    # v -> tuple of the v[i], i in idx
-    return itemgetter(*idx) if len(idx) > 1 else lambda v: tuple(v[i] for i in idx)
-
-
 class _PackedMap(SimplicialMap):
-    # a found map as its packed vector; `vector`, `values`, `key` and
-    # `apply` fill the other cells through the layout on each read
-    fn = None
+    # a found map as its packed vector; `apply`, and so `key`, reads
+    # each cell through the search's read list
+    values = fn = None
 
     def __init__(self, shape, packed):
-        self.source, self.target, self.L, self.layout = shape
+        self.source, self.target, self.L, self.reads = shape
         self.packed = packed
-
-    def key(self):
-        return self.layout().key(self.packed)
-
-    values = property(lambda self: list(map(list, self.key())))
-    vector = property(lambda self: list(chain(*self.key())))
 
     def apply(self, n, x):
         if n > self.L:
             raise TruncationError(f"map not defined at level {n}")
-        return self.layout().apply(self.packed, n, x)
+        p, steps = self.reads()[n][x]
+        v = self.packed[p]
+        for T in steps:
+            v = T[v]
+        return v
 
 
 def _lab(X, n: int, x: int):

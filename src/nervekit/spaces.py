@@ -6,8 +6,8 @@
   interfaces, `materialize` copies any such interface into explicit
   tables, and `product` does both;
 * `subcomplex` closes a set of cells under faces and degeneracies;
-* `_MapLayout` reads the cells the maps `enumerate_maps` returns do not
-  store.
+* `_map_reads` tells the maps `enumerate_maps` returns how to read
+  each cell from their packed vectors.
 
 ``import nervekit`` does not load this module up front: the package
 resolves these names from here on first use (`act` also from
@@ -16,8 +16,6 @@ resolves these names from here on first use (`act` also from
 
 from __future__ import annotations
 
-from itertools import accumulate
-from operator import getitem
 from typing import Sequence
 
 from .serialize import sset_to_json
@@ -138,57 +136,23 @@ def subcomplex(X: SimplicialSet, seeds) -> tuple[SimplicialSet, SimplicialMap]:
     return S, SimplicialMap(S, X, values=old)
 
 
-class _Block(dict):
-    # a stored cell's value v -> the values of the cells repeating it:
-    # v, then T of entry j per step (T, j)
-    def __init__(self):
-        self.steps = []
-
-    def __missing__(self, v):
-        vals = [v]
-        for T, j in self.steps:
-            vals.append(T[vals[j]])
-        self[v] = vals = tuple(vals)
-        return vals
-
-
-class _MapLayout:
+def _map_reads(base, stored, witness, degen_table) -> list:
     """How the maps one `enumerate_maps` search found read every cell.
 
     A map stores only the cells the search assigned, by their slots
-    (cell (n, x) is slot ``base[n] + x``); they are closed under faces.
-    Any other cell is s_i of its witness one level down, so it repeats
-    one stored cell p: it is entry j of the block of p, and
-    ``where[n][x] = (p, j)``. A block keeps the entries of p per value
-    of p read so far; `key` concatenates the blocks and gathers each
-    level from them.
+    (cell (n, x) is slot ``base[n] + x``), in its packed vector. Any
+    other cell is s_i of its witness (m, i, y) one level down, so it
+    repeats one stored cell. ``reads[n][x]`` is (p, steps): the cell's
+    value is entry p of the packed vector carried through X's
+    degeneracy tables ``steps`` in turn, its witness chain from the
+    stored cell up.
     """
-
-    def __init__(self, base, stored, witness, degen_table):
-        from .horns import _gather
-
-        at = {s: p for p, s in enumerate(stored)}
-        self.blocks = [_Block() for _ in stored]
-        where = []
-        for s in range(base[-1]):
-            if s in at:
-                where.append((at[s], 0))
-            else:
-                m, i, y = witness[s]
-                p, j = where[base[m] + y]
-                steps = self.blocks[p].steps
-                steps.append((degen_table(m, i), j))
-                where.append((p, len(steps)))
-        start = list(accumulate([len(b.steps) + 1 for b in self.blocks], initial=0))
-        self.where = [where[a:b] for a, b in zip(base, base[1:])]
-        self.levels = [_gather([start[p] + j for p, j in cells]) for cells in self.where]
-
-    def key(self, packed) -> tuple:
-        flat = []
-        for block in map(getitem, self.blocks, packed):
-            flat += block
-        return tuple(get(flat) for get in self.levels)
-
-    def apply(self, packed, n: int, x: int) -> int:
-        p, j = self.where[n][x]
-        return self.blocks[p][packed[p]][j]
+    at = {s: (p, ()) for p, s in enumerate(stored)}
+    reads = []
+    for s in range(base[-1]):
+        if s not in at:
+            m, i, y = witness[s]
+            p, steps = reads[base[m] + y]
+            at[s] = p, steps + (degen_table(m, i),)
+        reads.append(at[s])
+    return [reads[a:b] for a, b in zip(base, base[1:])]

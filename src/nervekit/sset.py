@@ -101,6 +101,9 @@ class SimplicialSet(_DegeneracyTest):
         level n. Ignored by equality.
     name : str, optional
         Used in validation reports.
+
+    The set owns the lists it is given, not copies: pass fresh lists or
+    rows nothing mutates.
     """
 
     def __init__(self, D: int, cards, faces, degens, labels=None, name: str = ""):
@@ -112,9 +115,9 @@ class SimplicialSet(_DegeneracyTest):
             raise ValueError("faces and degens must have length D+1")
         self.D = D
         self.cards = [int(c) for c in cards]
-        self.faces = [[list(row) for row in faces[n]] for n in range(D + 1)]
-        self.degens = [[list(row) for row in degens[n]] for n in range(D + 1)]
-        self.labels = None if labels is None else [list(l) for l in labels]
+        self.faces = faces
+        self.degens = degens
+        self.labels = labels
         self.name = name
         self._degenerate_flags: list[Optional[list[bool]]] = [None] * (D + 1)
         self._label_idx: list[Optional[dict]] = [None] * (D + 1)
@@ -373,12 +376,12 @@ class SimplicialMap:
     """A levelwise map of truncated simplicial sets.
 
     Values are stored as explicit per-level tables, kept as given (not
-    copied); `enumerate_maps` keeps packed vectors instead. ``fn(n, x)``
-    computes them only for the maps out of the lazy power homs of
-    `gadgets._interval_transform`, too large to tabulate ((Δ⁴)⁴ has 70⁴
-    cells at level 3); a composite reads only the cells its other factor
-    hits. ``L`` is the top level the map is defined on (defaults to the
-    source truncation).
+    copied); `enumerate_maps` keeps packed vectors, read by `apply`
+    (``values`` is None). ``fn(n, x)`` computes them only for the maps
+    out of the lazy power homs of `gadgets._interval_transform`, too
+    large to tabulate ((Δ⁴)⁴ has 70⁴ cells at level 3); a composite
+    reads only the cells its other factor hits. ``L`` is the top level
+    the map is defined on (defaults to the source truncation).
     """
 
     def __init__(self, source, target, values=None, fn=None, L: Optional[int] = None):
@@ -404,9 +407,7 @@ class SimplicialMap:
     def key(self):
         if self.values is not None:
             return tuple(tuple(self.values[n][: self.source.card(n)]) for n in range(self.L + 1))
-        return tuple(
-            tuple(self.apply(n, x) for x in range(self.source.card(n))) for n in range(self.L + 1)
-        )
+        return tuple(tuple(self.apply(n, x) for x in range(self.source.card(n))) for n in range(self.L + 1))
 
     def __eq__(self, other):
         if not isinstance(other, SimplicialMap):

@@ -1463,15 +1463,23 @@ def _classification_diagram_by_translation(R, P, Q):
     }
 
 
-def _classification_tables(M):
+def _classification_tables(R, M):
     """The data `_classification_diagram_by_translation` returns, read off
-    a built diagram; labels are cut to level p + q, where the
-    translation route's grids stop."""
+    a built diagram. A label is its map's packed vector; it is expanded
+    to the map's value table through the maps `enumerate_maps` finds on
+    that bidegree's grid, and cut to level p + q, where the translation
+    route's grids stop."""
+    from nervekit.classification import _product_pair
+    from nervekit.sset import enumerate_maps
+
     X = M.space
+    hc = coherent_nerve(R.cat, X.P + X.Q)
     out = {family: getattr(X, family) for family in ("cards", "hfaces", "hdegens", "vfaces", "vdegens")}
-    out["labels"] = [
-        [[key[: p + q + 1] for key in X.labels[p][q]] for q in range(X.Q + 1)] for p in range(X.P + 1)
-    ]
+    out["labels"] = [[None] * (X.Q + 1) for _ in range(X.P + 1)]
+    for p in range(X.P + 1):
+        for q in range(X.Q + 1):
+            full = {f.packed: f.key()[: p + q + 1] for f in enumerate_maps(_product_pair(p, q, X.P + X.Q), hc)}
+            out["labels"][p][q] = [full[packed] for packed in X.labels[p][q]]
     out["marked"] = set(M.marked)
     return out
 
@@ -1501,15 +1509,36 @@ def test_classification_diagram_matches_translation_route(name, P, Q):
 
     R = _cls_input(name, P + Q)
     M = classification_diagram(R, P, Q)
-    assert _classification_tables(M) == _classification_diagram_by_translation(R, P, Q)
+    assert _classification_tables(R, M) == _classification_diagram_by_translation(R, P, Q)
     assert validate_bisset(M.space).ok
+
+
+def test_classification_diagram_labels_are_packed_vectors(monkeypatch):
+    # cls reads its maps through `apply` only, so it builds no value
+    # table, and labels each cell by one value per nondegenerate cell of
+    # its grid
+    from nervekit import SimplicialMap
+    from nervekit.classification import _product_pair
+
+    def key(self):
+        raise AssertionError("classification_diagram built a map's key")
+
+    for name in ("bg:z2", "two-object-interval"):
+        R = build_example(name, max_dim=3)
+        monkeypatch.setattr(SimplicialMap, "key", key)
+        X = classification_diagram(R, 1, 2).space
+        monkeypatch.undo()
+        for p in range(2):
+            for q in range(3):
+                G = _product_pair(p, q, 3)
+                assert {len(label) for label in X.labels[p][q]} == {sum(G.nondeg_counts())}, (name, p, q)
 
 
 def test_classification_diagram_catches_a_wrong_gather_entry(z2_rel_d3, monkeypatch):
     # the coherent nerve of bg:z2 has one vertex and one edge, so the
     # fault sits at level 2: in the first vertical-face gather at
-    # bidegree (1, 2), one nondegenerate triangle of the (1, 1) grid
-    # goes to the wrong nondegenerate triangle of the (1, 2) grid
+    # bidegree (1, 2), the first nondegenerate triangle of the (1, 1)
+    # grid goes to the wrong nondegenerate triangle of the (1, 2) grid
     import nervekit.classification as cls_mod
 
     gather = cls_mod._grid_gather
@@ -1518,9 +1547,8 @@ def test_classification_diagram_catches_a_wrong_gather_entry(z2_rel_d3, monkeypa
     def mutated(G, G2, vp, vq):
         g = gather(G, G2, vp, vq)
         if not planted and G.name == "grid(1,2)" and G2.name == "grid(1,1)":
-            c = next(c for c in range(G2.card(2)) if not G2.is_degenerate(2, c))
-            g[2][c] = next(y for y in range(G.card(2)) if not G.is_degenerate(2, y) and y != g[2][c])
-            planted.append(c)
+            g[2][0] = next(y for y in G.nondegenerate_cells(2) if y != g[2][0])
+            planted.append(g[2][0])
         return g
 
     monkeypatch.setattr(cls_mod, "_grid_gather", mutated)
@@ -1529,7 +1557,7 @@ def test_classification_diagram_catches_a_wrong_gather_entry(z2_rel_d3, monkeypa
     # target bidegree, so its lookup fails; a tolerant lookup would
     # give wrong tables instead
     try:
-        got = _classification_tables(classification_diagram(z2_rel_d3, 1, 2))
+        got = _classification_tables(z2_rel_d3, classification_diagram(z2_rel_d3, 1, 2))
     except KeyError:
         got = None
     assert planted
